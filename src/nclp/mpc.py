@@ -17,9 +17,12 @@ Walsh functions are +-1 valued and orthonormal for the uniform probability
 measure on the 2^(2N+1) grid points, so preservation of total mass is
 exactly preservation of the empty-set coefficient.
 
-All matrices here are sparse and real; identities such as the intertwining
-relation hold up to float rounding (<= 1e-12) because the semigroup entries
-are stored as ratios of spectral-function values.  The exact-arithmetic
+Every operator here (the shift, the filtration projectors, the age
+operator, the change of representation, the semigroup step and its
+coarse-grained variant) is a real weighted bit shift, so the exact
+identities are comparisons of weight vectors.  The intertwining relation
+holds up to float rounding (<= 1e-12) because the semigroup weights are
+stored as ratios of spectral-function values.  The exact-arithmetic
 counterparts of these identities are checked by the test-suite oracle over
 the rationals.
 """
@@ -30,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .classical import MultiplicativityCheck, multiplicativity_check
 from .linalg import DEFAULT_TOL
@@ -117,36 +119,58 @@ class SpectralFunction:
         return cls(-half_width - 1, half_width + 1, np.asarray(values, dtype=float))
 
 
+def _move(masks: np.ndarray, shift: int) -> np.ndarray:
+    return masks << shift if shift >= 0 else masks >> -shift
+
+
 @dataclass(frozen=True)
 class WalshOperator:
-    """A sparse operator on Walsh coordinates plus its domain mask.
+    """A weighted bit shift on Walsh coordinates plus its domain mask.
 
-    Columns outside the domain are zero *and* flagged: any quantity derived
+    An in-domain mask m goes to m << shift (m >> -shift for a negative
+    shift) times ``weights[m]``; diagonal operators have shift 0.  Masks
+    outside the domain go to zero *and* are flagged: any quantity derived
     from this operator must quantify over ``domain`` only and report
-    ``domain_fraction`` alongside.
+    ``domain_fraction`` alongside.  In-domain masks never lose a bit, so the
+    map is one-to-one there and a composition is again a weighted bit shift.
     """
 
-    matrix: sp.csr_matrix
+    shift: int
+    weights: np.ndarray
     domain: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.weights.size
 
     @property
     def domain_fraction(self) -> float:
         return float(np.mean(self.domain))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(v)
+        v = np.asarray(v)
+        src = np.flatnonzero(self.domain)
+        out = np.zeros(v.shape, dtype=np.result_type(v, self.weights))
+        out[_move(src, self.shift)] = self.weights[src] * v[src]
+        return out
+
+    def compose(self, other: "WalshOperator") -> "WalshOperator":
+        """The product self o other: ``other`` acts first."""
+        src = np.flatnonzero(other.domain)
+        mid = _move(src, other.shift)
+        kept = self.domain[mid]
+        src, mid = src[kept], mid[kept]
+        weights = np.zeros(self.dim)
+        weights[src] = self.weights[mid] * other.weights[src]
+        domain = np.zeros(self.dim, dtype=bool)
+        domain[src] = True
+        return WalshOperator(self.shift + other.shift, weights, domain)
 
 
-def _column_restricted_max(matrix: sp.spmatrix, mask: np.ndarray) -> float:
-    """max |entry| over the columns selected by ``mask``."""
-    cols = sp.csc_matrix(matrix)[:, np.nonzero(mask)[0]]
-    if cols.nnz == 0:
-        return 0.0
-    return float(np.max(np.abs(cols.data)))
+def _masked_max(values: np.ndarray, mask: np.ndarray) -> float:
+    """max |value| over the masks selected by ``mask`` (0 when none is)."""
+    picked = np.abs(values[mask])
+    return float(picked.max()) if picked.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -205,19 +229,12 @@ class TruncatedKShift:
         """U_t: subset S -> S + t where the image stays inside the window;
         the constant function is fixed."""
         t = int(t)
-        d = self.dim
-        masks = np.arange(d)
+        masks = np.arange(self.dim)
         if t >= 0:
-            in_dom = masks << t < d
-            targets = masks << t
+            in_dom = masks << t < self.dim
         else:
             in_dom = masks >> (-t) << (-t) == masks
-            targets = masks >> (-t)
-        rows = targets[in_dom]
-        cols = masks[in_dom]
-        data = np.ones(rows.size)
-        matrix = sp.csr_matrix((data, (rows, cols)), shape=(d, d))
-        return WalshOperator(matrix=matrix, domain=in_dom)
+        return WalshOperator(t, in_dom.astype(float), in_dom)
 
 
 @lru_cache(maxsize=None)
@@ -236,12 +253,6 @@ def build_shift(half_width: int) -> TruncatedKShift:
     return TruncatedKShift(half_width)
 
 
-def _diagonal_operator(shift: TruncatedKShift, diag: np.ndarray, domain=None) -> WalshOperator:
-    if domain is None:
-        domain = np.ones(shift.dim, dtype=bool)
-    return WalshOperator(matrix=sp.diags(diag).tocsr(), domain=domain)
-
-
 def conditional_expectation(shift: TruncatedKShift, t: int) -> WalshOperator:
     """The projector onto ages <= t; t = -N-1 keeps only the constants."""
     n = shift.half_width
@@ -249,7 +260,7 @@ def conditional_expectation(shift: TruncatedKShift, t: int) -> WalshOperator:
     if t < -n - 1 or t > n:
         raise ValueError(f"filtration time {t} outside [{-n - 1}, {n}]")
     keep = (shift.ages <= t) | ~shift.nonempty()
-    return _diagonal_operator(shift, keep.astype(float))
+    return WalshOperator(0, keep.astype(float), np.ones(shift.dim, dtype=bool))
 
 
 def time_operator(shift: TruncatedKShift) -> WalshOperator:
@@ -257,7 +268,7 @@ def time_operator(shift: TruncatedKShift) -> WalshOperator:
     outside the domain mask."""
     diag = shift.ages.astype(float)
     diag[0] = 0.0
-    return _diagonal_operator(shift, diag, domain=shift.nonempty())
+    return WalshOperator(0, diag, shift.nonempty())
 
 
 def commutation_check(shift: TruncatedKShift, t: int) -> float:
@@ -267,8 +278,8 @@ def commutation_check(shift: TruncatedKShift, t: int) -> float:
         raise ValueError("commutation check expects t >= 0")
     u = shift.shift_operator(t)
     time = time_operator(shift)
-    residual = time.matrix @ u.matrix - u.matrix @ time.matrix - t * u.matrix
-    return _column_restricted_max(residual, u.domain & shift.nonempty())
+    residual = time.compose(u).weights - u.compose(time).weights - t * u.weights
+    return _masked_max(residual, u.domain & shift.nonempty())
 
 
 def lambda_build(shift: TruncatedKShift, f: SpectralFunction) -> WalshOperator:
@@ -277,7 +288,7 @@ def lambda_build(shift: TruncatedKShift, f: SpectralFunction) -> WalshOperator:
     _check_range(shift, f)
     diag = np.array([f.value(a) for a in shift.ages])
     diag[0] = 1.0
-    return _diagonal_operator(shift, diag)
+    return WalshOperator(0, diag, np.ones(shift.dim, dtype=bool))
 
 
 def wt_build(shift: TruncatedKShift, f: SpectralFunction, t: int) -> WalshOperator:
@@ -298,19 +309,12 @@ def wt_build(shift: TruncatedKShift, f: SpectralFunction, t: int) -> WalshOperat
             f"half-width {shift.half_width}"
         )
     _check_range(shift, f)
-    d = shift.dim
-    masks = np.arange(1, d)
-    in_dom = masks << t < d
-    sources = masks[in_dom]
-    ages = shift.ages[sources]
-    data = np.array([f.ratio(a + t, a) for a in ages])
-    rows = np.concatenate(([0], sources << t))
-    cols = np.concatenate(([0], sources))
-    vals = np.concatenate(([1.0], data))
-    domain = np.zeros(d, dtype=bool)
-    domain[0] = True
-    domain[sources] = True
-    return WalshOperator(matrix=sp.csr_matrix((vals, (rows, cols)), shape=(d, d)), domain=domain)
+    domain = shift.shift_operator(t).domain
+    sources = np.flatnonzero(domain & shift.nonempty())
+    weights = np.zeros(shift.dim)
+    weights[0] = 1.0
+    weights[sources] = [f.ratio(a + t, a) for a in shift.ages[sources]]
+    return WalshOperator(t, weights, domain)
 
 
 def _check_range(shift: TruncatedKShift, f: SpectralFunction):
@@ -332,35 +336,35 @@ def coarse_grained_wt(shift: TruncatedKShift, s0: int, t: int) -> WalshOperator:
     """
     u = shift.shift_operator(int(t))
     e = conditional_expectation(shift, int(s0))
-    return WalshOperator(matrix=(e.matrix @ u.matrix).tocsr(), domain=u.domain)
+    return e.compose(u)
 
 
 # --- exact-identity defects -------------------------------------------------
 
 
 def intertwining_defect(shift: TruncatedKShift, f: SpectralFunction, t: int) -> float:
-    """max |entry| of (W_t Lam - Lam U_t) over in-domain columns."""
+    """max |weight| of (W_t Lam - Lam U_t) over in-domain masks."""
     w = wt_build(shift, f, t)
     lam = lambda_build(shift, f)
     u = shift.shift_operator(t)
-    residual = w.matrix @ lam.matrix - lam.matrix @ u.matrix
-    return _column_restricted_max(residual, u.domain)
+    residual = w.compose(lam).weights - lam.compose(u).weights
+    return _masked_max(residual, u.domain)
 
 
 def semigroup_defect(shift: TruncatedKShift, f: SpectralFunction, s: int, t: int) -> float:
-    """max |entry| of (W_s W_t - W_{s+t}) over columns where all three act."""
+    """max |weight| of (W_s W_t - W_{s+t}) over masks where all three act."""
     ws = wt_build(shift, f, s)
     wt = wt_build(shift, f, t)
     wst = wt_build(shift, f, s + t)
-    residual = ws.matrix @ wt.matrix - wst.matrix
-    return _column_restricted_max(residual, wst.domain)
+    residual = ws.compose(wt).weights - wst.weights
+    return _masked_max(residual, wst.domain)
 
 
 def filtration_defect(shift: TruncatedKShift) -> float:
     """Projector algebra: E_s E_t = E_t E_s = E_min(s,t), exactly."""
     n = shift.half_width
     times = range(-n - 1, n + 1)
-    projectors = {t: conditional_expectation(shift, t).matrix.diagonal() for t in times}
+    projectors = {t: conditional_expectation(shift, t).weights for t in times}
     worst = 0.0
     for s in times:
         for t in times:
@@ -374,20 +378,20 @@ def time_consistency_defect(shift: TruncatedKShift) -> float:
     operator on its domain."""
     n = shift.half_width
     total = np.zeros(shift.dim)
-    prev = conditional_expectation(shift, -n - 1).matrix.diagonal()
+    prev = conditional_expectation(shift, -n - 1).weights
     for t in range(-n, n + 1):
-        cur = conditional_expectation(shift, t).matrix.diagonal()
+        cur = conditional_expectation(shift, t).weights
         total += t * (cur - prev)
         prev = cur
     reference = time_operator(shift)
     mask = reference.domain
-    return float(np.max(np.abs(total[mask] - reference.matrix.diagonal()[mask])))
+    return float(np.max(np.abs(total[mask] - reference.weights[mask])))
 
 
 def contraction_violation(shift: TruncatedKShift, f: SpectralFunction, t: int) -> float:
     """How far any semigroup multiplier strays outside (0, 1]."""
     w = wt_build(shift, f, t)
-    data = w.matrix.data
+    data = w.weights[w.domain]
     return float(max(0.0, float(np.max(data)) - 1.0) + max(0.0, -float(np.min(data))))
 
 
@@ -442,14 +446,13 @@ def _stochasticity_of(
     op: WalshOperator, shift: TruncatedKShift, t: int, samples: int, seed
 ) -> StochasticitySuite:
     d = shift.dim
-    matrix = op.matrix
     # unitality: the constant function is fixed
     e0 = np.zeros(d)
     e0[0] = 1.0
-    unitality_defect = float(np.max(np.abs(matrix @ e0 - e0)))
-    # mass: the empty-set coefficient of the output equals that of the input
-    row0 = np.asarray(matrix[0].todense()).ravel()
-    mass_defect = float(np.max(np.abs(row0 - e0)))
+    unitality_defect = float(np.max(np.abs(op.apply(e0) - e0)))
+    # mass: the empty-set coefficient of the output equals that of the input;
+    # a bit shift sends no mask but the empty set to the empty set
+    mass_defect = abs(float(op.weights[0] if op.domain[0] else 0.0) - 1.0)
     # positivity on nonnegative densities supported on the domain: a density
     # that only involves coordinates <= N - t is invisible to the truncation
     rng = rng_from(seed)
@@ -461,7 +464,7 @@ def _stochasticity_of(
         grid = rng.random(d)
         grid = np.tile(grid.reshape(groups, block).mean(axis=0), groups)
         coeffs = grid_to_walsh(shift, grid)
-        out = walsh_to_grid(shift, matrix @ coeffs)
+        out = walsh_to_grid(shift, op.apply(coeffs))
         positivity_defect = max(positivity_defect, max(0.0, -float(np.min(out.real))))
     return StochasticitySuite(
         positivity_defect=positivity_defect,

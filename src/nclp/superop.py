@@ -206,12 +206,10 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a * phase - b))
 
 
-def _matrix_units(n: int):
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            yield i, j, e
+def _max_column_norm(m: np.ndarray) -> float:
+    """max over matrix units E_ij of the norm of column vec(E_ij) of ``m``:
+    the worst Frobenius norm among the images of the matrix units."""
+    return float(np.max(np.linalg.norm(m, axis=0)))
 
 
 def _hermitian_basis(n: int):
@@ -274,11 +272,9 @@ def jordan_check(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanCheck:
         if d > square_defect:
             square_defect = d
             worst = a
-    star_defect = 0.0
-    for _, _, e in _matrix_units(n):
-        d = float(np.linalg.norm(j.apply(dagger(e)) - dagger(j.apply(e))))
-        if d > star_defect:
-            star_defect = d
+    # column vec(E) of m[:, swap] is J(E*); of m.conj()[swap] it is J(E)*
+    swap = np.arange(n * n).reshape(n, n).T.ravel()
+    star_defect = _max_column_norm(j.matrix[:, swap] - j.matrix.conj()[swap])
     sv = np.linalg.svd(j.matrix, compute_uv=False)
     if sv[-1] <= 0.0:
         invertibility_defect = math.inf
@@ -325,10 +321,7 @@ def jordan_classify(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanClassif
         top = int(np.argmax(np.abs(w)))
         u = unvec(v[:, top], n) * math.sqrt(n)
         u = fix_global_phase(u)
-        canonical = canonical_jordan(kind, u)
-        residual = 0.0
-        for _, _, e in _matrix_units(n):
-            residual = max(residual, float(np.linalg.norm(j.apply(e) - canonical.apply(e))))
+        residual = _max_column_norm(j.matrix - canonical_jordan(kind, u).matrix)
         unitarity = float(np.linalg.norm(dagger(u) @ u - np.eye(n)))
         if residual <= threshold(1.0, max(tol, 1e-6)) and unitarity <= threshold(1.0, max(tol, 1e-6)):
             return JordanClassification(kind=kind, unitary=u, residual=residual)
@@ -358,7 +351,7 @@ def positivity_check(
     """
     rng = rng_from(seed)
     n = t.dim
-    samples = [e for _, _, e in _matrix_units(n) if np.trace(e).real > 0]
+    samples = [np.diag(row) for row in np.eye(n, dtype=complex)]
     for _ in range(trials):
         g = ginibre(n, rng)
         p = g @ dagger(g)
@@ -429,10 +422,7 @@ def isometry_check(
         if measure is None:
             g = t.matrix
         else:
-            r = 1.0 / (2.0 * p)
-            root = measure.power(r)
-            root_inv = measure.power(-r)
-            g = np.kron(root.T, root) @ t.matrix @ np.kron(root_inv.T, root_inv)
+            g = weighted_isometry_transport(t, measure, p).matrix
         gram_defect = float(np.linalg.norm(dagger(g) @ g - np.eye(n * n)))
         gram_ok = gram_defect <= threshold(float(n), tol)
     is_isometry = bool(max_rel <= threshold(1.0, tol) and gram_ok)
@@ -516,12 +506,8 @@ def lamperti_decompose(
         raise NotDecomposableError(str(exc)) from exc
     scale_defect = abs(scale - 1.0) if math.isinf(p) else abs(scale**p - 1.0)
     canonical = canonical_jordan(classification.kind, classification.unitary)
-    residual = 0.0
-    for _, _, e in _matrix_units(n):
-        residual = max(
-            residual,
-            float(np.linalg.norm(t.apply(e) - scale * w_factor @ canonical.apply(e))),
-        )
+    rebuilt = np.kron(np.eye(n), scale * w_factor) @ canonical.matrix
+    residual = _max_column_norm(t.matrix - rebuilt)
     return LampertiDecomposition(
         w=w_factor,
         scale=scale,
@@ -651,11 +637,7 @@ def implementability_check(
     w_phase_defect = float(np.linalg.norm(dec.w - phase * np.eye(n)))
     scale_defect = abs(dec.scale - 1.0)
     canonical = canonical_jordan(dec.kind, dec.implementing_unitary)
-    match_defect = 0.0
-    for _, _, e in _matrix_units(n):
-        match_defect = max(
-            match_defect, float(np.linalg.norm(v.apply(e) - canonical.apply(e)))
-        )
+    match_defect = _max_column_norm(v.matrix - canonical.matrix)
     common = dict(
         positivity_defect=pos.defect,
         isometry=iso,

@@ -273,6 +273,17 @@ def test_console_script_entry_point():
     assert abs(json.loads(result.stdout)["norm"] - 2.0) < 1e-12
 
 
+def test_import_needs_only_numpy_and_the_standard_library():
+    probe = (
+        "import sys; before = set(sys.modules); import nclp.cli; "
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(loaded - set(sys.stdlib_module_names)))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['nclp', 'numpy']"
+
+
 def test_bad_json_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "norm", "--input", "{not json")
     assert code == 2

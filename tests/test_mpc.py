@@ -1,5 +1,5 @@
 """Truncated shift model: construction fixtures, exact identities (checked
-twice: through the sparse float matrices and through an independent
+twice: through the float weighted bit shifts and through an independent
 rational-arithmetic oracle over explicit coordinate sets), stochasticity,
 and the implementability verdicts."""
 
@@ -9,7 +9,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from nclp import mpc
 from nclp.mpc import (
@@ -53,6 +52,11 @@ def exact_value(f, s):
     return Fraction(f.value(s))
 
 
+def dense(op):
+    """The operator's matrix, column by column from its action on the basis."""
+    return np.stack([op.apply(e) for e in np.eye(op.dim)], axis=1)
+
+
 # --- construction fixtures -----------------------------------------------------
 
 
@@ -86,7 +90,7 @@ def test_shift_flags_off_window_images():
     edge = shift.index_of({shift.half_width})
     assert not u.domain[edge]
     # the off-domain column is zero, never a silent wraparound
-    assert u.matrix[:, edge].nnz == 0
+    assert np.count_nonzero(dense(u)[:, edge]) == 0
 
 
 def test_shift_domain_matches_set_logic():
@@ -99,19 +103,39 @@ def test_shift_domain_matches_set_logic():
             assert u.domain[shift.index_of(subset)] == expected
 
 
+def test_compose_is_the_matrix_product():
+    shift = build_shift(2)
+    f = SpectralFunction.logistic(2)
+    u, back = shift.shift_operator(1), shift.shift_operator(-1)
+    pairs = (
+        (u, lambda_build(shift, f)),
+        (wt_build(shift, f, 1), wt_build(shift, f, 2)),
+        (conditional_expectation(shift, 0), u),
+        (back, u),
+        (u, back),
+        (wt_build(shift, f, 1), shift.shift_operator(-2)),
+    )
+    for a, b in pairs:
+        assert np.array_equal(dense(a.compose(b)), dense(a) @ dense(b))
+    # a product of unweighted shifts moves exactly the masks of its domain
+    for a, b in ((back, u), (u, back)):
+        product = a.compose(b)
+        assert np.array_equal(dense(product).any(axis=0), product.domain)
+
+
 def test_conditional_expectation_extremes():
     shift = build_shift(2)
     top = conditional_expectation(shift, shift.half_width)
-    assert np.allclose(top.matrix.toarray(), np.eye(shift.dim))
+    assert np.allclose(dense(top), np.eye(shift.dim))
     bottom = conditional_expectation(shift, -shift.half_width - 1)
-    diag = bottom.matrix.diagonal()
+    diag = np.diag(dense(bottom))
     assert diag[0] == 1.0 and np.all(diag[1:] == 0.0)
 
 
 def test_conditional_expectation_age_zero_fixture():
     shift = build_shift(1)
-    e0 = conditional_expectation(shift, 0)
-    kept = {shift.coords_of(i) for i in range(shift.dim) if e0.matrix.diagonal()[i] == 1.0}
+    diag = np.diag(dense(conditional_expectation(shift, 0)))
+    kept = {shift.coords_of(i) for i in range(shift.dim) if diag[i] == 1.0}
     assert kept == {(), (-1,), (0,), (-1, 0)}
 
 
@@ -124,7 +148,7 @@ def test_conditional_expectation_range_validation():
 def test_time_operator_max_rule():
     shift = build_shift(1)
     t = time_operator(shift)
-    diag = t.matrix.diagonal()
+    diag = np.diag(dense(t))
     assert diag[shift.index_of({-1, 1})] == 1.0
     assert diag[shift.index_of({0})] == 0.0
     assert not t.domain[0]
@@ -174,7 +198,7 @@ def test_spectral_function_constant_is_flagged_but_usable():
     assert f.warnings
     shift = build_shift(2)
     lam = lambda_build(shift, f)
-    assert np.allclose(lam.matrix.toarray(), np.eye(shift.dim))
+    assert np.allclose(dense(lam), np.eye(shift.dim))
 
 
 def test_spectral_function_geometric_table_allowed():
@@ -184,15 +208,15 @@ def test_spectral_function_geometric_table_allowed():
 
 def test_lambda_build_logistic_fixture():
     shift = build_shift(1)
-    lam = lambda_build(shift, SpectralFunction.logistic(1))
-    assert lam.matrix.diagonal()[shift.index_of({0})] == 0.5
-    assert lam.matrix.diagonal()[0] == 1.0
+    diag = np.diag(dense(lambda_build(shift, SpectralFunction.logistic(1))))
+    assert diag[shift.index_of({0})] == 0.5
+    assert diag[0] == 1.0
 
 
 def test_lambda_fixes_constants_for_every_f():
     shift = build_shift(2)
     for f in (SpectralFunction.logistic(2), SpectralFunction.constant(2)):
-        assert lambda_build(shift, f).matrix.diagonal()[0] == 1.0
+        assert np.diag(dense(lambda_build(shift, f)))[0] == 1.0
 
 
 # --- the semigroup --------------------------------------------------------------
@@ -204,14 +228,14 @@ def test_wt_multiplier_fixture():
     w = wt_build(shift, f, 1)
     src = shift.index_of({0})
     dst = shift.index_of({1})
-    assert abs(w.matrix[dst, src] - 2.0 / (1.0 + math.e)) < 1e-15
+    assert abs(dense(w)[dst, src] - 2.0 / (1.0 + math.e)) < 1e-15
 
 
 def test_wt_constant_f_is_plain_shift():
     shift = build_shift(2)
     w = wt_build(shift, SpectralFunction.constant(2), 1)
     u = shift.shift_operator(1)
-    assert (w.matrix - u.matrix).nnz == 0
+    assert np.count_nonzero(dense(w) - dense(u)) == 0
 
 
 def test_wt_validation():
@@ -230,6 +254,7 @@ def test_intertwining_float_and_exact_oracle():
         assert mpc.intertwining_defect(shift, f, t) <= 1e-12
         # oracle: exact rational identity per coordinate set
         w = wt_build(shift, f, t)
+        w_matrix = dense(w)
         for subset in all_subsets(n):
             if not subset:
                 continue
@@ -243,7 +268,7 @@ def test_intertwining_float_and_exact_oracle():
             rhs = exact_value(f, max(image))
             assert lhs == rhs
             # and the stored float entry is the correctly rounded ratio
-            entry = w.matrix[shift.index_of(image), shift.index_of(subset)]
+            entry = w_matrix[shift.index_of(image), shift.index_of(subset)]
             assert entry == float(exact_value(f, max(subset) + t) / exact_value(f, max(subset)))
 
 
@@ -275,7 +300,8 @@ def test_contraction_multipliers_in_unit_interval():
     f = SpectralFunction.logistic(3)
     for t in (1, 2, 3):
         assert mpc.contraction_violation(shift, f, t) == 0.0
-        data = wt_build(shift, f, t).matrix.data
+        w = wt_build(shift, f, t)
+        data = w.weights[w.domain]
         assert np.all(data > 0.0) and np.all(data <= 1.0)
 
 
@@ -342,21 +368,29 @@ def test_stochasticity_exploratory_non_log_concave():
     raw = {-3: 1.0, -2: 0.9, -1: 0.5, 0: 0.05, 1: 0.045, 2: 0.044, 3: 0.0439}
     t = 1
     d = shift.dim
-    rows, cols, vals = [0], [0], [1.0]
+    weights = np.zeros(d)
+    weights[0] = 1.0
     domain = np.zeros(d, dtype=bool)
     domain[0] = True
     for mask in range(1, d):
         if mask << t >= d:
             continue
         age = int(shift.ages[mask])
-        rows.append(mask << t)
-        cols.append(mask)
-        vals.append(raw[age + t] / raw[age])
+        weights[mask] = raw[age + t] / raw[age]
         domain[mask] = True
-    op = WalshOperator(matrix=sp.csr_matrix((vals, (rows, cols)), shape=(d, d)), domain=domain)
+    op = WalshOperator(t, weights, domain)
     suite = mpc._stochasticity_of(op, shift, t, samples=200, seed=3)
     print(f"exploratory non-log-concave positivity defect: {suite.positivity_defect:.3e}")
     assert suite.mass_defect == 0.0 and suite.unitality_defect == 0.0
+
+
+def test_stochasticity_reports_lost_mass():
+    shift = build_shift(1)
+    weights = np.ones(shift.dim)
+    weights[0] = 0.5
+    op = WalshOperator(0, weights, np.ones(shift.dim, dtype=bool))
+    suite = mpc._stochasticity_of(op, shift, 1, samples=1, seed=0)
+    assert suite.mass_defect == 0.5 and suite.unitality_defect == 0.5
 
 
 def test_implementability_logistic_negative_with_oracle_bound():
@@ -394,7 +428,7 @@ def test_restricted_adjoint_grid_matches_direct_construction():
     n, t = 2, 1
     shift = build_shift(n)
     f = SpectralFunction.logistic(n)
-    adj = wt_build(shift, f, t).matrix.toarray().T
+    adj = dense(wt_build(shift, f, t)).T
     d_sub = 1 << (2 * n + 1 - t)
     sub = np.zeros((d_sub, d_sub))
     for q in range(d_sub):  # input w_Q with full mask q << t

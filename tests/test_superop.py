@@ -353,6 +353,42 @@ def test_implementability_defect_report_is_structured():
     assert all(isinstance(value, float) for value in defects.values())
 
 
+def _worst_over_matrix_units(n, residual):
+    """max over the matrix units E_ij of ||residual(E_ij)||, one unit at a time."""
+    worst = 0.0
+    for k in range(n * n):
+        e = unvec(np.eye(n * n)[k], n)
+        worst = max(worst, float(np.linalg.norm(residual(e))))
+    return worst
+
+
+def test_whole_matrix_defects_match_matrix_unit_loops():
+    rng = rng_from(31)
+    n = 3
+    j = SuperOperator(n, ginibre(n * n, rng))
+    star = _worst_over_matrix_units(n, lambda e: j.apply(e.conj().T) - j.apply(e).conj().T)
+    assert abs(jordan_check(j).star_defect - star) <= 1e-13 * star
+    # a conjugation perturbed below tolerance passes every stage with
+    # residuals far above rounding, so each one is compared with its loop
+    m = maximally_mixed(n)
+    perturbation = 1e-11 * ginibre(n * n, rng)
+    v = SuperOperator(n, SuperOperator.ad_unitary(random_unitary(n, rng)).matrix + perturbation)
+    report = implementability_check(v, m, 2.0)
+    assert report.implementable
+    dec = report.decomposition
+    canonical = canonical_jordan(dec.kind, dec.implementing_unitary)
+    t = weighted_isometry_transport(v, m, 2.0)
+    expected = (
+        (report.match_defect, lambda e: v.apply(e) - canonical.apply(e)),
+        (dec.residual, lambda e: t.apply(e) - dec.scale * dec.w @ canonical.apply(e)),
+        (jordan_classify(dec.jordan).residual, lambda e: dec.jordan.apply(e) - canonical.apply(e)),
+    )
+    for value, residual in expected:
+        reference = _worst_over_matrix_units(n, residual)
+        assert reference > 1e-12
+        assert abs(value - reference) <= 1e-14
+
+
 def test_change_of_representation_identity_and_transpose():
     rng = rng_from(31)
     m = maximally_mixed(3)
