@@ -548,14 +548,14 @@ def mpc_implementability(
     def multiplier(age: int) -> float:
         return f.ratio(age, age - t)
 
+    _check_range(shift, f)
     grid = _restricted_adjoint_grid(shift, t, multiplier)
     check = multiplicativity_check(grid, tol=tol)
-    w = wt_build(shift, f, t)
     return MpcImplementability(
         implementable=check.multiplicative,
         defect=check.defect,
         check=check,
-        domain_fraction=w.domain_fraction,
+        domain_fraction=shift.shift_operator(t).domain_fraction,
         restricted_dim=grid.shape[0],
     )
 
@@ -682,15 +682,14 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
         add("implementable", float(verdict.implementable), verdict.domain_fraction)
         return MpcExperiment(tuple(rows), verdict.implementable, asserted=False, tol=tol)
 
-    w = wt_build(shift, f, t)
     add("intertwining_defect", intertwining_defect(shift, f, t), u.domain_fraction)
     if t + 1 <= 2 * shift.half_width:
         add(
             "semigroup_defect",
             semigroup_defect(shift, f, 1, t),
-            wt_build(shift, f, 1 + t).domain_fraction,
+            shift.shift_operator(1 + t).domain_fraction,
         )
-    add("contraction_violation", contraction_violation(shift, f, t), w.domain_fraction)
+    add("contraction_violation", contraction_violation(shift, f, t), u.domain_fraction)
     suite = stochasticity_suite(shift, f, t, samples=100, seed=seed)
     add("stochasticity_positivity_defect", suite.positivity_defect, suite.domain_fraction)
     add("stochasticity_mass_defect", suite.mass_defect, suite.domain_fraction)

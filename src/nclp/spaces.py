@@ -32,6 +32,7 @@ from .linalg import (
     DimensionMismatchError,
     as_matrix,
     dagger,
+    frac_power,
     hermitian_part,
     threshold,
 )
@@ -62,9 +63,9 @@ def conjugate_exponent(p) -> float:
 class QuantumMeasure:
     """A faithful state omega(X) = Tr(rho X), with cached powers of rho.
 
-    All fractional powers are taken from a single eigendecomposition of rho,
-    so products of cached powers satisfy the exponent semigroup law to
-    rounding accuracy.
+    Each power rho^r is ``linalg.frac_power(rho, r)``, computed once and
+    cached.  Every call decomposes the same matrix rho, so products of
+    cached powers satisfy the exponent semigroup law to rounding accuracy.
     """
 
     def __init__(self, rho, tol: float = DEFAULT_TOL):
@@ -72,9 +73,7 @@ class QuantumMeasure:
             rho = DensityMatrix(rho, tol=tol)
         self.density = rho
         self.tol = tol
-        w, v = np.linalg.eigh(hermitian_part(rho.matrix))
-        self._eigenvalues = w
-        self._eigenvectors = v
+        self._eigenvectors = np.linalg.eigh(hermitian_part(rho.matrix))[1]
         self._powers: dict[float, np.ndarray] = {}
 
     @property
@@ -95,8 +94,7 @@ class QuantumMeasure:
         r = float(r)
         cached = self._powers.get(r)
         if cached is None:
-            v = self._eigenvectors
-            cached = hermitian_part((v * np.power(self._eigenvalues, r)) @ dagger(v))
+            cached = frac_power(self.rho, r, tol=self.tol)
             self._powers[r] = cached
         return cached
 

@@ -7,6 +7,11 @@ flips downstream verdicts, so they are stated bit-exactly here):
 - ``vec`` stacks the columns of an n x n matrix left to right, so that
   vec(A X B) = (B^T kron A) vec(X), i.e. ``np.kron(B.T, A)``;
 - the conjugation X -> U X U* therefore has matrix ``np.kron(U.conj(), U)``;
+- column vec(E_ij) of the matrix of T is vec(T(E_ij)), so the images of
+  all matrix units are one reshape of the matrix (``_images``);
+- ``swap(n)`` is the index permutation with vec(X^T) = vec(X)[swap(n)], so
+  the transpose map is ``np.eye(n * n)[swap(n)]`` and composing with it
+  permutes columns;
 - the Choi matrix of a map T is C = sum_ij E_ij kron T(E_ij), the block
   matrix whose (i, j) block is T(E_ij);
 - recovered unitaries are normalized so that their entry of largest modulus
@@ -36,7 +41,6 @@ from .linalg import (
     SingularInputError,
     as_matrix,
     dagger,
-    frobenius,
     hermitian_part,
     polar_decompose,
     threshold,
@@ -84,12 +88,9 @@ def unvec(v: np.ndarray, n: int | None = None) -> np.ndarray:
     return v.reshape((n, n), order="F")
 
 
-def swap_matrix(n: int) -> np.ndarray:
-    """Permutation S with S vec(X) = vec(X^T)."""
-    s = np.zeros((n * n, n * n))
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    s[(j * n + i).ravel(), (i * n + j).ravel()] = 1.0
-    return s
+def swap(n: int) -> np.ndarray:
+    """Index permutation with vec(X^T) = vec(X)[swap(n)]; an involution."""
+    return np.arange(n * n).reshape(n, n).T.ravel()
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,8 @@ class SuperOperator:
 
     def predual(self) -> "SuperOperator":
         """Action on states: Tr(predual(rho) A) = Tr(rho T(A)) for all A."""
-        s = swap_matrix(self.dim)
-        return SuperOperator(self.dim, s @ self.matrix.T @ s)
+        s = swap(self.dim)
+        return SuperOperator(self.dim, self.matrix.T[s][:, s])
 
     def inverse(self) -> "SuperOperator":
         sv = np.linalg.svd(self.matrix, compute_uv=False)
@@ -163,7 +164,7 @@ class SuperOperator:
 
     @classmethod
     def transpose_map(cls, n: int) -> "SuperOperator":
-        return cls(n, swap_matrix(n).astype(complex))
+        return cls(n, np.eye(n * n, dtype=complex)[swap(n)])
 
     @classmethod
     def from_apply(cls, n: int, fn) -> "SuperOperator":
@@ -178,11 +179,11 @@ class SuperOperator:
 
 def canonical_jordan(kind: str, u, n: int | None = None) -> SuperOperator:
     """The Jordan automorphism X -> U X U* (iso) or X -> U X^T U* (anti)."""
-    u = as_matrix(u)
+    conjugation = SuperOperator.ad_unitary(u)
     if kind == KIND_ISO:
-        return SuperOperator.ad_unitary(u)
+        return conjugation
     if kind == KIND_ANTI:
-        return SuperOperator.ad_unitary(u) @ SuperOperator.transpose_map(u.shape[0])
+        return SuperOperator(conjugation.dim, conjugation.matrix[:, swap(conjugation.dim)])
     raise ValueError(f"unknown Jordan kind {kind!r}")
 
 
@@ -212,31 +213,16 @@ def _max_column_norm(m: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(m, axis=0)))
 
 
-def _hermitian_basis(n: int):
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        yield e
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = np.zeros((n, n), dtype=complex)
-            x[i, j] = 1.0
-            x[j, i] = 1.0
-            yield x
-            y = np.zeros((n, n), dtype=complex)
-            y[i, j] = 1j
-            y[j, i] = -1j
-            yield y
+def _images(t: SuperOperator) -> np.ndarray:
+    """The n x n x n x n array with images[i, k] = T(E_ik)."""
+    n = t.dim
+    return t.matrix.T.reshape(n, n, n, n).transpose(1, 0, 3, 2)
 
 
 def choi(t: SuperOperator) -> np.ndarray:
     """Choi matrix C = sum_ij E_ij kron T(E_ij)."""
     n = t.dim
-    c = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            c[i * n : (i + 1) * n, j * n : (j + 1) * n] = unvec(t.matrix[:, j * n + i], n)
-    return c
+    return _images(t).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
 def choi_rank(c: np.ndarray, rtol: float = CHOI_RANK_RTOL) -> int:
@@ -265,16 +251,30 @@ def jordan_check(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanCheck:
     honest automorphisms and blows up for maps that are not one-to-one.
     """
     n = j.dim
-    square_defect = 0.0
+    # the Hermitian spanning set, in order: E_ii, then for each i < k the
+    # symmetric E_ik + E_ki and the skew i E_ik - i E_ki, both squaring to
+    # E_ii + E_kk; ja holds their images, ja_sq the images of their squares
+    images = _images(j)
+    units = images[np.arange(n), np.arange(n)]
+    i, k = np.triu_indices(n, 1)
+    pairs = np.stack([images[i, k] + images[k, i], 1j * (images[i, k] - images[k, i])], axis=1)
+    ja = np.concatenate([units, pairs.reshape(-1, n, n)])
+    ja_sq = np.concatenate([units, np.repeat(units[i] + units[k], 2, axis=0)])
+    defects = np.linalg.norm(ja_sq - ja @ ja, axis=(1, 2))
+    worst_index = int(np.argmax(defects))
+    square_defect = float(defects[worst_index])
     worst = np.eye(n, dtype=complex)
-    for a in _hermitian_basis(n):
-        d = float(np.linalg.norm(j.apply(a @ a) - j.apply(a) @ j.apply(a)))
-        if d > square_defect:
-            square_defect = d
-            worst = a
-    # column vec(E) of m[:, swap] is J(E*); of m.conj()[swap] it is J(E)*
-    swap = np.arange(n * n).reshape(n, n).T.ravel()
-    star_defect = _max_column_norm(j.matrix[:, swap] - j.matrix.conj()[swap])
+    if square_defect > 0.0:
+        worst = np.zeros((n, n), dtype=complex)
+        if worst_index < n:
+            worst[worst_index, worst_index] = 1.0
+        else:
+            pair, skew = divmod(worst_index - n, 2)
+            a, b = i[pair], k[pair]
+            worst[a, b], worst[b, a] = (1j, -1j) if skew else (1.0, 1.0)
+    # column vec(E) of m[:, s] is J(E*); of m.conj()[s] it is J(E)*
+    s = swap(n)
+    star_defect = _max_column_norm(j.matrix[:, s] - j.matrix.conj()[s])
     sv = np.linalg.svd(j.matrix, compute_uv=False)
     if sv[-1] <= 0.0:
         invertibility_defect = math.inf
@@ -311,7 +311,7 @@ def jordan_classify(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanClassif
     n = j.dim
     candidates = (
         (KIND_ISO, j),
-        (KIND_ANTI, j @ SuperOperator.transpose_map(n)),
+        (KIND_ANTI, SuperOperator(n, j.matrix[:, swap(n)])),
     )
     for kind, mapped in candidates:
         c = choi(mapped)
@@ -351,17 +351,16 @@ def positivity_check(
     """
     rng = rng_from(seed)
     n = t.dim
-    samples = [np.diag(row) for row in np.eye(n, dtype=complex)]
+    # columns: vec of the diagonal units E_ii, then of the sampled states
+    samples = [np.eye(n * n)[:, :: n + 1]]
     for _ in range(trials):
         g = ginibre(n, rng)
         p = g @ dagger(g)
-        samples.append(p / np.trace(p).real)
-    defect = 0.0
-    for p in samples:
-        out = t.apply(p)
-        w = np.linalg.eigvalsh(hermitian_part(out))
-        scale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
-        defect = max(defect, max(0.0, -float(w[0])) / scale)
+        samples.append(vec(p / np.trace(p).real)[:, None])
+    out = (t.matrix @ np.hstack(samples)).T.reshape(-1, n, n).transpose(0, 2, 1)
+    w = np.linalg.eigvalsh((out + out.conj().transpose(0, 2, 1)) / 2.0)
+    scale = np.maximum(1.0, np.abs(w).max(axis=1))
+    defect = float(np.max(np.maximum(-w[:, 0], 0.0) / scale))
     choi_min = float(np.linalg.eigvalsh(hermitian_part(choi(t)))[0])
     return PositivityReport(
         positive=bool(defect <= threshold(1.0, tol)),
@@ -492,7 +491,9 @@ def lamperti_decompose(
             defect=centrality_defect,
             witness=positive,
         )
-    jordan = SuperOperator(n, np.kron(np.eye(n), dagger(w_factor)) @ t.matrix / scale)
+    # kron(eye(n), A) @ M multiplies each n-row block of M by A
+    blocks = t.matrix.reshape(n, n, -1)
+    jordan = SuperOperator(n, (dagger(w_factor) @ blocks).reshape(n * n, n * n) / scale)
     check = jordan_check(jordan, tol=tol)
     if not check.is_jordan:
         raise NotDecomposableError(
@@ -506,7 +507,7 @@ def lamperti_decompose(
         raise NotDecomposableError(str(exc)) from exc
     scale_defect = abs(scale - 1.0) if math.isinf(p) else abs(scale**p - 1.0)
     canonical = canonical_jordan(classification.kind, classification.unitary)
-    rebuilt = np.kron(np.eye(n), scale * w_factor) @ canonical.matrix
+    rebuilt = (scale * w_factor @ canonical.matrix.reshape(n, n, -1)).reshape(n * n, n * n)
     residual = _max_column_norm(t.matrix - rebuilt)
     return LampertiDecomposition(
         w=w_factor,

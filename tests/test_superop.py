@@ -27,7 +27,6 @@ from nclp.superop import (
     lamperti_decompose,
     phase_distance,
     positivity_check,
-    swap_matrix,
     unvec,
     vec,
     weighted_isometry_transport,
@@ -57,7 +56,7 @@ def test_transpose_map_and_swap():
     x = ginibre(3, rng_from(2))
     t = SuperOperator.transpose_map(3)
     assert np.allclose(t.apply(x), x.T)
-    s = swap_matrix(3)
+    s = SuperOperator.transpose_map(3).matrix
     assert np.allclose(s @ s, np.eye(9))
 
 
@@ -105,7 +104,7 @@ def test_choi_of_conjugation_has_rank_one():
 
 def test_choi_of_transpose_is_swap():
     c = choi(SuperOperator.transpose_map(2))
-    assert np.allclose(c, swap_matrix(2))
+    assert np.allclose(c, SuperOperator.transpose_map(2).matrix)
     assert choi_rank(c) == 4
 
 
@@ -190,6 +189,9 @@ def test_positivity_check_accepts_and_rejects():
     assert good.positive
     bad = positivity_check(SuperOperator.identity(n).scaled(-1.0))
     assert not bad.positive and bad.defect > 0.1
+    # with no random states the diagonal matrix units alone must catch it
+    units_only = positivity_check(SuperOperator.identity(n).scaled(-1.0), trials=0)
+    assert not units_only.positive and units_only.defect == 1.0
     # transposition is positive but not completely positive
     t = positivity_check(SuperOperator.transpose_map(2))
     assert t.positive and t.choi_min_eigenvalue < -0.5
@@ -362,6 +364,69 @@ def _worst_over_matrix_units(n, residual):
     return worst
 
 
+def _hermitian_basis(n):
+    """E_ii, then for each i < k in row-major order E_ik + E_ki and i E_ik - i E_ki."""
+    for i in range(n):
+        e = np.zeros((n, n), dtype=complex)
+        e[i, i] = 1.0
+        yield e
+    for i in range(n):
+        for k in range(i + 1, n):
+            x = np.zeros((n, n), dtype=complex)
+            x[i, k] = x[k, i] = 1.0
+            yield x
+            y = np.zeros((n, n), dtype=complex)
+            y[i, k], y[k, i] = 1j, -1j
+            yield y
+
+
+def _square_defect_loop(j):
+    """Worst ||J(a^2) - J(a)^2|| over the Hermitian basis and its first maximiser."""
+    square_defect, worst = 0.0, np.eye(j.dim, dtype=complex)
+    for a in _hermitian_basis(j.dim):
+        d = float(np.linalg.norm(j.apply(a @ a) - j.apply(a) @ j.apply(a)))
+        if d > square_defect:
+            square_defect, worst = d, a
+    return square_defect, worst
+
+
+def _choi_loop(t):
+    """The Choi matrix assembled block by block: block (i, j) is T(E_ij)."""
+    n = t.dim
+    c = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            c[i * n : (i + 1) * n, j * n : (j + 1) * n] = unvec(t.matrix[:, j * n + i], n)
+    return c
+
+
+def _positivity_defect_loop(t, trials, seed):
+    """Worst relative negative eigenvalue of T(P), one sample at a time, over
+    the diagonal units and then the seeded random states."""
+    rng = rng_from(seed)
+    n = t.dim
+    samples = [np.diag(row) for row in np.eye(n, dtype=complex)]
+    for _ in range(trials):
+        g = ginibre(n, rng)
+        p = g @ g.conj().T
+        samples.append(p / np.trace(p).real)
+    defect = 0.0
+    for p in samples:
+        out = t.apply(p)
+        w = np.linalg.eigvalsh((out + out.conj().T) / 2.0)
+        defect = max(defect, max(0.0, -float(w[0])) / max(1.0, float(np.abs(w).max())))
+    return defect
+
+
+def _swap_matrix(n):
+    """The dense permutation S with S vec(X) = vec(X^T)."""
+    s = np.zeros((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            s[i * n + j, j * n + i] = 1.0
+    return s
+
+
 def test_whole_matrix_defects_match_matrix_unit_loops():
     rng = rng_from(31)
     n = 3
@@ -387,6 +452,29 @@ def test_whole_matrix_defects_match_matrix_unit_loops():
         reference = _worst_over_matrix_units(n, residual)
         assert reference > 1e-12
         assert abs(value - reference) <= 1e-14
+    # the batched square defect, Choi matrix, positivity defect and swap
+    # index against their one-element-at-a-time references
+    for n in range(1, 9):
+        conjugation = SuperOperator.ad_unitary(random_unitary(n, rng)).matrix
+        for m in (ginibre(n * n, rng), conjugation + 1e-6 * ginibre(n * n, rng)):
+            t = SuperOperator(n, m)
+            square_defect, worst = _square_defect_loop(t)
+            check = jordan_check(t)
+            assert square_defect > 0.0
+            assert abs(check.square_defect - square_defect) <= 1e-14 * square_defect
+            assert np.array_equal(check.worst_input, worst)
+            assert np.array_equal(choi(t), _choi_loop(t))
+            positivity = _positivity_defect_loop(t, trials=5, seed=n)
+            assert positivity > 0.0 or n == 1
+            assert abs(positivity_check(t, trials=5, seed=n).defect - positivity) <= 1e-14
+            s = _swap_matrix(n)
+            assert np.array_equal(SuperOperator.transpose_map(n).matrix, s)
+            assert np.array_equal(t.predual().matrix, s @ m.T @ s)
+    for t in (SuperOperator.identity(3), SuperOperator.transpose_map(3)):
+        square_defect, worst = _square_defect_loop(t)
+        check = jordan_check(t)
+        assert square_defect == check.square_defect == 0.0
+        assert np.array_equal(worst, np.eye(3)) and np.array_equal(check.worst_input, np.eye(3))
 
 
 def test_change_of_representation_identity_and_transpose():
