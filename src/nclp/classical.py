@@ -205,7 +205,7 @@ def multiplicativity_check(k, tol: float = DEFAULT_TOL) -> MultiplicativityCheck
     indicator pairs plus || K 1 - 1 ||_inf; by bilinearity, vanishing on the
     basis is vanishing everywhere.
     """
-    k = np.asarray(k, dtype=complex)
+    k = np.asarray(k, dtype=complex if np.iscomplexobj(k) else float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("operator must be a square matrix")
     n = k.shape[0]

@@ -25,6 +25,13 @@ holds up to float rounding (<= 1e-12) because the semigroup weights are
 stored as ratios of spectral-function values.  The exact-arithmetic
 counterparts of these identities are checked by the test-suite oracle over
 the rationals.
+
+Implementability asks whether the adjoint of a semigroup step is a
+composition operator on the grid.  That adjoint is diagonal in the Walsh
+sub-basis of its window, with multipliers g of size d, so its grid matrix
+is an XOR convolution: K[x, y] = k[x ^ y] with k = fwht(g) / d, one
+transform and one gather.  The tests compare it with the dense product
+H diag(g) H / d, H the +-1 Walsh matrix.
 """
 
 from __future__ import annotations
@@ -237,13 +244,18 @@ class TruncatedKShift:
         return WalshOperator(t, in_dom.astype(float), in_dom)
 
 
+def _top_bits(sites: int) -> np.ndarray:
+    """top[mask] = position of the highest set bit of each mask below
+    2^sites: the 2^b masks in [2^b, 2^(b+1)) share top bit b, and the empty
+    mask gets -1."""
+    positions = np.arange(sites)
+    return np.concatenate(([-1], np.repeat(positions, 1 << positions)))
+
+
 @lru_cache(maxsize=None)
 def _ages(half_width: int) -> np.ndarray:
-    sites = 2 * half_width + 1
-    ages = np.empty(1 << sites, dtype=int)
-    ages[0] = -half_width - 1  # sentinel: the constant function has no age
-    for mask in range(1, 1 << sites):
-        ages[mask] = mask.bit_length() - 1 - half_width
+    # bit b is position b - N; the empty mask lands on the sentinel -N - 1
+    ages = _top_bits(2 * half_width + 1) - half_width
     ages.setflags(write=False)
     return ages
 
@@ -286,7 +298,7 @@ def lambda_build(shift: TruncatedKShift, f: SpectralFunction) -> WalshOperator:
     """The change of representation: multiply each age-s basis element by
     f(s) and fix the constants.  Invertible on the window since f > 0."""
     _check_range(shift, f)
-    diag = np.array([f.value(a) for a in shift.ages])
+    diag = f.values[shift.ages - f.s_min]
     diag[0] = 1.0
     return WalshOperator(0, diag, np.ones(shift.dim, dtype=bool))
 
@@ -311,9 +323,10 @@ def wt_build(shift: TruncatedKShift, f: SpectralFunction, t: int) -> WalshOperat
     _check_range(shift, f)
     domain = shift.shift_operator(t).domain
     sources = np.flatnonzero(domain & shift.nonempty())
+    ages = shift.ages[sources]
     weights = np.zeros(shift.dim)
     weights[0] = 1.0
-    weights[sources] = [f.ratio(a + t, a) for a in shift.ages[sources]]
+    weights[sources] = f.values[ages + t - f.s_min] / f.values[ages - f.s_min]
     return WalshOperator(t, weights, domain)
 
 
@@ -494,31 +507,46 @@ def stochasticity_suite(
 # --- implementability ---------------------------------------------------------
 
 
-def _restricted_adjoint_grid(shift: TruncatedKShift, t: int, age_multiplier) -> np.ndarray:
-    """Grid matrix of the adjoint semigroup step on its valid domain.
+def _adjoint_ages(shift: TruncatedKShift, t: int) -> np.ndarray:
+    """Age of each sub-basis mask of the adjoint's window [-N+t, N].
 
-    The adjoint acts on the span of subsets of [-N+t, N], a full Walsh
-    system over 2N+1-t coordinates; after translating that window onto
-    [-N, N-t] the adjoint is diagonal in the sub-basis with multiplier
-    ``age_multiplier(max position)``.  Conjugating the diagonal by the
-    sub-grid transform gives the point-function matrix on which
-    multiplicativity is decided.
+    The adjoint of a step by t acts on the subsets of [-N+t, N], a full
+    Walsh system over 2N+1-t coordinates; bit b of a sub-basis mask is
+    position b - N + t.  The empty mask carries the sentinel -N+t-1 and
+    must be guarded.
     """
     t = int(t)
     if t < 1:
         raise ValueError("adjoint restriction requires t >= 1")
     if t > 2 * shift.half_width:
         raise DomainEmptyError("shift exceeds the window")
-    n = shift.half_width
-    sites = 2 * n + 1 - t
-    d_sub = 1 << sites
-    diag = np.empty(d_sub)
-    diag[0] = 1.0
-    for mask in range(1, d_sub):
-        age = mask.bit_length() - 1 + (-n + t)  # max position in the input window
-        diag[mask] = age_multiplier(age)
-    h = fwht(np.eye(d_sub))
-    return (h * diag) @ h / d_sub
+    return _top_bits(2 * shift.half_width + 1 - t) + (t - shift.half_width)
+
+
+def _adjoint_multipliers(shift: TruncatedKShift, f: SpectralFunction, t: int) -> np.ndarray:
+    """Multipliers of the adjoint of W_t on its sub-basis: a mask of age a
+    gets f(a) / f(a - t), the multiplier W_t gives the subset that it shifts
+    onto that mask, and the constant gets g[0] = 1."""
+    _check_range(shift, f)
+    ages = _adjoint_ages(shift, t)
+    g = f.values[ages - f.s_min] / f.values[ages - t - f.s_min]
+    g[0] = 1.0
+    return g
+
+
+def _restricted_adjoint_grid(g: np.ndarray) -> np.ndarray:
+    """Grid matrix of the adjoint semigroup step on its valid domain.
+
+    The adjoint is diagonal in its sub-basis with multipliers ``g``, so its
+    grid matrix H diag(g) H / d (H the +-1 Walsh matrix of size d) is an
+    XOR convolution: since H[x, m] H[y, m] = H[x ^ y, m],
+    K[x, y] = k[x ^ y] with k = fwht(g) / d.  Multiplicativity is decided
+    on this matrix.
+    """
+    d = g.size
+    k = fwht(g) / d
+    idx = np.arange(d)
+    return k[idx[:, None] ^ idx]
 
 
 @dataclass(frozen=True)
@@ -544,12 +572,7 @@ def mpc_implementability(
     the step is a plain shift and the defect is zero; any strictly
     decreasing spectral function leaves a strictly positive defect.
     """
-
-    def multiplier(age: int) -> float:
-        return f.ratio(age, age - t)
-
-    _check_range(shift, f)
-    grid = _restricted_adjoint_grid(shift, t, multiplier)
+    grid = _restricted_adjoint_grid(_adjoint_multipliers(shift, f, t))
     check = multiplicativity_check(grid, tol=tol)
     return MpcImplementability(
         implementable=check.multiplicative,
@@ -564,11 +587,9 @@ def coarse_grained_implementability(
     shift: TruncatedKShift, s0: int, t: int, tol: float = DEFAULT_TOL
 ) -> MpcImplementability:
     """Same check for the coarse-graining variant, reported as an experiment."""
-
-    def multiplier(age: int) -> float:
-        return 1.0 if age <= s0 else 0.0
-
-    grid = _restricted_adjoint_grid(shift, t, multiplier)
+    g = (_adjoint_ages(shift, t) <= s0).astype(float)
+    g[0] = 1.0
+    grid = _restricted_adjoint_grid(g)
     check = multiplicativity_check(grid, tol=tol)
     op = coarse_grained_wt(shift, s0, t)
     return MpcImplementability(
@@ -590,24 +611,12 @@ def multiplicativity_lower_bound(shift: TruncatedKShift, f: SpectralFunction, t:
     coefficients, so the worst discrepancy divided by (number of grid
     points)^2 bounds the grid multiplicativity defect from below.
     """
-    t = int(t)
-    n = shift.half_width
-    sites = 2 * n + 1 - t
-    if sites <= 0:
-        raise DomainEmptyError("shift exceeds the window")
-    d_sub = 1 << sites
-
-    def g(mask: int) -> float:
-        if mask == 0:
-            return 1.0
-        age = mask.bit_length() - 1 + (-n + t)
-        return f.ratio(age, age - t)
-
-    values = np.array([g(m) for m in range(d_sub)])
+    values = _adjoint_multipliers(shift, f, t)
+    d_sub = values.size
+    masks = np.arange(d_sub)
     worst = 0.0
     for r in range(d_sub):
-        xor = np.bitwise_xor(r, np.arange(d_sub))
-        worst = max(worst, float(np.max(np.abs(values[xor] - values[r] * values))))
+        worst = max(worst, float(np.max(np.abs(values[r ^ masks] - values[r] * values))))
     return worst / float(d_sub) ** 2
 
 

@@ -335,7 +335,6 @@ def jordan_classify(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanClassif
 class PositivityReport:
     positive: bool
     defect: float
-    choi_min_eigenvalue: float
     trials: int
 
 
@@ -344,10 +343,9 @@ def positivity_check(
 ) -> PositivityReport:
     """Sampled positivity: T(P) must stay positive semidefinite.
 
-    Samples unit-trace G G* states plus the diagonal matrix units.  The Choi
-    minimum eigenvalue is recorded for reference only: complete positivity
-    is strictly stronger, and maps with a transposed part are positive
-    without being completely positive.
+    Samples unit-trace G G* states plus the diagonal matrix units.  This is
+    positivity only: complete positivity is strictly stronger, and maps with
+    a transposed part are positive without being completely positive.
     """
     rng = rng_from(seed)
     n = t.dim
@@ -361,11 +359,9 @@ def positivity_check(
     w = np.linalg.eigvalsh((out + out.conj().transpose(0, 2, 1)) / 2.0)
     scale = np.maximum(1.0, np.abs(w).max(axis=1))
     defect = float(np.max(np.maximum(-w[:, 0], 0.0) / scale))
-    choi_min = float(np.linalg.eigvalsh(hermitian_part(choi(t)))[0])
     return PositivityReport(
         positive=bool(defect <= threshold(1.0, tol)),
         defect=defect,
-        choi_min_eigenvalue=choi_min,
         trials=trials,
     )
 

@@ -172,6 +172,30 @@ def test_multiplicativity_rejects_non_unital():
     assert check.unitality_defect >= 1.0
 
 
+def test_multiplicativity_real_input_matches_its_complex_cast():
+    rng = rng_from(7)
+    koopman = koopman_of(PointMap(np.array([1, 2, 0, 0])))
+    cases = (
+        koopman,
+        koopman + 1e-13 * rng.standard_normal((4, 4)),
+        0.5 * (np.eye(4) + koopman),
+        np.diag([2.0, 1.0, 1.0]),
+        rng.standard_normal((64, 64)) / 8.0,
+    )
+    for k in cases:
+        real = multiplicativity_check(k)
+        cast = multiplicativity_check(k.astype(complex))
+        assert real.multiplicative == cast.multiplicative
+        assert abs(real.defect - cast.defect) <= 1e-14
+    # complex input stays complex: diag(1, i) misses on both counts by |i - 1|
+    check = multiplicativity_check(np.diag([1.0, 1j]))
+    assert abs(check.product_defect - np.sqrt(2.0)) <= 1e-15
+    assert abs(check.unitality_defect - np.sqrt(2.0)) <= 1e-15
+    for bad in (np.ones(3), np.ones((2, 3)), np.ones((2, 3), dtype=complex)):
+        with pytest.raises(ValueError):
+            multiplicativity_check(bad)
+
+
 def test_koopman_isometry_iff_measure_preserving():
     rng = rng_from(6)
     hits = {True: 0, False: 0}

@@ -1,8 +1,10 @@
 """Command line surface: schemas, exit codes, and byte-identical reports."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -10,6 +12,9 @@ from nclp.cli import main
 from nclp.jsonio import matrix_to_json, superop_to_json
 from nclp.sampling import random_unitary, rng_from
 from nclp.superop import SuperOperator
+
+#: environment for subprocesses: they import nclp from the source tree
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +273,7 @@ def test_console_script_entry_point():
         [sys.executable, "-m", "nclp.cli", "norm", "--input", '{"A": {"matrix": [[2]]}, "p": 1}'],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
     )
     assert result.returncode == 0
     assert abs(json.loads(result.stdout)["norm"] - 2.0) < 1e-12
@@ -279,7 +285,9 @@ def test_import_needs_only_numpy_and_the_standard_library():
         "loaded = {m.split('.')[0] for m in set(sys.modules) - before}; "
         "print(sorted(loaded - set(sys.stdlib_module_names)))"
     )
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=SRC_ENV
+    )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "['nclp', 'numpy']"
 

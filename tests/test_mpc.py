@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from nclp import mpc
+from nclp.classical import multiplicativity_check
 from nclp.mpc import (
     DomainEmptyError,
     InvalidSpectralFunctionError,
@@ -55,6 +56,48 @@ def exact_value(f, s):
 def dense(op):
     """The operator's matrix, column by column from its action on the basis."""
     return np.stack([op.apply(e) for e in np.eye(op.dim)], axis=1)
+
+
+# --- per-mask loop references for the array expressions ----------------------
+
+
+def loop_ages(n):
+    ages = np.empty(1 << (2 * n + 1), dtype=int)
+    ages[0] = -n - 1
+    for mask in range(1, ages.size):
+        ages[mask] = mask.bit_length() - 1 - n
+    return ages
+
+
+def loop_lambda_weights(shift, f):
+    diag = np.array([f.value(a) for a in loop_ages(shift.half_width)])
+    diag[0] = 1.0
+    return diag
+
+
+def loop_wt_weights(shift, f, t):
+    ages = loop_ages(shift.half_width)
+    weights = np.zeros(shift.dim)
+    weights[0] = 1.0
+    for mask in range(1, shift.dim):
+        if mask << t < shift.dim:
+            weights[mask] = f.ratio(ages[mask] + t, ages[mask])
+    return weights
+
+
+def loop_adjoint_multipliers(shift, t, age_multiplier):
+    n = shift.half_width
+    g = np.empty(1 << (2 * n + 1 - t))
+    g[0] = 1.0
+    for mask in range(1, g.size):
+        g[mask] = age_multiplier(mask.bit_length() - 1 + (-n + t))
+    return g
+
+
+def dense_walsh_grid(g):
+    """H diag(g) H / d with H = fwht(eye) the dense +-1 Walsh matrix."""
+    h = mpc.fwht(np.eye(g.size))
+    return (h * g) @ h / g.size
 
 
 # --- construction fixtures -----------------------------------------------------
@@ -436,11 +479,57 @@ def test_restricted_adjoint_grid_matches_direct_construction():
             sub[s, q] = adj[s, q << t]
     h = mpc.fwht(np.eye(d_sub))
     direct = h @ sub @ h / d_sub
+    g = mpc._adjoint_multipliers(shift, f, t)
+    assert np.allclose(mpc._restricted_adjoint_grid(g), direct, atol=1e-14)
 
-    def multiplier(age):
-        return f.ratio(age, age - t)
 
-    assert np.allclose(mpc._restricted_adjoint_grid(shift, t, multiplier), direct, atol=1e-14)
+def test_age_tables_match_mask_loops():
+    for n in range(1, 7):
+        shift = build_shift(n)
+        assert np.array_equal(shift.ages, loop_ages(n))
+        # tabulated beyond the window, so every lookup must subtract s_min
+        wide = SpectralFunction(-n - 3, n + 2, 1.0 / (1.0 + np.exp(np.arange(-n - 3, n + 3))))
+        geometric = SpectralFunction.from_table(n, [2.0**-s for s in range(-n - 1, n + 2)])
+        for f in (SpectralFunction.logistic(n), SpectralFunction.constant(n), geometric, wide):
+            assert np.array_equal(lambda_build(shift, f).weights, loop_lambda_weights(shift, f))
+            for t in (1, 2):
+                assert np.array_equal(wt_build(shift, f, t).weights, loop_wt_weights(shift, f, t))
+                reference = loop_adjoint_multipliers(shift, t, lambda a: f.ratio(a, a - t))
+                assert np.array_equal(mpc._adjoint_multipliers(shift, f, t), reference)
+
+
+def test_restricted_adjoint_grid_is_the_dense_walsh_product():
+    # 0/1 and constant multipliers keep every sum an integer, so the gather
+    # is exact there; logistic ratios are rounded in a different order
+    for n in range(1, 5):
+        shift = build_shift(n)
+        for t in (1, 2):
+            spectral = ((SpectralFunction.constant(n), True), (SpectralFunction.logistic(n), False))
+            for f, exact in spectral:
+                g = loop_adjoint_multipliers(shift, t, lambda a: f.ratio(a, a - t))
+                grid, dense = mpc._restricted_adjoint_grid(g), dense_walsh_grid(g)
+                verdict = mpc.mpc_implementability(shift, f, t)
+                reference = multiplicativity_check(dense)
+                assert verdict.implementable == reference.multiplicative
+                if exact:
+                    assert np.array_equal(grid, dense)
+                    assert verdict.defect == reference.defect
+                else:
+                    assert np.max(np.abs(grid - dense)) <= 1e-14
+                    assert abs(verdict.defect - reference.defect) <= 1e-14
+            for s0 in range(-n - 1, n + 1):
+                g = loop_adjoint_multipliers(shift, t, lambda a: float(a <= s0))
+                dense = dense_walsh_grid(g)
+                assert np.array_equal(mpc._restricted_adjoint_grid(g), dense)
+                verdict = mpc.coarse_grained_implementability(shift, s0, t)
+                reference = multiplicativity_check(dense)
+                assert verdict.implementable == reference.multiplicative
+                assert verdict.defect == reference.defect
+
+
+def test_lower_bound_rejects_a_spectral_function_short_of_the_window():
+    with pytest.raises(InvalidSpectralFunctionError):
+        mpc.multiplicativity_lower_bound(build_shift(3), SpectralFunction.logistic(2), 1)
 
 
 def test_pair_scan_bound_close_form_spot_check():
