@@ -209,17 +209,23 @@ def multiplicativity_check(k, tol: float = DEFAULT_TOL) -> MultiplicativityCheck
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("operator must be a square matrix")
     n = k.shape[0]
-    # i = j: K(e_i) must be pointwise idempotent
-    product_defect = float(np.max(np.abs(k - k * k)))
+    # i = j: K(e_i) must be pointwise idempotent; one n x n work buffer
+    # serves this and the magnitudes below (a second, real one if K is complex)
+    work = k * k
+    np.subtract(k, work, out=work)
+    magnitudes = np.abs(work, out=None if np.iscomplexobj(work) else work)
+    product_defect = float(np.max(magnitudes))
+    np.abs(k, out=magnitudes)
+    top = float(np.max(magnitudes))
     if n > 1:
         # i != j: images of disjoint indicators need disjoint support, so the
         # worst pair at a point multiplies its two largest entries in modulus
-        magnitudes = np.abs(k)
-        top_two = np.partition(magnitudes, n - 2, axis=1)[:, n - 2 :]
-        product_defect = max(product_defect, float(np.max(top_two[:, 0] * top_two[:, 1])))
+        magnitudes.partition(n - 2, axis=1)
+        pairs = magnitudes[:, n - 2] * magnitudes[:, n - 1]
+        product_defect = max(product_defect, float(np.max(pairs)))
     unitality_defect = float(np.max(np.abs(k @ np.ones(n) - 1.0)))
     defect = product_defect + unitality_defect
-    scale = max(1.0, float(np.max(np.abs(k))) ** 2)
+    scale = max(1.0, top**2)
     return MultiplicativityCheck(
         multiplicative=bool(defect <= threshold(scale, tol)),
         defect=defect,

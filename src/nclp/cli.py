@@ -8,7 +8,8 @@ the input or usage was invalid and nothing was decided.
 Every subcommand reads its payload from ``--input``, which accepts either a
 path or inline JSON (anything starting with '{').  ``--seed`` and
 ``--trials`` drive every randomized check, and identical configurations
-produce byte-identical output.
+produce byte-identical output; ``decompose`` samples nothing, so its output
+does not depend on them.
 """
 
 from __future__ import annotations
@@ -174,7 +175,11 @@ def _cmd_jordan(cfg: RunConfig):
     }
     if not check.is_jordan:
         return NEGATIVE, obj
-    classification = superop.jordan_classify(j, tol=cfg.tol)
+    try:
+        classification = superop.jordan_classify(j, tol=cfg.tol)
+    except superop.NotClassifiableError as exc:
+        obj["error"] = str(exc)
+        return NEGATIVE, obj
     obj["kind"] = classification.kind
     obj["unitary"] = jsonio.matrix_to_json(classification.unitary)
     obj["classification_residual"] = classification.residual
@@ -195,7 +200,7 @@ def _cmd_decompose(cfg: RunConfig):
     t = jsonio.superop_from_json(jsonio.require(payload, "T"), "T")
     p = _exponent(payload)
     try:
-        dec = superop.lamperti_decompose(t, p, tol=cfg.tol, trials=cfg.trials, seed=cfg.seed)
+        dec = superop.lamperti_decompose(t, p, tol=cfg.tol)
     except superop.NotDecomposableError as exc:
         return NEGATIVE, {"decomposable": False, "reason": exc.reason, "defect": exc.defect}
     obj = jsonio.decomposition_to_json(dec)

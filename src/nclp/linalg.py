@@ -47,13 +47,22 @@ def threshold(scale: float, tol: float = DEFAULT_TOL) -> float:
     return max(tol * abs(scale), ABS_FLOOR)
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate and return ``a`` as a square complex matrix."""
+def as_matrices(a) -> np.ndarray:
+    """Validate and return ``a`` as a square complex matrix or a (k, n, n)
+    stack of them."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
+    return m
+
+
+def as_matrix(a) -> np.ndarray:
+    """Validate and return ``a`` as a square complex matrix."""
+    m = as_matrices(a)
+    if m.ndim != 2:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 

@@ -155,10 +155,12 @@ class WalshOperator:
         return float(np.mean(self.domain))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
+        """Map a coefficient vector, or each column of a (dim, k) array."""
         v = np.asarray(v)
         src = np.flatnonzero(self.domain)
         out = np.zeros(v.shape, dtype=np.result_type(v, self.weights))
-        out[_move(src, self.shift)] = self.weights[src] * v[src]
+        weights = self.weights[src].reshape(-1, *(1,) * (v.ndim - 1))
+        out[_move(src, self.shift)] = weights * v[src]
         return out
 
     def compose(self, other: "WalshOperator") -> "WalshOperator":
@@ -472,13 +474,11 @@ def _stochasticity_of(
     keep = 2 * shift.half_width + 1 - t
     block = 1 << keep
     groups = d // block
-    positivity_defect = 0.0
-    for _ in range(samples):
-        grid = rng.random(d)
-        grid = np.tile(grid.reshape(groups, block).mean(axis=0), groups)
-        coeffs = grid_to_walsh(shift, grid)
-        out = walsh_to_grid(shift, op.apply(coeffs))
-        positivity_defect = max(positivity_defect, max(0.0, -float(np.min(out.real))))
+    # one sample per column
+    grids = rng.random((samples, d)).reshape(samples, groups, block).mean(axis=1)
+    grids = np.tile(grids, groups).T
+    out = walsh_to_grid(shift, op.apply(grid_to_walsh(shift, grids)))
+    positivity_defect = max(0.0, -float(np.min(out.real))) if samples else 0.0
     return StochasticitySuite(
         positivity_defect=positivity_defect,
         mass_defect=mass_defect,

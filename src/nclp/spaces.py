@@ -30,6 +30,7 @@ from .linalg import (
     DEFAULT_TOL,
     DensityMatrix,
     DimensionMismatchError,
+    as_matrices,
     as_matrix,
     dagger,
     frac_power,
@@ -107,35 +108,44 @@ def maximally_mixed(n: int) -> QuantumMeasure:
     return QuantumMeasure(np.eye(n) / n)
 
 
-def schatten_norm(a, p) -> float:
-    """Schatten p-norm (sum of singular values^p)^(1/p); max singular value at p=inf."""
-    a = as_matrix(a)
+def schatten_norm(a, p):
+    """Schatten p-norm (sum of singular values^p)^(1/p); max singular value at p=inf.
+
+    A (k, n, n) stack gives the array of its k norms; a single matrix is
+    normed as a stack of one and gives a float.
+    """
+    a = as_matrices(a)
     p = check_p(p)
-    s = np.linalg.svd(a, compute_uv=False)
-    top = float(s[0]) if s.size else 0.0
-    if math.isinf(p) or top == 0.0:
-        return top
-    if p == 1.0:
-        return float(np.sum(s))
-    # factor out the largest singular value so s**p cannot overflow
-    return top * float(np.sum((s / top) ** p)) ** (1.0 / p)
+    s = np.linalg.svd(a.reshape(-1, *a.shape[-2:]), compute_uv=False)
+    top = s.max(axis=1, initial=0.0)
+    if math.isinf(p):
+        norms = top
+    elif p == 1.0:
+        norms = s.sum(axis=1)
+    else:
+        # factor out the largest singular value so s**p cannot overflow
+        unit = np.where(top > 0.0, top, 1.0)
+        norms = top * np.sum((s / unit[:, None]) ** p, axis=1) ** (1.0 / p)
+    return norms if a.ndim == 3 else float(norms[0])
 
 
-def weighted_norm(a, measure: QuantumMeasure, p) -> float:
+def weighted_norm(a, measure: QuantumMeasure, p):
     """State-weighted p-norm (Tr |rho^(1/2p) A rho^(1/2p)|^p)^(1/p).
 
     For p = inf returns the operator norm of A itself (L^inf as the algebra).
+    Stacks are normed as in ``schatten_norm``.
     """
-    a = as_matrix(a)
+    a = as_matrices(a)
     p = check_p(p)
-    if a.shape[0] != measure.dim:
+    if a.shape[-1] != measure.dim:
         raise DimensionMismatchError(
-            f"matrix dim {a.shape[0]} does not match state dim {measure.dim}"
+            f"matrix dim {a.shape[-1]} does not match state dim {measure.dim}"
         )
     if math.isinf(p):
         return schatten_norm(a, math.inf)
     root = measure.power(1.0 / (2.0 * p))
-    return schatten_norm(root @ a @ root, p)
+    norms = schatten_norm(root @ a.reshape(-1, *a.shape[-2:]) @ root, p)
+    return norms if a.ndim == 3 else float(norms[0])
 
 
 def weighted_inner(a, b, measure: QuantumMeasure) -> complex:

@@ -196,6 +196,34 @@ def test_multiplicativity_real_input_matches_its_complex_cast():
             multiplicativity_check(bad)
 
 
+def _multiplicativity_defects(k):
+    """The product and unitality defects with a fresh array per step."""
+    n = k.shape[0]
+    product_defect = float(np.max(np.abs(k - k * k)))
+    if n > 1:
+        top_two = np.partition(np.abs(k), n - 2, axis=1)[:, n - 2 :]
+        product_defect = max(product_defect, float(np.max(top_two[:, 0] * top_two[:, 1])))
+    return product_defect, float(np.max(np.abs(k @ np.ones(n) - 1.0)))
+
+
+def test_multiplicativity_work_buffer_leaves_input_and_defects_alone():
+    rng = rng_from(8)
+    koopman = koopman_of(PointMap(np.array([2, 0, 2, 1])))
+    cases = (
+        koopman,
+        np.array([[0.5]]),
+        rng.standard_normal((33, 33)),
+        rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)),
+        koopman.astype(complex),
+    )
+    for k in cases:
+        before = k.copy()
+        check = multiplicativity_check(k)
+        assert np.array_equal(k, before)
+        assert (check.product_defect, check.unitality_defect) == _multiplicativity_defects(k)
+        assert check.defect == check.product_defect + check.unitality_defect
+
+
 def test_koopman_isometry_iff_measure_preserving():
     rng = rng_from(6)
     hits = {True: 0, False: 0}

@@ -90,6 +90,33 @@ def test_decompose_negative_verdict(capsys):
     assert not json.loads(out)["decomposable"]
 
 
+def test_decompose_ignores_seed_and_trials(capsys):
+    u0 = random_unitary(2, rng_from(2))
+    for t in (SuperOperator.ad_unitary(u0), SuperOperator.ad_unitary(u0).scaled(2.0)):
+        outputs = set()
+        for flags in ((), ("--seed", "5"), ("--trials", "3"), ("--seed", "9", "--trials", "200")):
+            code, out, _ = run_cli(capsys, "decompose", "--input", payload({"T": superop_to_json(t), "p": 3}), *flags)
+            outputs.add((code, out))
+        assert len(outputs) == 1
+
+
+def test_jordan_unclassifiable_map_is_a_negative_verdict(capsys):
+    # fixes 1, sigma_x and sigma_z and sends sigma_y to cos(0.5) sigma_y +
+    # sin(0.5) sigma_x: the square test passes, the classification does not
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sy = np.array([[0.0, -1j], [1j, 0.0]])
+    sz = np.diag([1.0, -1.0])
+    paulis = [np.eye(2), sx, sy, sz]
+    images = [np.eye(2), sx, np.cos(0.5) * sy + np.sin(0.5) * sx, sz]
+    # column vec(X) of the map is sum_k vec(image_k) <sigma_k, X> / 2
+    matrix = sum(np.outer(im.reshape(-1, order="F"), s.conj().reshape(-1, order="F")) for im, s in zip(images, paulis)) / 2
+    code, out, _ = run_cli(capsys, "jordan", "--input", payload({"J": superop_to_json(SuperOperator(2, matrix))}))
+    assert code == 1
+    report = json.loads(out)
+    assert report["is_jordan"] and "rank one" in report["error"]
+    assert "kind" not in report
+
+
 def test_jordan_classify_transpose(capsys):
     t = SuperOperator.transpose_map(2)
     code, out, _ = run_cli(capsys, "jordan", "--input", payload({"J": superop_to_json(t)}))

@@ -436,6 +436,37 @@ def test_stochasticity_reports_lost_mass():
     assert suite.mass_defect == 0.5 and suite.unitality_defect == 0.5
 
 
+def _positivity_defect_loop(op, shift, t, samples, seed):
+    """The sampled positivity defect, one density at a time."""
+    rng = rng_from(seed)
+    d = shift.dim
+    block = 1 << (2 * shift.half_width + 1 - t)
+    defect = 0.0
+    for _ in range(samples):
+        grid = np.tile(rng.random(d).reshape(d // block, block).mean(axis=0), d // block)
+        out = walsh_to_grid(shift, op.apply(grid_to_walsh(shift, grid)))
+        defect = max(defect, max(0.0, -float(np.min(out.real))))
+    return defect
+
+
+def test_batched_stochasticity_matches_the_sample_loop():
+    for n in (1, 2, 3, 4):
+        shift = build_shift(n)
+        d = shift.dim
+        # 11 * mean - 10 * f: negative wherever a density exceeds 1.1 times its mean
+        reflect = WalshOperator(0, np.where(np.arange(d) == 0, 1.0, -10.0), np.ones(d, dtype=bool))
+        for t in (1, 2):
+            wt = wt_build(shift, SpectralFunction.logistic(n), t)
+            # the step with its non-constant part reflected: negative, and
+            # where depends on which coordinates a density involves
+            flipped = WalshOperator(t, np.where(np.arange(d) == 0, 1.0, -10.0 * wt.weights), wt.domain)
+            for op in (wt, mpc.coarse_grained_wt(shift, 0, t), reflect, flipped):
+                assert np.array_equal(op.apply(np.eye(d)), dense(op))
+                suite = mpc._stochasticity_of(op, shift, t, samples=20, seed=n)
+                assert suite.positivity_defect == _positivity_defect_loop(op, shift, t, 20, n)
+        assert mpc._stochasticity_of(reflect, shift, 1, samples=20, seed=0).positivity_defect > 0.1
+
+
 def test_implementability_logistic_negative_with_oracle_bound():
     shift = build_shift(3)
     f = SpectralFunction.logistic(3)

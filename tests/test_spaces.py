@@ -53,6 +53,23 @@ def test_schatten_unitary_sup_norm():
     assert abs(schatten_norm(u, math.inf) - 1.0) < 1e-12
 
 
+def test_stack_norms_equal_the_per_matrix_norms():
+    rng = rng_from(8)
+    for n in (1, 2, 4):
+        m = QuantumMeasure(random_density(n, rng))
+        stack = np.stack([ginibre(n, rng), np.zeros((n, n)), 1e-200 * ginibre(n, rng), 1e200 * ginibre(n, rng)])
+        for p in P_GRID + (math.inf,):
+            for norm in (lambda a: schatten_norm(a, p), lambda a: weighted_norm(a, m, p)):
+                norms = norm(stack)
+                assert norms.shape == (4,)
+                singles = [norm(a) for a in stack]
+                assert all(isinstance(value, float) for value in singles)
+                assert np.array_equal(norms, singles)
+                assert norms[1] == 0.0 and norms[2] > 0.0 and np.isfinite(norms[3])
+    with pytest.raises(ValueError):
+        schatten_norm(np.ones((2, 2, 3)), 2.0)
+
+
 def test_weighted_norm_of_identity_is_one():
     rng = rng_from(1)
     for n in (2, 3, 5):

@@ -8,7 +8,7 @@ import pytest
 
 from nclp.linalg import hermitian_part
 from nclp.sampling import commuting_unitary, ginibre, random_density, random_unitary, rng_from
-from nclp.spaces import P_GRID, QuantumMeasure, maximally_mixed
+from nclp.spaces import P_GRID, QuantumMeasure, maximally_mixed, schatten_norm, weighted_norm
 from nclp.superop import (
     KIND_ANTI,
     KIND_ISO,
@@ -223,6 +223,42 @@ def test_isometry_check_scaling_defect_one():
     assert check.gram_defect is not None and check.gram_defect > 1.0
 
 
+def _isometry_defect_loop(t, measure, p, trials, seed):
+    """Worst relative norm defect of T over the seeded samples, one at a time."""
+    rng = rng_from(seed)
+
+    def norm(x):
+        return schatten_norm(x, p) if measure is None else weighted_norm(x, measure, p)
+
+    worst = 0.0
+    for _ in range(trials):
+        x = ginibre(t.dim, rng)
+        worst = max(worst, abs(norm(t.apply(x)) - norm(x)) / norm(x))
+    return worst
+
+
+def test_batched_isometry_check_matches_the_sample_loop():
+    rng = rng_from(34)
+    for n in (1, 2, 3, 5):
+        m = QuantumMeasure(random_density(n, rng))
+        conjugation = SuperOperator.ad_unitary(random_unitary(n, rng))
+        maps = (
+            conjugation,
+            SuperOperator.ad_unitary(commuting_unitary(m.eigenbasis, rng)),
+            SuperOperator(n, conjugation.matrix + 1e-6 * ginibre(n * n, rng)),
+            SuperOperator(n, ginibre(n * n, rng)),
+        )
+        for t in maps:
+            for measure in (None, m):
+                for p in (1.0, 2.0, 3.0, math.inf):
+                    check = isometry_check(t, measure, p, trials=7, seed=n)
+                    reference = _isometry_defect_loop(t, measure, p, trials=7, seed=n)
+                    assert abs(check.max_rel_defect - reference) <= 1e-14
+                    assert check.is_isometry == (
+                        reference <= 1e-9 and (check.gram_defect is None or check.gram_defect <= 1e-9 * n)
+                    )
+
+
 def test_isometry_check_weighted_commuting_conjugation():
     rng = rng_from(18)
     m = QuantumMeasure(random_density(3, rng))
@@ -257,6 +293,40 @@ def test_lamperti_rejects_scaled_conjugation():
     u0 = random_unitary(2, rng_from(21))
     with pytest.raises(NotDecomposableError):
         lamperti_decompose(SuperOperator.ad_unitary(u0).scaled(2.0), 2.0)
+    # the scale check refuses 2 Ad(u) before any Jordan work, at every p
+    for p in (1.0, 2.0, 3.0, math.inf):
+        with pytest.raises(NotDecomposableError, match=f"^not an onto Schatten-{p:g} isometry"):
+            lamperti_decompose(SuperOperator.ad_unitary(u0).scaled(2.0), p)
+
+
+def pauli_mix(theta):
+    """Fixes 1, sigma_x and sigma_z and sends sigma_y to cos(theta) sigma_y +
+    sin(theta) sigma_x: it passes jordan_check but is not Jordan for theta != 0."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sy = np.array([[0.0, -1j], [1j, 0.0]])
+    sz = np.diag([1.0, -1.0]).astype(complex)
+
+    def fn(x):
+        c = [np.trace(s @ x) / 2.0 for s in (np.eye(2), sx, sy, sz)]
+        return c[0] * np.eye(2) + c[1] * sx + c[2] * (math.cos(theta) * sy + math.sin(theta) * sx) + c[3] * sz
+
+    return SuperOperator.from_apply(2, fn)
+
+
+def test_lamperti_refuses_a_map_that_passes_jordan_check():
+    for theta in (0.5, 1e-8):
+        t = pauli_mix(theta)
+        assert jordan_check(t).is_jordan
+        for p in (1.0, 2.0, 3.0, math.inf):
+            with pytest.raises(NotDecomposableError):
+                lamperti_decompose(t, p)
+    # at theta = 1e-8 the Choi matrix still reads rank one, and only the
+    # residual from scale * W @ J tells the map from the identity
+    with pytest.raises(NotDecomposableError, match="^not an onto Schatten-2 isometry: residual"):
+        lamperti_decompose(pauli_mix(1e-8), 2.0)
+    for p in (1.0, 2.0, 3.0, math.inf):
+        dec = lamperti_decompose(pauli_mix(1e-10), p)
+        assert dec.kind == KIND_ISO and dec.residual < 1e-9
 
 
 def test_lamperti_rejects_perturbed_isometries():
