@@ -34,6 +34,7 @@ from .linalg import (
     as_matrix,
     dagger,
     frac_power,
+    hermitian_eig,
     hermitian_part,
     threshold,
 )
@@ -74,7 +75,7 @@ class QuantumMeasure:
             rho = DensityMatrix(rho, tol=tol)
         self.density = rho
         self.tol = tol
-        self._eigenvectors = np.linalg.eigh(hermitian_part(rho.matrix))[1]
+        self._eigenvectors = hermitian_eig(rho.matrix, rho.tol).eigenvectors
         self._powers: dict[float, np.ndarray] = {}
 
     @property

@@ -48,7 +48,8 @@ from .linalg import (
 from .sampling import ginibre, rng_from
 from .spaces import QuantumMeasure, check_p, schatten_norm, weighted_norm
 
-#: Relative singular-value cutoff for Choi-rank decisions.
+#: Relative cutoff for Choi-rank decisions: on the singular values in
+#: ``choi_rank``, on the Frobenius residual in ``jordan_classify``.
 CHOI_RANK_RTOL = 1e-8
 
 KIND_ISO = "star_isomorphism"
@@ -239,6 +240,22 @@ def choi_rank(c: np.ndarray, rtol: float = CHOI_RANK_RTOL) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
+def _reads_rank_one(c: np.ndarray, rtol: float = CHOI_RANK_RTOL) -> bool:
+    """Whether C is rank one to within rtol * ||C||_F, in O(n^4).
+
+    A rank-one C = x y* equals column j times row i over C_ij for any
+    nonzero entry; the entry of largest modulus is the pivot.  For a
+    Hermitian C = s v v* that entry lies on the diagonal, and the product
+    is c_k c_k* / C_kk whatever the sign of s.
+    """
+    i, j = np.unravel_index(int(np.argmax(np.abs(c))), c.shape)
+    pivot = c[i, j]
+    if pivot == 0:
+        return False
+    residual = np.linalg.norm(c - np.outer(c[:, j], c[i]) / pivot)
+    return bool(residual <= rtol * np.linalg.norm(c))
+
+
 @dataclass(frozen=True)
 class JordanCheck:
     is_jordan: bool
@@ -316,10 +333,16 @@ def jordan_classify(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanClassif
     """Split a Jordan automorphism into its conjugation or transposed form.
 
     On the full matrix algebra exactly one of choi(J), choi(J o transpose)
-    has rank one; the implementing unitary is read off the top eigenvector,
-    rescaled to unitarity and phase-fixed.  Raises NotClassifiableError when
-    neither rank test passes, which signals a map that is not Jordan (or a
-    center that is not trivial, out of scope here).
+    has rank one.  The rank test costs O(n^4) and takes no SVD: a
+    conjugation's Choi matrix is vec(U) vec(U)*, which its column c_k at the
+    largest diagonal entry reproduces as c_k c_k* / C_kk, so C reads as rank
+    one when that product matches C to within CHOI_RANK_RTOL of ||C||_F.
+    It agrees with ``choi_rank(C) == 1`` except for spectra within a small
+    factor of the cutoff.  The implementing unitary is then read off the
+    top eigenvector of that candidate, rescaled to unitarity and
+    phase-fixed.  Raises NotClassifiableError when neither rank test passes,
+    which signals a map that is not Jordan (or a center that is not
+    trivial, out of scope here).
     """
     n = j.dim
     candidates = (
@@ -328,7 +351,7 @@ def jordan_classify(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanClassif
     )
     for kind, mapped in candidates:
         c = choi(mapped)
-        if choi_rank(c) != 1:
+        if not _reads_rank_one(c):
             continue
         w, v = np.linalg.eigh(hermitian_part(c))
         top = int(np.argmax(np.abs(w)))
@@ -399,12 +422,20 @@ def isometry_check(
     """Compare ||T(X)|| with ||X|| on random inputs; measure=None uses the
     Schatten norm, otherwise the state-weighted norm.
 
-    Surjectivity is the invertibility of the n^2 x n^2 matrix.  For p = 2 an
-    exact Gram certificate is available (the matrix of T in an orthonormal
-    basis of the relevant L^2 inner product must be unitary) and is required
-    on top of the sampled comparison; for other p no finite certificate is
-    used, so the trial count and worst defect are reported alongside the
-    verdict.
+    Surjectivity is the invertibility of the n^2 x n^2 matrix M, decided
+    from its Gram matrix G = M* M first.  With c = ||M||_F^2 / n^2 the mean
+    of G's eigenvalues, ||G - c 1||_F <= c / 2 puts every squared singular
+    value in [c / 2, 3c / 2] (Weyl), so M is invertible and the singular
+    value rule below could only agree.  When that certificate is
+    inconclusive (projections, near-singular or zero maps) the singular
+    values are computed and M counts as onto when the smallest exceeds
+    INVERTIBILITY_RATIO times the largest.
+
+    For p = 2 an exact Gram certificate of the isometry is available (the
+    matrix of T in an orthonormal basis of the relevant L^2 inner product
+    must be unitary) and is required on top of the sampled comparison; with
+    measure=None it reuses G.  For other p no finite certificate is used,
+    so the trial count and worst defect are reported alongside the verdict.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -420,17 +451,29 @@ def isometry_check(
     xs = np.stack([ginibre(n, rng) for _ in range(trials)])
     nx = norm(xs)
     max_rel = float(np.max(np.abs(norm(_apply_to_stack(t, xs)) - nx) / nx))
-    sv = np.linalg.svd(t.matrix, compute_uv=False)
-    onto = bool(sv[0] > 0.0 and sv[-1] > INVERTIBILITY_RATIO * sv[0])
+    # a Gram matrix G is shifted to G - c 1 through a view of its diagonal,
+    # so no n^2 x n^2 identity is built
     gram_defect = None
-    gram_ok = True
-    if p == 2.0:
-        if measure is None:
-            g = t.matrix
-        else:
-            g = weighted_isometry_transport(t, measure, p).matrix
-        gram_defect = float(np.linalg.norm(dagger(g) @ g - np.eye(n * n)))
-        gram_ok = gram_defect <= threshold(float(n), tol)
+    if p == 2.0 and measure is not None:
+        g = weighted_isometry_transport(t, measure, p).matrix
+        gram = dagger(g) @ g
+        gram.reshape(-1)[:: n * n + 1] -= 1.0
+        gram_defect = float(np.linalg.norm(gram))
+        # freed before M* M is formed, so the two are never held at once
+        del g, gram
+    gram = dagger(t.matrix) @ t.matrix
+    diagonal = gram.reshape(-1)[:: n * n + 1]
+    gram_diagonal = diagonal.copy()
+    c = float(np.sum(gram_diagonal.real)) / (n * n)
+    diagonal[:] = gram_diagonal - c
+    onto = bool(c > 0.0 and np.linalg.norm(gram) <= c / 2.0)
+    if not onto:
+        sv = np.linalg.svd(t.matrix, compute_uv=False)
+        onto = bool(sv[0] > 0.0 and sv[-1] > INVERTIBILITY_RATIO * sv[0])
+    if p == 2.0 and measure is None:
+        diagonal[:] = gram_diagonal - 1.0
+        gram_defect = float(np.linalg.norm(gram))
+    gram_ok = gram_defect is None or gram_defect <= threshold(float(n), tol)
     is_isometry = bool(max_rel <= threshold(1.0, tol) and gram_ok)
     return IsometryCheck(
         is_isometry=is_isometry,

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nclp.linalg import hermitian_part
+from nclp.linalg import INVERTIBILITY_RATIO, dagger, hermitian_part
 from nclp.sampling import commuting_unitary, ginibre, random_density, random_unitary, rng_from
 from nclp.spaces import P_GRID, QuantumMeasure, maximally_mixed, schatten_norm, weighted_norm
 from nclp.superop import (
@@ -16,6 +18,7 @@ from nclp.superop import (
     NotDecomposableError,
     NotJordanError,
     SuperOperator,
+    _reads_rank_one,
     canonical_jordan,
     change_of_representation_demo,
     choi,
@@ -28,6 +31,7 @@ from nclp.superop import (
     lamperti_decompose,
     phase_distance,
     positivity_check,
+    swap,
     unvec,
     vec,
     weighted_isometry_transport,
@@ -176,6 +180,44 @@ def test_choi_rank_dichotomy():
             assert (plain == 1) != (flipped == 1)
 
 
+def _classify_by_svd(j):
+    """The classification route before the column rank test: choi_rank's
+    SVD picks the candidate, the top eigenvector of its Choi matrix gives U."""
+    n = j.dim
+    for kind, mapped in ((KIND_ISO, j), (KIND_ANTI, SuperOperator(n, j.matrix[:, swap(n)]))):
+        c = choi(mapped)
+        if choi_rank(c) == 1:
+            w, v = np.linalg.eigh(hermitian_part(c))
+            top = int(np.argmax(np.abs(w)))
+            return kind, fix_global_phase(unvec(v[:, top], n) * math.sqrt(n))
+    return None, None
+
+
+def test_choi_column_rank_test_matches_choi_rank():
+    rng = rng_from(40)
+    chois = []
+    for n in range(1, 7):
+        # sparse unitaries put zeros on the Choi diagonal, so the pivot matters
+        unitaries = (random_unitary(n, rng), np.eye(n), np.diag(np.exp(2j * np.pi * rng.random(n))))
+        for u in unitaries:
+            for kind in (KIND_ISO, KIND_ANTI):
+                j = canonical_jordan(kind, u)
+                cls = jordan_classify(j)
+                reference_kind, reference_unitary = _classify_by_svd(j)
+                # at n = 1 the transpose is the identity and both kinds read iso
+                assert cls.kind == reference_kind == (kind if n > 1 else KIND_ISO)
+                assert np.array_equal(cls.unitary, reference_unitary)
+                chois += [choi(j), choi(SuperOperator(n, j.matrix[:, swap(n)]))]
+            # a negative multiple: C = -vec(u) vec(u)*, its diagonal <= 0
+            chois.append(choi(SuperOperator.ad_unitary(u).scaled(-1.0)))
+        chois.append(choi(SuperOperator(n, ginibre(n * n, rng))))
+        chois.append(choi(SuperOperator.transpose_map(n)))
+    chois += [choi(pauli_mix(theta)) for theta in (0.5, 1e-8, 1e-10)]
+    verdicts = [_reads_rank_one(c) for c in chois]
+    assert verdicts == [choi_rank(c) == 1 for c in chois]
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_fix_global_phase_pivot_positive():
     u = np.exp(0.7j) * random_unitary(3, rng_from(15))
     fixed = fix_global_phase(u)
@@ -221,6 +263,65 @@ def test_isometry_check_scaling_defect_one():
     assert not check.is_isometry
     assert abs(check.max_rel_defect - 1.0) < 1e-12
     assert check.gram_defect is not None and check.gram_defect > 1.0
+
+
+def _svd_onto(t):
+    """The singular-value rule for onto, the reference for the Gram certificate."""
+    sv = np.linalg.svd(t.matrix, compute_uv=False)
+    return bool(sv[0] > 0.0 and sv[-1] > INVERTIBILITY_RATIO * sv[0])
+
+
+def _assert_gram_onto_matches(t, measure=None):
+    n = t.dim
+    for p in (1.0, 2.0):
+        check = isometry_check(t, measure, p, trials=2, seed=0)
+        assert check.onto == _svd_onto(t)
+    # at p = 2 the isometry certificate is ||G* G - 1||_F, for G the map
+    # itself or its transport, unchanged bit for bit
+    g = t.matrix if measure is None else weighted_isometry_transport(t, measure, 2.0).matrix
+    assert check.gram_defect == float(np.linalg.norm(dagger(g) @ g - np.eye(n * n)))
+    return check.onto
+
+
+def test_gram_onto_matches_the_singular_values():
+    rng = rng_from(41)
+    maps = []
+    for n in (1, 2, 3, 4):
+        maps.append(SuperOperator(n, ginibre(n * n, rng)))
+        conjugation = SuperOperator.ad_unitary(random_unitary(n, rng))
+        # ||M||_F^2 / n^2 = s^2, away from 1
+        maps += [conjugation.scaled(s) for s in (1e-3, 1.0, 1e3)]
+    e = np.diag([1.0, 0.0]).astype(complex)
+    maps.append(SuperOperator.from_apply(2, lambda x: e @ x @ e))
+    # X -> A X B with unitary B has singular values sigma(A), each n times;
+    # the ratios straddle INVERTIBILITY_RATIO = 1e-12
+    for n in (2, 3):
+        for ratio in (1e-11, 1e-12, 1e-13):
+            a = random_unitary(n, rng) * np.geomspace(1.0, ratio, n)
+            maps.append(SuperOperator.sandwich(a, random_unitary(n, rng)))
+    maps.append(SuperOperator(3, np.zeros((9, 9))))
+    verdicts = [_assert_gram_onto_matches(t) for t in maps]
+    assert any(verdicts) and not all(verdicts)
+    m = QuantumMeasure(random_density(3, rng))
+    for t in maps:
+        if t.dim == 3:
+            _assert_gram_onto_matches(t, m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    decay=st.floats(0.0, 16.0),
+    log_scale=st.floats(-6.0, 6.0),
+)
+def test_gram_onto_matches_the_singular_values_on_random_maps(n, seed, decay, log_scale):
+    # singular values 10^log_scale down to 10^(log_scale - decay), mixed by
+    # two random unitaries
+    rng = rng_from(seed)
+    sv = 10.0 ** np.linspace(log_scale, log_scale - decay, n * n)
+    m = (random_unitary(n * n, rng) * sv) @ random_unitary(n * n, rng)
+    _assert_gram_onto_matches(SuperOperator(n, m))
 
 
 def _isometry_defect_loop(t, measure, p, trials, seed):
