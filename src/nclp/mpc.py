@@ -30,7 +30,7 @@ Implementability asks whether the adjoint of a semigroup step is a
 composition operator on the grid.  That adjoint is diagonal in the Walsh
 sub-basis of its window, with multipliers g of size d, so its grid matrix
 is an XOR convolution: K[x, y] = k[x ^ y] with k = fwht(g) / d, one
-transform and one gather.  The tests compare it with the dense product
+transform and row doubling.  The tests compare it with the dense product
 H diag(g) H / d, H the +-1 Walsh matrix.
 """
 
@@ -542,11 +542,21 @@ def _restricted_adjoint_grid(g: np.ndarray) -> np.ndarray:
     XOR convolution: since H[x, m] H[y, m] = H[x ^ y, m],
     K[x, y] = k[x ^ y] with k = fwht(g) / d.  Multiplicativity is decided
     on this matrix.
+
+    K is built from its first row k by row doubling: for x < h, a power of
+    two, K[x ^ h, y] = K[x, y ^ h], so rows [h, 2h) are rows [0, h) with
+    each adjacent pair of h-column blocks swapped.  Every entry is a copy
+    of an entry of k, written straight into the output.
     """
     d = g.size
-    k = fwht(g) / d
-    idx = np.arange(d)
-    return k[idx[:, None] ^ idx]
+    grid = np.empty((d, d))
+    np.divide(fwht(g), d, out=grid[0])
+    h = 1
+    while h < d:
+        blocks = (h, d // (2 * h), 2, h)
+        grid[h : 2 * h].reshape(blocks)[...] = grid[:h].reshape(blocks)[:, :, ::-1]
+        h *= 2
+    return grid
 
 
 @dataclass(frozen=True)

@@ -588,13 +588,12 @@ def weighted_isometry_transport(
     if v.dim != measure.dim:
         raise DimensionMismatchError("map and state dimensions differ")
     r = 0.0 if math.isinf(p) else 1.0 / (2.0 * p)
-    root = measure.power(r)
-    root_inv = measure.power(-r)
-    forward = np.kron(root.T, root)
-    backward = np.kron(root_inv.T, root_inv)
+    left, right = measure.power(r), measure.power(-r)
     if inverse:
-        return SuperOperator(v.dim, backward @ v.matrix @ forward)
-    return SuperOperator(v.dim, forward @ v.matrix @ backward)
+        left, right = right, left
+    # one kron factor alive at a time
+    m = np.kron(left.T, left) @ v.matrix
+    return SuperOperator(v.dim, m @ np.kron(right.T, right))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Finite point dynamics: composition operators, density evolution, and the
 structure tests for operators induced by point maps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nclp.classical import (
+    SUPPORT_RTOL,
     FiniteMeasureSpace,
     PointMap,
     doubly_stochastic_check,
@@ -14,6 +17,7 @@ from nclp.classical import (
     multiplicativity_check,
     weighted_permutation_decompose,
 )
+from nclp.linalg import ABS_FLOOR
 from nclp.sampling import rng_from
 
 
@@ -136,6 +140,58 @@ def test_weighted_permutation_unimodular_weights():
     assert dec.compatibility_defect <= 1e-12
 
 
+def _weighted_permutation_loop(v, space):
+    """Row-by-row support extraction: None, or the weights and images."""
+    v = np.asarray(v, dtype=complex)
+    n = space.n
+    weights = np.zeros(n, dtype=complex)
+    images = np.zeros(n, dtype=int)
+    for i in range(n):
+        row = np.abs(v[i])
+        cutoff = SUPPORT_RTOL * float(np.max(row)) if np.max(row) > 0 else ABS_FLOOR
+        support = np.nonzero(row > cutoff)[0]
+        if support.size != 1:
+            return None
+        images[i] = int(support[0])
+        weights[i] = v[i, support[0]]
+    return weights, images
+
+
+def test_weighted_permutation_matches_the_row_loop():
+    rng = rng_from(10)
+    cases = []
+    for n in (1, 2, 5, 12):
+        perm = rng.permutation(n)
+        phases = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = np.diag(phases) @ koopman_of(PointMap(perm))
+        cases.append(v)
+        # below the relative cutoff, off-support entries are not support
+        cases.append(v + 1e-12 * np.abs(phases)[:, None] * rng.random((n, n)))
+        zero_row = v.copy()
+        zero_row[n // 2] = 0.0
+        cases.append(zero_row)
+        floor_row = zero_row.copy()
+        floor_row[n // 2, 0] = 2.0 * ABS_FLOOR
+        cases.append(floor_row)
+        if n > 1:
+            two = v.copy()
+            two[n - 1, perm[0]] = 0.5
+            two[n - 1, perm[n - 1]] = 1.0
+            cases.append(two)
+        cases.append(rng.standard_normal((n, n)))
+    verdicts = set()
+    for v in cases:
+        space = FiniteMeasureSpace(rng.random(v.shape[0]) + 0.1)
+        dec = weighted_permutation_decompose(v, space, 3.0)
+        reference = _weighted_permutation_loop(v, space)
+        assert dec.ok == (reference is not None)
+        if reference is not None:
+            assert np.array_equal(dec.weights, reference[0])
+            assert np.array_equal(dec.point_map.images, reference[1])
+        verdicts.add(dec.ok)
+    assert verdicts == {True, False}
+
+
 def test_weighted_permutation_rejects_rotation():
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     dec = weighted_permutation_decompose(hadamard, uniform(2), 2.0)
@@ -191,7 +247,7 @@ def test_multiplicativity_real_input_matches_its_complex_cast():
     check = multiplicativity_check(np.diag([1.0, 1j]))
     assert abs(check.product_defect - np.sqrt(2.0)) <= 1e-15
     assert abs(check.unitality_defect - np.sqrt(2.0)) <= 1e-15
-    for bad in (np.ones(3), np.ones((2, 3)), np.ones((2, 3), dtype=complex)):
+    for bad in (np.ones(3), np.ones((2, 3)), np.ones((2, 3), dtype=complex), np.ones((0, 0))):
         with pytest.raises(ValueError):
             multiplicativity_check(bad)
 
@@ -209,19 +265,43 @@ def _multiplicativity_defects(k):
 def test_multiplicativity_work_buffer_leaves_input_and_defects_alone():
     rng = rng_from(8)
     koopman = koopman_of(PointMap(np.array([2, 0, 2, 1])))
-    cases = (
+    tied = rng.random((300, 300))
+    tied[:, 7] = tied[:, 250] = 1.5  # every row's maximum occurs twice
+    cases = [
         koopman,
         np.array([[0.5]]),
+        np.array([[2.0 - 1j]]),
         rng.standard_normal((33, 33)),
         rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)),
         koopman.astype(complex),
-    )
+        tied,
+        tied.astype(complex),
+    ]
+    # several row blocks, with none of these sizes dividing the block size
+    for n in (257, 300, 1024):
+        cases.append(rng.standard_normal((n, n)) / np.sqrt(n))
+        cases.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        cases.append(koopman_of(PointMap(rng.permutation(n))))
+        cases.append(koopman_of(PointMap(rng.integers(0, n, size=n))).astype(complex))
     for k in cases:
         before = k.copy()
         check = multiplicativity_check(k)
         assert np.array_equal(k, before)
         assert (check.product_defect, check.unitality_defect) == _multiplicativity_defects(k)
         assert check.defect == check.product_defect + check.unitality_defect
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_multiplicativity_allocates_an_eighth_of_its_input(dtype):
+    k = koopman_of(PointMap(rng_from(9).permutation(1024))).astype(dtype)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert multiplicativity_check(k).multiplicative
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= k.nbytes / 8
 
 
 def test_koopman_isometry_iff_measure_preserving():

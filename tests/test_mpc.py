@@ -4,6 +4,7 @@ rational-arithmetic oracle over explicit coordinate sets), stochasticity,
 and the implementability verdicts."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -556,6 +557,39 @@ def test_restricted_adjoint_grid_is_the_dense_walsh_product():
                 reference = multiplicativity_check(dense)
                 assert verdict.implementable == reference.multiplicative
                 assert verdict.defect == reference.defect
+
+
+def test_restricted_adjoint_grid_is_the_xor_gather():
+    for n in range(1, 6):
+        shift = build_shift(n)
+        for t in (1, 2):
+            multipliers = [
+                mpc._adjoint_multipliers(shift, SpectralFunction.logistic(n), t),
+                mpc._adjoint_multipliers(shift, SpectralFunction.constant(n), t),
+            ]
+            for s0 in range(-n - 1, n + 1):
+                g = (mpc._adjoint_ages(shift, t) <= s0).astype(float)
+                g[0] = 1.0
+                multipliers.append(g)
+            for g in multipliers:
+                k = mpc.fwht(g) / g.size
+                idx = np.arange(g.size)
+                assert np.array_equal(mpc._restricted_adjoint_grid(g), k[idx[:, None] ^ idx])
+
+
+def test_restricted_adjoint_grid_allocates_only_its_output():
+    shift = build_shift(5)
+    g = mpc._adjoint_multipliers(shift, SpectralFunction.logistic(5), 1)
+    d = g.size
+    assert d == 1024
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grid = mpc._restricted_adjoint_grid(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 1.05 * grid.nbytes + 64 * d * 8
 
 
 def test_lower_bound_rejects_a_spectral_function_short_of_the_window():

@@ -2,6 +2,7 @@
 and the implementability route."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -466,6 +467,27 @@ def test_transport_of_commuting_conjugation():
     u = commuting_unitary(m.eigenbasis, rng)
     t = weighted_isometry_transport(SuperOperator.ad_unitary(u), m, 3.0)
     assert np.allclose(t.matrix, SuperOperator.ad_unitary(u).matrix, atol=1e-9)
+
+
+def test_transport_holds_one_kron_factor_at_a_time():
+    rng = rng_from(27)
+    n = 12
+    m = QuantumMeasure(random_density(n, rng))
+    v = SuperOperator(n, ginibre(n * n, rng))
+    for p, inverse in ((1.0, False), (3.0, True)):
+        root, root_inv = m.power(1.0 / (2.0 * p)), m.power(-1.0 / (2.0 * p))
+        forward, backward = np.kron(root.T, root), np.kron(root_inv.T, root_inv)
+        reference = backward @ v.matrix @ forward if inverse else forward @ v.matrix @ backward
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            t = weighted_isometry_transport(v, m, p, inverse=inverse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(t.matrix, reference)
+        # the result, one product and one kron factor; never both factors
+        assert peak - base <= 3.5 * v.matrix.nbytes
 
 
 def test_transport_round_trip():
