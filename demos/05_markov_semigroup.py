@@ -9,10 +9,12 @@ and the intertwined semigroup step W_t with W_t Lam = Lam U_t.
 
 The semigroup is doubly stochastic (checked by sampling densities), but it
 is *not* the density evolution of any point transformation: its adjoint
-fails multiplicativity by a margin that a brute-force pair scan bounds from
-below.  Only the degenerate choices -- constant f (no damping at all) or a
-coarse-graining projection -- restore or approach point-map form, and the
-coarse-grained variant is reported as an experiment, not asserted.
+fails multiplicativity by a margin that a pair scan bounds from below; the
+scan pairs one subset per age with every subset, which meets every age
+triple that all pairs meet.  Only the degenerate choices -- constant f (no
+damping at all) or a coarse-graining projection -- restore or approach
+point-map form, and the coarse-grained variant is reported as an
+experiment, not asserted.
 """
 
 from nclp import mpc

@@ -460,29 +460,31 @@ class StochasticitySuite:
 def _stochasticity_of(
     op: WalshOperator, shift: TruncatedKShift, t: int, samples: int, seed
 ) -> StochasticitySuite:
-    d = shift.dim
-    # unitality: the constant function is fixed
-    e0 = np.zeros(d)
-    e0[0] = 1.0
-    unitality_defect = float(np.max(np.abs(op.apply(e0) - e0)))
-    # mass: the empty-set coefficient of the output equals that of the input;
-    # a bit shift sends no mask but the empty set to the empty set
+    """Unitality, mass and sampled positivity of a step with shift >= 0.
+
+    Unitality and mass both read the weight on the empty set, the only mask
+    that a shift >= 0 sends there.  Positivity is sampled on nonnegative
+    densities of the low 2N+1-t coordinates, whose coefficients sit on the
+    masks below block = 2^(2N+1-t); the step scales those and only relabels
+    grid points, so the sample runs on the (block, samples) group means.
+    That is bit-identical to the d-length round trip on tiled densities: the
+    other butterfly stages only copy values or cancel copies to exact zeros.
+    """
+    if op.shift < 0:
+        raise ValueError("the block positivity sample needs a shift >= 0")
     mass_defect = abs(float(op.weights[0] if op.domain[0] else 0.0) - 1.0)
-    # positivity on nonnegative densities supported on the domain: a density
-    # that only involves coordinates <= N - t is invisible to the truncation
     rng = rng_from(seed)
-    keep = 2 * shift.half_width + 1 - t
-    block = 1 << keep
-    groups = d // block
+    block = 1 << (2 * shift.half_width + 1 - t)
     # one sample per column
-    grids = rng.random((samples, d)).reshape(samples, groups, block).mean(axis=1)
-    grids = np.tile(grids, groups).T
-    out = walsh_to_grid(shift, op.apply(grid_to_walsh(shift, grids)))
-    positivity_defect = max(0.0, -float(np.min(out.real))) if samples else 0.0
+    grids = rng.random((samples, shift.dim)).reshape(samples, shift.dim // block, block)
+    grids = grids.mean(axis=1).T
+    mult = np.where(op.domain[:block], op.weights[:block], 0.0)
+    out = fwht(mult[:, None] * (fwht(grids) / block))
+    positivity_defect = max(0.0, -float(np.min(out))) if samples else 0.0
     return StochasticitySuite(
         positivity_defect=positivity_defect,
         mass_defect=mass_defect,
-        unitality_defect=unitality_defect,
+        unitality_defect=mass_defect,
         domain_fraction=op.domain_fraction,
         samples=samples,
     )
@@ -568,6 +570,18 @@ class MpcImplementability:
     restricted_dim: int
 
 
+def _implementability_of(shift: TruncatedKShift, g: np.ndarray, t: int, tol: float) -> MpcImplementability:
+    """The verdict on the grid of an adjoint step by t with multipliers g."""
+    check = multiplicativity_check(_restricted_adjoint_grid(g), tol=tol)
+    return MpcImplementability(
+        implementable=check.multiplicative,
+        defect=check.defect,
+        check=check,
+        domain_fraction=shift.shift_operator(t).domain_fraction,
+        restricted_dim=g.size,
+    )
+
+
 def mpc_implementability(
     shift: TruncatedKShift,
     f: SpectralFunction,
@@ -582,52 +596,37 @@ def mpc_implementability(
     the step is a plain shift and the defect is zero; any strictly
     decreasing spectral function leaves a strictly positive defect.
     """
-    grid = _restricted_adjoint_grid(_adjoint_multipliers(shift, f, t))
-    check = multiplicativity_check(grid, tol=tol)
-    return MpcImplementability(
-        implementable=check.multiplicative,
-        defect=check.defect,
-        check=check,
-        domain_fraction=shift.shift_operator(t).domain_fraction,
-        restricted_dim=grid.shape[0],
-    )
+    return _implementability_of(shift, _adjoint_multipliers(shift, f, t), t, tol)
 
 
 def coarse_grained_implementability(
     shift: TruncatedKShift, s0: int, t: int, tol: float = DEFAULT_TOL
 ) -> MpcImplementability:
-    """Same check for the coarse-graining variant, reported as an experiment."""
-    g = (_adjoint_ages(shift, t) <= s0).astype(float)
-    g[0] = 1.0
-    grid = _restricted_adjoint_grid(g)
-    check = multiplicativity_check(grid, tol=tol)
-    op = coarse_grained_wt(shift, s0, t)
-    return MpcImplementability(
-        implementable=check.multiplicative,
-        defect=check.defect,
-        check=check,
-        domain_fraction=op.domain_fraction,
-        restricted_dim=grid.shape[0],
-    )
+    """Same check for the coarse-graining variant, reported as an experiment.
+    Its adjoint multiplies sub-basis mask m by E_s0's weight at m << t."""
+    masks = np.arange(_adjoint_ages(shift, t).size)
+    g = conditional_expectation(shift, s0).weights[masks << int(t)]
+    return _implementability_of(shift, g, t, tol)
 
 
 def multiplicativity_lower_bound(shift: TruncatedKShift, f: SpectralFunction, t: int) -> float:
-    """Brute-force lower bound for the implementability defect.
+    """Pair-scan lower bound for the implementability defect.
 
-    Scans every pair (R, Q) of in-domain subsets and compares the adjoint
-    multiplier of the product basis element, g(R xor Q), with the product
-    g(R) g(Q); a composition operator would make every comparison an
-    equality.  Each Walsh function expands into grid indicators with unit
-    coefficients, so the worst discrepancy divided by (number of grid
-    points)^2 bounds the grid multiplicativity defect from below.
+    Compares pairs (R, Q) of in-domain subsets: the adjoint multiplier of the
+    product basis element, g(R xor Q), against the product g(R) g(Q); a
+    composition operator would make every comparison an equality.  Each
+    Walsh function expands into grid indicators with unit coefficients, so
+    the worst discrepancy divided by (number of grid points)^2 bounds the
+    grid multiplicativity defect from below.  g depends only on age, and
+    over all Q an R of top bit b meets the same age triples (R, Q, R xor Q)
+    as the singleton {b}: the empty set and the singletons give the same
+    floats as every R, so the maximum is bit-identical to the full scan.
     """
-    values = _adjoint_multipliers(shift, f, t)
-    d_sub = values.size
-    masks = np.arange(d_sub)
-    worst = 0.0
-    for r in range(d_sub):
-        worst = max(worst, float(np.max(np.abs(values[r ^ masks] - values[r] * values))))
-    return worst / float(d_sub) ** 2
+    g = _adjoint_multipliers(shift, f, t)
+    masks = np.arange(g.size)
+    reps = np.concatenate(([0], 1 << np.arange(g.size.bit_length() - 1)))
+    worst = float(np.max(np.abs(g[reps[:, None] ^ masks] - g[reps, None] * g)))
+    return worst / float(g.size) ** 2
 
 
 # --- experiment driver --------------------------------------------------------

@@ -178,7 +178,7 @@ class SuperOperator:
         return cls(n, m)
 
 
-def canonical_jordan(kind: str, u, n: int | None = None) -> SuperOperator:
+def canonical_jordan(kind: str, u) -> SuperOperator:
     """The Jordan automorphism X -> U X U* (iso) or X -> U X^T U* (anti)."""
     conjugation = SuperOperator.ad_unitary(u)
     if kind == KIND_ISO:

@@ -468,6 +468,31 @@ def test_batched_stochasticity_matches_the_sample_loop():
         assert mpc._stochasticity_of(reflect, shift, 1, samples=20, seed=0).positivity_defect > 0.1
 
 
+def test_stochasticity_rejects_a_negative_shift():
+    # a negative shift moves masks above the block into it
+    shift = build_shift(2)
+    with pytest.raises(ValueError):
+        mpc._stochasticity_of(shift.shift_operator(-1), shift, 1, samples=5, seed=0)
+
+
+def test_stochasticity_sample_allocates_at_block_size():
+    n, t, samples = 5, 2, 100
+    shift = build_shift(n)
+    op = wt_build(shift, SpectralFunction.logistic(n), t)
+    block = 1 << (2 * n + 1 - t)
+    assert shift.dim == 4 * block
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mpc._stochasticity_of(op, shift, t, samples=samples, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the draw itself is d x samples, four blocks' worth; a d-length
+    # transform of the tiled densities would hold several more
+    assert peak - base <= 8 * block * samples * 8
+
+
 def test_implementability_logistic_negative_with_oracle_bound():
     shift = build_shift(3)
     f = SpectralFunction.logistic(3)
@@ -592,6 +617,26 @@ def test_restricted_adjoint_grid_allocates_only_its_output():
     assert peak - base <= 1.05 * grid.nbytes + 64 * d * 8
 
 
+def _lower_bound_loop(shift, f, t):
+    """The pair-scan lower bound over every subset R, one R at a time."""
+    values = mpc._adjoint_multipliers(shift, f, t)
+    d_sub = values.size
+    masks = np.arange(d_sub)
+    worst = 0.0
+    for r in range(d_sub):
+        worst = max(worst, float(np.max(np.abs(values[r ^ masks] - values[r] * values))))
+    return worst / float(d_sub) ** 2
+
+
+def test_lower_bound_matches_the_scan_over_every_subset():
+    for n in range(1, 6):
+        shift = build_shift(n)
+        geometric = SpectralFunction.from_table(n, [2.0**-s for s in range(-n - 1, n + 2)])
+        for f in (SpectralFunction.logistic(n), SpectralFunction.constant(n), geometric):
+            for t in (1, 2):
+                assert mpc.multiplicativity_lower_bound(shift, f, t) == _lower_bound_loop(shift, f, t)
+
+
 def test_lower_bound_rejects_a_spectral_function_short_of_the_window():
     with pytest.raises(InvalidSpectralFunctionError):
         mpc.multiplicativity_lower_bound(build_shift(3), SpectralFunction.logistic(2), 1)
@@ -618,6 +663,8 @@ def test_coarse_grained_semigroup_reports():
     verdict = mpc.coarse_grained_implementability(shift, 0, 1)
     print(f"coarse-grained multiplicativity defect: {verdict.defect:.3e}")
     assert verdict.defect >= 0.0
+    with pytest.raises(ValueError):
+        mpc.coarse_grained_implementability(shift, 3, 1)
 
 
 def test_run_experiment_rows():
