@@ -420,17 +420,25 @@ def fwht(values: np.ndarray) -> np.ndarray:
     the coefficients-to-grid evaluation and (after dividing by the length)
     the grid-to-coefficients analysis.
     """
-    a = np.array(values, dtype=complex if np.iscomplexobj(values) else float)
+    # a C-ordered copy, the layout the transform returns
+    a = np.array(values, dtype=complex if np.iscomplexobj(values) else float, order="C")
     n = a.shape[0]
     if n & (n - 1):
         raise ValueError("length must be a power of two")
     rest = a.shape[1:]
+    # each stage butterflies in place on a view: the sums into one half-size
+    # buffer shared by all stages, the differences over the second halves,
+    # then the sums over the first halves
+    buffer = np.empty((n // 2, *rest), dtype=a.dtype)
     h = 1
     while h < n:
-        a = a.reshape(n // (2 * h), 2, h, *rest)
-        a = np.concatenate((a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]), axis=1)
+        v = a.reshape(n // (2 * h), 2, h, *rest)
+        total = buffer.reshape(n // (2 * h), h, *rest)
+        np.add(v[:, 0], v[:, 1], out=total)
+        np.subtract(v[:, 0], v[:, 1], out=v[:, 1])
+        v[:, 0] = total
         h *= 2
-    return a.reshape(n, *rest)
+    return a
 
 
 def walsh_to_grid(shift: TruncatedKShift, coefficients: np.ndarray) -> np.ndarray:

@@ -241,14 +241,15 @@ def norm_scale_report(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = rng_from(seed)
+    samples = np.stack([ginibre(measure.dim, rng) for _ in range(trials)])
+    # one stack norm per exponent, one row per sample
+    norms = {p: weighted_norm(samples, measure, p).tolist() for p in P_GRID}
     rows = []
     signs = set()
-    for _ in range(trials):
-        a = ginibre(measure.dim, rng)
-        norms = {p: weighted_norm(a, measure, p) for p in P_GRID}
+    for k in range(trials):
         for i, p in enumerate(P_GRID):
             for q in P_GRID[i + 1 :]:
-                np_, nq = norms[p], norms[q]
+                np_, nq = norms[p][k], norms[q][k]
                 diff = np_ - nq
                 sign = 0 if abs(diff) <= threshold(max(np_, nq), tol) else (1 if diff > 0 else -1)
                 signs.add(sign)

@@ -29,7 +29,7 @@ W = phase, scale = 1, and the map itself to equal J.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -136,9 +136,18 @@ class SuperOperator:
         return SuperOperator(self.dim, self.matrix.T[s][:, s])
 
     def inverse(self) -> "SuperOperator":
-        sv = np.linalg.svd(self.matrix, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= INVERTIBILITY_RATIO * sv[0]:
-            raise SingularInputError("superoperator is not invertible")
+        """The inverse map; SingularInputError when the matrix M is singular.
+
+        M counts as singular when its smallest singular value is at most
+        INVERTIBILITY_RATIO times its largest (or M is zero).  A conclusive
+        Gram certificate (``_gram_bounds``) puts that ratio at >= 1/sqrt(3),
+        so it decides "invertible" with the verdict of the singular values;
+        they are computed only when the certificate is inconclusive.
+        """
+        if _gram_bounds(dagger(self.matrix) @ self.matrix) is None:
+            sv = np.linalg.svd(self.matrix, compute_uv=False)
+            if sv[0] == 0.0 or sv[-1] <= INVERTIBILITY_RATIO * sv[0]:
+                raise SingularInputError("superoperator is not invertible")
         return SuperOperator(self.dim, np.linalg.inv(self.matrix))
 
     def scaled(self, factor: complex) -> "SuperOperator":
@@ -206,6 +215,30 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     else:
         phase = overlap / abs(overlap)
     return float(np.linalg.norm(a * phase - b))
+
+
+def _gram_bounds(gram: np.ndarray) -> tuple[float, float] | None:
+    """Weyl bounds (low, high) on the squared singular values of M, read
+    from its Gram matrix G = M* M, or None when they are inconclusive.
+
+    With c = tr(G) / N the mean of G's N eigenvalues and
+    delta = ||G - c 1||_F, every eigenvalue lies in [c - delta, c + delta]
+    (Weyl).  The bounds are returned only when delta <= c / 2: then M is
+    invertible with sigma_min / sigma_max >= 1 / sqrt(3), far above
+    INVERTIBILITY_RATIO, so the singular-value rule could only agree.  G's
+    diagonal is shifted in place through a view (no N x N identity is built)
+    and restored bit for bit before returning.
+    """
+    size = gram.shape[0]
+    diagonal = gram.reshape(-1)[:: size + 1]
+    gram_diagonal = diagonal.copy()
+    c = float(np.sum(gram_diagonal.real)) / size
+    diagonal[:] = gram_diagonal - c
+    delta = float(np.linalg.norm(gram))
+    diagonal[:] = gram_diagonal
+    if c > 0.0 and delta <= c / 2.0:
+        return c - delta, c + delta
+    return None
 
 
 def _max_column_norm(m: np.ndarray) -> float:
@@ -279,6 +312,16 @@ def jordan_check(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanCheck:
     spanning set, the worst *-preservation deviation over matrix units, and
     an invertibility term ABS_FLOOR * cond(J) that stays at the floor for
     honest automorphisms and blows up for maps that are not one-to-one.
+
+    cond(J) and the tolerance scale max(1, sigma_max^2) are read from the
+    Gram certificate of ``_gram_bounds`` as sqrt(high / low) and high when
+    it is conclusive; the singular values are computed only when it is
+    inconclusive.  A conclusive certificate means cond(J) <= sqrt(3) however
+    it is computed, so the term stays within ABS_FLOOR * [1, sqrt(3)] and
+    the map is invertible under either rule.  On a Jordan map G = s^2 1 up
+    to rounding, so the term and the scale equal the exact ones to rounding
+    (about 1e-27 for the term); on other maps the scale may rise by up to a
+    factor 1.5, from sigma_max^2 to c + delta.
     """
     n = j.dim
     # the Hermitian spanning set, in order: E_ii, then for each i < k the
@@ -305,13 +348,16 @@ def jordan_check(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanCheck:
     # column vec(E) of m[:, s] is J(E*); of m.conj()[s] it is J(E)*
     s = swap(n)
     star_defect = _max_column_norm(j.matrix[:, s] - j.matrix.conj()[s])
-    sv = np.linalg.svd(j.matrix, compute_uv=False)
-    if sv[-1] <= 0.0:
-        invertibility_defect = math.inf
+    bounds = _gram_bounds(dagger(j.matrix) @ j.matrix)
+    if bounds is not None:
+        low, high = bounds
+        invertibility_defect = ABS_FLOOR * math.sqrt(high / low)
     else:
-        invertibility_defect = ABS_FLOOR * float(sv[0] / sv[-1])
+        sv = np.linalg.svd(j.matrix, compute_uv=False)
+        high = float(sv[0]) ** 2
+        invertibility_defect = math.inf if sv[-1] <= 0.0 else ABS_FLOOR * float(sv[0] / sv[-1])
     defect = square_defect + star_defect + invertibility_defect
-    scale = max(1.0, float(sv[0]) ** 2)
+    scale = max(1.0, high)
     return JordanCheck(
         is_jordan=bool(defect <= threshold(scale, tol)),
         defect=defect,
@@ -409,6 +455,10 @@ class IsometryCheck:
     onto: bool
     gram_defect: float | None
     trials: int
+    #: the weighted transport built for the p = 2 Gram certificate, handed
+    #: on so that ``implementability_check`` need not build it again; not
+    #: part of the verdict, so neither compared nor shown
+    transport: SuperOperator | None = field(default=None, compare=False, repr=False)
 
 
 def isometry_check(
@@ -423,19 +473,21 @@ def isometry_check(
     Schatten norm, otherwise the state-weighted norm.
 
     Surjectivity is the invertibility of the n^2 x n^2 matrix M, decided
-    from its Gram matrix G = M* M first.  With c = ||M||_F^2 / n^2 the mean
-    of G's eigenvalues, ||G - c 1||_F <= c / 2 puts every squared singular
-    value in [c / 2, 3c / 2] (Weyl), so M is invertible and the singular
-    value rule below could only agree.  When that certificate is
-    inconclusive (projections, near-singular or zero maps) the singular
-    values are computed and M counts as onto when the smallest exceeds
-    INVERTIBILITY_RATIO times the largest.
+    from its Gram matrix G = M* M first (``_gram_bounds``).  A conclusive
+    certificate bounds cond(M) by sqrt(3), so M is invertible and the
+    singular value rule below could only agree.  When
+    that certificate is inconclusive (projections, near-singular or zero
+    maps) the singular values are computed and M counts as onto when the
+    smallest exceeds INVERTIBILITY_RATIO times the largest.
 
     For p = 2 an exact Gram certificate of the isometry is available (the
     matrix of T in an orthonormal basis of the relevant L^2 inner product
     must be unitary) and is required on top of the sampled comparison; with
-    measure=None it reuses G.  For other p no finite certificate is used,
-    so the trial count and worst defect are reported alongside the verdict.
+    measure=None it reuses G, otherwise it is built from the weighted
+    transport, which is returned in ``transport``.  G is freed before that
+    transport is built, so the two are never held at once.  For other p no
+    finite certificate is used, so the trial count and worst defect are
+    reported alongside the verdict.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -451,27 +503,21 @@ def isometry_check(
     xs = np.stack([ginibre(n, rng) for _ in range(trials)])
     nx = norm(xs)
     max_rel = float(np.max(np.abs(norm(_apply_to_stack(t, xs)) - nx) / nx))
-    # a Gram matrix G is shifted to G - c 1 through a view of its diagonal,
-    # so no n^2 x n^2 identity is built
-    gram_defect = None
-    if p == 2.0 and measure is not None:
-        g = weighted_isometry_transport(t, measure, p).matrix
-        gram = dagger(g) @ g
-        gram.reshape(-1)[:: n * n + 1] -= 1.0
-        gram_defect = float(np.linalg.norm(gram))
-        # freed before M* M is formed, so the two are never held at once
-        del g, gram
     gram = dagger(t.matrix) @ t.matrix
-    diagonal = gram.reshape(-1)[:: n * n + 1]
-    gram_diagonal = diagonal.copy()
-    c = float(np.sum(gram_diagonal.real)) / (n * n)
-    diagonal[:] = gram_diagonal - c
-    onto = bool(c > 0.0 and np.linalg.norm(gram) <= c / 2.0)
+    onto = _gram_bounds(gram) is not None
     if not onto:
         sv = np.linalg.svd(t.matrix, compute_uv=False)
         onto = bool(sv[0] > 0.0 and sv[-1] > INVERTIBILITY_RATIO * sv[0])
-    if p == 2.0 and measure is None:
-        diagonal[:] = gram_diagonal - 1.0
+    gram_defect = transport = None
+    if p == 2.0:
+        if measure is not None:
+            # M* M is freed before the transport is built, so the two are
+            # never held at once
+            del gram
+            transport = weighted_isometry_transport(t, measure, p)
+            gram = dagger(transport.matrix) @ transport.matrix
+        # ||G - 1||_F, the diagonal shifted through a view as in _gram_bounds
+        gram.reshape(-1)[:: n * n + 1] -= 1.0
         gram_defect = float(np.linalg.norm(gram))
     gram_ok = gram_defect is None or gram_defect <= threshold(float(n), tol)
     is_isometry = bool(max_rel <= threshold(1.0, tol) and gram_ok)
@@ -481,6 +527,7 @@ def isometry_check(
         onto=onto,
         gram_defect=gram_defect,
         trials=trials,
+        transport=transport,
     )
 
 
@@ -679,7 +726,8 @@ def implementability_check(
     if not iso.is_isometry or not iso.onto:
         stage = "onto" if not iso.onto else "isometry"
         return fail(stage, positivity_defect=pos.defect, isometry=iso)
-    transported = weighted_isometry_transport(v, measure, p)
+    # at p = 2 the isometry check built the transport for its certificate
+    transported = iso.transport or weighted_isometry_transport(v, measure, p)
     try:
         dec = lamperti_decompose(transported, p, tol=tol)
     except NotDecomposableError as exc:

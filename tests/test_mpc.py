@@ -376,6 +376,45 @@ def test_grid_round_trip_and_parseval():
     assert abs(np.mean(grid**2) - np.sum(coeffs**2)) <= 1e-12
 
 
+def _fwht_concatenate(values):
+    """The butterfly stages as two half-size temporaries and one concatenate,
+    the oracle for the in-place ``fwht``."""
+    a = np.array(values, dtype=complex if np.iscomplexobj(values) else float)
+    n = a.shape[0]
+    rest = a.shape[1:]
+    h = 1
+    while h < n:
+        a = a.reshape(n // (2 * h), 2, h, *rest)
+        a = np.concatenate((a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]), axis=1)
+        h *= 2
+    return a.reshape(n, *rest)
+
+
+def test_in_place_fwht_matches_the_concatenating_stages():
+    rng = rng_from(43)
+    for n in (1, 2, 8, 64):
+        real = rng.standard_normal((n, 5))
+        inputs = (
+            real[:, 0],
+            real,
+            real + 1j * rng.standard_normal((n, 5)),
+            (real[:, 0] + 1j * real[:, 1]),
+            # a Fortran-ordered copy and a strided view
+            np.asfortranarray(real),
+            real[:, ::2],
+            rng.integers(-3, 4, size=(n, 2, 3)),
+        )
+        for values in inputs:
+            before = np.array(values, copy=True)
+            out = mpc.fwht(values)
+            assert np.array_equal(out, _fwht_concatenate(values))
+            assert out.dtype == _fwht_concatenate(values).dtype
+            assert out.flags.c_contiguous
+            assert np.array_equal(values, before)
+    with pytest.raises(ValueError):
+        mpc.fwht(np.ones(6))
+
+
 def test_walsh_products_are_symmetric_differences():
     shift = build_shift(2)
     rng = rng_from(1)

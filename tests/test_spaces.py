@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from nclp.linalg import psd_leq
+from nclp.linalg import DEFAULT_TOL, psd_leq, threshold
 from nclp.sampling import ginibre, random_density, random_unitary, rng_from
 from nclp.spaces import (
     P_GRID,
+    NormScaleRow,
     QuantumMeasure,
     check_p,
     conjugate_exponent,
@@ -218,6 +219,32 @@ def test_norm_scale_report_is_deterministic():
     again = norm_scale_report(m, trials=3, seed=0)
     assert report == again
     assert report.rows[0].dim == 3
+
+
+def _norm_scale_rows_loop(measure, trials, seed, tol=DEFAULT_TOL):
+    """The exponent-grid rows, each sample normed one matrix at a time."""
+    rng = rng_from(seed)
+    rows = []
+    for _ in range(trials):
+        a = ginibre(measure.dim, rng)
+        norms = {p: weighted_norm(a, measure, p) for p in P_GRID}
+        for i, p in enumerate(P_GRID):
+            for q in P_GRID[i + 1 :]:
+                np_, nq = norms[p], norms[q]
+                diff = np_ - nq
+                sign = 0 if abs(diff) <= threshold(max(np_, nq), tol) else (1 if diff > 0 else -1)
+                rows.append(NormScaleRow(seed, measure.dim, p, q, np_, nq, sign))
+    return tuple(rows)
+
+
+def test_stacked_norm_scale_rows_match_the_per_sample_loop():
+    rng = rng_from(44)
+    for n in (1, 2, 3, 5):
+        for measure in (maximally_mixed(n), QuantumMeasure(random_density(n, rng))):
+            for trials, seed in ((1, 0), (7, 3)):
+                report = norm_scale_report(measure, trials=trials, seed=seed)
+                assert report.rows == _norm_scale_rows_loop(measure, trials, seed)
+                assert all(type(r.norm_p) is float and type(r.norm_q) is float for r in report.rows)
 
 
 def test_norm_scale_direction_matches_committed_fixture():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclp.linalg import INVERTIBILITY_RATIO, dagger, hermitian_part
+from nclp import superop
+from nclp.linalg import ABS_FLOOR, INVERTIBILITY_RATIO, SingularInputError, dagger, hermitian_part, threshold
 from nclp.sampling import commuting_unitary, ginibre, random_density, random_unitary, rng_from
 from nclp.spaces import P_GRID, QuantumMeasure, maximally_mixed, schatten_norm, weighted_norm
 from nclp.superop import (
@@ -19,6 +20,7 @@ from nclp.superop import (
     NotDecomposableError,
     NotJordanError,
     SuperOperator,
+    _gram_bounds,
     _reads_rank_one,
     canonical_jordan,
     change_of_representation_demo,
@@ -143,6 +145,61 @@ def test_jordan_check_rejects_trace_bump():
     check = jordan_check(SuperOperator.from_apply(n, bump))
     assert not check.is_jordan
     assert check.defect > 0.1
+
+
+def _svd_invertibility(t):
+    """The singular-value rule, the reference for the Gram certificate: the
+    invertibility term ABS_FLOOR * cond(M), the tolerance scale
+    max(1, sigma_max^2), and whether M counts as singular."""
+    sv = np.linalg.svd(t.matrix, compute_uv=False)
+    defect = math.inf if sv[-1] <= 0.0 else ABS_FLOOR * float(sv[0] / sv[-1])
+    singular = bool(sv[0] == 0.0 or sv[-1] <= INVERTIBILITY_RATIO * sv[0])
+    return defect, max(1.0, float(sv[0]) ** 2), singular
+
+
+def test_jordan_check_invertibility_matches_the_singular_values():
+    rng = rng_from(42)
+    certified, fallback = [], []
+    for n in range(1, 7):
+        u = random_unitary(n, rng)
+        certified += [
+            SuperOperator.ad_unitary(u),
+            SuperOperator.transpose_map(n),
+            canonical_jordan(KIND_ANTI, u),
+        ]
+        certified += [SuperOperator.ad_unitary(u).scaled(s) for s in (1e-3, 1.0, 1e3)]
+    # X -> A X B with unitary B has singular values sigma(A), each n times;
+    # the ratios straddle INVERTIBILITY_RATIO = 1e-12
+    for n in (2, 3):
+        for ratio in (1e-11, 1e-12, 1e-13):
+            a = random_unitary(n, rng) * np.geomspace(1.0, ratio, n)
+            fallback.append(SuperOperator.sandwich(a, random_unitary(n, rng)))
+    e = np.diag([1.0, 0.0]).astype(complex)
+    fallback.append(SuperOperator.from_apply(2, lambda x: e @ x @ e))
+    fallback.append(SuperOperator(3, np.zeros((9, 9))))
+    fallback += [SuperOperator(n, ginibre(n * n, rng)) for n in (2, 3, 4)]
+    singular = []
+    for index, t in enumerate(certified + fallback):
+        conclusive = _gram_bounds(dagger(t.matrix) @ t.matrix) is not None
+        assert conclusive == (index < len(certified))
+        reference, scale, is_singular = _svd_invertibility(t)
+        check = jordan_check(t)
+        if math.isinf(reference):
+            assert math.isinf(check.invertibility_defect)
+        else:
+            assert abs(check.invertibility_defect - reference) <= 1e-12
+            if conclusive:
+                # a Jordan map or a multiple of one: rounding level only
+                assert abs(check.invertibility_defect - reference) <= 1e-24
+        defect = check.square_defect + check.star_defect + reference
+        assert check.is_jordan == (defect <= threshold(scale, 1e-9))
+        singular.append(is_singular)
+        if is_singular:
+            with pytest.raises(SingularInputError):
+                t.inverse()
+        else:
+            assert np.array_equal(t.inverse().matrix, np.linalg.inv(t.matrix))
+    assert any(singular) and not all(singular)
 
 
 def test_jordan_classify_conjugation():
@@ -548,6 +605,40 @@ def test_implementability_defect_report_is_structured():
     defects = report.defects
     assert set(defects) >= {"unitality", "positivity", "isometry"}
     assert all(isinstance(value, float) for value in defects.values())
+
+
+def test_implementability_accept_path_takes_no_n2_svd_and_one_transport(monkeypatch):
+    shapes, builds = [], []
+    svd, transport = np.linalg.svd, superop.weighted_isometry_transport
+
+    def counted_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def counted_transport(*args, **kwargs):
+        builds.append(args)
+        return transport(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(superop, "weighted_isometry_transport", counted_transport)
+    rng = rng_from(45)
+    n = 5
+    m = QuantumMeasure(random_density(n, rng))
+    w = rng.random(n) + 0.25
+    diagonal = QuantumMeasure(np.diag(w / w.sum()).astype(complex))
+    phases = np.diag(np.exp(2j * np.pi * rng.random(n)))
+    cases = (
+        (SuperOperator.ad_unitary(commuting_unitary(m.eigenbasis, rng)), m, KIND_ISO),
+        (canonical_jordan(KIND_ANTI, phases), diagonal, KIND_ANTI),
+    )
+    for v, measure, kind in cases:
+        for p in (1.0, 2.0, 3.0):
+            shapes.clear()
+            builds.clear()
+            report = implementability_check(v, measure, p)
+            assert report.implementable and report.kind == kind
+            assert shapes and all(shape[-2:] != (n * n, n * n) for shape in shapes)
+            assert len(builds) == 1
 
 
 def _worst_over_matrix_units(n, residual):
