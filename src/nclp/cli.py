@@ -5,24 +5,27 @@ held, 1 means a check ran to completion and reported a genuine negative
 verdict (a successful run whose mathematical answer is "no"), and 2 means
 the input or usage was invalid and nothing was decided.
 
-Every subcommand reads its payload from ``--input``, which accepts either a
-path or inline JSON (anything starting with '{').  ``--seed`` and
-``--trials`` drive every randomized check, and identical configurations
-produce byte-identical output; ``decompose`` samples nothing, so its output
-does not depend on them.
+``COMMANDS`` is the one list of subcommands: the parser, the dispatch and
+the rendering all come from it.  Every subcommand except ``selftest``
+reads its payload from ``--input``, which accepts either a path or inline
+JSON (anything starting with '{').  ``--seed`` and ``--trials`` drive
+every randomized check, and identical configurations produce
+byte-identical output; ``decompose`` samples nothing, so its output does
+not depend on them.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
+import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import acceptance, classical, jsonio, mpc, spaces, superop
 from .jsonio import SchemaError
-from .linalg import DEFAULT_TOL, SingularInputError, SingularPowerError
+from .linalg import DEFAULT_TOL
 from .spaces import QuantumMeasure
 
 OK, NEGATIVE, USAGE = 0, 1, 2
@@ -30,12 +33,11 @@ OK, NEGATIVE, USAGE = 0, 1, 2
 
 @dataclass
 class RunConfig:
-    subcommand: str
+    command: str
     payload: dict | None
     tol: float
     seed: int
     trials: int
-    out: str | None
     fmt: str
 
 
@@ -45,8 +47,6 @@ def _load_payload(raw: str | None) -> dict | None:
     text = raw.strip()
     if not text.startswith("{"):
         text = Path(raw).read_text(encoding="utf-8")
-    import json
-
     value = json.loads(text)
     if not isinstance(value, dict):
         raise SchemaError("input", "top-level JSON value must be an object")
@@ -64,20 +64,18 @@ def _optional_measure(payload: dict, tol: float, field: str = "rho") -> QuantumM
 
 
 def _exponent(payload: dict) -> float:
-    p = jsonio.require(payload, "p")
-    if isinstance(p, str) and p in ("inf", "infinity"):
-        return math.inf
-    return float(p)
+    return float(jsonio.require(payload, "p"))
 
 
-def _isometry_json(check: superop.IsometryCheck) -> dict:
-    return {
-        "is_isometry": check.is_isometry,
-        "max_rel_defect": check.max_rel_defect,
-        "onto": check.onto,
-        "gram_defect": check.gram_defect,
-        "trials": check.trials,
-    }
+def _fields(result, *skip: str) -> dict:
+    """A result dataclass as a report: its fields by name, less ``skip``."""
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.name not in skip}
+
+
+def _table(row_type, rows) -> tuple[list[str], list[list]]:
+    """A CSV header of ``row_type``'s field names and each row's values."""
+    header = [f.name for f in dataclasses.fields(row_type)]
+    return header, [[getattr(row, name) for name in header] for row in rows]
 
 
 def _implementability_json(report: superop.ImplementabilityReport) -> dict:
@@ -94,7 +92,7 @@ def _implementability_json(report: superop.ImplementabilityReport) -> dict:
     return out
 
 
-# --- subcommand handlers; each returns (exit_code, report_dict_or_rows) -------
+# --- subcommand handlers; each returns (exit_code, report[, header, rows]) ----
 
 
 def _cmd_norm(cfg: RunConfig):
@@ -114,16 +112,9 @@ def _cmd_norm(cfg: RunConfig):
 def _cmd_norm_scale(cfg: RunConfig):
     measure = _measure(cfg.payload, cfg.tol)
     report = spaces.norm_scale_report(measure, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol)
-    rows = [
-        (r.seed, r.dim, r.p, r.q, r.norm_p, r.norm_q, r.sign) for r in report.rows
-    ]
-    obj = {
-        "direction": report.direction,
-        "consistent": report.consistent,
-        "rows": [list(r) for r in rows],
-    }
-    code = OK if report.consistent else NEGATIVE
-    return code, obj, ( ["seed", "dim", "p", "q", "norm_p", "norm_q", "sign"], rows)
+    header, rows = _table(spaces.NormScaleRow, report.rows)
+    obj = {"direction": report.direction, "consistent": report.consistent, "rows": rows}
+    return (OK if report.consistent else NEGATIVE), obj, header, rows
 
 
 def _cmd_inner(cfg: RunConfig):
@@ -146,8 +137,8 @@ def _cmd_transport(cfg: RunConfig):
     iso_tracial = superop.isometry_check(t, None, p, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol)
     return OK, {
         "transport": jsonio.superop_to_json(t),
-        "isometry_weighted": _isometry_json(iso_weighted),
-        "isometry_tracial": _isometry_json(iso_tracial),
+        "isometry_weighted": _fields(iso_weighted, "transport"),
+        "isometry_tracial": _fields(iso_tracial, "transport"),
         "verdicts_agree": iso_weighted.is_isometry == iso_tracial.is_isometry,
     }
 
@@ -166,13 +157,7 @@ def _cmd_integrability(cfg: RunConfig):
 def _cmd_jordan(cfg: RunConfig):
     j = jsonio.superop_from_json(jsonio.require(cfg.payload, "J"), "J")
     check = superop.jordan_check(j, tol=cfg.tol)
-    obj = {
-        "is_jordan": check.is_jordan,
-        "defect": check.defect,
-        "square_defect": check.square_defect,
-        "star_defect": check.star_defect,
-        "invertibility_defect": check.invertibility_defect,
-    }
+    obj = _fields(check, "worst_input")
     if not check.is_jordan:
         return NEGATIVE, obj
     try:
@@ -192,7 +177,7 @@ def _cmd_isometry(cfg: RunConfig):
     p = _exponent(payload)
     measure = _optional_measure(payload, cfg.tol)
     check = superop.isometry_check(t, measure, p, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol)
-    return (OK if check.is_isometry else NEGATIVE), _isometry_json(check)
+    return (OK if check.is_isometry else NEGATIVE), _fields(check, "transport")
 
 
 def _cmd_decompose(cfg: RunConfig):
@@ -239,70 +224,60 @@ def _cmd_change_rep(cfg: RunConfig):
     return (OK if report.all_implementable else NEGATIVE), obj
 
 
-def _cmd_classical(cfg: RunConfig, action: str):
+def _cmd_koopman(cfg: RunConfig):
+    s = jsonio.point_map_from_json(cfg.payload)
+    return OK, {"koopman": jsonio.matrix_to_json(classical.koopman_of(s))}
+
+
+def _cmd_frobenius_perron(cfg: RunConfig):
+    s = jsonio.point_map_from_json(cfg.payload)
+    space = jsonio.measure_space_from_json(cfg.payload)
+    return OK, {"frobenius_perron": jsonio.matrix_to_json(classical.frobenius_perron_of(s, space))}
+
+
+def _cmd_ds_check(cfg: RunConfig):
+    w = jsonio.matrix_from_json(jsonio.require(cfg.payload, "W"), "W")
+    space = jsonio.measure_space_from_json(cfg.payload)
+    check = classical.doubly_stochastic_check(w, space, tol=cfg.tol)
+    return (OK if check.ok else NEGATIVE), _fields(check)
+
+
+def _cmd_classical_lamperti(cfg: RunConfig):
     payload = cfg.payload
-    if action == "koopman":
-        s = jsonio.point_map_from_json(payload)
-        return OK, {"koopman": jsonio.matrix_to_json(classical.koopman_of(s))}
-    if action == "fp":
-        s = jsonio.point_map_from_json(payload)
-        space = jsonio.measure_space_from_json(payload)
-        return OK, {"frobenius_perron": jsonio.matrix_to_json(classical.frobenius_perron_of(s, space))}
-    if action == "ds-check":
-        w = jsonio.matrix_from_json(jsonio.require(payload, "W"), "W")
-        space = jsonio.measure_space_from_json(payload)
-        check = classical.doubly_stochastic_check(w, space, tol=cfg.tol)
-        obj = {
-            "ok": check.ok,
-            "positivity_defect": check.positivity_defect,
-            "mass_defect": check.mass_defect,
-            "unitality_defect": check.unitality_defect,
-        }
-        return (OK if check.ok else NEGATIVE), obj
-    if action == "lamperti":
-        v = jsonio.matrix_from_json(jsonio.require(payload, "V"), "V")
-        space = jsonio.measure_space_from_json(payload)
-        p = _exponent(payload)
-        dec = classical.weighted_permutation_decompose(v, space, p)
-        obj = {"ok": dec.ok}
-        if dec.ok:
-            obj["map"] = jsonio.point_map_to_json(dec.point_map)
-            obj["weights"] = [jsonio.complex_pair(h) for h in dec.weights]
-            obj["compatibility_defect"] = dec.compatibility_defect
-        return (OK if dec.ok else NEGATIVE), obj
-    if action == "multiplicative":
-        k = jsonio.matrix_from_json(jsonio.require(payload, "K"), "K")
-        check = classical.multiplicativity_check(k, tol=cfg.tol)
-        obj = {
-            "multiplicative": check.multiplicative,
-            "defect": check.defect,
-            "product_defect": check.product_defect,
-            "unitality_defect": check.unitality_defect,
-        }
-        return (OK if check.multiplicative else NEGATIVE), obj
-    raise SchemaError("action", f"unknown classical action {action!r}")
+    v = jsonio.matrix_from_json(jsonio.require(payload, "V"), "V")
+    space = jsonio.measure_space_from_json(payload)
+    p = _exponent(payload)
+    dec = classical.weighted_permutation_decompose(v, space, p)
+    obj = {"ok": dec.ok}
+    if dec.ok:
+        obj["map"] = jsonio.point_map_to_json(dec.point_map)
+        obj["weights"] = [jsonio.complex_pair(h) for h in dec.weights]
+        obj["compatibility_defect"] = dec.compatibility_defect
+    return (OK if dec.ok else NEGATIVE), obj
+
+
+def _cmd_multiplicative(cfg: RunConfig):
+    k = jsonio.matrix_from_json(jsonio.require(cfg.payload, "K"), "K")
+    check = classical.multiplicativity_check(k, tol=cfg.tol)
+    return (OK if check.multiplicative else NEGATIVE), _fields(check)
 
 
 def _cmd_mpc_run(cfg: RunConfig):
     payload = dict(cfg.payload)
     payload.setdefault("seed", cfg.seed)
     experiment = mpc.run_experiment(payload, tol=cfg.tol)
-    rows = [
-        (r.experiment, r.defect_name, r.value, r.domain_fraction)
-        for r in experiment.rows
-    ]
+    header, rows = _table(mpc.ExperimentRow, experiment.rows)
     obj = {
         "implementable": experiment.implementable,
         "asserted": experiment.asserted,
-        "rows": [list(r) for r in rows],
+        "rows": rows,
     }
     if experiment.negative_verdict:
         obj["note"] = (
             "negative implementability verdict; for a strictly decreasing "
             "spectral function this is the expected answer"
         )
-    code = NEGATIVE if experiment.negative_verdict else OK
-    return code, obj, (["experiment", "defect_name", "value", "domain_fraction"], rows)
+    return (NEGATIVE if experiment.negative_verdict else OK), obj, header, rows
 
 
 def _cmd_selftest(cfg: RunConfig):
@@ -318,37 +293,37 @@ def _cmd_selftest(cfg: RunConfig):
     return (OK if passed else NEGATIVE), obj
 
 
+#: Every subcommand, as its command words, in ``nclp --help`` order.  A
+#: second word is an ``action`` of the first word's subparser.
+COMMANDS = {
+    "norm": _cmd_norm,
+    "norm-scale": _cmd_norm_scale,
+    "inner": _cmd_inner,
+    "transport": _cmd_transport,
+    "integrability": _cmd_integrability,
+    "jordan": _cmd_jordan,
+    "isometry": _cmd_isometry,
+    "decompose": _cmd_decompose,
+    "implementable": _cmd_implementable,
+    "change-rep": _cmd_change_rep,
+    "selftest": _cmd_selftest,
+    "classical koopman": _cmd_koopman,
+    "classical fp": _cmd_frobenius_perron,
+    "classical ds-check": _cmd_ds_check,
+    "classical lamperti": _cmd_classical_lamperti,
+    "classical multiplicative": _cmd_multiplicative,
+    "mpc run": _cmd_mpc_run,
+}
+
+
 def dispatch(cfg: RunConfig) -> tuple[int, str]:
-    """Route a config to its handler and render the report."""
-    handlers = {
-        "norm": _cmd_norm,
-        "norm-scale": _cmd_norm_scale,
-        "inner": _cmd_inner,
-        "transport": _cmd_transport,
-        "integrability": _cmd_integrability,
-        "jordan": _cmd_jordan,
-        "isometry": _cmd_isometry,
-        "decompose": _cmd_decompose,
-        "implementable": _cmd_implementable,
-        "change-rep": _cmd_change_rep,
-        "mpc-run": _cmd_mpc_run,
-        "selftest": _cmd_selftest,
-    }
-    if cfg.subcommand.startswith("classical-"):
-        result = _cmd_classical(cfg, cfg.subcommand.removeprefix("classical-"))
-    else:
-        result = handlers[cfg.subcommand](cfg)
-    if len(result) == 3:
-        code, obj, (header, rows) = result
-        text = jsonio.rows_to_csv(header, rows) if cfg.fmt == "csv" else jsonio.dumps(obj)
-    else:
-        code, obj = result
-        if cfg.fmt == "csv":
-            flat = {k: v for k, v in obj.items() if isinstance(v, (int, float, bool, str))}
-            text = jsonio.flat_report_to_csv(flat)
-        else:
-            text = jsonio.dumps(obj)
-    return code, text
+    """Run a config's handler and render its report, or its table as CSV."""
+    code, report, *table = COMMANDS[cfg.command](cfg)
+    if cfg.fmt != "csv":
+        return code, jsonio.dumps(report)
+    if table:
+        return code, jsonio.rows_to_csv(*table)
+    return code, jsonio.flat_report_to_csv(report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,61 +339,32 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nclp",
         description="finite-dimensional non-commutative L^p toolkit",
     )
+    actions: dict[str, list[str]] = {}
+    for words in COMMANDS:
+        first, *action = words.split()
+        actions.setdefault(first, []).extend(action)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in (
-        "norm",
-        "norm-scale",
-        "inner",
-        "transport",
-        "integrability",
-        "jordan",
-        "isometry",
-        "decompose",
-        "implementable",
-        "change-rep",
-        "selftest",
-    ):
-        sub.add_parser(name, parents=[common])
-    c = sub.add_parser("classical", parents=[common])
-    c.add_argument("action", choices=("koopman", "fp", "ds-check", "lamperti", "multiplicative"))
-    m = sub.add_parser("mpc", parents=[common])
-    m.add_argument("action", choices=("run",))
+    for first, choices in actions.items():
+        command = sub.add_parser(first, parents=[common])
+        if choices:
+            command.add_argument("action", choices=choices)
     return parser
 
 
-_NO_INPUT = {"selftest"}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    subcommand = args.subcommand
-    if subcommand == "classical":
-        subcommand = f"classical-{args.action}"
-    elif subcommand == "mpc":
-        subcommand = "mpc-run"
+    args = build_parser().parse_args(argv)
+    command = f"{args.subcommand} {args.action}" if "action" in args else args.subcommand
     try:
         payload = _load_payload(args.input)
-        if payload is None and subcommand not in _NO_INPUT:
+        if payload is None and command != "selftest":
             raise SchemaError("input", "this subcommand requires --input")
-        cfg = RunConfig(
-            subcommand=subcommand,
-            payload=payload,
-            tol=args.tol,
-            seed=args.seed,
-            trials=args.trials,
-            out=args.out,
-            fmt=args.fmt,
-        )
-        if cfg.tol <= 0:
+        if args.tol <= 0:
             raise SchemaError("tol", "tolerance must be positive")
-        if cfg.trials < 1:
+        if args.trials < 1:
             raise SchemaError("trials", "trials must be >= 1")
+        cfg = RunConfig(command, payload, args.tol, args.seed, args.trials, args.fmt)
         code, text = dispatch(cfg)
-    except (SchemaError, SingularPowerError, SingularInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     if args.out:

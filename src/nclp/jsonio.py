@@ -77,11 +77,7 @@ def matrix_from_json(obj, field: str) -> np.ndarray:
 
 
 def superop_to_json(t: SuperOperator) -> dict:
-    m = t.matrix
-    return {
-        "dim": int(t.dim),
-        "matrix": [[complex_pair(z) for z in row] for row in m],
-    }
+    return {**matrix_to_json(t.matrix), "dim": int(t.dim)}
 
 
 def superop_from_json(obj, field: str) -> SuperOperator:
@@ -164,5 +160,7 @@ def rows_to_csv(header: list[str], rows) -> str:
 
 
 def flat_report_to_csv(report: dict) -> str:
-    rows = [(k, report[k]) for k in sorted(report)]
+    """The report's top-level scalar fields as sorted name,value rows; nested
+    objects are left out."""
+    rows = [(k, v) for k, v in sorted(report.items()) if isinstance(v, (int, float, bool, str))]
     return rows_to_csv(["name", "value"], rows)

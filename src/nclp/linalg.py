@@ -99,6 +99,27 @@ class HermitianEig:
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ dagger(self.eigenvectors)
 
+    def power(self, r: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """P^r for the positive semidefinite P this decomposes.
+
+        Negative exponents additionally require P to be invertible (smallest
+        eigenvalue above INVERTIBILITY_RATIO times the largest).
+        """
+        w = self.eigenvalues
+        top = float(max(w[-1], 0.0))
+        if w[0] < -threshold(top if top > 0 else 1.0, tol):
+            raise NegativeEigenvalueError(
+                f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
+            )
+        w = np.clip(w, 0.0, None)
+        if r < 0 and w[0] <= INVERTIBILITY_RATIO * top:
+            raise SingularPowerError(
+                f"negative power {r} of a numerically singular matrix "
+                f"(min eigenvalue {w[0]:.3e}, max {top:.3e})"
+            )
+        v = self.eigenvectors
+        return hermitian_part((v * np.power(w, r)) @ dagger(v))
+
 
 def hermitian_eig(m, tol: float = DEFAULT_TOL) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, symmetrizing first.
@@ -130,26 +151,9 @@ def matrix_abs(x, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def frac_power(p, r: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Fractional power P^r of a positive semidefinite matrix.
-
-    Negative exponents additionally require P to be invertible (smallest
-    eigenvalue above INVERTIBILITY_RATIO times the largest).
-    """
-    eig = hermitian_eig(p, tol=tol)
-    w = eig.eigenvalues
-    top = float(max(w[-1], 0.0))
-    if w[0] < -threshold(top if top > 0 else 1.0, tol):
-        raise NegativeEigenvalueError(
-            f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
-        )
-    w = np.clip(w, 0.0, None)
-    if r < 0 and w[0] <= INVERTIBILITY_RATIO * top:
-        raise SingularPowerError(
-            f"negative power {r} of a numerically singular matrix "
-            f"(min eigenvalue {w[0]:.3e}, max {top:.3e})"
-        )
-    v = eig.eigenvectors
-    return hermitian_part((v * np.power(w, r)) @ dagger(v))
+    """Fractional power P^r of a positive semidefinite matrix; see
+    ``HermitianEig.power``."""
+    return hermitian_eig(p, tol=tol).power(r, tol)
 
 
 def polar_decompose(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

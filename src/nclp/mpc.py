@@ -661,6 +661,8 @@ class MpcExperiment:
 
 
 def spectral_function_from_descriptor(descriptor: dict, half_width: int) -> SpectralFunction | None:
+    if not isinstance(descriptor, dict):
+        raise ValueError(f"spectral function must be an object, got {descriptor!r}")
     kind = descriptor.get("kind")
     if kind == "logistic":
         return SpectralFunction.logistic(half_width)

@@ -33,7 +33,6 @@ from .linalg import (
     as_matrices,
     as_matrix,
     dagger,
-    frac_power,
     hermitian_eig,
     hermitian_part,
     threshold,
@@ -65,9 +64,10 @@ def conjugate_exponent(p) -> float:
 class QuantumMeasure:
     """A faithful state omega(X) = Tr(rho X), with cached powers of rho.
 
-    Each power rho^r is ``linalg.frac_power(rho, r)``, computed once and
-    cached.  Every call decomposes the same matrix rho, so products of
-    cached powers satisfy the exponent semigroup law to rounding accuracy.
+    rho is decomposed once; each power rho^r is read from that
+    decomposition, equal to ``linalg.frac_power(rho, r)``, and cached.
+    Products of cached powers satisfy the exponent semigroup law to
+    rounding accuracy.
     """
 
     def __init__(self, rho, tol: float = DEFAULT_TOL):
@@ -75,7 +75,7 @@ class QuantumMeasure:
             rho = DensityMatrix(rho, tol=tol)
         self.density = rho
         self.tol = tol
-        self._eigenvectors = hermitian_eig(rho.matrix, rho.tol).eigenvectors
+        self._eig = hermitian_eig(rho.matrix, rho.tol)
         self._powers: dict[float, np.ndarray] = {}
 
     @property
@@ -89,14 +89,14 @@ class QuantumMeasure:
     @property
     def eigenbasis(self) -> np.ndarray:
         """Orthonormal eigenvectors of rho, in ascending eigenvalue order."""
-        return self._eigenvectors
+        return self._eig.eigenvectors
 
     def power(self, r: float) -> np.ndarray:
         """rho^r for any real r (rho is invertible by construction)."""
         r = float(r)
         cached = self._powers.get(r)
         if cached is None:
-            cached = frac_power(self.rho, r, tol=self.tol)
+            cached = self._eig.power(r, self.tol)
             self._powers[r] = cached
         return cached
 

@@ -7,8 +7,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from nclp.cli import main
+from nclp.cli import COMMANDS, main
 from nclp.jsonio import matrix_to_json, superop_to_json
 from nclp.sampling import random_unitary, rng_from
 from nclp.superop import SuperOperator
@@ -323,3 +324,58 @@ def test_bad_json_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "norm", "--input", "{not json")
     assert code == 2
     assert "error" in err
+
+
+#: inputs that must exit 2 with empty stdout and one error line on stderr
+USAGE_ERRORS = {
+    "p-null": ["norm", "--input", payload({"A": {"matrix": [[1]]}, "p": None})],
+    "f-not-an-object": ["mpc", "run", "--input", payload({"N": 2, "f": "logistic", "t": 1})],
+    "N-null": ["mpc", "run", "--input", payload({"N": None, "f": {"kind": "logistic"}, "t": 1})],
+    "t_steps-null": ["change-rep", "--input", payload({
+        "U": {"matrix": [[1, 0], [0, 1]]},
+        "Lambda": superop_to_json(SuperOperator.identity(2)),
+        "rho": {"matrix": [[0.5, 0], [0, 0.5]]},
+        "t_steps": None,
+    })],
+    "singular-rho": ["inner", "--input", payload({
+        "A": {"matrix": [[1, 0], [0, 1]]},
+        "B": {"matrix": [[1, 0], [0, 1]]},
+        "rho": {"matrix": [[1, 0], [0, 0]]},
+    })],
+    "no-input": ["norm"],
+    "missing-file": ["norm", "--input", "no-such-input.json"],
+    "tol-zero": ["norm", "--input", payload({"A": {"matrix": [[1]]}, "p": 1}), "--tol", "0"],
+    "trials-zero": ["norm", "--input", payload({"A": {"matrix": [[1]]}, "p": 1}), "--trials", "0"],
+    "N-missing": ["mpc", "run", "--input", payload({"f": {"kind": "logistic"}, "t": 1})],
+    "N-too-large": ["mpc", "run", "--input", payload({"N": 7, "f": {"kind": "logistic"}, "t": 1})],
+    "unknown-kind": ["mpc", "run", "--input", payload({"N": 2, "f": {"kind": "wiggle"}, "t": 1})],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_errors_exit_two_with_one_error_line(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_readme_and_help_name_the_commands_of_the_table(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    documented = set()
+    for line in block.splitlines():
+        if line.startswith("nclp "):
+            words = line.split(" --", 1)[0].split()[1:]
+            documented.update(" ".join([*words[:-1], last]) for last in words[-1].split("|"))
+    assert documented == set(COMMANDS)
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    listed = (
+        "{norm,norm-scale,inner,transport,integrability,jordan,isometry,decompose,"
+        "implementable,change-rep,selftest,classical,mpc}"
+    )
+    assert listed in capsys.readouterr().out

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nclp.linalg import DEFAULT_TOL, psd_leq, threshold
+from nclp.linalg import DEFAULT_TOL, frac_power, psd_leq, threshold
 from nclp.sampling import ginibre, random_density, random_unitary, rng_from
 from nclp.spaces import (
     P_GRID,
@@ -93,6 +93,27 @@ def test_weighted_norm_inf_is_operator_norm():
     m = QuantumMeasure(np.diag([0.9, 0.1]).astype(complex))
     a = np.array([[0.0, 3.0], [0.0, 0.0]])
     assert abs(weighted_norm(a, m, math.inf) - 3.0) < 1e-12
+
+
+def test_measure_powers_come_from_one_decomposition(monkeypatch):
+    # rho is decomposed once per measure, and each power equals frac_power's
+    exponents = (-1.0, -0.5, -1 / 3, -0.25, -1 / 6, 0.0, 1 / 6, 0.25, 1 / 3, 0.5, 1.0)
+    eigh, calls = np.linalg.eigh, []
+
+    def counted_eigh(m):
+        calls.append(m.shape)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    rng = rng_from(11)
+    for n in range(1, 9):
+        rho = random_density(n, rng)
+        calls.clear()
+        measure = QuantumMeasure(rho)
+        powers = [measure.power(r) for r in exponents]
+        assert calls == [(n, n)]
+        for r, power in zip(exponents, powers):
+            assert np.array_equal(power, frac_power(rho.matrix, r, tol=measure.tol))
 
 
 def test_weighted_inner_unit():
