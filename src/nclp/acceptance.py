@@ -100,7 +100,7 @@ def criterion_1_norm_suite() -> AcceptanceResult:
         1,
         "norm suite",
         failures,
-        f"200 trials, dims 2-6, p in {exponents}, plus 20 unit-norm states, {elapsed:.2f}s",
+        f"200 trials, dims 2-6, p in {exponents}, plus 20 unit-norm states",
     )
 
 
@@ -274,14 +274,14 @@ def criterion_7_mpc_exact_identities() -> AcceptanceResult:
     elapsed = time.perf_counter() - start
     if elapsed >= 30.0:
         failures.append(f"runtime {elapsed:.1f}s >= 30s")
-    return _result(7, "shift model exact identities", failures, f"N in 1-3, t in 1-2, {elapsed:.2f}s")
+    return _result(7, "shift model exact identities", failures, "N in 1-3, t in 1-2")
 
 
 def criterion_8_mpc_verdicts() -> AcceptanceResult:
     failures = []
     shift = mpc.build_shift(3)
     logistic = mpc.SpectralFunction.logistic(3)
-    suite = mpc.stochasticity_suite(shift, logistic, 1, samples=100, seed=808)
+    suite = mpc.stochasticity_suite(shift, logistic, 1)
     for name, value in (
         ("positivity", suite.positivity_defect),
         ("mass", suite.mass_defect),

@@ -10,8 +10,8 @@ the rendering all come from it.  Every subcommand except ``selftest``
 reads its payload from ``--input``, which accepts either a path or inline
 JSON (anything starting with '{').  ``--seed`` and ``--trials`` drive
 every randomized check, and identical configurations produce
-byte-identical output; ``decompose`` samples nothing, so its output does
-not depend on them.
+byte-identical output; ``decompose`` and ``mpc run`` sample nothing, so
+their output does not depend on them.
 """
 
 from __future__ import annotations
@@ -132,8 +132,11 @@ def _cmd_transport(cfg: RunConfig):
     measure = _measure(payload, cfg.tol)
     p = _exponent(payload)
     inverse = bool(payload.get("inverse", False))
-    t = superop.weighted_isometry_transport(v, measure, p, inverse=inverse)
     iso_weighted = superop.isometry_check(v, measure, p, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol)
+    # at p = 2 the check has built the forward transport for its certificate
+    t = iso_weighted.transport
+    if t is None or inverse:
+        t = superop.weighted_isometry_transport(v, measure, p, inverse=inverse)
     iso_tracial = superop.isometry_check(t, None, p, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol)
     return OK, {
         "transport": jsonio.superop_to_json(t),
@@ -263,9 +266,7 @@ def _cmd_multiplicative(cfg: RunConfig):
 
 
 def _cmd_mpc_run(cfg: RunConfig):
-    payload = dict(cfg.payload)
-    payload.setdefault("seed", cfg.seed)
-    experiment = mpc.run_experiment(payload, tol=cfg.tol)
+    experiment = mpc.run_experiment(cfg.payload, tol=cfg.tol)
     header, rows = _table(mpc.ExperimentRow, experiment.rows)
     obj = {
         "implementable": experiment.implementable,

@@ -26,6 +26,9 @@ stored as ratios of spectral-function values.  The exact-arithmetic
 counterparts of these identities are checked by the test-suite oracle over
 the rationals.
 
+Stochasticity is decided, not sampled: on densities a step is an XOR
+convolution, positive exactly when its kernel is nonnegative.
+
 Implementability asks whether the adjoint of a semigroup step is a
 composition operator on the grid.  That adjoint is diagonal in the Walsh
 sub-basis of its window, with multipliers g of size d, so its grid matrix
@@ -36,6 +39,7 @@ H diag(g) H / d, H the +-1 Walsh matrix.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,7 +47,6 @@ import numpy as np
 
 from .classical import MultiplicativityCheck, multiplicativity_check
 from .linalg import DEFAULT_TOL
-from .sampling import rng_from
 
 MAX_WINDOW = 6
 
@@ -462,56 +465,44 @@ class StochasticitySuite:
     mass_defect: float
     unitality_defect: float
     domain_fraction: float
-    samples: int
 
 
-def _stochasticity_of(
-    op: WalshOperator, shift: TruncatedKShift, t: int, samples: int, seed
-) -> StochasticitySuite:
-    """Unitality, mass and sampled positivity of a step with shift >= 0.
+def _step_kernel(multipliers: np.ndarray) -> np.ndarray:
+    """The kernel k of scaling Walsh coefficient m by multipliers[m]: on grid
+    values that is XOR convolution by k, as H[x, m] H[y, m] = H[x ^ y, m]."""
+    return fwht(multipliers) / multipliers.size
+
+
+def _stochasticity_of(op: WalshOperator, shift: TruncatedKShift, t: int) -> StochasticitySuite:
+    """Unitality, mass and positivity of a step with shift >= 0, all exact.
 
     Unitality and mass both read the weight on the empty set, the only mask
-    that a shift >= 0 sends there.  Positivity is sampled on nonnegative
-    densities of the low 2N+1-t coordinates, whose coefficients sit on the
-    masks below block = 2^(2N+1-t); the step scales those and only relabels
-    grid points, so the sample runs on the (block, samples) group means.
-    That is bit-identical to the d-length round trip on tiled densities: the
-    other butterfly stages only copy values or cancel copies to exact zeros.
+    that a shift >= 0 sends there.  Positivity is decided on densities of
+    the low 2N+1-t coordinates, all that a step by t reads: their masks lie
+    below block = 2^(2N+1-t), which the step scales by m while relabelling
+    grid points, so it acts as XOR convolution by k = fwht(m) / block and is
+    positive exactly when k >= 0.  Over densities with values in [0, 1] its
+    lowest value is -sum max(0, -k), reached by the indicator of
+    {y : k[x ^ y] < 0}; that sum is the positivity defect.
     """
     if op.shift < 0:
-        raise ValueError("the block positivity sample needs a shift >= 0")
+        raise ValueError("the step kernel needs a shift >= 0")
     mass_defect = abs(float(op.weights[0] if op.domain[0] else 0.0) - 1.0)
-    rng = rng_from(seed)
     block = 1 << (2 * shift.half_width + 1 - t)
-    # one sample per column
-    grids = rng.random((samples, shift.dim)).reshape(samples, shift.dim // block, block)
-    grids = grids.mean(axis=1).T
-    mult = np.where(op.domain[:block], op.weights[:block], 0.0)
-    out = fwht(mult[:, None] * (fwht(grids) / block))
-    positivity_defect = max(0.0, -float(np.min(out))) if samples else 0.0
+    k = _step_kernel(np.where(op.domain[:block], op.weights[:block], 0.0))
     return StochasticitySuite(
-        positivity_defect=positivity_defect,
+        positivity_defect=0.0 - float(np.sum(k[k < 0])),  # +0.0 when k >= 0
         mass_defect=mass_defect,
         unitality_defect=mass_defect,
         domain_fraction=op.domain_fraction,
-        samples=samples,
     )
 
 
-def stochasticity_suite(
-    shift: TruncatedKShift,
-    f: SpectralFunction,
-    t: int,
-    samples: int = 100,
-    seed=0,
-) -> StochasticitySuite:
-    """Positivity, mass preservation, and unitality of the semigroup step.
-
-    Mass and unitality hold exactly by construction; positivity on sampled
-    nonnegative densities is the experiment, with log-concavity of the
-    spectral function as the hypothesis that should make it succeed.
-    """
-    return _stochasticity_of(wt_build(shift, f, t), shift, t, samples, seed)
+def stochasticity_suite(shift: TruncatedKShift, f: SpectralFunction, t: int) -> StochasticitySuite:
+    """Positivity, mass preservation, and unitality of the semigroup step,
+    all decided exactly (``_stochasticity_of``); log-concavity of f is the
+    hypothesis that should make the step's kernel nonnegative."""
+    return _stochasticity_of(wt_build(shift, f, t), shift, t)
 
 
 # --- implementability ---------------------------------------------------------
@@ -560,7 +551,7 @@ def _restricted_adjoint_grid(g: np.ndarray) -> np.ndarray:
     """
     d = g.size
     grid = np.empty((d, d))
-    np.divide(fwht(g), d, out=grid[0])
+    grid[0] = _step_kernel(g)
     h = 1
     while h < d:
         blocks = (h, d // (2 * h), 2, h)
@@ -675,17 +666,24 @@ def spectral_function_from_descriptor(descriptor: dict, half_width: int) -> Spec
     raise ValueError(f"unknown spectral function kind {kind!r}")
 
 
+def _integer_field(descriptor: dict, name: str) -> int:
+    """``descriptor[name]`` as an int, refusing bools and fractions rather than truncating."""
+    value = descriptor[name]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
     """Run the full suite for a JSON descriptor.
 
     Descriptor fields: N (window half-width), f (spectral function spec:
-    logistic | constant | table | step), t (semigroup step), seed.  For the
-    step kind only the coarse-graining experiment is run and its verdict is
-    recorded, not asserted.
+    logistic | constant | table | step), t (semigroup step); N, t and s0 are
+    integers, a "seed" is ignored.  A step kind runs only the coarse-graining
+    experiment, and its verdict is recorded, not asserted.
     """
-    shift = build_shift(int(descriptor["N"]))
-    t = int(descriptor["t"])
-    seed = int(descriptor.get("seed", 0))
+    shift = build_shift(_integer_field(descriptor, "N"))
+    t = _integer_field(descriptor, "t")
     f_spec = descriptor["f"]
     f = spectral_function_from_descriptor(f_spec, shift.half_width)
     rows: list[ExperimentRow] = []
@@ -699,9 +697,9 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
     add("time_consistency_defect", time_consistency_defect(shift), 1.0 - 1.0 / shift.dim)
 
     if f is None:
-        s0 = int(f_spec["s0"])
+        s0 = _integer_field(f_spec, "s0")
         coarse = coarse_grained_wt(shift, s0, t)
-        suite = _stochasticity_of(coarse, shift, t, samples=100, seed=seed)
+        suite = _stochasticity_of(coarse, shift, t)
         add("stochasticity_positivity_defect", suite.positivity_defect, suite.domain_fraction)
         add("stochasticity_mass_defect", suite.mass_defect, suite.domain_fraction)
         add("stochasticity_unitality_defect", suite.unitality_defect, suite.domain_fraction)
@@ -718,7 +716,7 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
             shift.shift_operator(1 + t).domain_fraction,
         )
     add("contraction_violation", contraction_violation(shift, f, t), u.domain_fraction)
-    suite = stochasticity_suite(shift, f, t, samples=100, seed=seed)
+    suite = stochasticity_suite(shift, f, t)
     add("stochasticity_positivity_defect", suite.positivity_defect, suite.domain_fraction)
     add("stochasticity_mass_defect", suite.mass_defect, suite.domain_fraction)
     add("stochasticity_unitality_defect", suite.unitality_defect, suite.domain_fraction)

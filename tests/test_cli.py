@@ -4,14 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nclp import superop
 from nclp.cli import COMMANDS, main
-from nclp.jsonio import matrix_to_json, superop_to_json
-from nclp.sampling import random_unitary, rng_from
+from nclp.jsonio import dumps, matrix_to_json, superop_to_json
+from nclp.sampling import random_density, random_unitary, rng_from
+from nclp.spaces import QuantumMeasure
 from nclp.superop import SuperOperator
 
 #: environment for subprocesses: they import nclp from the source tree
@@ -176,6 +179,33 @@ def test_transport_subcommand(capsys):
     code, out, _ = run_cli(capsys, "transport", "--input", payload(obj))
     assert code == 0
     assert json.loads(out)["verdicts_agree"]
+
+
+@pytest.mark.parametrize("p, inverse, builds", [(1, False, 1), (2, False, 1), (2, True, 2)])
+def test_transport_builds_the_transport_once_per_direction(capsys, monkeypatch, p, inverse, builds):
+    rng = rng_from(5)
+    n = 3
+    v = SuperOperator.ad_unitary(random_unitary(n, rng))
+    rho = random_density(n, rng)
+    obj = {"V": superop_to_json(v), "rho": matrix_to_json(rho.matrix), "p": p, "inverse": inverse}
+    # the report as the handler built it with a transport of its own
+    measure = QuantumMeasure(rho)
+    t = superop.weighted_isometry_transport(v, measure, p, inverse=inverse)
+    weighted = superop.isometry_check(v, measure, p)
+    tracial = superop.isometry_check(t, None, p)
+    expected = {
+        "transport": superop_to_json(t),
+        "isometry_weighted": {f.name: getattr(weighted, f.name) for f in fields(weighted) if f.name != "transport"},
+        "isometry_tracial": {f.name: getattr(tracial, f.name) for f in fields(tracial) if f.name != "transport"},
+        "verdicts_agree": weighted.is_isometry == tracial.is_isometry,
+    }
+    calls = []
+    build = superop.weighted_isometry_transport
+    monkeypatch.setattr(superop, "weighted_isometry_transport", lambda *a, **k: calls.append(1) or build(*a, **k))
+    code, out, _ = run_cli(capsys, "transport", "--input", payload(obj))
+    assert code == 0
+    assert len(calls) == builds
+    assert out == dumps(expected)
 
 
 def test_integrability_subcommand(capsys):
@@ -349,6 +379,10 @@ USAGE_ERRORS = {
     "N-missing": ["mpc", "run", "--input", payload({"f": {"kind": "logistic"}, "t": 1})],
     "N-too-large": ["mpc", "run", "--input", payload({"N": 7, "f": {"kind": "logistic"}, "t": 1})],
     "unknown-kind": ["mpc", "run", "--input", payload({"N": 2, "f": {"kind": "wiggle"}, "t": 1})],
+    "N-fraction": ["mpc", "run", "--input", payload({"N": 2.5, "f": {"kind": "logistic"}, "t": 1})],
+    "t-fraction": ["mpc", "run", "--input", payload({"N": 2, "f": {"kind": "logistic"}, "t": 1.5})],
+    "s0-fraction": ["mpc", "run", "--input", payload({"N": 2, "f": {"kind": "step", "s0": 0.5}, "t": 1})],
+    "N-bool": ["mpc", "run", "--input", payload({"N": True, "f": {"kind": "logistic"}, "t": 1})],
 }
 
 

@@ -10,6 +10,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nclp import mpc
 from nclp.classical import multiplicativity_check
@@ -436,20 +438,16 @@ def test_walsh_products_are_symmetric_differences():
 
 def test_stochasticity_logistic():
     shift = build_shift(3)
-    suite = mpc.stochasticity_suite(shift, SpectralFunction.logistic(3), 1, samples=100, seed=0)
+    suite = mpc.stochasticity_suite(shift, SpectralFunction.logistic(3), 1)
     assert suite.positivity_defect <= 1e-10
     assert suite.mass_defect == 0.0
     assert suite.unitality_defect == 0.0
     assert suite.domain_fraction == 0.5
 
 
-def test_stochasticity_exploratory_non_log_concave():
-    # a positive decreasing table with an upward log second difference cannot
-    # be a SpectralFunction; build its semigroup step by hand and record the
-    # positivity defect without asserting a sign for it
-    shift = build_shift(2)
-    raw = {-3: 1.0, -2: 0.9, -1: 0.5, 0: 0.05, 1: 0.045, 2: 0.044, 3: 0.0439}
-    t = 1
+def hand_built_step(shift, raw, t):
+    """The semigroup step of a positive non-increasing table ``raw`` (age ->
+    value on [-N-1, N+1]) that need not be a SpectralFunction."""
     d = shift.dim
     weights = np.zeros(d)
     weights[0] = 1.0
@@ -461,9 +459,20 @@ def test_stochasticity_exploratory_non_log_concave():
         age = int(shift.ages[mask])
         weights[mask] = raw[age + t] / raw[age]
         domain[mask] = True
-    op = WalshOperator(t, weights, domain)
-    suite = mpc._stochasticity_of(op, shift, t, samples=200, seed=3)
+    return WalshOperator(t, weights, domain)
+
+
+#: a positive decreasing table with an upward log second difference
+EXPLORATORY = {-3: 1.0, -2: 0.9, -1: 0.5, 0: 0.05, 1: 0.045, 2: 0.044, 3: 0.0439}
+
+
+def test_stochasticity_exploratory_non_log_concave():
+    # the table cannot be a SpectralFunction, so its step is built by hand;
+    # without log-concavity the step is not positive
+    shift = build_shift(2)
+    suite = mpc._stochasticity_of(hand_built_step(shift, EXPLORATORY, 1), shift, 1)
     print(f"exploratory non-log-concave positivity defect: {suite.positivity_defect:.3e}")
+    assert suite.positivity_defect > 0.0
     assert suite.mass_defect == 0.0 and suite.unitality_defect == 0.0
 
 
@@ -472,12 +481,14 @@ def test_stochasticity_reports_lost_mass():
     weights = np.ones(shift.dim)
     weights[0] = 0.5
     op = WalshOperator(0, weights, np.ones(shift.dim, dtype=bool))
-    suite = mpc._stochasticity_of(op, shift, 1, samples=1, seed=0)
+    suite = mpc._stochasticity_of(op, shift, 1)
     assert suite.mass_defect == 0.5 and suite.unitality_defect == 0.5
 
 
 def _positivity_defect_loop(op, shift, t, samples, seed):
-    """The sampled positivity defect, one density at a time."""
+    """The sampled positivity defect, one density at a time: the largest
+    max(0, -min out) over densities of the low 2N+1-t coordinates, each the
+    group mean of uniform [0, 1] draws."""
     rng = rng_from(seed)
     d = shift.dim
     block = 1 << (2 * shift.half_width + 1 - t)
@@ -489,7 +500,15 @@ def _positivity_defect_loop(op, shift, t, samples, seed):
     return defect
 
 
-def test_batched_stochasticity_matches_the_sample_loop():
+def dense_kernel(op, shift, t):
+    """The step's kernel H m / block with H the dense +-1 Walsh matrix."""
+    block = 1 << (2 * shift.half_width + 1 - t)
+    m = np.where(op.domain[:block], op.weights[:block], 0.0)
+    return mpc.fwht(np.eye(block)) @ m / block
+
+
+def stochasticity_operators():
+    """(shift, t, op): a step, a coarse-graining, and two that go negative."""
     for n in (1, 2, 3, 4):
         shift = build_shift(n)
         d = shift.dim
@@ -501,21 +520,81 @@ def test_batched_stochasticity_matches_the_sample_loop():
             # where depends on which coordinates a density involves
             flipped = WalshOperator(t, np.where(np.arange(d) == 0, 1.0, -10.0 * wt.weights), wt.domain)
             for op in (wt, mpc.coarse_grained_wt(shift, 0, t), reflect, flipped):
-                assert np.array_equal(op.apply(np.eye(d)), dense(op))
-                suite = mpc._stochasticity_of(op, shift, t, samples=20, seed=n)
-                assert suite.positivity_defect == _positivity_defect_loop(op, shift, t, 20, n)
-        assert mpc._stochasticity_of(reflect, shift, 1, samples=20, seed=0).positivity_defect > 0.1
+                yield shift, t, op
+
+
+@st.composite
+def non_log_concave_tables(draw):
+    """(N, t, table): positive, non-increasing, not log-concave, N <= 4."""
+    n = draw(st.integers(1, 4))
+    t = draw(st.integers(1, 2))
+    ratios = draw(st.lists(st.floats(0.05, 1.0), min_size=2 * n + 2, max_size=2 * n + 2))
+    # log-concave exactly when the ratios of neighbours never increase
+    assume(any(b > a * (1 + 1e-6) for a, b in zip(ratios, ratios[1:])))
+    values = np.cumprod([1.0, *ratios])
+    return n, t, dict(zip(range(-n - 1, n + 2), values))
+
+
+def assert_sample_below_exact_defect(shift, t, op, seed):
+    exact = mpc._stochasticity_of(op, shift, t).positivity_defect
+    assert _positivity_defect_loop(op, shift, t, 20, seed) <= exact
+    assert (exact > 0.0) == (float(np.min(dense_kernel(op, shift, t))) < 0.0)
+
+
+def test_sampled_defect_never_exceeds_the_exact_one():
+    for shift, t, op in stochasticity_operators():
+        assert np.array_equal(op.apply(np.eye(shift.dim)), dense(op))
+        assert_sample_below_exact_defect(shift, t, op, shift.half_width)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=non_log_concave_tables(), seed=st.integers(0, 2**32 - 1))
+def test_sampled_defect_never_exceeds_the_exact_one_without_log_concavity(case, seed):
+    n, t, raw = case
+    shift = build_shift(n)
+    assert_sample_below_exact_defect(shift, t, hand_built_step(shift, raw, t), seed)
+
+
+def test_exact_positivity_defect_is_reached():
+    # the indicator of {y : k[x ^ y] < 0} reaches -sum max(0, -k) at x; the
+    # d-length round trip relabels x, so the minimum over the grid is it
+    cases = [*stochasticity_operators(), (build_shift(2), 1, hand_built_step(build_shift(2), EXPLORATORY, 1))]
+    reached = 0
+    for shift, t, op in cases:
+        d = shift.dim
+        k = dense_kernel(op, shift, t)
+        exact = mpc._stochasticity_of(op, shift, t).positivity_defect
+        assert exact == pytest.approx(float(np.sum(np.maximum(0.0, -k))), rel=1e-12, abs=1e-15)
+        x = int(np.argmin(k))
+        density = (k[x ^ np.arange(k.size)] < 0).astype(float)
+        out = walsh_to_grid(shift, op.apply(grid_to_walsh(shift, np.tile(density, d // k.size))))
+        assert float(np.min(out)) == pytest.approx(-exact, rel=1e-12, abs=1e-12)
+        reached += exact > 0.0
+    assert reached == 17
+
+
+def test_exact_positivity_defect_is_zero_on_every_valid_case():
+    for n in range(1, 7):
+        shift = build_shift(n)
+        for t in range(1, 2 * n + 1):
+            suites = [mpc.stochasticity_suite(shift, f, t) for f in
+                      (SpectralFunction.logistic(n), SpectralFunction.constant(n))]
+            suites += [mpc._stochasticity_of(mpc.coarse_grained_wt(shift, s0, t), shift, t)
+                       for s0 in range(-n - 1, n + 1)]
+            for suite in suites:
+                # +0.0, which serializes as 0.0, never -0.0
+                assert suite.positivity_defect == 0.0 and math.copysign(1.0, suite.positivity_defect) == 1.0
 
 
 def test_stochasticity_rejects_a_negative_shift():
     # a negative shift moves masks above the block into it
     shift = build_shift(2)
     with pytest.raises(ValueError):
-        mpc._stochasticity_of(shift.shift_operator(-1), shift, 1, samples=5, seed=0)
+        mpc._stochasticity_of(shift.shift_operator(-1), shift, 1)
 
 
 def test_stochasticity_sample_allocates_at_block_size():
-    n, t, samples = 5, 2, 100
+    n, t = 5, 2
     shift = build_shift(n)
     op = wt_build(shift, SpectralFunction.logistic(n), t)
     block = 1 << (2 * n + 1 - t)
@@ -523,13 +602,12 @@ def test_stochasticity_sample_allocates_at_block_size():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        mpc._stochasticity_of(op, shift, t, samples=samples, seed=0)
+        mpc._stochasticity_of(op, shift, t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the draw itself is d x samples, four blocks' worth; a d-length
-    # transform of the tiled densities would hold several more
-    assert peak - base <= 8 * block * samples * 8
+    # a few block-length arrays; the sample's draw alone held 400 of them
+    assert peak - base <= 8 * block * 8
 
 
 def test_implementability_logistic_negative_with_oracle_bound():
@@ -696,7 +774,7 @@ def test_pair_scan_bound_close_form_spot_check():
 def test_coarse_grained_semigroup_reports():
     shift = build_shift(2)
     coarse = mpc.coarse_grained_wt(shift, 0, 1)
-    suite = mpc._stochasticity_of(coarse, shift, 1, samples=50, seed=4)
+    suite = mpc._stochasticity_of(coarse, shift, 1)
     assert suite.positivity_defect <= 1e-12
     assert suite.mass_defect == 0.0 and suite.unitality_defect == 0.0
     verdict = mpc.coarse_grained_implementability(shift, 0, 1)
@@ -718,3 +796,5 @@ def test_run_experiment_rows():
     }
     const = mpc.run_experiment({"N": 2, "f": {"kind": "constant"}, "t": 1})
     assert const.implementable is True
+    # nothing is sampled: a seed in the descriptor changes nothing
+    assert mpc.run_experiment({"N": 2, "f": {"kind": "logistic"}, "t": 1}) == result
