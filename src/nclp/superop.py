@@ -49,7 +49,9 @@ from .sampling import ginibre, rng_from
 from .spaces import QuantumMeasure, check_p, schatten_norm, weighted_norm
 
 #: Relative cutoff for Choi-rank decisions: on the singular values in
-#: ``choi_rank``, on the Frobenius residual in ``jordan_classify``.
+#: ``choi_rank``, on the Frobenius residual in ``jordan_classify``.  The
+#: invertibility certificate ``_choi_bounds`` takes no cutoff: its residual
+#: enters the bounds it returns.
 CHOI_RANK_RTOL = 1e-8
 
 KIND_ISO = "star_isomorphism"
@@ -140,15 +142,18 @@ class SuperOperator:
 
         M counts as singular when its smallest singular value is at most
         INVERTIBILITY_RATIO times its largest (or M is zero).  A conclusive
-        Gram certificate (``_gram_bounds``) puts that ratio at >= 1/sqrt(3),
-        so it decides "invertible" with the verdict of the singular values;
-        they are computed only when the certificate is inconclusive.
+        certificate puts that ratio at >= 1/sqrt(3), so it decides
+        "invertible" with the verdict of the singular values.  The Choi
+        certificate (``_choi_bounds``, O(n^4)) is tried first, the Gram
+        certificate (``_gram_bounds``, one O(n^6) product) when it is
+        inconclusive, and the singular values are computed only when both are.
         """
-        if _gram_bounds(dagger(self.matrix) @ self.matrix) is None:
-            sv = np.linalg.svd(self.matrix, compute_uv=False)
+        m = self.matrix
+        if _choi_bounds(m) is None and _gram_bounds(dagger(m) @ m) is None:
+            sv = np.linalg.svd(m, compute_uv=False)
             if sv[0] == 0.0 or sv[-1] <= INVERTIBILITY_RATIO * sv[0]:
                 raise SingularInputError("superoperator is not invertible")
-        return SuperOperator(self.dim, np.linalg.inv(self.matrix))
+        return SuperOperator(self.dim, np.linalg.inv(m))
 
     def scaled(self, factor: complex) -> "SuperOperator":
         return SuperOperator(self.dim, factor * self.matrix)
@@ -209,7 +214,7 @@ def fix_global_phase(u: np.ndarray) -> np.ndarray:
 
 def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius distance between two matrices minimized over a global phase."""
-    overlap = complex(np.trace(dagger(a) @ b))
+    overlap = complex(np.vdot(a, b))
     if overlap == 0:
         phase = 1.0
     else:
@@ -217,10 +222,73 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a * phase - b))
 
 
+def _choi_bounds(m: np.ndarray) -> tuple[float, float] | None:
+    """Weyl bounds (low, high) on the squared singular values of the
+    n^2 x n^2 matrix M of a map, read in O(n^4) from the pivot's Choi column
+    and row, or None when they are inconclusive.
+
+    A map X -> A X B has Choi matrix x y^T, rank one, and the singular
+    values of M = kron(B^T, A) are sigma_i(A) sigma_j(B); X -> A X^T B is
+    that map composed with the transpose, which only permutes the columns
+    of M.  The pivot, M's entry of largest modulus, is the same entry of
+    choi(M) and of choi(M o transpose): both are views of
+    ``m.reshape(n, n, n, n)``, indexed [b, a, k, i] for row bn + a and
+    column kn + i.  Each kind reads the pivot's Choi column as an n x n
+    matrix x and its row over the pivot as y, so that the map M0 whose Choi
+    matrix is x y^T has M0[bn + a, kn + i] = x[a, i] y[b, k] (conjugation
+    kind, M0 = kron(y, x)) or x[a, k] y[b, i] (transposed kind).  The
+    residual e = ||C - x y^T||_F is summed over row blocks of M, so neither
+    a Choi matrix nor an outer product is built.  The Choi reshuffle and
+    the transpose only permute entries, so ||M - M0||_2 <= e, and Weyl puts
+    every singular value of M in [s_min(x) s_min(y) - e, s_max(x) s_max(y)
+    + e], from two n x n SVDs.  The bounds are returned, as their squares,
+    only when the upper one is at most sqrt(3) times the lower one: the
+    contract of ``_gram_bounds``.  No rtol enters; the residual does.
+    """
+    size = m.shape[0]
+    n = math.isqrt(size)
+    row, col = divmod(int(np.argmax(np.abs(m))), size)
+    pivot = m[row, col]
+    if pivot == 0:
+        return None
+    (b0, a0), (k0, i0) = divmod(row, n), divmod(col, n)
+    pivot_rows = m[b0 * n : (b0 + 1) * n]
+    kinds = (
+        # x[a, i] and y[b, k]
+        (pivot_rows[:, k0 * n : (k0 + 1) * n], m[a0::n, i0::n] / pivot, False),
+        # x[a, k] and y[b, i]
+        (pivot_rows[:, i0::n], m[a0::n, k0 * n : (k0 + 1) * n] / pivot, True),
+    )
+    for x, y, transposed in kinds:
+        # x y[b], broadcast to the (a, k, i) axes of M's row block b
+        xb, yb = (x[:, :, None], y[:, None, :]) if transposed else (x[:, None, :], y[:, :, None])
+        # s_min(x) s_min(y) is at most ||x||_F ||y||_F / n, the root mean
+        # square of the n^2 singular values of M0: once e reaches it the
+        # lower bound cannot be positive, and the sum stops
+        limit = float(np.vdot(x, x).real * np.vdot(y, y).real) / (n * n)
+        squares = 0.0
+        for b in range(n):
+            if squares >= limit:
+                break
+            residual = m[b * n : (b + 1) * n].reshape(n, n, n) - xb * yb[b]
+            squares += float(np.vdot(residual, residual).real)
+        if squares >= limit:
+            continue
+        e = math.sqrt(squares)
+        sx, sy = np.linalg.svd(np.stack([x, y]), compute_uv=False)
+        low = float(sx[-1] * sy[-1]) - e
+        high = float(sx[0] * sy[0]) + e
+        if low > 0.0 and high * high <= 3.0 * low * low:
+            return low * low, high * high
+    return None
+
+
 def _gram_bounds(gram: np.ndarray) -> tuple[float, float] | None:
     """Weyl bounds (low, high) on the squared singular values of M, read
     from its Gram matrix G = M* M, or None when they are inconclusive.
 
+    This is the fallback for maps ``_choi_bounds`` cannot certify, those
+    far from any X -> A X B or A X^T B: it costs the O(n^6) product G.
     With c = tr(G) / N the mean of G's N eigenvalues and
     delta = ||G - c 1||_F, every eigenvalue lies in [c - delta, c + delta]
     (Weyl).  The bounds are returned only when delta <= c / 2: then M is
@@ -313,15 +381,18 @@ def jordan_check(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanCheck:
     an invertibility term ABS_FLOOR * cond(J) that stays at the floor for
     honest automorphisms and blows up for maps that are not one-to-one.
 
-    cond(J) and the tolerance scale max(1, sigma_max^2) are read from the
-    Gram certificate of ``_gram_bounds`` as sqrt(high / low) and high when
-    it is conclusive; the singular values are computed only when it is
-    inconclusive.  A conclusive certificate means cond(J) <= sqrt(3) however
-    it is computed, so the term stays within ABS_FLOOR * [1, sqrt(3)] and
-    the map is invertible under either rule.  On a Jordan map G = s^2 1 up
-    to rounding, so the term and the scale equal the exact ones to rounding
-    (about 1e-27 for the term); on other maps the scale may rise by up to a
-    factor 1.5, from sigma_max^2 to c + delta.
+    cond(J) and the tolerance scale max(1, sigma_max^2) are read from a
+    certificate's bounds as sqrt(high / low) and high when it is
+    conclusive: the O(n^4) Choi certificate (``_choi_bounds``) first, then
+    the Gram certificate (``_gram_bounds``); the singular values are
+    computed only when both are inconclusive.  A conclusive certificate
+    means cond(J) <= sqrt(3) however it is computed, so the term stays
+    within ABS_FLOOR * [1, sqrt(3)] and the map is invertible under either
+    rule.  A Jordan map s * Ad(U), or one composed with the transpose, has
+    Choi residual zero up to rounding and singular values s, so the term
+    and the scale equal the exact ones to rounding (about 1e-27 for the
+    term); on other maps the scale may rise by up to a factor 3, to the
+    certificate's high <= 3 low <= 3 sigma_min^2.
     """
     n = j.dim
     # the Hermitian spanning set, in order: E_ii, then for each i < k the
@@ -348,7 +419,7 @@ def jordan_check(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanCheck:
     # column vec(E) of m[:, s] is J(E*); of m.conj()[s] it is J(E)*
     s = swap(n)
     star_defect = _max_column_norm(j.matrix[:, s] - j.matrix.conj()[s])
-    bounds = _gram_bounds(dagger(j.matrix) @ j.matrix)
+    bounds = _choi_bounds(j.matrix) or _gram_bounds(dagger(j.matrix) @ j.matrix)
     if bounds is not None:
         low, high = bounds
         invertibility_defect = ABS_FLOOR * math.sqrt(high / low)
@@ -473,21 +544,24 @@ def isometry_check(
     Schatten norm, otherwise the state-weighted norm.
 
     Surjectivity is the invertibility of the n^2 x n^2 matrix M, decided
-    from its Gram matrix G = M* M first (``_gram_bounds``).  A conclusive
-    certificate bounds cond(M) by sqrt(3), so M is invertible and the
-    singular value rule below could only agree.  When
-    that certificate is inconclusive (projections, near-singular or zero
-    maps) the singular values are computed and M counts as onto when the
-    smallest exceeds INVERTIBILITY_RATIO times the largest.
+    by certificates that bound cond(M) by sqrt(3) when conclusive, so that
+    M is invertible and the singular value rule below could only agree.
+    The Choi certificate (``_choi_bounds``) comes first: it costs O(n^4)
+    and no n^2 x n^2 product, and concludes on every map close enough to
+    an X -> A X B or A X^T B with cond <= sqrt(3), Jordan maps included.
+    When it is inconclusive the Gram certificate (``_gram_bounds``) reads
+    G = M* M, and when that is inconclusive too (projections, near-singular
+    or zero maps) the singular values are computed and M counts as onto
+    when the smallest exceeds INVERTIBILITY_RATIO times the largest.
 
     For p = 2 an exact Gram certificate of the isometry is available (the
     matrix of T in an orthonormal basis of the relevant L^2 inner product
     must be unitary) and is required on top of the sampled comparison; with
-    measure=None it reuses G, otherwise it is built from the weighted
-    transport, which is returned in ``transport``.  G is freed before that
-    transport is built, so the two are never held at once.  For other p no
-    finite certificate is used, so the trial count and worst defect are
-    reported alongside the verdict.
+    measure=None it reads G, formed once whichever check needs it first,
+    otherwise it is built from the weighted transport, which is returned in
+    ``transport``.  G is freed before that transport is built, so the two
+    are never held at once.  For other p no finite certificate is used, so
+    the trial count and worst defect are reported alongside the verdict.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -503,19 +577,25 @@ def isometry_check(
     xs = np.stack([ginibre(n, rng) for _ in range(trials)])
     nx = norm(xs)
     max_rel = float(np.max(np.abs(norm(_apply_to_stack(t, xs)) - nx) / nx))
-    gram = dagger(t.matrix) @ t.matrix
-    onto = _gram_bounds(gram) is not None
+    gram = None
+    onto = _choi_bounds(t.matrix) is not None
+    if not onto:
+        gram = dagger(t.matrix) @ t.matrix
+        onto = _gram_bounds(gram) is not None
     if not onto:
         sv = np.linalg.svd(t.matrix, compute_uv=False)
         onto = bool(sv[0] > 0.0 and sv[-1] > INVERTIBILITY_RATIO * sv[0])
     gram_defect = transport = None
     if p == 2.0:
+        g = t.matrix
         if measure is not None:
             # M* M is freed before the transport is built, so the two are
             # never held at once
-            del gram
+            gram = None
             transport = weighted_isometry_transport(t, measure, p)
-            gram = dagger(transport.matrix) @ transport.matrix
+            g = transport.matrix
+        if gram is None:
+            gram = dagger(g) @ g
         # ||G - 1||_F, the diagonal shifted through a view as in _gram_bounds
         gram.reshape(-1)[:: n * n + 1] -= 1.0
         gram_defect = float(np.linalg.norm(gram))

@@ -20,6 +20,7 @@ from nclp.superop import (
     NotDecomposableError,
     NotJordanError,
     SuperOperator,
+    _choi_bounds,
     _gram_bounds,
     _reads_rank_one,
     canonical_jordan,
@@ -200,6 +201,115 @@ def test_jordan_check_invertibility_matches_the_singular_values():
         else:
             assert np.array_equal(t.inverse().matrix, np.linalg.inv(t.matrix))
     assert any(singular) and not all(singular)
+
+
+def _assert_choi_bounds_match_the_singular_values(t):
+    """The Choi certificate against the singular values: its bounds bracket
+    their squares up to rounding, it concludes only at cond <= sqrt(3), and
+    onto, is_jordan and inverse keep the singular-value verdicts.  Returns
+    whether it was conclusive."""
+    sv = np.linalg.svd(t.matrix, compute_uv=False)
+    bounds = _choi_bounds(t.matrix)
+    if bounds is not None:
+        low, high = bounds
+        assert 0.0 < low and high <= 3.0 * low
+        slack = 1e-12 * high
+        assert low - slack <= sv[-1] ** 2 and sv[0] ** 2 <= high + slack
+        assert sv[0] <= math.sqrt(3.0) * sv[-1] * (1.0 + 1e-12)
+    assert isometry_check(t, None, 1.0, trials=2, seed=0).onto == _svd_onto(t)
+    reference, scale, is_singular = _svd_invertibility(t)
+    check = jordan_check(t)
+    if math.isinf(reference):
+        assert math.isinf(check.invertibility_defect)
+    else:
+        assert abs(check.invertibility_defect - reference) <= 1e-12
+    assert check.is_jordan == (check.square_defect + check.star_defect + reference <= threshold(scale, 1e-9))
+    if is_singular:
+        with pytest.raises(SingularInputError):
+            t.inverse()
+    else:
+        assert np.array_equal(t.inverse().matrix, np.linalg.inv(t.matrix))
+    return bounds is not None
+
+
+def _transposed(t):
+    """t composed with the transpose: X -> t(X^T)."""
+    return SuperOperator(t.dim, t.matrix[:, swap(t.dim)])
+
+
+def test_choi_bounds_match_the_singular_values():
+    rng = rng_from(46)
+    jordan, inconclusive = [], []
+    for n in range(1, 7):
+        u = random_unitary(n, rng)
+        for kind in (KIND_ISO, KIND_ANTI):
+            jordan += [canonical_jordan(kind, u).scaled(s) for s in (1.0, 1e-3, 1e3)]
+    conclusive = list(jordan)
+    # X -> A X B with unitary B has cond(M) = cond(A); the certificate
+    # concludes exactly when cond(A) <= sqrt(3)
+    for n in (2, 3, 4):
+        for cond in (1.0, 1.5, 1.8, 2.0, 1e6):
+            a = random_unitary(n, rng) * np.geomspace(1.0, 1.0 / cond, n) @ random_unitary(n, rng)
+            t = SuperOperator.sandwich(a, random_unitary(n, rng))
+            (conclusive if cond <= math.sqrt(3.0) else inconclusive).extend([t, _transposed(t)])
+        noise = 1e-3 * ginibre(n * n, rng)
+        for kind in (KIND_ISO, KIND_ANTI):
+            conclusive.append(SuperOperator(n, canonical_jordan(kind, random_unitary(n, rng)).matrix + noise))
+        inconclusive.append(SuperOperator(n, ginibre(n * n, rng)))
+        # the identity with its last matrix unit scaled by 0.9: the residual
+        # 0.1 sits in M's last row block, and Weyl's lower bound is reached
+        tight = SuperOperator(n, np.diag(np.r_[np.ones(n * n - 1), 0.9]).astype(complex))
+        conclusive += [tight, _transposed(tight)]
+    e = np.diag([1.0, 0.0]).astype(complex)
+    inconclusive.append(SuperOperator.from_apply(2, lambda x: e @ x @ e))
+    inconclusive.append(SuperOperator(3, np.zeros((9, 9))))
+    assert all(_assert_choi_bounds_match_the_singular_values(t) for t in conclusive)
+    assert not any(_assert_choi_bounds_match_the_singular_values(t) for t in inconclusive)
+    # on Jordan maps and their multiples the bounds are exact to rounding
+    for t in jordan:
+        sv = np.linalg.svd(t.matrix, compute_uv=False)
+        low, high = _choi_bounds(t.matrix)
+        assert abs(low - sv[-1] ** 2) <= 1e-13 * high and abs(high - sv[0] ** 2) <= 1e-13 * high
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    log_cond=st.floats(0.0, 1.0),
+    log_noise=st.floats(-16.0, 0.0),
+    transposed=st.booleans(),
+)
+def test_choi_bounds_match_the_singular_values_on_random_maps(n, seed, log_cond, log_noise, transposed):
+    # X -> A X B with cond(A) = cond(B) = 10^(log_cond / 2), plus Ginibre
+    # noise of norm about 10^log_noise times ||M||_F, optionally transposed
+    rng = rng_from(seed)
+    factors = [
+        random_unitary(n, rng) * np.geomspace(1.0, 10.0 ** (-log_cond / 2.0), n) @ random_unitary(n, rng)
+        for _ in range(2)
+    ]
+    t = SuperOperator.sandwich(*factors)
+    noise = ginibre(n * n, rng)
+    t = SuperOperator(n, t.matrix + 10.0**log_noise * np.linalg.norm(t.matrix) / np.linalg.norm(noise) * noise)
+    _assert_choi_bounds_match_the_singular_values(_transposed(t) if transposed else t)
+
+
+def test_isometry_check_holds_no_n2_by_n2_array():
+    rng = rng_from(47)
+    n = 16
+    m = QuantumMeasure(random_density(n, rng))
+    t = SuperOperator.ad_unitary(random_unitary(n, rng))
+    for p in (1.0, 3.0):
+        for measure in (None, m):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                check = isometry_check(t, measure, p, trials=50, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert check.onto and check.gram_defect is None
+            assert peak - base < t.matrix.nbytes
 
 
 def test_jordan_classify_conjugation():
