@@ -23,6 +23,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+# acceptance, classical, mpc and superop are the package's lazy modules: bound
+# here, their bodies run only when a handler first uses them
 from . import acceptance, classical, jsonio, mpc, spaces, superop
 from .jsonio import SchemaError
 from .linalg import DEFAULT_TOL

@@ -4,7 +4,9 @@ Complex numbers serialize as [re, im] pairs everywhere; matrices as
 {"dim": n, "matrix": [[pair, ...], ...]} in row-major order; superoperators
 use the same layout with an n^2 x n^2 matrix.  Floats are rendered through
 repr, which round-trips exactly, so identical inputs produce byte-identical
-output.
+output.  The map classes are imported where a decoder builds them, so that
+decoding plain matrices runs neither :mod:`nclp.superop` nor
+:mod:`nclp.classical`.
 """
 
 from __future__ import annotations
@@ -12,11 +14,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .classical import FiniteMeasureSpace, PointMap
-from .superop import LampertiDecomposition, SuperOperator
+if TYPE_CHECKING:
+    from .classical import FiniteMeasureSpace, PointMap
+    from .superop import LampertiDecomposition, SuperOperator
 
 
 class SchemaError(ValueError):
@@ -81,6 +85,8 @@ def superop_to_json(t: SuperOperator) -> dict:
 
 
 def superop_from_json(obj, field: str) -> SuperOperator:
+    from .superop import SuperOperator
+
     # the declared dim is the algebra dimension n; the matrix side is n^2,
     # so the generic matrix check must only see the raw rows
     rows = require(obj, "matrix") if isinstance(obj, dict) else obj
@@ -95,6 +101,8 @@ def superop_from_json(obj, field: str) -> SuperOperator:
 
 
 def point_map_from_json(obj, field: str = "map") -> PointMap:
+    from .classical import PointMap
+
     images = require(obj, "map") if isinstance(obj, dict) else obj
     if not isinstance(images, list) or not images:
         raise SchemaError(field, "map must be a nonempty list of indices")
@@ -111,6 +119,8 @@ def point_map_to_json(s: PointMap) -> dict:
 
 
 def measure_space_from_json(obj, field: str = "mu") -> FiniteMeasureSpace:
+    from .classical import FiniteMeasureSpace
+
     mu = require(obj, "mu") if isinstance(obj, dict) else obj
     if not isinstance(mu, list) or not mu:
         raise SchemaError(field, "mu must be a nonempty list of positive masses")

@@ -53,7 +53,7 @@ def as_matrices(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 

@@ -23,6 +23,13 @@ def ginibre(n: int, rng) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
+def ginibre_stack(n: int, k: int, rng) -> np.ndarray:
+    """k Ginibre matrices as a (k, n, n) stack: the stream is read in the
+    order of k ``ginibre`` calls, so the stack equals theirs bit for bit."""
+    x = rng_from(rng).standard_normal((k, 2, n, n))
+    return x[:, 0] + 1j * x[:, 1]
+
+
 def random_hermitian(n: int, rng) -> np.ndarray:
     return hermitian_part(ginibre(n, rng))
 

@@ -37,7 +37,7 @@ from .linalg import (
     hermitian_part,
     threshold,
 )
-from .sampling import ginibre, rng_from
+from .sampling import ginibre_stack
 
 #: Exponent grid used by every sampling-based check in the package.
 P_GRID = (1.0, 1.5, 2.0, 3.0, 4.0)
@@ -240,8 +240,7 @@ def norm_scale_report(
     """Sample matrices and record sign(norm_p - norm_q) over the exponent grid."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = rng_from(seed)
-    samples = np.stack([ginibre(measure.dim, rng) for _ in range(trials)])
+    samples = ginibre_stack(measure.dim, trials, seed)
     # one stack norm per exponent, one row per sample
     norms = {p: weighted_norm(samples, measure, p).tolist() for p in P_GRID}
     rows = []

@@ -45,7 +45,7 @@ from .linalg import (
     polar_decompose,
     threshold,
 )
-from .sampling import ginibre, rng_from
+from .sampling import ginibre_stack
 from .spaces import QuantumMeasure, check_p, schatten_norm, weighted_norm
 
 #: Relative cutoff for Choi-rank decisions: on the singular values in
@@ -357,6 +357,34 @@ def _reads_rank_one(c: np.ndarray, rtol: float = CHOI_RANK_RTOL) -> bool:
     return bool(residual <= rtol * np.linalg.norm(c))
 
 
+def _square_defects(j: SuperOperator, i: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """||J(A^2) - J(A)^2||_F over the Hermitian spanning set, in order: E_ii,
+    then for each pair (i, k) of ``np.triu_indices`` the symmetric
+    E_ik + E_ki and the skew i E_ik - i E_ki, both squaring to E_ii + E_kk.
+
+    The images ja are written into one (n^2, n, n) stack and squared once;
+    the squares' images are subtracted in place, so at most three
+    n^2 x n^2 arrays' worth is alive at once.
+    """
+    n = j.dim
+    images = _images(j)
+    units = images[np.arange(n), np.arange(n)]
+    ja = np.empty((n * n, n, n), dtype=complex)
+    ja[:n] = units
+    pairs = ja[n:].reshape(-1, 2, n, n)
+    upper, lower = images[i, k], images[k, i]
+    np.add(upper, lower, out=pairs[:, 0])
+    np.subtract(upper, lower, out=pairs[:, 1])
+    pairs[:, 1] *= 1j
+    del upper, lower
+    sq = ja @ ja
+    del ja, pairs
+    sq[:n] -= units
+    paired = sq[n:].reshape(-1, 2, n, n)
+    paired -= (units[i] + units[k])[:, None]
+    return np.linalg.norm(sq, axis=(1, 2))
+
+
 @dataclass(frozen=True)
 class JordanCheck:
     is_jordan: bool
@@ -395,16 +423,8 @@ def jordan_check(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanCheck:
     certificate's high <= 3 low <= 3 sigma_min^2.
     """
     n = j.dim
-    # the Hermitian spanning set, in order: E_ii, then for each i < k the
-    # symmetric E_ik + E_ki and the skew i E_ik - i E_ki, both squaring to
-    # E_ii + E_kk; ja holds their images, ja_sq the images of their squares
-    images = _images(j)
-    units = images[np.arange(n), np.arange(n)]
     i, k = np.triu_indices(n, 1)
-    pairs = np.stack([images[i, k] + images[k, i], 1j * (images[i, k] - images[k, i])], axis=1)
-    ja = np.concatenate([units, pairs.reshape(-1, n, n)])
-    ja_sq = np.concatenate([units, np.repeat(units[i] + units[k], 2, axis=0)])
-    defects = np.linalg.norm(ja_sq - ja @ ja, axis=(1, 2))
+    defects = _square_defects(j, i, k)
     worst_index = int(np.argmax(defects))
     square_defect = float(defects[worst_index])
     worst = np.eye(n, dtype=complex)
@@ -416,9 +436,16 @@ def jordan_check(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanCheck:
             pair, skew = divmod(worst_index - n, 2)
             a, b = i[pair], k[pair]
             worst[a, b], worst[b, a] = (1j, -1j) if skew else (1.0, 1.0)
-    # column vec(E) of m[:, s] is J(E*); of m.conj()[s] it is J(E)*
-    s = swap(n)
-    star_defect = _max_column_norm(j.matrix[:, s] - j.matrix.conj()[s])
+    # column vec(E) of m[:, s] is J(E*); of m.conj()[s] it is J(E)*; taken
+    # over blocks of about 64 columns, so that no permuted n^2 x n^2 copy is
+    # made.  A block is a multiple of n wide: a one-column block would be
+    # summed in another order, and its norm could differ in the last bit
+    m, s = j.matrix, swap(n)
+    width = n * max(1, 64 // n)
+    star_defect = max(
+        _max_column_norm(m[:, s[c : c + width]] - m[s, c : c + width].conj())
+        for c in range(0, n * n, width)
+    )
     bounds = _choi_bounds(j.matrix) or _gram_bounds(dagger(j.matrix) @ j.matrix)
     if bounds is not None:
         low, high = bounds
@@ -500,15 +527,12 @@ def positivity_check(
     positivity only: complete positivity is strictly stronger, and maps with
     a transposed part are positive without being completely positive.
     """
-    rng = rng_from(seed)
     n = t.dim
+    g = ginibre_stack(n, trials, seed)
+    states = g @ g.conj().transpose(0, 2, 1)
+    states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
     # the diagonal units E_ii, then the sampled states
-    samples = [np.eye(n)[:, :, None] * np.eye(n)]
-    for _ in range(trials):
-        g = ginibre(n, rng)
-        p = g @ dagger(g)
-        samples.append((p / np.trace(p).real)[None])
-    out = _apply_to_stack(t, np.concatenate(samples))
+    out = _apply_to_stack(t, np.concatenate([np.eye(n)[:, :, None] * np.eye(n), states]))
     w = np.linalg.eigvalsh((out + out.conj().transpose(0, 2, 1)) / 2.0)
     scale = np.maximum(1.0, np.abs(w).max(axis=1))
     defect = float(np.max(np.maximum(-w[:, 0], 0.0) / scale))
@@ -566,7 +590,6 @@ def isometry_check(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = check_p(p)
-    rng = rng_from(seed)
     n = t.dim
 
     def norm(x):
@@ -574,7 +597,7 @@ def isometry_check(
             return schatten_norm(x, p)
         return weighted_norm(x, measure, p)
 
-    xs = np.stack([ginibre(n, rng) for _ in range(trials)])
+    xs = ginibre_stack(n, trials, seed)
     nx = norm(xs)
     max_rel = float(np.max(np.abs(norm(_apply_to_stack(t, xs)) - nx) / nx))
     gram = None

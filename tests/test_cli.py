@@ -1,5 +1,6 @@
 """Command line surface: schemas, exit codes, and byte-identical reports."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nclp
 from nclp import superop
 from nclp.cli import COMMANDS, main
 from nclp.jsonio import dumps, matrix_to_json, superop_to_json
@@ -348,6 +350,77 @@ def test_import_needs_only_numpy_and_the_standard_library():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "['nclp', 'numpy']"
+
+
+#: the modules a process runs only when one of its calls needs them
+LAZY = ("nclp.acceptance", "nclp.classical", "nclp.mpc", "nclp.superop")
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["norm", "--input", payload({"A": {"matrix": [[2]]}, "p": 1})], set(LAZY)),
+        (
+            ["classical", "koopman", "--input", payload({"map": [1, 0]})],
+            {"nclp.acceptance", "nclp.mpc", "nclp.superop"},
+        ),
+        (
+            ["jordan", "--input", payload({"J": superop_to_json(SuperOperator.identity(2))})],
+            {"nclp.acceptance", "nclp.classical", "nclp.mpc"},
+        ),
+    ],
+    ids=["norm", "classical-koopman", "jordan"],
+)
+def test_a_subcommand_runs_only_the_modules_it_uses(argv, unloaded):
+    # a lazy module's type changes when its body runs; reading an attribute
+    # instead would run it
+    probe = (
+        "import sys, types; from nclp.cli import main; "
+        f"code = main({argv!r}); "
+        f"print(code, sorted(n for n in {LAZY!r} if type(sys.modules[n]) is not types.ModuleType), file=sys.stderr)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=SRC_ENV)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.strip() == f"0 {sorted(unloaded)}"
+
+
+#: the names importable from the package itself, by their submodule
+PACKAGE_NAMES = {
+    "classical": (
+        "FiniteMeasureSpace PointMap doubly_stochastic_check frobenius_perron_of koopman_of "
+        "multiplicativity_check weighted_permutation_decompose"
+    ),
+    "linalg": (
+        "DEFAULT_TOL DensityMatrix HermitianEig frac_power hermitian_eig matrix_abs polar_decompose "
+        "psd_leq"
+    ),
+    "mpc": (
+        "SpectralFunction TruncatedKShift WalshOperator build_shift conditional_expectation lambda_build "
+        "mpc_implementability stochasticity_suite time_operator walsh_to_grid wt_build"
+    ),
+    "spaces": (
+        "P_GRID QuantumMeasure integrability_constant maximally_mixed norm_scale_report schatten_norm "
+        "tau_conjugate weighted_inner weighted_norm"
+    ),
+    "superop": (
+        "LampertiDecomposition SuperOperator change_of_representation_demo choi implementability_check "
+        "isometry_check jordan_check jordan_classify lamperti_decompose positivity_check "
+        "weighted_isometry_transport"
+    ),
+}
+
+
+def test_package_names_import_as_their_submodule_objects():
+    listed = []
+    for module, names in PACKAGE_NAMES.items():
+        home = importlib.import_module(f"nclp.{module}")
+        for name in names.split():
+            namespace = {}
+            exec(f"from nclp import {name}", namespace)
+            assert namespace[name] is getattr(home, name)
+            listed.append(name)
+    assert len(listed) == 46 and sorted(nclp.__all__) == sorted(listed)
+    assert not hasattr(nclp, "no_such_name")
 
 
 def test_bad_json_is_usage_error(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nclp import superop
 from nclp.linalg import ABS_FLOOR, INVERTIBILITY_RATIO, SingularInputError, dagger, hermitian_part, threshold
-from nclp.sampling import commuting_unitary, ginibre, random_density, random_unitary, rng_from
+from nclp.sampling import commuting_unitary, ginibre, ginibre_stack, random_density, random_unitary, rng_from
 from nclp.spaces import P_GRID, QuantumMeasure, maximally_mixed, schatten_norm, weighted_norm
 from nclp.superop import (
     KIND_ANTI,
@@ -310,6 +310,101 @@ def test_isometry_check_holds_no_n2_by_n2_array():
                 tracemalloc.stop()
             assert check.onto and check.gram_defect is None
             assert peak - base < t.matrix.nbytes
+
+
+def _jordan_defects_whole(j):
+    """The square and star defects from whole stacked and permuted copies."""
+    n = j.dim
+    images = superop._images(j)
+    units = images[np.arange(n), np.arange(n)]
+    i, k = np.triu_indices(n, 1)
+    pairs = np.stack([images[i, k] + images[k, i], 1j * (images[i, k] - images[k, i])], axis=1)
+    ja = np.concatenate([units, pairs.reshape(-1, n, n)])
+    ja_sq = np.concatenate([units, np.repeat(units[i] + units[k], 2, axis=0)])
+    square = float(np.max(np.linalg.norm(ja_sq - ja @ ja, axis=(1, 2))))
+    s = swap(n)
+    star = float(np.max(np.linalg.norm(j.matrix[:, s] - j.matrix.conj()[s], axis=0)))
+    return square, star
+
+
+def test_jordan_check_holds_at_most_three_n2_by_n2_arrays():
+    n = 16
+    u = random_unitary(n, rng_from(48))
+    for j in (SuperOperator.ad_unitary(u), canonical_jordan(KIND_ANTI, u)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            check = jordan_check(j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check.is_jordan
+        assert (check.square_defect, check.star_defect) == _jordan_defects_whole(j)
+        assert peak - base <= 3 * j.matrix.nbytes
+
+
+def test_jordan_check_defects_equal_the_whole_array_formulas():
+    rng = rng_from(49)
+    for n in range(1, 9):
+        conjugation = SuperOperator.ad_unitary(random_unitary(n, rng)).matrix
+        for m in (ginibre(n * n, rng), conjugation + 1e-6 * ginibre(n * n, rng), conjugation):
+            j = SuperOperator(n, m)
+            check = jordan_check(j)
+            assert (check.square_defect, check.star_defect) == _jordan_defects_whole(j)
+
+
+def test_ginibre_stack_is_the_per_sample_draws():
+    for n in range(1, 7):
+        for trials in (1, 25, 50):
+            rng = rng_from(n + trials)
+            reference = np.stack([ginibre(n, rng) for _ in range(trials)])
+            stack = ginibre_stack(n, trials, rng_from(n + trials))
+            assert stack.shape == reference.shape and stack.tobytes() == reference.tobytes()
+
+
+def _positivity_report_loop(t, trials, seed, tol=1e-9):
+    """positivity_check with each state drawn by its own ``ginibre`` call."""
+    rng = rng_from(seed)
+    n = t.dim
+    samples = [np.eye(n)[:, :, None] * np.eye(n)]
+    for _ in range(trials):
+        g = ginibre(n, rng)
+        p = g @ dagger(g)
+        samples.append((p / np.trace(p).real)[None])
+    out = superop._apply_to_stack(t, np.concatenate(samples))
+    w = np.linalg.eigvalsh((out + out.conj().transpose(0, 2, 1)) / 2.0)
+    defect = float(np.max(np.maximum(-w[:, 0], 0.0) / np.maximum(1.0, np.abs(w).max(axis=1))))
+    return superop.PositivityReport(bool(defect <= threshold(1.0, tol)), defect, trials)
+
+
+def _max_rel_defect_loop(t, measure, p, trials, seed):
+    """isometry_check's sampled defect, one ``ginibre`` draw and norm at a time."""
+    rng = rng_from(seed)
+    xs = [ginibre(t.dim, rng) for _ in range(trials)]
+    images = superop._apply_to_stack(t, np.stack(xs))
+
+    def norm(x):
+        return schatten_norm(x, p) if measure is None else weighted_norm(x, measure, p)
+
+    return max(abs(norm(y) - norm(x)) / norm(x) for x, y in zip(xs, images))
+
+
+def test_batched_draws_give_the_per_trial_reports():
+    rng = rng_from(50)
+    for n in (1, 2, 3, 5):
+        u = random_unitary(n, rng)
+        m = QuantumMeasure(random_density(n, rng))
+        maps = (
+            SuperOperator.ad_unitary(u),
+            canonical_jordan(KIND_ANTI, u),
+            SuperOperator(n, ginibre(n * n, rng) / n),
+        )
+        for t in maps:
+            for trials in (1, 25):
+                assert positivity_check(t, trials=trials, seed=n) == _positivity_report_loop(t, trials, n)
+                for measure, p in ((None, 1.0), (m, 3.0)):
+                    check = isometry_check(t, measure, p, trials=trials, seed=n)
+                    assert check.max_rel_defect == _max_rel_defect_loop(t, measure, p, trials, n)
 
 
 def test_jordan_classify_conjugation():
