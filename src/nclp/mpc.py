@@ -378,32 +378,43 @@ def semigroup_defect(shift: TruncatedKShift, f: SpectralFunction, s: int, t: int
     return _masked_max(residual, wst.domain)
 
 
+def _filtration_by_age(shift: TruncatedKShift) -> tuple[np.ndarray, np.ndarray, float]:
+    """The filtration times -N-1..N; the weights of each E_t, one row per
+    time, at one mask per age (the empty mask, then the lowest mask 2^b of
+    age b - N); and the spread, how far any mask's weight strays from its
+    age's.  E_t depends only on age, so the spread is 0 and the identities
+    on the projectors hold on all masks when they hold on these; the spread
+    stays in both defects so that a mask the representatives miss still
+    counts.  One d-length projector is alive at a time."""
+    n = shift.half_width
+    times = np.arange(-n - 1, n + 1)
+    representatives = np.r_[0, 1 << np.arange(shift.sites)]
+    age_index = shift.ages + n + 1
+    per_age = np.empty((times.size, representatives.size))
+    spread = 0.0
+    for row, t in zip(per_age, times):
+        weights = conditional_expectation(shift, int(t)).weights
+        row[:] = weights[representatives]
+        spread = max(spread, float(np.max(np.abs(weights - row[age_index]))))
+    return times, per_age, spread
+
+
 def filtration_defect(shift: TruncatedKShift) -> float:
     """Projector algebra: E_s E_t = E_t E_s = E_min(s,t), exactly."""
-    n = shift.half_width
-    times = range(-n - 1, n + 1)
-    projectors = {t: conditional_expectation(shift, t).weights for t in times}
-    worst = 0.0
-    for s in times:
-        for t in times:
-            product = projectors[s] * projectors[t]
-            worst = max(worst, float(np.max(np.abs(product - projectors[min(s, t)]))))
-    return worst
+    times, per_age, spread = _filtration_by_age(shift)
+    k = np.arange(times.size)
+    products = per_age[:, None] * per_age[None] - per_age[np.minimum.outer(k, k)]
+    return max(spread, float(np.max(np.abs(products))))
 
 
 def time_consistency_defect(shift: TruncatedKShift) -> float:
     """The telescoping sum sum_t t (E_t - E_{t-1}) must reproduce the age
     operator on its domain."""
-    n = shift.half_width
-    total = np.zeros(shift.dim)
-    prev = conditional_expectation(shift, -n - 1).weights
-    for t in range(-n, n + 1):
-        cur = conditional_expectation(shift, t).weights
-        total += t * (cur - prev)
-        prev = cur
+    times, per_age, spread = _filtration_by_age(shift)
+    total = (times[1:] @ np.diff(per_age, axis=0))[shift.ages + shift.half_width + 1]
     reference = time_operator(shift)
     mask = reference.domain
-    return float(np.max(np.abs(total[mask] - reference.weights[mask])))
+    return max(spread, float(np.max(np.abs(total[mask] - reference.weights[mask]))))
 
 
 def contraction_violation(shift: TruncatedKShift, f: SpectralFunction, t: int) -> float:

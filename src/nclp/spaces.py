@@ -91,6 +91,11 @@ class QuantumMeasure:
         """Orthonormal eigenvectors of rho, in ascending eigenvalue order."""
         return self._eig.eigenvectors
 
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of rho, ascending, matching ``eigenbasis``."""
+        return self._eig.eigenvalues
+
     def power(self, r: float) -> np.ndarray:
         """rho^r for any real r (rho is invertible by construction)."""
         r = float(r)

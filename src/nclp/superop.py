@@ -49,9 +49,10 @@ from .sampling import ginibre_stack
 from .spaces import QuantumMeasure, check_p, schatten_norm, weighted_norm
 
 #: Relative cutoff for Choi-rank decisions: on the singular values in
-#: ``choi_rank``, on the Frobenius residual in ``jordan_classify``.  The
-#: invertibility certificate ``_choi_bounds`` takes no cutoff: its residual
-#: enters the bounds it returns.
+#: ``choi_rank``, on the pivot reading's Frobenius residual in
+#: ``jordan_classify``.  The invertibility rule takes no cutoff: the Choi
+#: certificate's residual enters the bounds it returns, and otherwise the
+#: singular values decide.
 CHOI_RANK_RTOL = 1e-8
 
 KIND_ISO = "star_isomorphism"
@@ -141,19 +142,14 @@ class SuperOperator:
         """The inverse map; SingularInputError when the matrix M is singular.
 
         M counts as singular when its smallest singular value is at most
-        INVERTIBILITY_RATIO times its largest (or M is zero).  A conclusive
-        certificate puts that ratio at >= 1/sqrt(3), so it decides
-        "invertible" with the verdict of the singular values.  The Choi
-        certificate (``_choi_bounds``, O(n^4)) is tried first, the Gram
-        certificate (``_gram_bounds``, one O(n^6) product) when it is
-        inconclusive, and the singular values are computed only when both are.
+        INVERTIBILITY_RATIO times its largest (or M is zero), read through
+        ``_singular_value_bounds``: the O(n^4) Choi certificate when it
+        concludes, the singular values otherwise.
         """
-        m = self.matrix
-        if _choi_bounds(m) is None and _gram_bounds(dagger(m) @ m) is None:
-            sv = np.linalg.svd(m, compute_uv=False)
-            if sv[0] == 0.0 or sv[-1] <= INVERTIBILITY_RATIO * sv[0]:
-                raise SingularInputError("superoperator is not invertible")
-        return SuperOperator(self.dim, np.linalg.inv(m))
+        low, high = _singular_value_bounds(self.matrix)
+        if not (high > 0.0 and low > INVERTIBILITY_RATIO * high):
+            raise SingularInputError("superoperator is not invertible")
+        return SuperOperator(self.dim, np.linalg.inv(self.matrix))
 
     def scaled(self, factor: complex) -> "SuperOperator":
         return SuperOperator(self.dim, factor * self.matrix)
@@ -222,35 +218,30 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a * phase - b))
 
 
-def _choi_bounds(m: np.ndarray) -> tuple[float, float] | None:
-    """Weyl bounds (low, high) on the squared singular values of the
-    n^2 x n^2 matrix M of a map, read in O(n^4) from the pivot's Choi column
-    and row, or None when they are inconclusive.
+def _choi_pivot_reading(m: np.ndarray):
+    """Yield (x, y, e) for the conjugation kind, then the transposed kind,
+    read in O(n^4) off the n^2 x n^2 matrix M of a map; nothing when M = 0.
 
-    A map X -> A X B has Choi matrix x y^T, rank one, and the singular
-    values of M = kron(B^T, A) are sigma_i(A) sigma_j(B); X -> A X^T B is
-    that map composed with the transpose, which only permutes the columns
-    of M.  The pivot, M's entry of largest modulus, is the same entry of
-    choi(M) and of choi(M o transpose): both are views of
-    ``m.reshape(n, n, n, n)``, indexed [b, a, k, i] for row bn + a and
-    column kn + i.  Each kind reads the pivot's Choi column as an n x n
-    matrix x and its row over the pivot as y, so that the map M0 whose Choi
-    matrix is x y^T has M0[bn + a, kn + i] = x[a, i] y[b, k] (conjugation
-    kind, M0 = kron(y, x)) or x[a, k] y[b, i] (transposed kind).  The
-    residual e = ||C - x y^T||_F is summed over row blocks of M, so neither
-    a Choi matrix nor an outer product is built.  The Choi reshuffle and
-    the transpose only permute entries, so ||M - M0||_2 <= e, and Weyl puts
-    every singular value of M in [s_min(x) s_min(y) - e, s_max(x) s_max(y)
-    + e], from two n x n SVDs.  The bounds are returned, as their squares,
-    only when the upper one is at most sqrt(3) times the lower one: the
-    contract of ``_gram_bounds``.  No rtol enters; the residual does.
+    A map X -> A X B has Choi matrix x y^T, rank one; X -> A X^T B is that
+    map composed with the transpose, which only permutes the columns of M.
+    The pivot, M's entry of largest modulus, is the same entry of choi(M)
+    and of choi(M o transpose): both are views of ``m.reshape(n, n, n, n)``,
+    indexed [b, a, k, i] for row bn + a and column kn + i.  Each kind reads
+    the pivot's Choi column as an n x n matrix x and its row over the pivot
+    as y, so that the map M0 whose Choi matrix is x y^T has
+    M0[bn + a, kn + i] = x[a, i] y[b, k] (conjugation kind, M0 = kron(y, x))
+    or x[a, k] y[b, i] (transposed kind).  The residual e = ||C - x y^T||_F
+    = ||M - M0||_F is summed over row blocks of M, so neither a Choi matrix
+    nor an outer product is built.  The sum stops once e reaches
+    ||x||_F ||y||_F / n, the root mean square of the n^2 singular values of
+    M0, and e is then inf: M is far from M0 by any measure.
     """
     size = m.shape[0]
     n = math.isqrt(size)
     row, col = divmod(int(np.argmax(np.abs(m))), size)
     pivot = m[row, col]
     if pivot == 0:
-        return None
+        return
     (b0, a0), (k0, i0) = divmod(row, n), divmod(col, n)
     pivot_rows = m[b0 * n : (b0 + 1) * n]
     kinds = (
@@ -262,9 +253,6 @@ def _choi_bounds(m: np.ndarray) -> tuple[float, float] | None:
     for x, y, transposed in kinds:
         # x y[b], broadcast to the (a, k, i) axes of M's row block b
         xb, yb = (x[:, :, None], y[:, None, :]) if transposed else (x[:, None, :], y[:, :, None])
-        # s_min(x) s_min(y) is at most ||x||_F ||y||_F / n, the root mean
-        # square of the n^2 singular values of M0: once e reaches it the
-        # lower bound cannot be positive, and the sum stops
         limit = float(np.vdot(x, x).real * np.vdot(y, y).real) / (n * n)
         squares = 0.0
         for b in range(n):
@@ -272,9 +260,27 @@ def _choi_bounds(m: np.ndarray) -> tuple[float, float] | None:
                 break
             residual = m[b * n : (b + 1) * n].reshape(n, n, n) - xb * yb[b]
             squares += float(np.vdot(residual, residual).real)
-        if squares >= limit:
+        yield x, y, (math.sqrt(squares) if squares < limit else math.inf)
+
+
+def _choi_bounds(m: np.ndarray) -> tuple[float, float] | None:
+    """Weyl bounds (low, high) on the squared singular values of the
+    n^2 x n^2 matrix M of a map, read in O(n^4) from the pivot's Choi column
+    and row (``_choi_pivot_reading``), or None when they are inconclusive.
+
+    The singular values of M0 = kron(y, x), or of its column permutation,
+    are sigma_i(x) sigma_j(y), and the Choi reshuffle and the transpose
+    only permute entries, so ||M - M0||_2 <= e and Weyl puts every singular
+    value of M in [s_min(x) s_min(y) - e, s_max(x) s_max(y) + e], from two
+    n x n SVDs.  The bounds are returned, as their squares, only when the
+    upper one is at most sqrt(3) times the lower one, so that a conclusive
+    certificate means cond(M) <= sqrt(3).  No rtol enters; the residual
+    does.  s_min(x) s_min(y) is at most the root mean square at which the
+    residual sum stops, so an inf residual is inconclusive.
+    """
+    for x, y, e in _choi_pivot_reading(m):
+        if math.isinf(e):
             continue
-        e = math.sqrt(squares)
         sx, sy = np.linalg.svd(np.stack([x, y]), compute_uv=False)
         low = float(sx[-1] * sy[-1]) - e
         high = float(sx[0] * sy[0]) + e
@@ -283,30 +289,21 @@ def _choi_bounds(m: np.ndarray) -> tuple[float, float] | None:
     return None
 
 
-def _gram_bounds(gram: np.ndarray) -> tuple[float, float] | None:
-    """Weyl bounds (low, high) on the squared singular values of M, read
-    from its Gram matrix G = M* M, or None when they are inconclusive.
+def _singular_value_bounds(m: np.ndarray) -> tuple[float, float]:
+    """Bounds (low, high) around the singular values of M, the one
+    invertibility rule's input: M is invertible when high > 0 and
+    low > INVERTIBILITY_RATIO * high.
 
-    This is the fallback for maps ``_choi_bounds`` cannot certify, those
-    far from any X -> A X B or A X^T B: it costs the O(n^6) product G.
-    With c = tr(G) / N the mean of G's N eigenvalues and
-    delta = ||G - c 1||_F, every eigenvalue lies in [c - delta, c + delta]
-    (Weyl).  The bounds are returned only when delta <= c / 2: then M is
-    invertible with sigma_min / sigma_max >= 1 / sqrt(3), far above
-    INVERTIBILITY_RATIO, so the singular-value rule could only agree.  G's
-    diagonal is shifted in place through a view (no N x N identity is built)
-    and restored bit for bit before returning.
+    They are the Choi certificate's (``_choi_bounds``) when it concludes:
+    then cond(M) <= sqrt(3), far above the ratio, and the rule could only
+    agree with the singular values.  Otherwise they are the exact smallest
+    and largest singular values, from one SVD.
     """
-    size = gram.shape[0]
-    diagonal = gram.reshape(-1)[:: size + 1]
-    gram_diagonal = diagonal.copy()
-    c = float(np.sum(gram_diagonal.real)) / size
-    diagonal[:] = gram_diagonal - c
-    delta = float(np.linalg.norm(gram))
-    diagonal[:] = gram_diagonal
-    if c > 0.0 and delta <= c / 2.0:
-        return c - delta, c + delta
-    return None
+    bounds = _choi_bounds(m)
+    if bounds is not None:
+        return math.sqrt(bounds[0]), math.sqrt(bounds[1])
+    sv = np.linalg.svd(m, compute_uv=False)
+    return float(sv[-1]), float(sv[0])
 
 
 def _max_column_norm(m: np.ndarray) -> float:
@@ -339,22 +336,6 @@ def choi_rank(c: np.ndarray, rtol: float = CHOI_RANK_RTOL) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rtol * s[0]))
-
-
-def _reads_rank_one(c: np.ndarray, rtol: float = CHOI_RANK_RTOL) -> bool:
-    """Whether C is rank one to within rtol * ||C||_F, in O(n^4).
-
-    A rank-one C = x y* equals column j times row i over C_ij for any
-    nonzero entry; the entry of largest modulus is the pivot.  For a
-    Hermitian C = s v v* that entry lies on the diagonal, and the product
-    is c_k c_k* / C_kk whatever the sign of s.
-    """
-    i, j = np.unravel_index(int(np.argmax(np.abs(c))), c.shape)
-    pivot = c[i, j]
-    if pivot == 0:
-        return False
-    residual = np.linalg.norm(c - np.outer(c[:, j], c[i]) / pivot)
-    return bool(residual <= rtol * np.linalg.norm(c))
 
 
 def _square_defects(j: SuperOperator, i: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -409,18 +390,16 @@ def jordan_check(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanCheck:
     an invertibility term ABS_FLOOR * cond(J) that stays at the floor for
     honest automorphisms and blows up for maps that are not one-to-one.
 
-    cond(J) and the tolerance scale max(1, sigma_max^2) are read from a
-    certificate's bounds as sqrt(high / low) and high when it is
-    conclusive: the O(n^4) Choi certificate (``_choi_bounds``) first, then
-    the Gram certificate (``_gram_bounds``); the singular values are
-    computed only when both are inconclusive.  A conclusive certificate
-    means cond(J) <= sqrt(3) however it is computed, so the term stays
+    cond(J) and the tolerance scale max(1, sigma_max^2) are read as
+    high / low and high^2 from ``_singular_value_bounds``: the singular
+    values themselves unless the O(n^4) Choi certificate concludes.  A
+    conclusive certificate means cond(J) <= sqrt(3), so the term stays
     within ABS_FLOOR * [1, sqrt(3)] and the map is invertible under either
-    rule.  A Jordan map s * Ad(U), or one composed with the transpose, has
-    Choi residual zero up to rounding and singular values s, so the term
-    and the scale equal the exact ones to rounding (about 1e-27 for the
-    term); on other maps the scale may rise by up to a factor 3, to the
-    certificate's high <= 3 low <= 3 sigma_min^2.
+    reading.  A Jordan map s * Ad(U), or one composed with the transpose,
+    has Choi residual zero up to rounding and singular values s, so the
+    term and the scale equal the exact ones to rounding (about 1e-27 for
+    the term); on other maps the certificate concludes on, the scale may
+    rise by up to a factor 3, to high^2 <= 3 low^2 <= 3 sigma_min^2.
     """
     n = j.dim
     i, k = np.triu_indices(n, 1)
@@ -446,16 +425,10 @@ def jordan_check(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanCheck:
         _max_column_norm(m[:, s[c : c + width]] - m[s, c : c + width].conj())
         for c in range(0, n * n, width)
     )
-    bounds = _choi_bounds(j.matrix) or _gram_bounds(dagger(j.matrix) @ j.matrix)
-    if bounds is not None:
-        low, high = bounds
-        invertibility_defect = ABS_FLOOR * math.sqrt(high / low)
-    else:
-        sv = np.linalg.svd(j.matrix, compute_uv=False)
-        high = float(sv[0]) ** 2
-        invertibility_defect = math.inf if sv[-1] <= 0.0 else ABS_FLOOR * float(sv[0] / sv[-1])
+    low, high = _singular_value_bounds(j.matrix)
+    invertibility_defect = math.inf if low <= 0.0 else ABS_FLOOR * (high / low)
     defect = square_defect + star_defect + invertibility_defect
-    scale = max(1.0, high)
+    scale = max(1.0, high**2)
     return JordanCheck(
         is_jordan=bool(defect <= threshold(scale, tol)),
         defect=defect,
@@ -477,27 +450,25 @@ def jordan_classify(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanClassif
     """Split a Jordan automorphism into its conjugation or transposed form.
 
     On the full matrix algebra exactly one of choi(J), choi(J o transpose)
-    has rank one.  The rank test costs O(n^4) and takes no SVD: a
-    conjugation's Choi matrix is vec(U) vec(U)*, which its column c_k at the
-    largest diagonal entry reproduces as c_k c_k* / C_kk, so C reads as rank
-    one when that product matches C to within CHOI_RANK_RTOL of ||C||_F.
-    It agrees with ``choi_rank(C) == 1`` except for spectra within a small
-    factor of the cutoff.  The implementing unitary is then read off the
-    top eigenvector of that candidate, rescaled to unitarity and
-    phase-fixed.  Raises NotClassifiableError when neither rank test passes,
-    which signals a map that is not Jordan (or a center that is not
-    trivial, out of scope here).
+    has rank one: a conjugation's Choi matrix is vec(U) vec(U)*.  The rank
+    test costs O(n^4) and takes no SVD: ``_choi_pivot_reading`` gives each
+    kind's residual e from the rank-one Choi matrix through the pivot of M,
+    and the kind reads as rank one when e <= CHOI_RANK_RTOL * ||M||_F
+    (||M||_F = ||C||_F).  It agrees with ``choi_rank(C) == 1`` except for
+    spectra within a small factor of the cutoff.  Only for that kind is
+    the Choi matrix built, and the implementing unitary is read off its top
+    eigenvector, rescaled to unitarity and phase-fixed.  Raises
+    NotClassifiableError when neither kind reads as rank one, which signals
+    a map that is not Jordan (or a center that is not trivial, out of scope
+    here).
     """
     n = j.dim
-    candidates = (
-        (KIND_ISO, j),
-        (KIND_ANTI, SuperOperator(n, j.matrix[:, swap(n)])),
-    )
-    for kind, mapped in candidates:
-        c = choi(mapped)
-        if not _reads_rank_one(c):
+    cutoff = CHOI_RANK_RTOL * float(np.linalg.norm(j.matrix))
+    for kind, (_, _, e) in zip((KIND_ISO, KIND_ANTI), _choi_pivot_reading(j.matrix)):
+        if e > cutoff:
             continue
-        w, v = np.linalg.eigh(hermitian_part(c))
+        mapped = j if kind == KIND_ISO else SuperOperator(n, j.matrix[:, swap(n)])
+        w, v = np.linalg.eigh(hermitian_part(choi(mapped)))
         top = int(np.argmax(np.abs(w)))
         u = unvec(v[:, top], n) * math.sqrt(n)
         u = fix_global_phase(u)
@@ -550,7 +521,7 @@ class IsometryCheck:
     onto: bool
     gram_defect: float | None
     trials: int
-    #: the weighted transport built for the p = 2 Gram certificate, handed
+    #: the weighted transport built for the p = 2 Gram defect, handed
     #: on so that ``implementability_check`` need not build it again; not
     #: part of the verdict, so neither compared nor shown
     transport: SuperOperator | None = field(default=None, compare=False, repr=False)
@@ -567,25 +538,20 @@ def isometry_check(
     """Compare ||T(X)|| with ||X|| on random inputs; measure=None uses the
     Schatten norm, otherwise the state-weighted norm.
 
-    Surjectivity is the invertibility of the n^2 x n^2 matrix M, decided
-    by certificates that bound cond(M) by sqrt(3) when conclusive, so that
-    M is invertible and the singular value rule below could only agree.
-    The Choi certificate (``_choi_bounds``) comes first: it costs O(n^4)
-    and no n^2 x n^2 product, and concludes on every map close enough to
-    an X -> A X B or A X^T B with cond <= sqrt(3), Jordan maps included.
-    When it is inconclusive the Gram certificate (``_gram_bounds``) reads
-    G = M* M, and when that is inconclusive too (projections, near-singular
-    or zero maps) the singular values are computed and M counts as onto
-    when the smallest exceeds INVERTIBILITY_RATIO times the largest.
+    Surjectivity is the invertibility of the n^2 x n^2 matrix M: onto when
+    the smallest singular value exceeds INVERTIBILITY_RATIO times the
+    largest, read through ``_singular_value_bounds``.  Its O(n^4) Choi
+    certificate concludes on every map close enough to an X -> A X B or
+    A X^T B with cond <= sqrt(3), Jordan maps included, and takes no
+    n^2 x n^2 product; other maps take one SVD.
 
-    For p = 2 an exact Gram certificate of the isometry is available (the
-    matrix of T in an orthonormal basis of the relevant L^2 inner product
-    must be unitary) and is required on top of the sampled comparison; with
-    measure=None it reads G, formed once whichever check needs it first,
-    otherwise it is built from the weighted transport, which is returned in
-    ``transport``.  G is freed before that transport is built, so the two
-    are never held at once.  For other p no finite certificate is used, so
-    the trial count and worst defect are reported alongside the verdict.
+    For p = 2 the isometry is also decided exactly, on top of the sampled
+    comparison: the matrix of T in an orthonormal basis of the relevant L^2
+    inner product must be unitary, and ``gram_defect`` is ||G - 1||_F for
+    its Gram matrix G, M* M with measure=None and otherwise that of the
+    weighted transport, which is returned in ``transport``.  No other p
+    forms a Gram matrix: no finite certificate is used, so the trial count
+    and worst defect are reported alongside the verdict.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -600,26 +566,16 @@ def isometry_check(
     xs = ginibre_stack(n, trials, seed)
     nx = norm(xs)
     max_rel = float(np.max(np.abs(norm(_apply_to_stack(t, xs)) - nx) / nx))
-    gram = None
-    onto = _choi_bounds(t.matrix) is not None
-    if not onto:
-        gram = dagger(t.matrix) @ t.matrix
-        onto = _gram_bounds(gram) is not None
-    if not onto:
-        sv = np.linalg.svd(t.matrix, compute_uv=False)
-        onto = bool(sv[0] > 0.0 and sv[-1] > INVERTIBILITY_RATIO * sv[0])
+    low, high = _singular_value_bounds(t.matrix)
+    onto = bool(high > 0.0 and low > INVERTIBILITY_RATIO * high)
     gram_defect = transport = None
     if p == 2.0:
         g = t.matrix
         if measure is not None:
-            # M* M is freed before the transport is built, so the two are
-            # never held at once
-            gram = None
             transport = weighted_isometry_transport(t, measure, p)
             g = transport.matrix
-        if gram is None:
-            gram = dagger(g) @ g
-        # ||G - 1||_F, the diagonal shifted through a view as in _gram_bounds
+        gram = dagger(g) @ g
+        # ||G - 1||_F, the diagonal shifted through a view: no identity is built
         gram.reshape(-1)[:: n * n + 1] -= 1.0
         gram_defect = float(np.linalg.norm(gram))
     gram_ok = gram_defect is None or gram_defect <= threshold(float(n), tol)

@@ -334,11 +334,63 @@ def test_semigroup_float_and_exact_oracle():
             assert stepwise == direct
 
 
-def test_filtration_and_time_consistency_exact():
-    for n in (1, 2, 3):
+def _filtration_defect_loop(shift):
+    """The oracle for ``filtration_defect``: one d-length product per pair
+    of times."""
+    n = shift.half_width
+    times = range(-n - 1, n + 1)
+    projectors = {t: mpc.conditional_expectation(shift, t).weights for t in times}
+    worst = 0.0
+    for s in times:
+        for t in times:
+            product = projectors[s] * projectors[t]
+            worst = max(worst, float(np.max(np.abs(product - projectors[min(s, t)]))))
+    return worst
+
+
+def _time_consistency_defect_loop(shift):
+    """The oracle for ``time_consistency_defect``: the telescoping sum
+    accumulated one time at a time."""
+    n = shift.half_width
+    total = np.zeros(shift.dim)
+    prev = mpc.conditional_expectation(shift, -n - 1).weights
+    for t in range(-n, n + 1):
+        cur = mpc.conditional_expectation(shift, t).weights
+        total += t * (cur - prev)
+        prev = cur
+    reference = mpc.time_operator(shift)
+    mask = reference.domain
+    return float(np.max(np.abs(total[mask] - reference.weights[mask])))
+
+
+def test_filtration_and_time_consistency_exact(monkeypatch):
+    for n in range(1, 7):
         shift = build_shift(n)
-        assert mpc.filtration_defect(shift) == 0.0
-        assert mpc.time_consistency_defect(shift) == 0.0
+        assert mpc.filtration_defect(shift) == _filtration_defect_loop(shift) == 0.0
+        assert mpc.time_consistency_defect(shift) == _time_consistency_defect_loop(shift) == 0.0
+    original = mpc.conditional_expectation
+    halved_mask = 1
+
+    def halved(shift, t):
+        # E_N with the weight of one mask halved
+        e = original(shift, t)
+        if t == shift.half_width:
+            e.weights[halved_mask] = 0.5
+        return e
+
+    monkeypatch.setattr(mpc, "conditional_expectation", halved)
+    for n in range(1, 7):
+        shift = build_shift(n)
+        # mask 1 = {-N} is the only mask of its age: the per-age rows carry it
+        assert mpc.filtration_defect(shift) == _filtration_defect_loop(shift) == 0.5
+        assert mpc.time_consistency_defect(shift) == _time_consistency_defect_loop(shift) == n / 2
+    halved_mask = 3
+    for n in range(1, 7):
+        shift = build_shift(n)
+        # mask 3 = {-N, -N + 1} is not its age's representative, mask 2:
+        # the spread counts it
+        assert mpc.filtration_defect(shift) > 0.0 and _filtration_defect_loop(shift) > 0.0
+        assert mpc.time_consistency_defect(shift) > 0.0 and _time_consistency_defect_loop(shift) > 0.0
 
 
 def test_contraction_multipliers_in_unit_interval():

@@ -14,6 +14,7 @@ from nclp.linalg import ABS_FLOOR, INVERTIBILITY_RATIO, SingularInputError, dagg
 from nclp.sampling import commuting_unitary, ginibre, ginibre_stack, random_density, random_unitary, rng_from
 from nclp.spaces import P_GRID, QuantumMeasure, maximally_mixed, schatten_norm, weighted_norm
 from nclp.superop import (
+    CHOI_RANK_RTOL,
     KIND_ANTI,
     KIND_ISO,
     NotClassifiableError,
@@ -21,8 +22,7 @@ from nclp.superop import (
     NotJordanError,
     SuperOperator,
     _choi_bounds,
-    _gram_bounds,
-    _reads_rank_one,
+    _choi_pivot_reading,
     canonical_jordan,
     change_of_representation_demo,
     choi,
@@ -149,13 +149,25 @@ def test_jordan_check_rejects_trace_bump():
 
 
 def _svd_invertibility(t):
-    """The singular-value rule, the reference for the Gram certificate: the
+    """The singular-value rule, the reference for the invertibility rule: the
     invertibility term ABS_FLOOR * cond(M), the tolerance scale
     max(1, sigma_max^2), and whether M counts as singular."""
     sv = np.linalg.svd(t.matrix, compute_uv=False)
     defect = math.inf if sv[-1] <= 0.0 else ABS_FLOOR * float(sv[0] / sv[-1])
     singular = bool(sv[0] == 0.0 or sv[-1] <= INVERTIBILITY_RATIO * sv[0])
     return defect, max(1.0, float(sv[0]) ** 2), singular
+
+
+def _least_passing_tol(defect, scale):
+    """The least float tol with tol * scale >= defect: for defect above
+    ABS_FLOOR, is_jordan at that scale holds at tol and fails one float
+    below it."""
+    tol = defect / scale
+    while tol * scale < defect:
+        tol = float(np.nextafter(tol, math.inf))
+    while np.nextafter(tol, 0.0) * scale >= defect:
+        tol = float(np.nextafter(tol, 0.0))
+    return tol
 
 
 def test_jordan_check_invertibility_matches_the_singular_values():
@@ -179,9 +191,12 @@ def test_jordan_check_invertibility_matches_the_singular_values():
     fallback.append(SuperOperator.from_apply(2, lambda x: e @ x @ e))
     fallback.append(SuperOperator(3, np.zeros((9, 9))))
     fallback += [SuperOperator(n, ginibre(n * n, rng)) for n in (2, 3, 4)]
+    # a unitary times singular values spread over [1/1.2, 1]: cond(M) = 1.2,
+    # but far from every X -> A X B, so the singular values decide
+    fallback += [SuperOperator(n, random_unitary(n * n, rng) * np.linspace(1.0, 1.0 / 1.2, n * n)) for n in (2, 3)]
     singular = []
     for index, t in enumerate(certified + fallback):
-        conclusive = _gram_bounds(dagger(t.matrix) @ t.matrix) is not None
+        conclusive = _choi_bounds(t.matrix) is not None
         assert conclusive == (index < len(certified))
         reference, scale, is_singular = _svd_invertibility(t)
         check = jordan_check(t)
@@ -194,6 +209,15 @@ def test_jordan_check_invertibility_matches_the_singular_values():
                 assert abs(check.invertibility_defect - reference) <= 1e-24
         defect = check.square_defect + check.star_defect + reference
         assert check.is_jordan == (defect <= threshold(scale, 1e-9))
+        if not conclusive:
+            # the singular values decide, bit for bit: the term, onto, and
+            # the scale at which is_jordan switches
+            assert check.invertibility_defect == reference
+            assert isometry_check(t, None, 1.0, trials=2, seed=0).onto == (not is_singular)
+            if math.isfinite(check.defect):
+                tol = _least_passing_tol(check.defect, scale)
+                assert jordan_check(t, tol=tol).is_jordan
+                assert not jordan_check(t, tol=float(np.nextafter(tol, 0.0))).is_jordan
         singular.append(is_singular)
         if is_singular:
             with pytest.raises(SingularInputError):
@@ -458,7 +482,7 @@ def _classify_by_svd(j):
 
 def test_choi_column_rank_test_matches_choi_rank():
     rng = rng_from(40)
-    chois = []
+    maps = []
     for n in range(1, 7):
         # sparse unitaries put zeros on the Choi diagonal, so the pivot matters
         unitaries = (random_unitary(n, rng), np.eye(n), np.diag(np.exp(2j * np.pi * rng.random(n))))
@@ -470,15 +494,20 @@ def test_choi_column_rank_test_matches_choi_rank():
                 # at n = 1 the transpose is the identity and both kinds read iso
                 assert cls.kind == reference_kind == (kind if n > 1 else KIND_ISO)
                 assert np.array_equal(cls.unitary, reference_unitary)
-                chois += [choi(j), choi(SuperOperator(n, j.matrix[:, swap(n)]))]
+                maps += [j, _transposed(j)]
             # a negative multiple: C = -vec(u) vec(u)*, its diagonal <= 0
-            chois.append(choi(SuperOperator.ad_unitary(u).scaled(-1.0)))
-        chois.append(choi(SuperOperator(n, ginibre(n * n, rng))))
-        chois.append(choi(SuperOperator.transpose_map(n)))
-    chois += [choi(pauli_mix(theta)) for theta in (0.5, 1e-8, 1e-10)]
-    verdicts = [_reads_rank_one(c) for c in chois]
-    assert verdicts == [choi_rank(c) == 1 for c in chois]
-    assert any(verdicts) and not all(verdicts)
+            maps.append(SuperOperator.ad_unitary(u).scaled(-1.0))
+        maps.append(SuperOperator(n, ginibre(n * n, rng)))
+        maps.append(SuperOperator.transpose_map(n))
+    maps += [pauli_mix(theta) for theta in (0.5, 1e-8, 1e-10)]
+    # jordan_classify's reading: the conjugation kind reads choi(t), the
+    # transposed kind choi(t o transpose), as rank one when e <= the cutoff
+    verdicts = [
+        [e <= CHOI_RANK_RTOL * np.linalg.norm(t.matrix) for _, _, e in _choi_pivot_reading(t.matrix)]
+        for t in maps
+    ]
+    assert verdicts == [[choi_rank(choi(t)) == 1, choi_rank(choi(_transposed(t))) == 1] for t in maps]
+    assert any(map(any, verdicts)) and not all(map(all, verdicts))
 
 
 def test_fix_global_phase_pivot_positive():
