@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -212,7 +213,7 @@ def _cmd_change_rep(cfg: RunConfig):
     u = jsonio.matrix_from_json(jsonio.require(payload, "U"), "U")
     lam = jsonio.superop_from_json(jsonio.require(payload, "Lambda"), "Lambda")
     measure = _measure(payload, cfg.tol)
-    t_steps = int(jsonio.require(payload, "t_steps"))
+    t_steps = jsonio.integer_field(payload, "t_steps")
     p = float(payload.get("p", 2.0))
     try:
         report = superop.change_of_representation_demo(
@@ -361,8 +362,8 @@ def main(argv=None) -> int:
         payload = _load_payload(args.input)
         if payload is None and command != "selftest":
             raise SchemaError("input", "this subcommand requires --input")
-        if args.tol <= 0:
-            raise SchemaError("tol", "tolerance must be positive")
+        if not 0 < args.tol < math.inf:
+            raise SchemaError("tol", "tolerance must be finite and positive")
         if args.trials < 1:
             raise SchemaError("trials", "trials must be >= 1")
         cfg = RunConfig(command, payload, args.tol, args.seed, args.trials, args.fmt)

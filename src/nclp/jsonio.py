@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,6 +38,14 @@ def require(obj: dict, field: str):
     if field not in obj:
         raise SchemaError(field, "missing")
     return obj[field]
+
+
+def integer_field(obj: dict, field: str) -> int:
+    """``obj[field]`` as an int, refusing bools and fractions rather than truncating."""
+    value = require(obj, field)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+        raise SchemaError(field, f"must be an integer, got {value!r}")
+    return int(value)
 
 
 def complex_pair(z) -> list[float]:

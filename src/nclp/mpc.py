@@ -30,22 +30,24 @@ Stochasticity is decided, not sampled: on densities a step is an XOR
 convolution, positive exactly when its kernel is nonnegative.
 
 Implementability asks whether the adjoint of a semigroup step is a
-composition operator on the grid.  That adjoint is diagonal in the Walsh
-sub-basis of its window, with multipliers g of size d, so its grid matrix
-is an XOR convolution: K[x, y] = k[x ^ y] with k = fwht(g) / d, one
-transform and row doubling.  The tests compare it with the dense product
-H diag(g) H / d, H the +-1 Walsh matrix.
+composition operator on the grid.  A step by t sends mask m to m << t, so
+its adjoint sends m << t back to m with the step's weight: the adjoint's
+sub-basis is the step's domain, the masks below d = 2^(2N+1-t), and its
+multipliers g are the step's weights there.  Its grid matrix is then an
+XOR convolution, K[x, y] = k[x ^ y] with k = fwht(g) / d, one transform and
+row doubling.  The tests compare it with the dense product H diag(g) H / d,
+H the +-1 Walsh matrix.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .classical import MultiplicativityCheck, multiplicativity_check
+from .jsonio import integer_field
 from .linalg import DEFAULT_TOL
 
 MAX_WINDOW = 6
@@ -249,18 +251,12 @@ class TruncatedKShift:
         return WalshOperator(t, in_dom.astype(float), in_dom)
 
 
-def _top_bits(sites: int) -> np.ndarray:
-    """top[mask] = position of the highest set bit of each mask below
-    2^sites: the 2^b masks in [2^b, 2^(b+1)) share top bit b, and the empty
-    mask gets -1."""
-    positions = np.arange(sites)
-    return np.concatenate(([-1], np.repeat(positions, 1 << positions)))
-
-
 @lru_cache(maxsize=None)
 def _ages(half_width: int) -> np.ndarray:
-    # bit b is position b - N; the empty mask lands on the sentinel -N - 1
-    ages = _top_bits(2 * half_width + 1) - half_width
+    # the 2^b masks in [2^b, 2^(b+1)) have top bit b, position b - N; the
+    # empty mask lands on the sentinel -N - 1
+    bits = np.arange(2 * half_width + 1)
+    ages = np.concatenate(([-1], np.repeat(bits, 1 << bits))) - half_width
     ages.setflags(write=False)
     return ages
 
@@ -317,14 +313,7 @@ def wt_build(shift: TruncatedKShift, f: SpectralFunction, t: int) -> WalshOperat
     fixes the constants.  Since f is non-increasing every multiplier lies in
     (0, 1].
     """
-    t = int(t)
-    if t < 1:
-        raise ValueError("semigroup steps require t >= 1")
-    if t > 2 * shift.half_width:
-        raise DomainEmptyError(
-            f"no nonconstant subset survives a shift by {t} in a window of "
-            f"half-width {shift.half_width}"
-        )
+    t = _check_step(shift, t)
     _check_range(shift, f)
     domain = shift.shift_operator(t).domain
     sources = np.flatnonzero(domain & shift.nonempty())
@@ -333,6 +322,19 @@ def wt_build(shift: TruncatedKShift, f: SpectralFunction, t: int) -> WalshOperat
     weights[0] = 1.0
     weights[sources] = f.values[ages + t - f.s_min] / f.values[ages - f.s_min]
     return WalshOperator(t, weights, domain)
+
+
+def _check_step(shift: TruncatedKShift, t: int) -> int:
+    """``t`` as an int, if a step by it keeps a nonconstant subset."""
+    t = int(t)
+    if t < 1:
+        raise ValueError("semigroup steps require t >= 1")
+    if t > 2 * shift.half_width:
+        raise DomainEmptyError(
+            f"no nonconstant subset survives a shift by {t} in a window of "
+            f"half-width {shift.half_width}"
+        )
+    return t
 
 
 def _check_range(shift: TruncatedKShift, f: SpectralFunction):
@@ -352,7 +354,7 @@ def coarse_grained_wt(shift: TruncatedKShift, s0: int, t: int) -> WalshOperator:
     the result is implementable is reported by the checkers as an
     experiment; no theorem is asserted for it.
     """
-    u = shift.shift_operator(int(t))
+    u = shift.shift_operator(_check_step(shift, t))
     e = conditional_expectation(shift, int(s0))
     return e.compose(u)
 
@@ -484,6 +486,17 @@ def _step_kernel(multipliers: np.ndarray) -> np.ndarray:
     return fwht(multipliers) / multipliers.size
 
 
+def _step_weights(op: WalshOperator, shift: TruncatedKShift, t: int) -> np.ndarray:
+    """A step's weights on the masks below 2^(2N+1-t), the subsets of the low
+    2N+1-t coordinates, and zero on those off its domain.  A step by t
+    reads only these coordinates, and its adjoint acts on these masks with
+    these multipliers; a negative shift would move masks above them in."""
+    if op.shift < 0:
+        raise ValueError("the step kernel needs a shift >= 0")
+    block = 1 << (2 * shift.half_width + 1 - t)
+    return np.where(op.domain[:block], op.weights[:block], 0.0)
+
+
 def _stochasticity_of(op: WalshOperator, shift: TruncatedKShift, t: int) -> StochasticitySuite:
     """Unitality, mass and positivity of a step with shift >= 0, all exact.
 
@@ -496,11 +509,8 @@ def _stochasticity_of(op: WalshOperator, shift: TruncatedKShift, t: int) -> Stoc
     lowest value is -sum max(0, -k), reached by the indicator of
     {y : k[x ^ y] < 0}; that sum is the positivity defect.
     """
-    if op.shift < 0:
-        raise ValueError("the step kernel needs a shift >= 0")
+    k = _step_kernel(_step_weights(op, shift, t))
     mass_defect = abs(float(op.weights[0] if op.domain[0] else 0.0) - 1.0)
-    block = 1 << (2 * shift.half_width + 1 - t)
-    k = _step_kernel(np.where(op.domain[:block], op.weights[:block], 0.0))
     return StochasticitySuite(
         positivity_defect=0.0 - float(np.sum(k[k < 0])),  # +0.0 when k >= 0
         mass_defect=mass_defect,
@@ -519,41 +529,15 @@ def stochasticity_suite(shift: TruncatedKShift, f: SpectralFunction, t: int) -> 
 # --- implementability ---------------------------------------------------------
 
 
-def _adjoint_ages(shift: TruncatedKShift, t: int) -> np.ndarray:
-    """Age of each sub-basis mask of the adjoint's window [-N+t, N].
-
-    The adjoint of a step by t acts on the subsets of [-N+t, N], a full
-    Walsh system over 2N+1-t coordinates; bit b of a sub-basis mask is
-    position b - N + t.  The empty mask carries the sentinel -N+t-1 and
-    must be guarded.
-    """
-    t = int(t)
-    if t < 1:
-        raise ValueError("adjoint restriction requires t >= 1")
-    if t > 2 * shift.half_width:
-        raise DomainEmptyError("shift exceeds the window")
-    return _top_bits(2 * shift.half_width + 1 - t) + (t - shift.half_width)
-
-
-def _adjoint_multipliers(shift: TruncatedKShift, f: SpectralFunction, t: int) -> np.ndarray:
-    """Multipliers of the adjoint of W_t on its sub-basis: a mask of age a
-    gets f(a) / f(a - t), the multiplier W_t gives the subset that it shifts
-    onto that mask, and the constant gets g[0] = 1."""
-    _check_range(shift, f)
-    ages = _adjoint_ages(shift, t)
-    g = f.values[ages - f.s_min] / f.values[ages - t - f.s_min]
-    g[0] = 1.0
-    return g
-
-
 def _restricted_adjoint_grid(g: np.ndarray) -> np.ndarray:
     """Grid matrix of the adjoint semigroup step on its valid domain.
 
-    The adjoint is diagonal in its sub-basis with multipliers ``g``, so its
-    grid matrix H diag(g) H / d (H the +-1 Walsh matrix of size d) is an
-    XOR convolution: since H[x, m] H[y, m] = H[x ^ y, m],
-    K[x, y] = k[x ^ y] with k = fwht(g) / d.  Multiplicativity is decided
-    on this matrix.
+    The adjoint's sub-basis is the step's domain, the masks below d, and its
+    multipliers ``g`` are the step's weights there (``_step_weights``).  It
+    is diagonal in that sub-basis, so its grid matrix H diag(g) H / d (H the
+    +-1 Walsh matrix of size d) is an XOR convolution: since
+    H[x, m] H[y, m] = H[x ^ y, m], K[x, y] = k[x ^ y] with k = fwht(g) / d.
+    Multiplicativity is decided on this matrix.
 
     K is built from its first row k by row doubling: for x < h, a power of
     two, K[x ^ h, y] = K[x, y ^ h], so rows [h, 2h) are rows [0, h) with
@@ -580,14 +564,15 @@ class MpcImplementability:
     restricted_dim: int
 
 
-def _implementability_of(shift: TruncatedKShift, g: np.ndarray, t: int, tol: float) -> MpcImplementability:
-    """The verdict on the grid of an adjoint step by t with multipliers g."""
+def _implementability_of(op: WalshOperator, shift: TruncatedKShift, t: int, tol: float) -> MpcImplementability:
+    """The verdict on the grid of the adjoint of the step ``op`` by t."""
+    g = _step_weights(op, shift, t)
     check = multiplicativity_check(_restricted_adjoint_grid(g), tol=tol)
     return MpcImplementability(
         implementable=check.multiplicative,
         defect=check.defect,
         check=check,
-        domain_fraction=shift.shift_operator(t).domain_fraction,
+        domain_fraction=op.domain_fraction,
         restricted_dim=g.size,
     )
 
@@ -601,29 +586,30 @@ def mpc_implementability(
     """Is the semigroup step the density evolution of some point map?
 
     Equivalent question: is its adjoint a composition operator?  The adjoint
-    is transported to the grid over the valid domain and fed to the
-    classical multiplicativity check.  For the constant spectral function
-    the step is a plain shift and the defect is zero; any strictly
-    decreasing spectral function leaves a strictly positive defect.
+    acts on the step's domain with the step's weights f(s + t) / f(s); it is
+    transported to the grid there and fed to the classical multiplicativity
+    check.  For the constant spectral function the step is a plain shift
+    and the defect is zero; any strictly decreasing spectral function leaves
+    a strictly positive defect.
     """
-    return _implementability_of(shift, _adjoint_multipliers(shift, f, t), t, tol)
+    return _implementability_of(wt_build(shift, f, t), shift, t, tol)
 
 
 def coarse_grained_implementability(
     shift: TruncatedKShift, s0: int, t: int, tol: float = DEFAULT_TOL
 ) -> MpcImplementability:
     """Same check for the coarse-graining variant, reported as an experiment.
-    Its adjoint multiplies sub-basis mask m by E_s0's weight at m << t."""
-    masks = np.arange(_adjoint_ages(shift, t).size)
-    g = conditional_expectation(shift, s0).weights[masks << int(t)]
-    return _implementability_of(shift, g, t, tol)
+    Its adjoint acts on the coarse step's domain with the coarse step's
+    weights, E_s0's weight at m << t for mask m."""
+    return _implementability_of(coarse_grained_wt(shift, s0, t), shift, t, tol)
 
 
 def multiplicativity_lower_bound(shift: TruncatedKShift, f: SpectralFunction, t: int) -> float:
     """Pair-scan lower bound for the implementability defect.
 
-    Compares pairs (R, Q) of in-domain subsets: the adjoint multiplier of the
-    product basis element, g(R xor Q), against the product g(R) g(Q); a
+    Compares pairs (R, Q) of in-domain subsets, with g the step's weights:
+    the adjoint multiplier of the product basis element, g(R xor Q),
+    against the product g(R) g(Q); a
     composition operator would make every comparison an equality.  Each
     Walsh function expands into grid indicators with unit coefficients, so
     the worst discrepancy divided by (number of grid points)^2 bounds the
@@ -632,7 +618,7 @@ def multiplicativity_lower_bound(shift: TruncatedKShift, f: SpectralFunction, t:
     as the singleton {b}: the empty set and the singletons give the same
     floats as every R, so the maximum is bit-identical to the full scan.
     """
-    g = _adjoint_multipliers(shift, f, t)
+    g = _step_weights(wt_build(shift, f, t), shift, t)
     masks = np.arange(g.size)
     reps = np.concatenate(([0], 1 << np.arange(g.size.bit_length() - 1)))
     worst = float(np.max(np.abs(g[reps[:, None] ^ masks] - g[reps, None] * g)))
@@ -677,14 +663,6 @@ def spectral_function_from_descriptor(descriptor: dict, half_width: int) -> Spec
     raise ValueError(f"unknown spectral function kind {kind!r}")
 
 
-def _integer_field(descriptor: dict, name: str) -> int:
-    """``descriptor[name]`` as an int, refusing bools and fractions rather than truncating."""
-    value = descriptor[name]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
     """Run the full suite for a JSON descriptor.
 
@@ -693,8 +671,8 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
     integers, a "seed" is ignored.  A step kind runs only the coarse-graining
     experiment, and its verdict is recorded, not asserted.
     """
-    shift = build_shift(_integer_field(descriptor, "N"))
-    t = _integer_field(descriptor, "t")
+    shift = build_shift(integer_field(descriptor, "N"))
+    t = integer_field(descriptor, "t")
     f_spec = descriptor["f"]
     f = spectral_function_from_descriptor(f_spec, shift.half_width)
     rows: list[ExperimentRow] = []
@@ -708,7 +686,7 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
     add("time_consistency_defect", time_consistency_defect(shift), 1.0 - 1.0 / shift.dim)
 
     if f is None:
-        s0 = _integer_field(f_spec, "s0")
+        s0 = integer_field(f_spec, "s0")
         coarse = coarse_grained_wt(shift, s0, t)
         suite = _stochasticity_of(coarse, shift, t)
         add("stochasticity_positivity_defect", suite.positivity_defect, suite.domain_fraction)

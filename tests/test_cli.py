@@ -429,17 +429,27 @@ def test_bad_json_is_usage_error(capsys):
     assert "error" in err
 
 
+def change_rep_payload(t_steps) -> str:
+    return payload({
+        "U": {"matrix": [[1, 0], [0, 1]]},
+        "Lambda": superop_to_json(SuperOperator.identity(2)),
+        "rho": {"matrix": [[0.5, 0], [0, 0.5]]},
+        "t_steps": t_steps,
+    })
+
+
+NOT_UNITAL = payload({
+    "V": superop_to_json(SuperOperator(2, 2 * np.eye(4))),
+    "rho": {"matrix": [[0.5, 0], [0, 0.5]]},
+    "p": 2,
+})
+
 #: inputs that must exit 2 with empty stdout and one error line on stderr
 USAGE_ERRORS = {
     "p-null": ["norm", "--input", payload({"A": {"matrix": [[1]]}, "p": None})],
     "f-not-an-object": ["mpc", "run", "--input", payload({"N": 2, "f": "logistic", "t": 1})],
     "N-null": ["mpc", "run", "--input", payload({"N": None, "f": {"kind": "logistic"}, "t": 1})],
-    "t_steps-null": ["change-rep", "--input", payload({
-        "U": {"matrix": [[1, 0], [0, 1]]},
-        "Lambda": superop_to_json(SuperOperator.identity(2)),
-        "rho": {"matrix": [[0.5, 0], [0, 0.5]]},
-        "t_steps": None,
-    })],
+    "t_steps-null": ["change-rep", "--input", change_rep_payload(None)],
     "singular-rho": ["inner", "--input", payload({
         "A": {"matrix": [[1, 0], [0, 1]]},
         "B": {"matrix": [[1, 0], [0, 1]]},
@@ -456,6 +466,13 @@ USAGE_ERRORS = {
     "t-fraction": ["mpc", "run", "--input", payload({"N": 2, "f": {"kind": "logistic"}, "t": 1.5})],
     "s0-fraction": ["mpc", "run", "--input", payload({"N": 2, "f": {"kind": "step", "s0": 0.5}, "t": 1})],
     "N-bool": ["mpc", "run", "--input", payload({"N": True, "f": {"kind": "logistic"}, "t": 1})],
+    "step-t-past-window": ["mpc", "run", "--input", payload({"N": 2, "f": {"kind": "step", "s0": 0}, "t": 5})],
+    # 2·id is not unital: an infinite tolerance called it implementable, and
+    # a nan one let it through the unitality stage
+    "tol-inf": ["implementable", "--input", NOT_UNITAL, "--tol", "inf"],
+    "tol-nan": ["implementable", "--input", NOT_UNITAL, "--tol", "nan"],
+    "t_steps-fraction": ["change-rep", "--input", change_rep_payload(2.5)],
+    "t_steps-bool": ["change-rep", "--input", change_rep_payload(True)],
 }
 
 

@@ -291,6 +291,17 @@ def test_wt_validation():
         wt_build(shift, f, 0)
     with pytest.raises(DomainEmptyError):
         wt_build(shift, f, 3)
+    # the coarse step checks t by the same rule, with the same errors
+    for n in (1, 2, 3):
+        shift = build_shift(n)
+        f = SpectralFunction.logistic(n)
+        for t, error in ((0, ValueError), (2 * n + 1, DomainEmptyError)):
+            with pytest.raises(error) as semigroup:
+                wt_build(shift, f, t)
+            with pytest.raises(error) as coarse:
+                mpc.coarse_grained_wt(shift, 0, t)
+            assert type(coarse.value) is type(semigroup.value) is error
+            assert str(coarse.value) == str(semigroup.value)
 
 
 def test_intertwining_float_and_exact_oracle():
@@ -705,7 +716,7 @@ def test_restricted_adjoint_grid_matches_direct_construction():
             sub[s, q] = adj[s, q << t]
     h = mpc.fwht(np.eye(d_sub))
     direct = h @ sub @ h / d_sub
-    g = mpc._adjoint_multipliers(shift, f, t)
+    g = mpc._step_weights(wt_build(shift, f, t), shift, t)
     assert np.allclose(mpc._restricted_adjoint_grid(g), direct, atol=1e-14)
 
 
@@ -718,10 +729,16 @@ def test_age_tables_match_mask_loops():
         geometric = SpectralFunction.from_table(n, [2.0**-s for s in range(-n - 1, n + 2)])
         for f in (SpectralFunction.logistic(n), SpectralFunction.constant(n), geometric, wide):
             assert np.array_equal(lambda_build(shift, f).weights, loop_lambda_weights(shift, f))
-            for t in (1, 2):
-                assert np.array_equal(wt_build(shift, f, t).weights, loop_wt_weights(shift, f, t))
+            for t in range(1, 2 * n + 1):
+                step = wt_build(shift, f, t)
+                assert np.array_equal(step.weights, loop_wt_weights(shift, f, t))
                 reference = loop_adjoint_multipliers(shift, t, lambda a: f.ratio(a, a - t))
-                assert np.array_equal(mpc._adjoint_multipliers(shift, f, t), reference)
+                assert np.array_equal(mpc._step_weights(step, shift, t), reference)
+        for t in range(1, 2 * n + 1):
+            for s0 in range(-n - 1, n + 1):
+                coarse = mpc.coarse_grained_wt(shift, s0, t)
+                reference = loop_adjoint_multipliers(shift, t, lambda a: float(a <= s0))
+                assert np.array_equal(mpc._step_weights(coarse, shift, t), reference)
 
 
 def test_restricted_adjoint_grid_is_the_dense_walsh_product():
@@ -757,14 +774,9 @@ def test_restricted_adjoint_grid_is_the_xor_gather():
     for n in range(1, 6):
         shift = build_shift(n)
         for t in (1, 2):
-            multipliers = [
-                mpc._adjoint_multipliers(shift, SpectralFunction.logistic(n), t),
-                mpc._adjoint_multipliers(shift, SpectralFunction.constant(n), t),
-            ]
-            for s0 in range(-n - 1, n + 1):
-                g = (mpc._adjoint_ages(shift, t) <= s0).astype(float)
-                g[0] = 1.0
-                multipliers.append(g)
+            steps = [wt_build(shift, f, t) for f in (SpectralFunction.logistic(n), SpectralFunction.constant(n))]
+            steps += [mpc.coarse_grained_wt(shift, s0, t) for s0 in range(-n - 1, n + 1)]
+            multipliers = [mpc._step_weights(step, shift, t) for step in steps]
             for g in multipliers:
                 k = mpc.fwht(g) / g.size
                 idx = np.arange(g.size)
@@ -773,7 +785,7 @@ def test_restricted_adjoint_grid_is_the_xor_gather():
 
 def test_restricted_adjoint_grid_allocates_only_its_output():
     shift = build_shift(5)
-    g = mpc._adjoint_multipliers(shift, SpectralFunction.logistic(5), 1)
+    g = mpc._step_weights(wt_build(shift, SpectralFunction.logistic(5), 1), shift, 1)
     d = g.size
     assert d == 1024
     tracemalloc.start()
@@ -788,7 +800,7 @@ def test_restricted_adjoint_grid_allocates_only_its_output():
 
 def _lower_bound_loop(shift, f, t):
     """The pair-scan lower bound over every subset R, one R at a time."""
-    values = mpc._adjoint_multipliers(shift, f, t)
+    values = loop_adjoint_multipliers(shift, t, lambda a: f.ratio(a, a - t))
     d_sub = values.size
     masks = np.arange(d_sub)
     worst = 0.0
