@@ -136,15 +136,12 @@ def _cmd_transport(cfg: RunConfig):
     p = _exponent(payload)
     inverse = bool(payload.get("inverse", False))
     iso_weighted = superop.isometry_check(v, measure, p, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol)
-    # at p = 2 the check has built the forward transport for its certificate
-    t = iso_weighted.transport
-    if t is None or inverse:
-        t = superop.weighted_isometry_transport(v, measure, p, inverse=inverse)
+    t = superop.weighted_isometry_transport(v, measure, p, inverse=inverse)
     iso_tracial = superop.isometry_check(t, None, p, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol)
     return OK, {
         "transport": jsonio.superop_to_json(t),
-        "isometry_weighted": _fields(iso_weighted, "transport"),
-        "isometry_tracial": _fields(iso_tracial, "transport"),
+        "isometry_weighted": _fields(iso_weighted),
+        "isometry_tracial": _fields(iso_tracial),
         "verdicts_agree": iso_weighted.is_isometry == iso_tracial.is_isometry,
     }
 
@@ -183,7 +180,7 @@ def _cmd_isometry(cfg: RunConfig):
     p = _exponent(payload)
     measure = _optional_measure(payload, cfg.tol)
     check = superop.isometry_check(t, measure, p, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol)
-    return (OK if check.is_isometry else NEGATIVE), _fields(check, "transport")
+    return (OK if check.is_isometry else NEGATIVE), _fields(check)
 
 
 def _cmd_decompose(cfg: RunConfig):

@@ -29,7 +29,7 @@ W = phase, scale = 1, and the map itself to equal J.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -263,10 +263,11 @@ def _choi_pivot_reading(m: np.ndarray):
         yield x, y, (math.sqrt(squares) if squares < limit else math.inf)
 
 
-def _choi_bounds(m: np.ndarray) -> tuple[float, float] | None:
+def _choi_bounds(readings) -> tuple[float, float] | None:
     """Weyl bounds (low, high) on the squared singular values of the
-    n^2 x n^2 matrix M of a map, read in O(n^4) from the pivot's Choi column
-    and row (``_choi_pivot_reading``), or None when they are inconclusive.
+    n^2 x n^2 matrix M of a map, from the pivot's Choi column and row
+    (``readings``, the (x, y, e) of ``_choi_pivot_reading(M)``), or None
+    when they are inconclusive.
 
     The singular values of M0 = kron(y, x), or of its column permutation,
     are sigma_i(x) sigma_j(y), and the Choi reshuffle and the transpose
@@ -278,7 +279,7 @@ def _choi_bounds(m: np.ndarray) -> tuple[float, float] | None:
     does.  s_min(x) s_min(y) is at most the root mean square at which the
     residual sum stops, so an inf residual is inconclusive.
     """
-    for x, y, e in _choi_pivot_reading(m):
+    for x, y, e in readings:
         if math.isinf(e):
             continue
         sx, sy = np.linalg.svd(np.stack([x, y]), compute_uv=False)
@@ -289,21 +290,70 @@ def _choi_bounds(m: np.ndarray) -> tuple[float, float] | None:
     return None
 
 
-def _singular_value_bounds(m: np.ndarray) -> tuple[float, float]:
+def _singular_value_bounds(m: np.ndarray, readings=None) -> tuple[float, float]:
     """Bounds (low, high) around the singular values of M, the one
     invertibility rule's input: M is invertible when high > 0 and
     low > INVERTIBILITY_RATIO * high.
 
-    They are the Choi certificate's (``_choi_bounds``) when it concludes:
-    then cond(M) <= sqrt(3), far above the ratio, and the rule could only
-    agree with the singular values.  Otherwise they are the exact smallest
-    and largest singular values, from one SVD.
+    They are the Choi certificate's (``_choi_bounds``, on ``readings`` or
+    else a fresh ``_choi_pivot_reading(m)``) when it concludes: then
+    cond(M) <= sqrt(3), far above the ratio, and the rule could only agree
+    with the singular values.  Otherwise they are the exact smallest and
+    largest singular values, from one SVD.
     """
-    bounds = _choi_bounds(m)
+    bounds = _choi_bounds(_choi_pivot_reading(m) if readings is None else readings)
     if bounds is not None:
         return math.sqrt(bounds[0]), math.sqrt(bounds[1])
     sv = np.linalg.svd(m, compute_uv=False)
     return float(sv[-1]), float(sv[0])
+
+
+def _factor_gram_defects(readings, measure: QuantumMeasure | None):
+    """Yield (d0, delta) for each kind of ``readings`` (the (x, y, e) of
+    ``_choi_pivot_reading(M)``) with a finite residual: the p = 2 Gram
+    defect ||G - 1||_F of the weighted transport of the map M0 read off
+    the Choi pivot, and a bound delta on how far the residual e moves it
+    for M itself.
+
+    M0 is X -> A X B with A = x, B = y^T, or X -> A X^T B.  The transport
+    L V(R X R) L, with L = rho^(1/4) and R = rho^(-1/4) (both 1 without a
+    measure), turns it into X -> A' X B' with A' = L A R, B' = R B L, or
+    into X -> A' X^T B' with R^T for R on the inner side.  Its matrix is
+    kron(B'^T, A'), or that with its columns permuted, so its Gram matrix
+    is kron(P, Q), up to a permutation similarity, with P = conj(B') B'^T
+    and Q = A'* A'.  d0 = ||kron(P, Q) - 1||_F is summed by blocks in
+    O(n^3), with no difference of large squares:
+    d0^2 = ||offdiag P||_F^2 ||Q||_F^2 + sum_i ||P_ii Q - 1||_F^2.
+
+    The transport's matrix is kron(L^T, L) M kron(R^T, R), so it lies
+    within eta = ||L||_2^2 ||R||_2^2 e of the one of M0 in Frobenius norm,
+    and the Gram defects of the two differ by at most
+    delta = eta (2 sigma_max(A') sigma_max(B') + eta).
+    """
+    spread = 1.0
+    if measure is not None:
+        left, right = measure.power(0.25), measure.power(-0.25)
+        w = measure.eigenvalues
+        spread = math.sqrt(w[-1] / w[0])
+    for (x, y, e), transposed in zip(readings, (False, True)):
+        if math.isinf(e):
+            continue
+        a, b = x, y.T
+        if measure is not None:
+            inner = right.conj() if transposed else right
+            a, b = left @ a @ inner, inner @ b @ left
+        p_factor, q_factor = b.conj() @ b.T, dagger(a) @ a
+        n = a.shape[0]
+        off_diagonal = p_factor[~np.eye(n, dtype=bool)]
+        blocks = np.diagonal(p_factor)[:, None, None] * q_factor
+        blocks.reshape(n, -1)[:, :: n + 1] -= 1.0
+        d0 = math.hypot(
+            float(np.linalg.norm(off_diagonal)) * float(np.linalg.norm(q_factor)),
+            float(np.linalg.norm(blocks)),
+        )
+        sa, sb = np.linalg.svd(np.stack([a, b]), compute_uv=False)[:, 0]
+        eta = spread * e
+        yield d0, eta * (2.0 * float(sa * sb) + eta)
 
 
 def _max_column_norm(m: np.ndarray) -> float:
@@ -521,10 +571,6 @@ class IsometryCheck:
     onto: bool
     gram_defect: float | None
     trials: int
-    #: the weighted transport built for the p = 2 Gram defect, handed
-    #: on so that ``implementability_check`` need not build it again; not
-    #: part of the verdict, so neither compared nor shown
-    transport: SuperOperator | None = field(default=None, compare=False, repr=False)
 
 
 def isometry_check(
@@ -549,9 +595,20 @@ def isometry_check(
     comparison: the matrix of T in an orthonormal basis of the relevant L^2
     inner product must be unitary, and ``gram_defect`` is ||G - 1||_F for
     its Gram matrix G, M* M with measure=None and otherwise that of the
-    weighted transport, which is returned in ``transport``.  No other p
-    forms a Gram matrix: no finite certificate is used, so the trial count
-    and worst defect are reported alongside the verdict.
+    weighted transport, compared with threshold(n, tol).  The same Choi
+    pivot reading that decides onto gives the factors A, B of the nearest
+    X -> A X B or A X^T B, the form of every isometry (Arazy, Yeadon), and
+    ``_factor_gram_defects`` reads from them, in O(n^3), the Gram defect d0
+    of that map's transport and a bound delta on how far the pivot
+    residual moves the true defect from d0.  When d0 - delta and d0 + delta
+    lie on the same side of the threshold, d0 decides and is reported;
+    ``gram_defect`` is then within delta, plus rounding, of the dense
+    value.  Otherwise (no kind reads with a finite residual, as for a zero
+    map or one far from that form, or delta straddles the threshold) the
+    dense Gram product of M or of its transport decides, as an n^2 x n^2
+    product.  No other p forms a Gram matrix: no finite certificate is
+    used, so the trial count and worst defect are reported alongside the
+    verdict.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -566,19 +623,27 @@ def isometry_check(
     xs = ginibre_stack(n, trials, seed)
     nx = norm(xs)
     max_rel = float(np.max(np.abs(norm(_apply_to_stack(t, xs)) - nx) / nx))
-    low, high = _singular_value_bounds(t.matrix)
+    readings = list(_choi_pivot_reading(t.matrix)) if p == 2.0 else None
+    low, high = _singular_value_bounds(t.matrix, readings)
     onto = bool(high > 0.0 and low > INVERTIBILITY_RATIO * high)
-    gram_defect = transport = None
+    gram_defect = None
+    limit = threshold(float(n), tol)
     if p == 2.0:
-        g = t.matrix
-        if measure is not None:
-            transport = weighted_isometry_transport(t, measure, p)
-            g = transport.matrix
-        gram = dagger(g) @ g
-        # ||G - 1||_F, the diagonal shifted through a view: no identity is built
-        gram.reshape(-1)[:: n * n + 1] -= 1.0
-        gram_defect = float(np.linalg.norm(gram))
-    gram_ok = gram_defect is None or gram_defect <= threshold(float(n), tol)
+        gram_defect = next(
+            (
+                d0
+                for d0, delta in _factor_gram_defects(readings, measure)
+                if d0 + delta <= limit or d0 - delta > limit
+            ),
+            None,
+        )
+        if gram_defect is None:
+            g = t.matrix if measure is None else weighted_isometry_transport(t, measure, p).matrix
+            gram = dagger(g) @ g
+            # ||G - 1||_F, the diagonal shifted through a view: no identity is built
+            gram.reshape(-1)[:: n * n + 1] -= 1.0
+            gram_defect = float(np.linalg.norm(gram))
+    gram_ok = gram_defect is None or gram_defect <= limit
     is_isometry = bool(max_rel <= threshold(1.0, tol) and gram_ok)
     return IsometryCheck(
         is_isometry=is_isometry,
@@ -586,7 +651,6 @@ def isometry_check(
         onto=onto,
         gram_defect=gram_defect,
         trials=trials,
-        transport=transport,
     )
 
 
@@ -785,8 +849,7 @@ def implementability_check(
     if not iso.is_isometry or not iso.onto:
         stage = "onto" if not iso.onto else "isometry"
         return fail(stage, positivity_defect=pos.defect, isometry=iso)
-    # at p = 2 the isometry check built the transport for its certificate
-    transported = iso.transport or weighted_isometry_transport(v, measure, p)
+    transported = weighted_isometry_transport(v, measure, p)
     try:
         dec = lamperti_decompose(transported, p, tol=tol)
     except NotDecomposableError as exc:

@@ -183,7 +183,7 @@ def test_transport_subcommand(capsys):
     assert json.loads(out)["verdicts_agree"]
 
 
-@pytest.mark.parametrize("p, inverse, builds", [(1, False, 1), (2, False, 1), (2, True, 2)])
+@pytest.mark.parametrize("p, inverse, builds", [(1, False, 1), (2, False, 1), (2, True, 1)])
 def test_transport_builds_the_transport_once_per_direction(capsys, monkeypatch, p, inverse, builds):
     rng = rng_from(5)
     n = 3
@@ -197,8 +197,8 @@ def test_transport_builds_the_transport_once_per_direction(capsys, monkeypatch, 
     tracial = superop.isometry_check(t, None, p)
     expected = {
         "transport": superop_to_json(t),
-        "isometry_weighted": {f.name: getattr(weighted, f.name) for f in fields(weighted) if f.name != "transport"},
-        "isometry_tracial": {f.name: getattr(tracial, f.name) for f in fields(tracial) if f.name != "transport"},
+        "isometry_weighted": {f.name: getattr(weighted, f.name) for f in fields(weighted)},
+        "isometry_tracial": {f.name: getattr(tracial, f.name) for f in fields(tracial)},
         "verdicts_agree": weighted.is_isometry == tracial.is_isometry,
     }
     calls = []

@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclp import superop
-from nclp.linalg import ABS_FLOOR, INVERTIBILITY_RATIO, SingularInputError, dagger, hermitian_part, threshold
+from nclp.linalg import (
+    ABS_FLOOR,
+    INVERTIBILITY_RATIO,
+    DimensionMismatchError,
+    SingularInputError,
+    dagger,
+    hermitian_part,
+    threshold,
+)
 from nclp.sampling import commuting_unitary, ginibre, ginibre_stack, random_density, random_unitary, rng_from
 from nclp.spaces import P_GRID, QuantumMeasure, maximally_mixed, schatten_norm, weighted_norm
 from nclp.superop import (
@@ -23,6 +31,7 @@ from nclp.superop import (
     SuperOperator,
     _choi_bounds,
     _choi_pivot_reading,
+    _factor_gram_defects,
     canonical_jordan,
     change_of_representation_demo,
     choi,
@@ -196,7 +205,7 @@ def test_jordan_check_invertibility_matches_the_singular_values():
     fallback += [SuperOperator(n, random_unitary(n * n, rng) * np.linspace(1.0, 1.0 / 1.2, n * n)) for n in (2, 3)]
     singular = []
     for index, t in enumerate(certified + fallback):
-        conclusive = _choi_bounds(t.matrix) is not None
+        conclusive = _choi_bounds(_choi_pivot_reading(t.matrix)) is not None
         assert conclusive == (index < len(certified))
         reference, scale, is_singular = _svd_invertibility(t)
         check = jordan_check(t)
@@ -233,7 +242,7 @@ def _assert_choi_bounds_match_the_singular_values(t):
     onto, is_jordan and inverse keep the singular-value verdicts.  Returns
     whether it was conclusive."""
     sv = np.linalg.svd(t.matrix, compute_uv=False)
-    bounds = _choi_bounds(t.matrix)
+    bounds = _choi_bounds(_choi_pivot_reading(t.matrix))
     if bounds is not None:
         low, high = bounds
         assert 0.0 < low and high <= 3.0 * low
@@ -292,7 +301,7 @@ def test_choi_bounds_match_the_singular_values():
     # on Jordan maps and their multiples the bounds are exact to rounding
     for t in jordan:
         sv = np.linalg.svd(t.matrix, compute_uv=False)
-        low, high = _choi_bounds(t.matrix)
+        low, high = _choi_bounds(_choi_pivot_reading(t.matrix))
         assert abs(low - sv[-1] ** 2) <= 1e-13 * high and abs(high - sv[0] ** 2) <= 1e-13 * high
 
 
@@ -323,17 +332,41 @@ def test_isometry_check_holds_no_n2_by_n2_array():
     n = 16
     m = QuantumMeasure(random_density(n, rng))
     t = SuperOperator.ad_unitary(random_unitary(n, rng))
-    for p in (1.0, 3.0):
-        for measure in (None, m):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                check = isometry_check(t, measure, p, trials=50, seed=0)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert check.onto and check.gram_defect is None
-            assert peak - base < t.matrix.nbytes
+    # at p = 2 the factor certificate decides with no n^2 x n^2 Gram product;
+    # a conjugation commuting with rho is an isometry with or without it
+    commuting = SuperOperator.ad_unitary(commuting_unitary(m.eigenbasis, rng))
+    cases = [(t, measure, p) for p in (1.0, 3.0) for measure in (None, m)]
+    cases += [(commuting, measure, 2.0) for measure in (None, m)]
+    for v, measure, p in cases:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            check = isometry_check(v, measure, p, trials=50, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check.onto
+        if p == 2.0:
+            assert check.is_isometry
+            assert check.gram_defect is not None and check.gram_defect <= 1e-12
+        else:
+            assert check.gram_defect is None
+        assert peak - base < v.matrix.nbytes
+
+
+def test_isometry_check_rejects_a_p2_conjugation_without_a_transport(monkeypatch):
+    builds = []
+    transport = superop.weighted_isometry_transport
+    monkeypatch.setattr(
+        superop, "weighted_isometry_transport", lambda *a, **k: builds.append(a) or transport(*a, **k)
+    )
+    rng = rng_from(50)
+    n = 16
+    m = QuantumMeasure(random_density(n, rng))
+    report = implementability_check(SuperOperator.ad_unitary(random_unitary(n, rng)), m, 2.0)
+    assert not report.implementable and report.failure == "isometry"
+    assert report.isometry.gram_defect > 1.0
+    assert builds == []
 
 
 def _jordan_defects_whole(j):
@@ -563,15 +596,42 @@ def _svd_onto(t):
     return bool(sv[0] > 0.0 and sv[-1] > INVERTIBILITY_RATIO * sv[0])
 
 
+def _gram_certificate(t, measure, tol=1e-9):
+    """The (d0, delta) of the factor certificate that decides the p = 2 Gram
+    defect, taken as ``isometry_check`` takes it, or None when the dense
+    Gram product decides."""
+    limit = threshold(float(t.dim), tol)
+    readings = list(_choi_pivot_reading(t.matrix))
+    return next(
+        (
+            (d0, delta)
+            for d0, delta in _factor_gram_defects(readings, measure)
+            if d0 + delta <= limit or d0 - delta > limit
+        ),
+        None,
+    )
+
+
+def _dense_gram_defect(t, measure):
+    """||G* G - 1||_F for G the map itself or its transport."""
+    g = t.matrix if measure is None else weighted_isometry_transport(t, measure, 2.0).matrix
+    return float(np.linalg.norm(dagger(g) @ g - np.eye(t.dim**2)))
+
+
 def _assert_gram_onto_matches(t, measure=None):
     n = t.dim
     for p in (1.0, 2.0):
         check = isometry_check(t, measure, p, trials=2, seed=0)
         assert check.onto == _svd_onto(t)
-    # at p = 2 the isometry certificate is ||G* G - 1||_F, for G the map
-    # itself or its transport, unchanged bit for bit
-    g = t.matrix if measure is None else weighted_isometry_transport(t, measure, 2.0).matrix
-    assert check.gram_defect == float(np.linalg.norm(dagger(g) @ g - np.eye(n * n)))
+    # at p = 2 the isometry certificate is the dense ||G* G - 1||_F, bit for
+    # bit, or the factor certificate's d0 within its delta of it
+    dense = _dense_gram_defect(t, measure)
+    certificate = _gram_certificate(t, measure)
+    if certificate is None:
+        assert check.gram_defect == dense
+    else:
+        assert abs(check.gram_defect - dense) <= certificate[1] + 1e-13 * max(1.0, dense)
+    assert check.is_isometry == (check.max_rel_defect <= threshold(1.0) and dense <= threshold(float(n)))
     return check.onto
 
 
@@ -614,6 +674,83 @@ def test_gram_onto_matches_the_singular_values_on_random_maps(n, seed, decay, lo
     sv = 10.0 ** np.linspace(log_scale, log_scale - decay, n * n)
     m = (random_unitary(n * n, rng) * sv) @ random_unitary(n * n, rng)
     _assert_gram_onto_matches(SuperOperator(n, m))
+
+
+def _counted_isometry_check(v, measure):
+    """The p = 2 isometry check and the transports it built."""
+    builds = []
+    transport = superop.weighted_isometry_transport
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(superop, "weighted_isometry_transport", lambda *a, **k: builds.append(a) or transport(*a, **k))
+        check = isometry_check(v, measure, 2.0, trials=2, seed=0)
+    return check, len(builds)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), transposed=st.booleans(), weighted=st.booleans())
+def test_factor_gram_certificate_matches_the_dense_gram_on_random_maps(seed, transposed, weighted):
+    # n <= 6 and rho with cond 10^log_cond up to 1e9; the map is the
+    # pull-back through the transport of X -> A X B (or A X^T B) with the
+    # singular values of A and B in 1 + 10^log_spread [-1, 1], so that some
+    # land near the threshold, plus Ginibre noise of norm 10^log_noise times
+    # ||M||_F.  The sizes are drawn from the seed, evenly over their ranges
+    rng = rng_from(seed)
+    n = int(rng.integers(1, 7))
+    log_cond, log_spread, log_noise = rng.uniform((0.0, -12.0, -16.0), (9.0, 0.0, -3.0))
+    q = random_unitary(n, rng)
+    lam = np.geomspace(1.0, 10.0**-log_cond, n)
+    measure = QuantumMeasure((q * (lam / lam.sum())) @ q.conj().T) if weighted else None
+    a, b = (
+        random_unitary(n, rng) * (1.0 + 10.0**log_spread * rng.uniform(-1.0, 1.0, n)) @ random_unitary(n, rng)
+        for _ in range(2)
+    )
+    t = SuperOperator.sandwich(a, b)
+    if transposed:
+        t = _transposed(t)
+    if measure is not None:
+        t = weighted_isometry_transport(t, measure, 2.0, inverse=True)
+    noise = ginibre(n * n, rng)
+    v = SuperOperator(n, t.matrix + 10.0**log_noise * np.linalg.norm(t.matrix) / np.linalg.norm(noise) * noise)
+    dense = _dense_gram_defect(v, measure)
+    rounding = 1e-13 * max(1.0, dense)
+    for d0, delta in _factor_gram_defects(list(_choi_pivot_reading(v.matrix)), measure):
+        assert abs(d0 - dense) <= delta + rounding
+    check, builds = _counted_isometry_check(v, measure)
+    limit = threshold(float(n))
+    dense_verdict = check.max_rel_defect <= threshold(1.0) and dense <= limit
+    certificate = _gram_certificate(v, measure)
+    if certificate is None:
+        # the dense Gram decides, on the transport when there is a measure
+        assert builds == (measure is not None)
+        assert check.gram_defect == dense and check.is_isometry == dense_verdict
+    else:
+        assert builds == 0 and check.gram_defect == certificate[0]
+        if abs(dense - limit) > certificate[1] + rounding:
+            assert check.is_isometry == dense_verdict
+
+
+def test_factor_gram_certificate_falls_back_off_the_factor_form():
+    rng = rng_from(51)
+    n = 3
+    m = QuantumMeasure(random_density(n, rng))
+    # a unitary of the Hilbert-Schmidt space that is no X -> A X B: an L^2
+    # isometry, decided by the dense Gram on M or on the transport
+    u = SuperOperator(n, random_unitary(n * n, rng))
+    for v, measure in ((u, None), (weighted_isometry_transport(u, m, 2.0, inverse=True), m)):
+        assert _gram_certificate(v, measure) is None
+        check, builds = _counted_isometry_check(v, measure)
+        assert check.is_isometry and check.gram_defect <= 1e-12
+        assert builds == (measure is not None)
+    # a conjugation near the threshold: the residual's delta straddles it
+    conjugation = SuperOperator.ad_unitary(random_unitary(n, rng))
+    noise = ginibre(n * n, rng)
+    near = SuperOperator(n, conjugation.matrix + 0.5 * threshold(float(n)) / np.linalg.norm(noise) * noise)
+    readings = list(_choi_pivot_reading(near.matrix))
+    assert any(abs(d0 - threshold(float(n))) <= delta for d0, delta in _factor_gram_defects(readings, None))
+    assert _gram_certificate(near, None) is None
+    assert isometry_check(near, None, 2.0).gram_defect == _dense_gram_defect(near, None)
+    with pytest.raises(DimensionMismatchError):
+        isometry_check(u, QuantumMeasure(random_density(n + 1, rng)), 2.0)
 
 
 def _isometry_defect_loop(t, measure, p, trials, seed):
