@@ -207,28 +207,37 @@ def multiplicativity_check(k, tol: float = DEFAULT_TOL) -> MultiplicativityCheck
     indicator pairs plus || K 1 - 1 ||_inf; by bilinearity, vanishing on the
     basis is vanishing everywhere.
 
-    K is read in blocks of whole rows, about ``_BLOCK_ENTRIES`` entries each,
-    so the work buffers stay cache-sized and only three values per row
-    outlive their block.  The worst disjoint pair at a point multiplies the two largest
+    K is a square array, through ``np.asarray`` as complex or float, or a
+    row source: ``shape`` (n, n), ``dtype``, and ``k[start:stop]`` returning
+    those rows as an array that is read, never written.  K is read once, in
+    blocks of whole rows, about ``_BLOCK_ENTRIES`` entries each, so the work
+    buffers stay cache-sized and only four values per row outlive their
+    block.  The worst disjoint pair at a point multiplies the two largest
     entries of its row in modulus; they come from two passes, the row
     maximum at its ``argmax``, then the maximum again with that one entry
     set to -1.  A maximum that occurs twice in a row is found again by the
     second pass, so it is paired with itself, as a sort would pair it.
     """
-    k = np.asarray(k, dtype=complex if np.iscomplexobj(k) else float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1] or k.size == 0:
+    dtype = complex if np.iscomplexobj(k) else float
+    if isinstance(k, np.ndarray) or not hasattr(k, "shape"):
+        k = np.asarray(k, dtype=dtype)
+    if len(k.shape) != 2 or k.shape[0] != k.shape[1] or k.shape[0] == 0:
         raise ValueError("operator must be a nonempty square matrix")
     n = k.shape[0]
     rows = max(1, _BLOCK_ENTRIES // n)
-    work = np.empty((min(rows, n), n), dtype=k.dtype)
+    work = np.empty((min(rows, n), n), dtype=dtype)
     magnitudes = np.empty(work.shape) if np.iscomplexobj(work) else work
+    ones = np.ones(n)
     row_defects = np.empty(n)
     largest = np.empty(n)
     second = np.empty(n)
+    row_sums = np.empty(n, dtype=dtype)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         block = k[start:stop]
         w, mag = work[: stop - start], magnitudes[: stop - start]
+        # block @ ones sums each row as k @ ones does; np.sum takes another order
+        row_sums[start:stop] = block @ ones
         # i = j: K(e_i) must be pointwise idempotent
         np.multiply(block, block, out=w)
         np.subtract(block, w, out=w)
@@ -244,7 +253,7 @@ def multiplicativity_check(k, tol: float = DEFAULT_TOL) -> MultiplicativityCheck
     top = float(np.max(largest))
     if n > 1:
         product_defect = max(product_defect, float(np.max(largest * second)))
-    unitality_defect = float(np.max(np.abs(k @ np.ones(n) - 1.0)))
+    unitality_defect = float(np.max(np.abs(row_sums - 1.0)))
     defect = product_defect + unitality_defect
     scale = max(1.0, top**2)
     return MultiplicativityCheck(

@@ -289,6 +289,20 @@ def test_multiplicativity_work_buffer_leaves_input_and_defects_alone():
         assert np.array_equal(k, before)
         assert (check.product_defect, check.unitality_defect) == _multiplicativity_defects(k)
         assert check.defect == check.product_defect + check.unitality_defect
+        # the same rows through a row source, in blocks that need not divide n
+        assert multiplicativity_check(_RowCopies(k)) == check
+
+
+class _RowCopies:
+    """The least row source: shape, dtype, and a copy of each row slice."""
+
+    def __init__(self, k):
+        self._k = k
+        self.shape = k.shape
+        self.dtype = k.dtype
+
+    def __getitem__(self, rows):
+        return self._k[rows].copy()
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nclp import mpc
+from nclp import classical, mpc
 from nclp.classical import multiplicativity_check
 from nclp.mpc import (
     DomainEmptyError,
@@ -780,7 +780,36 @@ def test_restricted_adjoint_grid_is_the_xor_gather():
             for g in multipliers:
                 k = mpc.fwht(g) / g.size
                 idx = np.arange(g.size)
-                assert np.array_equal(mpc._restricted_adjoint_grid(g), k[idx[:, None] ^ idx])
+                gather = k[idx[:, None] ^ idx]
+                assert np.array_equal(mpc._restricted_adjoint_grid(g), gather)
+                # the row source the verdict reads: every aligned block, at
+                # the check's block size and at each smaller power of two
+                rows = mpc._XorRows(mpc._step_kernel(g))
+                r = min(g.size, classical._BLOCK_ENTRIES // g.size)
+                while r >= 1:
+                    for start in range(0, g.size, r):
+                        assert np.array_equal(rows[start : start + r], gather[start : start + r])
+                    r //= 2
+                assert multiplicativity_check(rows) == multiplicativity_check(gather)
+    rows = mpc._XorRows(mpc.fwht(np.ones(8)) / 8)
+    for bad in (slice(1, 3), slice(0, 3), slice(2, 5), slice(0, 4, 2), slice(4, 4)):
+        with pytest.raises(ValueError):
+            rows[bad]
+
+
+def test_implementability_never_holds_the_grid():
+    shift = build_shift(6)
+    f = SpectralFunction.logistic(6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        verdict = mpc.mpc_implementability(shift, f, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.restricted_dim == 4096 and not verdict.implementable
+    # the 4096 x 4096 grid would be 134 MB
+    assert peak - base < 4 * 2**20
 
 
 def test_restricted_adjoint_grid_allocates_only_its_output():
