@@ -41,10 +41,14 @@ def require(obj: dict, field: str):
 
 
 def integer_field(obj: dict, field: str) -> int:
-    """``obj[field]`` as an int, refusing bools and fractions rather than truncating."""
-    value = require(obj, field)
+    """``obj[field]`` as an int, by the rule of ``integer_value``."""
+    return integer_value(require(obj, field), field)
+
+
+def integer_value(value, name: str) -> int:
+    """``value`` as an int, refusing bools, fractions and strings rather than truncating."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
-        raise SchemaError(field, f"must be an integer, got {value!r}")
+        raise SchemaError(name, f"must be an integer, got {value!r}")
     return int(value)
 
 

@@ -19,12 +19,13 @@ exactly preservation of the empty-set coefficient.
 
 Every operator here (the shift, the filtration projectors, the age
 operator, the change of representation, the semigroup step and its
-coarse-grained variant) is a real weighted bit shift, so the exact
-identities are comparisons of weight vectors.  The intertwining relation
-holds up to float rounding (<= 1e-12) because the semigroup weights are
-stored as ratios of spectral-function values.  The exact-arithmetic
-counterparts of these identities are checked by the test-suite oracle over
-the rationals.
+coarse-grained variant) is a real weighted bit shift that weighs a subset,
+and keeps it in the window, by its age alone, so a ``WalshOperator`` holds
+one weight and one domain flag per age and the exact identities compare
+those.  The intertwining relation holds up to float rounding (<= 1e-12)
+because the semigroup weights are stored as ratios of spectral-function
+values.  The exact-arithmetic counterparts of these identities are checked
+by the test-suite oracle over the rationals.
 
 Stochasticity is decided, not sampled: on densities a step is an XOR
 convolution, positive exactly when its kernel is nonnegative.
@@ -48,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .classical import MultiplicativityCheck, multiplicativity_check
-from .jsonio import integer_field
+from .jsonio import integer_field, integer_value
 from .linalg import DEFAULT_TOL
 
 MAX_WINDOW = 6
@@ -132,58 +133,80 @@ class SpectralFunction:
         return cls(-half_width - 1, half_width + 1, np.asarray(values, dtype=float))
 
 
-def _move(masks: np.ndarray, shift: int) -> np.ndarray:
-    return masks << shift if shift >= 0 else masks >> -shift
+@lru_cache(maxsize=None)
+def _slot_index(sites: int) -> np.ndarray:
+    """slot[mask] for the 2^sites masks: 0 for the empty mask, 1 + b for the
+    2^b masks in [2^b, 2^(b+1)), whose top bit is b."""
+    bits = np.arange(sites)
+    slots = np.concatenate(([0], np.repeat(bits + 1, 1 << bits)))
+    slots.setflags(write=False)
+    return slots
 
 
 @dataclass(frozen=True)
 class WalshOperator:
-    """A weighted bit shift on Walsh coordinates plus its domain mask.
+    """A weighted bit shift on Walsh coordinates, stored by age slot.
 
-    An in-domain mask m goes to m << shift (m >> -shift for a negative
-    shift) times ``weights[m]``; diagonal operators have shift 0.  Masks
+    Slot 0 is the empty mask and slot 1 + b holds the 2^b masks with top bit
+    b, all with the slot's weight and domain flag.  An in-domain mask m goes
+    to m << shift times its weight; diagonal operators have shift 0.  Masks
     outside the domain go to zero *and* are flagged: any quantity derived
-    from this operator must quantify over ``domain`` only and report
+    from this operator must quantify over the domain only and report
     ``domain_fraction`` alongside.  In-domain masks never lose a bit, so the
     map is one-to-one there and a composition is again a weighted bit shift.
+    ``weights``, ``domain`` and ``apply`` are the per-mask views.
     """
 
     shift: int
-    weights: np.ndarray
-    domain: np.ndarray
+    slot_weights: np.ndarray
+    slot_domain: np.ndarray
+
+    def __post_init__(self):
+        if self.shift < 0:
+            raise ValueError("a Walsh operator shifts by t >= 0")
 
     @property
     def dim(self) -> int:
-        return self.weights.size
+        return 1 << (self.slot_weights.size - 1)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.slot_weights[_slot_index(self.slot_weights.size - 1)]
+
+    @property
+    def domain(self) -> np.ndarray:
+        return self.slot_domain[_slot_index(self.slot_domain.size - 1)]
 
     @property
     def domain_fraction(self) -> float:
-        return float(np.mean(self.domain))
+        sizes = np.r_[1, 1 << np.arange(self.slot_domain.size - 1)]
+        return int(sizes @ self.slot_domain) / self.dim
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Map a coefficient vector, or each column of a (dim, k) array."""
         v = np.asarray(v)
         src = np.flatnonzero(self.domain)
-        out = np.zeros(v.shape, dtype=np.result_type(v, self.weights))
+        out = np.zeros(v.shape, dtype=np.result_type(v, self.slot_weights))
         weights = self.weights[src].reshape(-1, *(1,) * (v.ndim - 1))
-        out[_move(src, self.shift)] = weights * v[src]
+        out[src << self.shift] = weights * v[src]
         return out
 
     def compose(self, other: "WalshOperator") -> "WalshOperator":
-        """The product self o other: ``other`` acts first."""
-        src = np.flatnonzero(other.domain)
-        mid = _move(src, other.shift)
-        kept = self.domain[mid]
+        """The product self o other: ``other`` acts first, moving slot i > 0
+        to slot i + other.shift."""
+        src = np.flatnonzero(other.slot_domain)
+        mid = src + other.shift * (src > 0)
+        kept = self.slot_domain[mid]
         src, mid = src[kept], mid[kept]
-        weights = np.zeros(self.dim)
-        weights[src] = self.weights[mid] * other.weights[src]
-        domain = np.zeros(self.dim, dtype=bool)
+        weights = np.zeros(self.slot_weights.size)
+        weights[src] = self.slot_weights[mid] * other.slot_weights[src]
+        domain = np.zeros(self.slot_domain.size, dtype=bool)
         domain[src] = True
         return WalshOperator(self.shift + other.shift, weights, domain)
 
 
 def _masked_max(values: np.ndarray, mask: np.ndarray) -> float:
-    """max |value| over the masks selected by ``mask`` (0 when none is)."""
+    """max |value| over the entries selected by ``mask`` (0 when none is)."""
     picked = np.abs(values[mask])
     return float(picked.max()) if picked.size else 0.0
 
@@ -200,7 +223,7 @@ class TruncatedKShift:
     half_width: int
 
     def __post_init__(self):
-        n = int(self.half_width)
+        n = integer_value(self.half_width, "half_width")
         if n < 1 or n > MAX_WINDOW:
             raise WindowTooLargeError(
                 f"half-width must lie in [1, {MAX_WINDOW}], got {n}"
@@ -230,36 +253,25 @@ class TruncatedKShift:
         return mask
 
     @property
-    def ages(self) -> np.ndarray:
-        """age[mask] = max coordinate of the subset; the empty-set entry is a
-        sentinel one below the window and must be guarded by nonempty()."""
-        return _ages(self.half_width)
+    def slot_ages(self) -> np.ndarray:
+        """The age of each slot, -N-1..N: the empty mask's is the sentinel
+        -N-1, one below the window."""
+        return np.arange(-self.half_width - 1, self.half_width + 1)
 
-    def nonempty(self) -> np.ndarray:
-        out = np.ones(self.dim, dtype=bool)
-        out[0] = False
-        return out
+    @property
+    def ages(self) -> np.ndarray:
+        """age[mask] = max coordinate of the subset, -N-1 for the empty mask."""
+        return self.slot_ages[_slot_index(self.sites)]
 
     def shift_operator(self, t: int) -> WalshOperator:
-        """U_t: subset S -> S + t where the image stays inside the window;
-        the constant function is fixed."""
-        t = int(t)
-        masks = np.arange(self.dim)
-        if t >= 0:
-            in_dom = masks << t < self.dim
-        else:
-            in_dom = masks >> (-t) << (-t) == masks
+        """U_t for t >= 0: subset S -> S + t where the image stays inside the
+        window; the constant function is fixed."""
+        t = integer_value(t, "t")
+        if t < 0:
+            raise ValueError("shift operators need t >= 0")
+        slots = np.arange(self.sites + 1)
+        in_dom = (slots == 0) | (slots + t <= self.sites)
         return WalshOperator(t, in_dom.astype(float), in_dom)
-
-
-@lru_cache(maxsize=None)
-def _ages(half_width: int) -> np.ndarray:
-    # the 2^b masks in [2^b, 2^(b+1)) have top bit b, position b - N; the
-    # empty mask lands on the sentinel -N - 1
-    bits = np.arange(2 * half_width + 1)
-    ages = np.concatenate(([-1], np.repeat(bits, 1 << bits))) - half_width
-    ages.setflags(write=False)
-    return ages
 
 
 def build_shift(half_width: int) -> TruncatedKShift:
@@ -270,39 +282,37 @@ def build_shift(half_width: int) -> TruncatedKShift:
 def conditional_expectation(shift: TruncatedKShift, t: int) -> WalshOperator:
     """The projector onto ages <= t; t = -N-1 keeps only the constants."""
     n = shift.half_width
-    t = int(t)
+    t = integer_value(t, "t")
     if t < -n - 1 or t > n:
         raise ValueError(f"filtration time {t} outside [{-n - 1}, {n}]")
-    keep = (shift.ages <= t) | ~shift.nonempty()
-    return WalshOperator(0, keep.astype(float), np.ones(shift.dim, dtype=bool))
+    keep = shift.slot_ages <= t
+    return WalshOperator(0, keep.astype(float), np.ones(keep.size, dtype=bool))
 
 
 def time_operator(shift: TruncatedKShift) -> WalshOperator:
     """Diagonal age operator; the constant function carries no age and sits
     outside the domain mask."""
-    diag = shift.ages.astype(float)
+    diag = shift.slot_ages.astype(float)
     diag[0] = 0.0
-    return WalshOperator(0, diag, shift.nonempty())
+    return WalshOperator(0, diag, np.arange(diag.size) > 0)
 
 
 def commutation_check(shift: TruncatedKShift, t: int) -> float:
     """max over in-domain nonconstant basis vectors of
     ||(T U_t - U_t T - t U_t) w||; exactly zero, since ages shift by t."""
-    if t < 0:
-        raise ValueError("commutation check expects t >= 0")
     u = shift.shift_operator(t)
     time = time_operator(shift)
-    residual = time.compose(u).weights - u.compose(time).weights - t * u.weights
-    return _masked_max(residual, u.domain & shift.nonempty())
+    residual = time.compose(u).slot_weights - u.compose(time).slot_weights - u.shift * u.slot_weights
+    return _masked_max(residual[1:], u.slot_domain[1:])
 
 
 def lambda_build(shift: TruncatedKShift, f: SpectralFunction) -> WalshOperator:
     """The change of representation: multiply each age-s basis element by
     f(s) and fix the constants.  Invertible on the window since f > 0."""
     _check_range(shift, f)
-    diag = f.values[shift.ages - f.s_min]
+    diag = f.values[shift.slot_ages - f.s_min]
     diag[0] = 1.0
-    return WalshOperator(0, diag, np.ones(shift.dim, dtype=bool))
+    return WalshOperator(0, diag, np.ones(diag.size, dtype=bool))
 
 
 def wt_build(shift: TruncatedKShift, f: SpectralFunction, t: int) -> WalshOperator:
@@ -316,10 +326,10 @@ def wt_build(shift: TruncatedKShift, f: SpectralFunction, t: int) -> WalshOperat
     """
     t = _check_step(shift, t)
     _check_range(shift, f)
-    domain = shift.shift_operator(t).domain
-    sources = np.flatnonzero(domain & shift.nonempty())
-    ages = shift.ages[sources]
-    weights = np.zeros(shift.dim)
+    domain = shift.shift_operator(t).slot_domain
+    sources = np.flatnonzero(domain)[1:]
+    ages = shift.slot_ages[sources]
+    weights = np.zeros(domain.size)
     weights[0] = 1.0
     weights[sources] = f.values[ages + t - f.s_min] / f.values[ages - f.s_min]
     return WalshOperator(t, weights, domain)
@@ -327,7 +337,7 @@ def wt_build(shift: TruncatedKShift, f: SpectralFunction, t: int) -> WalshOperat
 
 def _check_step(shift: TruncatedKShift, t: int) -> int:
     """``t`` as an int, if a step by it keeps a nonconstant subset."""
-    t = int(t)
+    t = integer_value(t, "t")
     if t < 1:
         raise ValueError("semigroup steps require t >= 1")
     if t > 2 * shift.half_width:
@@ -356,7 +366,7 @@ def coarse_grained_wt(shift: TruncatedKShift, s0: int, t: int) -> WalshOperator:
     experiment; no theorem is asserted for it.
     """
     u = shift.shift_operator(_check_step(shift, t))
-    e = conditional_expectation(shift, int(s0))
+    e = conditional_expectation(shift, integer_value(s0, "s0"))
     return e.compose(u)
 
 
@@ -368,8 +378,8 @@ def intertwining_defect(shift: TruncatedKShift, f: SpectralFunction, t: int) -> 
     w = wt_build(shift, f, t)
     lam = lambda_build(shift, f)
     u = shift.shift_operator(t)
-    residual = w.compose(lam).weights - lam.compose(u).weights
-    return _masked_max(residual, u.domain)
+    residual = w.compose(lam).slot_weights - lam.compose(u).slot_weights
+    return _masked_max(residual, u.slot_domain)
 
 
 def semigroup_defect(shift: TruncatedKShift, f: SpectralFunction, s: int, t: int) -> float:
@@ -377,53 +387,39 @@ def semigroup_defect(shift: TruncatedKShift, f: SpectralFunction, s: int, t: int
     ws = wt_build(shift, f, s)
     wt = wt_build(shift, f, t)
     wst = wt_build(shift, f, s + t)
-    residual = ws.compose(wt).weights - wst.weights
-    return _masked_max(residual, wst.domain)
+    residual = ws.compose(wt).slot_weights - wst.slot_weights
+    return _masked_max(residual, wst.slot_domain)
 
 
-def _filtration_by_age(shift: TruncatedKShift) -> tuple[np.ndarray, np.ndarray, float]:
-    """The filtration times -N-1..N; the weights of each E_t, one row per
-    time, at one mask per age (the empty mask, then the lowest mask 2^b of
-    age b - N); and the spread, how far any mask's weight strays from its
-    age's.  E_t depends only on age, so the spread is 0 and the identities
-    on the projectors hold on all masks when they hold on these; the spread
-    stays in both defects so that a mask the representatives miss still
-    counts.  One d-length projector is alive at a time."""
-    n = shift.half_width
-    times = np.arange(-n - 1, n + 1)
-    representatives = np.r_[0, 1 << np.arange(shift.sites)]
-    age_index = shift.ages + n + 1
-    per_age = np.empty((times.size, representatives.size))
-    spread = 0.0
-    for row, t in zip(per_age, times):
-        weights = conditional_expectation(shift, int(t)).weights
-        row[:] = weights[representatives]
-        spread = max(spread, float(np.max(np.abs(weights - row[age_index]))))
-    return times, per_age, spread
+def _filtration_by_age(shift: TruncatedKShift) -> tuple[np.ndarray, np.ndarray]:
+    """The filtration times -N-1..N and the weights of each E_t, one row per
+    time and one column per age slot."""
+    times = shift.slot_ages
+    return times, np.stack([conditional_expectation(shift, t).slot_weights for t in times])
 
 
 def filtration_defect(shift: TruncatedKShift) -> float:
     """Projector algebra: E_s E_t = E_t E_s = E_min(s,t), exactly."""
-    times, per_age, spread = _filtration_by_age(shift)
+    times, per_age = _filtration_by_age(shift)
     k = np.arange(times.size)
     products = per_age[:, None] * per_age[None] - per_age[np.minimum.outer(k, k)]
-    return max(spread, float(np.max(np.abs(products))))
+    return float(np.max(np.abs(products)))
 
 
 def time_consistency_defect(shift: TruncatedKShift) -> float:
     """The telescoping sum sum_t t (E_t - E_{t-1}) must reproduce the age
     operator on its domain."""
-    times, per_age, spread = _filtration_by_age(shift)
-    total = (times[1:] @ np.diff(per_age, axis=0))[shift.ages + shift.half_width + 1]
+    times, per_age = _filtration_by_age(shift)
+    total = times[1:] @ np.diff(per_age, axis=0)
     reference = time_operator(shift)
-    mask = reference.domain
-    return max(spread, float(np.max(np.abs(total[mask] - reference.weights[mask]))))
+    mask = reference.slot_domain
+    return float(np.max(np.abs(total[mask] - reference.slot_weights[mask])))
 
 
 def contraction_violation(shift: TruncatedKShift, f: SpectralFunction, t: int) -> float:
     """How far any semigroup multiplier strays outside (0, 1]."""
     w = wt_build(shift, f, t)
-    data = w.weights[w.domain]
+    data = w.slot_weights[w.slot_domain]
     return float(max(0.0, float(np.max(data)) - 1.0) + max(0.0, -float(np.min(data))))
 
 
@@ -491,19 +487,18 @@ def _step_weights(op: WalshOperator, shift: TruncatedKShift, t: int) -> np.ndarr
     """A step's weights on the masks below 2^(2N+1-t), the subsets of the low
     2N+1-t coordinates, and zero on those off its domain.  A step by t
     reads only these coordinates, and its adjoint acts on these masks with
-    these multipliers; a negative shift would move masks above them in."""
-    if op.shift < 0:
-        raise ValueError("the step kernel needs a shift >= 0")
-    block = 1 << (2 * shift.half_width + 1 - t)
-    return np.where(op.domain[:block], op.weights[:block], 0.0)
+    these multipliers: the slots 0..2N+1-t, spread over their masks."""
+    sites = shift.sites - t
+    slots = np.where(op.slot_domain[: sites + 1], op.slot_weights[: sites + 1], 0.0)
+    return slots[_slot_index(sites)]
 
 
 def _stochasticity_of(op: WalshOperator, shift: TruncatedKShift, t: int) -> StochasticitySuite:
-    """Unitality, mass and positivity of a step with shift >= 0, all exact.
+    """Unitality, mass and positivity of a step, all exact.
 
     Unitality and mass both read the weight on the empty set, the only mask
-    that a shift >= 0 sends there.  Positivity is decided on densities of
-    the low 2N+1-t coordinates, all that a step by t reads: their masks lie
+    that a step sends there.  Positivity is decided on densities of the low
+    2N+1-t coordinates, all that a step by t reads: their masks lie
     below block = 2^(2N+1-t), which the step scales by m while relabelling
     grid points, so it acts as XOR convolution by k = fwht(m) / block and is
     positive exactly when k >= 0.  Over densities with values in [0, 1] its
@@ -511,7 +506,7 @@ def _stochasticity_of(op: WalshOperator, shift: TruncatedKShift, t: int) -> Stoc
     {y : k[x ^ y] < 0}; that sum is the positivity defect.
     """
     k = _step_kernel(_step_weights(op, shift, t))
-    mass_defect = abs(float(op.weights[0] if op.domain[0] else 0.0) - 1.0)
+    mass_defect = abs(float(op.slot_weights[0] if op.slot_domain[0] else 0.0) - 1.0)
     return StochasticitySuite(
         positivity_defect=0.0 - float(np.sum(k[k < 0])),  # +0.0 when k >= 0
         mass_defect=mass_defect,

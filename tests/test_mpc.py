@@ -142,29 +142,33 @@ def test_shift_flags_off_window_images():
 def test_shift_domain_matches_set_logic():
     n = 2
     shift = build_shift(n)
-    for t in (1, 2, -1):
+    for t in (1, 2):
         u = shift.shift_operator(t)
         for subset in all_subsets(n):
             expected = in_window(shifted(subset, t), n)
             assert u.domain[shift.index_of(subset)] == expected
+    # S - 1 stays in the window by min(S), not by its age: no slot form
+    with pytest.raises(ValueError):
+        shift.shift_operator(-1)
 
 
 def test_compose_is_the_matrix_product():
     shift = build_shift(2)
     f = SpectralFunction.logistic(2)
-    u, back = shift.shift_operator(1), shift.shift_operator(-1)
+    u, u2, u3 = (shift.shift_operator(t) for t in (1, 2, 3))
     pairs = (
         (u, lambda_build(shift, f)),
         (wt_build(shift, f, 1), wt_build(shift, f, 2)),
         (conditional_expectation(shift, 0), u),
-        (back, u),
-        (u, back),
-        (wt_build(shift, f, 1), shift.shift_operator(-2)),
+        (time_operator(shift), u2),
+        (u2, time_operator(shift)),
+        (conditional_expectation(shift, -1), wt_build(shift, f, 3)),
+        (u3, u2),
     )
     for a, b in pairs:
         assert np.array_equal(dense(a.compose(b)), dense(a) @ dense(b))
     # a product of unweighted shifts moves exactly the masks of its domain
-    for a, b in ((back, u), (u, back)):
+    for a, b in ((u2, u), (u, u2), (u3, u2)):
         product = a.compose(b)
         assert np.array_equal(dense(product).any(axis=0), product.domain)
 
@@ -380,26 +384,25 @@ def test_filtration_and_time_consistency_exact(monkeypatch):
         assert mpc.filtration_defect(shift) == _filtration_defect_loop(shift) == 0.0
         assert mpc.time_consistency_defect(shift) == _time_consistency_defect_loop(shift) == 0.0
     original = mpc.conditional_expectation
-    halved_mask = 1
+    halved_slot = 1
 
     def halved(shift, t):
-        # E_N with the weight of one mask halved
+        # E_N with the weight of one age slot halved
         e = original(shift, t)
         if t == shift.half_width:
-            e.weights[halved_mask] = 0.5
+            e.slot_weights[halved_slot] = 0.5
         return e
 
     monkeypatch.setattr(mpc, "conditional_expectation", halved)
     for n in range(1, 7):
         shift = build_shift(n)
-        # mask 1 = {-N} is the only mask of its age: the per-age rows carry it
+        # slot 1 holds mask 1 = {-N} alone
         assert mpc.filtration_defect(shift) == _filtration_defect_loop(shift) == 0.5
         assert mpc.time_consistency_defect(shift) == _time_consistency_defect_loop(shift) == n / 2
-    halved_mask = 3
+    halved_slot = 2
     for n in range(1, 7):
         shift = build_shift(n)
-        # mask 3 = {-N, -N + 1} is not its age's representative, mask 2:
-        # the spread counts it
+        # slot 2 holds masks 2 and 3, {-N + 1} and {-N, -N + 1}
         assert mpc.filtration_defect(shift) > 0.0 and _filtration_defect_loop(shift) > 0.0
         assert mpc.time_consistency_defect(shift) > 0.0 and _time_consistency_defect_loop(shift) > 0.0
 
@@ -510,18 +513,15 @@ def test_stochasticity_logistic():
 
 def hand_built_step(shift, raw, t):
     """The semigroup step of a positive non-increasing table ``raw`` (age ->
-    value on [-N-1, N+1]) that need not be a SpectralFunction."""
-    d = shift.dim
-    weights = np.zeros(d)
+    value on [-N-1, N+1]) that need not be a SpectralFunction, by age slot."""
+    weights = np.zeros(shift.sites + 1)
     weights[0] = 1.0
-    domain = np.zeros(d, dtype=bool)
+    domain = np.zeros(shift.sites + 1, dtype=bool)
     domain[0] = True
-    for mask in range(1, d):
-        if mask << t >= d:
-            continue
-        age = int(shift.ages[mask])
-        weights[mask] = raw[age + t] / raw[age]
-        domain[mask] = True
+    for slot in range(1, shift.sites + 1 - t):
+        age = slot - 1 - shift.half_width
+        weights[slot] = raw[age + t] / raw[age]
+        domain[slot] = True
     return WalshOperator(t, weights, domain)
 
 
@@ -541,9 +541,9 @@ def test_stochasticity_exploratory_non_log_concave():
 
 def test_stochasticity_reports_lost_mass():
     shift = build_shift(1)
-    weights = np.ones(shift.dim)
+    weights = np.ones(shift.sites + 1)
     weights[0] = 0.5
-    op = WalshOperator(0, weights, np.ones(shift.dim, dtype=bool))
+    op = WalshOperator(0, weights, np.ones(shift.sites + 1, dtype=bool))
     suite = mpc._stochasticity_of(op, shift, 1)
     assert suite.mass_defect == 0.5 and suite.unitality_defect == 0.5
 
@@ -574,14 +574,14 @@ def stochasticity_operators():
     """(shift, t, op): a step, a coarse-graining, and two that go negative."""
     for n in (1, 2, 3, 4):
         shift = build_shift(n)
-        d = shift.dim
+        slots = np.arange(shift.sites + 1)
         # 11 * mean - 10 * f: negative wherever a density exceeds 1.1 times its mean
-        reflect = WalshOperator(0, np.where(np.arange(d) == 0, 1.0, -10.0), np.ones(d, dtype=bool))
+        reflect = WalshOperator(0, np.where(slots == 0, 1.0, -10.0), np.ones(slots.size, dtype=bool))
         for t in (1, 2):
             wt = wt_build(shift, SpectralFunction.logistic(n), t)
             # the step with its non-constant part reflected: negative, and
             # where depends on which coordinates a density involves
-            flipped = WalshOperator(t, np.where(np.arange(d) == 0, 1.0, -10.0 * wt.weights), wt.domain)
+            flipped = WalshOperator(t, np.where(slots == 0, 1.0, -10.0 * wt.slot_weights), wt.slot_domain)
             for op in (wt, mpc.coarse_grained_wt(shift, 0, t), reflect, flipped):
                 yield shift, t, op
 
@@ -650,10 +650,13 @@ def test_exact_positivity_defect_is_zero_on_every_valid_case():
 
 
 def test_stochasticity_rejects_a_negative_shift():
-    # a negative shift moves masks above the block into it
+    # a negative shift would move masks above the block into it; neither the
+    # shift model nor a hand-built operator can make one
     shift = build_shift(2)
     with pytest.raises(ValueError):
         mpc._stochasticity_of(shift.shift_operator(-1), shift, 1)
+    with pytest.raises(ValueError):
+        WalshOperator(-1, np.ones(shift.sites + 1), np.ones(shift.sites + 1, dtype=bool))
 
 
 def test_stochasticity_sample_allocates_at_block_size():
@@ -739,6 +742,72 @@ def test_age_tables_match_mask_loops():
                 coarse = mpc.coarse_grained_wt(shift, s0, t)
                 reference = loop_adjoint_multipliers(shift, t, lambda a: float(a <= s0))
                 assert np.array_equal(mpc._step_weights(coarse, shift, t), reference)
+
+
+def slot_forms_and_mask_references(n):
+    """(operator, per-mask weights, per-mask domain) for every builder at
+    half-width n and every t, the references from per-mask loops."""
+    shift = build_shift(n)
+    d, ages = shift.dim, loop_ages(n)
+    masks = np.arange(d)
+    everywhere = np.ones(d, dtype=bool)
+    geometric = SpectralFunction.from_table(n, [2.0**-s for s in range(-n - 1, n + 2)])
+    spectral = (SpectralFunction.logistic(n), SpectralFunction.constant(n), geometric)
+    diag = ages.astype(float)
+    diag[0] = 0.0
+    yield time_operator(shift), diag, masks != 0
+    for s in range(-n - 1, n + 1):
+        yield conditional_expectation(shift, s), ((masks == 0) | (ages <= s)).astype(float), everywhere
+    for f in spectral:
+        yield lambda_build(shift, f), loop_lambda_weights(shift, f), everywhere
+    for t in range(0, 2 * n + 3):
+        fits = np.array([m << t < d for m in range(d)])
+        yield shift.shift_operator(t), fits.astype(float), fits
+        if not 1 <= t <= 2 * n:
+            continue
+        for f in spectral:
+            yield wt_build(shift, f, t), loop_wt_weights(shift, f, t), fits
+        for s0 in range(-n - 1, n + 1):
+            kept = fits & ((masks == 0) | (ages + t <= s0))
+            yield mpc.coarse_grained_wt(shift, s0, t), kept.astype(float), fits
+
+
+def test_slot_forms_match_mask_loops():
+    rng = rng_from(7)
+    for n in range(1, 7):
+        v = rng.standard_normal((1 << (2 * n + 1), 2))
+        for op, weights, domain in slot_forms_and_mask_references(n):
+            assert op.slot_weights.size == op.slot_domain.size == 2 * n + 2
+            assert np.array_equal(op.weights, weights)
+            assert np.array_equal(op.domain, domain)
+            assert op.domain_fraction == float(np.mean(domain))
+            expected = np.zeros_like(v)
+            src = np.flatnonzero(domain)
+            expected[src << op.shift] = weights[src, None] * v[src]
+            assert np.array_equal(op.apply(v), expected)
+            assert np.array_equal(op.apply(v[:, 0]), expected[:, 0])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda shift, x: build_shift(x),
+        lambda shift, x: shift.shift_operator(x),
+        lambda shift, x: commutation_check(shift, x),
+        lambda shift, x: conditional_expectation(shift, x),
+        lambda shift, x: wt_build(shift, SpectralFunction.logistic(2), x),
+        lambda shift, x: mpc.coarse_grained_wt(shift, x, 1),
+    ],
+    ids=["TruncatedKShift", "shift_operator", "commutation_check", "conditional_expectation", "_check_step", "s0"],
+)
+def test_integer_arguments_are_integers(entry):
+    shift = build_shift(2)
+    # an integer of any type is taken as it is
+    assert repr(entry(shift, np.int64(1))) == repr(entry(shift, 1.0)) == repr(entry(shift, 1))
+    # bools, fractions and strings are refused, never truncated or cast
+    for bad in (True, False, 0.5, 1.5, 2.5, "1", "3"):
+        with pytest.raises(ValueError):
+            entry(shift, bad)
 
 
 def test_restricted_adjoint_grid_is_the_dense_walsh_product():
