@@ -24,6 +24,7 @@ from .spaces import (
     norm_scale_report,
     schatten_norm,
     tau_conjugate,
+    tau_exponent,
     weighted_norm,
 )
 from .superop import (
@@ -85,7 +86,7 @@ def criterion_1_norm_suite() -> AcceptanceResult:
                 failures.append(f"triangle trial={trial} p={p}")
             # faithfulness: a tiny weighted norm forces a tiny matrix
             # the top eigenvalue of rho^(-1/2p), from rho's smallest
-            inv = m.eigenvalues[0] ** (-1.0 / (2.0 * p))
+            inv = m.eigenvalues[0] ** -tau_exponent(p)
             bound = inv**2 * n ** max(0.0, 0.5 - 1.0 / p)
             if frobenius(a) > bound * na * (1 + rtol):
                 failures.append(f"faithfulness trial={trial} p={p}")

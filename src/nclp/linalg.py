@@ -2,9 +2,10 @@
 
 Tolerance policy, used package-wide: every comparison takes an explicit
 relative tolerance (default ``DEFAULT_TOL``) and is floored at the absolute
-``ABS_FLOOR``.  A density matrix counts as invertible when its smallest
-eigenvalue exceeds ``INVERTIBILITY_RATIO`` times its largest one; anything
-closer to singular is rejected loudly instead of being regularized.
+``ABS_FLOOR``.  Invertibility has one rule, ``invertible``: the smallest
+eigenvalue or singular value must exceed ``INVERTIBILITY_RATIO`` times the
+largest one; anything closer to singular is rejected loudly instead of
+being regularized.
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ class DimensionMismatchError(ValueError):
 def threshold(scale: float, tol: float = DEFAULT_TOL) -> float:
     """Comparison cutoff: relative to ``scale``, never below the absolute floor."""
     return max(tol * abs(scale), ABS_FLOOR)
+
+
+def invertible(low: float, high: float) -> bool:
+    """The invertibility rule: ``high`` > 0 and ``low`` > INVERTIBILITY_RATIO * ``high``,
+    for the smallest and largest eigenvalue or singular value."""
+    return bool(high > 0.0 and low > INVERTIBILITY_RATIO * high)
 
 
 def as_matrices(a) -> np.ndarray:
@@ -102,8 +109,7 @@ class HermitianEig:
     def power(self, r: float, tol: float = DEFAULT_TOL) -> np.ndarray:
         """P^r for the positive semidefinite P this decomposes.
 
-        Negative exponents additionally require P to be invertible (smallest
-        eigenvalue above INVERTIBILITY_RATIO times the largest).
+        Negative exponents additionally require P to be ``invertible``.
         """
         w = self.eigenvalues
         top = float(max(w[-1], 0.0))
@@ -112,7 +118,7 @@ class HermitianEig:
                 f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
             )
         w = np.clip(w, 0.0, None)
-        if r < 0 and w[0] <= INVERTIBILITY_RATIO * top:
+        if r < 0 and not invertible(w[0], top):
             raise SingularPowerError(
                 f"negative power {r} of a numerically singular matrix "
                 f"(min eigenvalue {w[0]:.3e}, max {top:.3e})"
@@ -156,14 +162,15 @@ def frac_power(p, r: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     return hermitian_eig(p, tol=tol).power(r, tol)
 
 
-def polar_decompose(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def polar_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition A = U P with U unitary and P = |A| positive definite.
 
-    Requires A invertible so that the unitary factor is unique.
+    Requires A ``invertible`` in its singular values, so that the unitary
+    factor is unique.
     """
     a = as_matrix(a)
     u, s, vh = np.linalg.svd(a)
-    if s[0] == 0.0 or s[-1] <= INVERTIBILITY_RATIO * s[0]:
+    if not invertible(s[-1], s[0]):
         raise SingularInputError(
             f"polar factor is not unique: smallest singular value {s[-1]:.3e}"
         )
@@ -201,7 +208,7 @@ class DensityMatrix:
         tr = float(np.sum(w))
         if abs(tr - 1.0) > threshold(1.0, self.tol):
             raise ValueError(f"density matrix must have unit trace, got {tr!r}")
-        if w[0] <= INVERTIBILITY_RATIO * max(w[-1], 0.0):
+        if not invertible(w[0], w[-1]):
             raise SingularInputError(
                 f"density matrix is numerically singular: min eigenvalue {w[0]:.3e}"
             )

@@ -120,17 +120,19 @@ class SpectralFunction:
     @classmethod
     def logistic(cls, half_width: int) -> "SpectralFunction":
         """The default 1 / (1 + e^s): strictly decreasing with concave log."""
-        s = np.arange(-half_width - 1, half_width + 2)
-        return cls(-half_width - 1, half_width + 1, 1.0 / (1.0 + np.exp(s)))
+        n = integer_value(half_width, "half_width")
+        s = np.arange(-n - 1, n + 2)
+        return cls(-n - 1, n + 1, 1.0 / (1.0 + np.exp(s)))
 
     @classmethod
     def constant(cls, half_width: int, value: float = 1.0) -> "SpectralFunction":
-        s_lo, s_hi = -half_width - 1, half_width + 1
-        return cls(s_lo, s_hi, np.full(s_hi - s_lo + 1, float(value)))
+        n = integer_value(half_width, "half_width")
+        return cls(-n - 1, n + 1, np.full(2 * n + 3, float(value)))
 
     @classmethod
     def from_table(cls, half_width: int, values) -> "SpectralFunction":
-        return cls(-half_width - 1, half_width + 1, np.asarray(values, dtype=float))
+        n = integer_value(half_width, "half_width")
+        return cls(-n - 1, n + 1, np.asarray(values, dtype=float))
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +156,9 @@ class WalshOperator:
     from this operator must quantify over the domain only and report
     ``domain_fraction`` alongside.  In-domain masks never lose a bit, so the
     map is one-to-one there and a composition is again a weighted bit shift.
-    ``weights``, ``domain`` and ``apply`` are the per-mask views.
+    ``weights``, ``domain`` and ``apply`` are the per-mask views.  The two
+    slot arrays must match in length, and an in-domain slot s >= 1 must
+    stay in the window, s + shift <= sites; ValueError otherwise.
     """
 
     shift: int
@@ -164,6 +168,11 @@ class WalshOperator:
     def __post_init__(self):
         if self.shift < 0:
             raise ValueError("a Walsh operator shifts by t >= 0")
+        if self.slot_weights.shape != self.slot_domain.shape:
+            raise ValueError("a Walsh operator needs one weight and one domain flag per slot")
+        sites = self.slot_domain.size - 1
+        if self.slot_domain[max(1, sites - self.shift + 1) :].any():
+            raise ValueError(f"a domain slot leaves the {sites}-site window shifted by {self.shift}")
 
     @property
     def dim(self) -> int:
@@ -438,18 +447,12 @@ def fwht(values: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if n & (n - 1):
         raise ValueError("length must be a power of two")
-    rest = a.shape[1:]
-    # each stage butterflies in place on a view: the sums into one half-size
-    # buffer shared by all stages, the differences over the second halves,
-    # then the sums over the first halves
-    buffer = np.empty((n // 2, *rest), dtype=a.dtype)
     h = 1
     while h < n:
-        v = a.reshape(n // (2 * h), 2, h, *rest)
-        total = buffer.reshape(n // (2 * h), h, *rest)
-        np.add(v[:, 0], v[:, 1], out=total)
-        np.subtract(v[:, 0], v[:, 1], out=v[:, 1])
-        v[:, 0] = total
+        # each stage butterflies a view of the copy: sums over the first
+        # halves, differences over the second
+        v = a.reshape(n // (2 * h), 2, h, *a.shape[1:])
+        v[:, 0], v[:, 1] = v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]
         h *= 2
     return a
 
@@ -473,8 +476,12 @@ def grid_to_walsh(shift: TruncatedKShift, values: np.ndarray) -> np.ndarray:
 class StochasticitySuite:
     positivity_defect: float
     mass_defect: float
-    unitality_defect: float
     domain_fraction: float
+
+    @property
+    def unitality_defect(self) -> float:
+        """Equal to ``mass_defect``: both read the weight on the empty set."""
+        return self.mass_defect
 
 
 def _step_kernel(multipliers: np.ndarray) -> np.ndarray:
@@ -506,11 +513,9 @@ def _stochasticity_of(op: WalshOperator, shift: TruncatedKShift, t: int) -> Stoc
     {y : k[x ^ y] < 0}; that sum is the positivity defect.
     """
     k = _step_kernel(_step_weights(op, shift, t))
-    mass_defect = abs(float(op.slot_weights[0] if op.slot_domain[0] else 0.0) - 1.0)
     return StochasticitySuite(
         positivity_defect=0.0 - float(np.sum(k[k < 0])),  # +0.0 when k >= 0
-        mass_defect=mass_defect,
-        unitality_defect=mass_defect,
+        mass_defect=abs(float(op.slot_weights[0] if op.slot_domain[0] else 0.0) - 1.0),
         domain_fraction=op.domain_fraction,
     )
 
@@ -591,11 +596,17 @@ class _XorRows:
 
 @dataclass(frozen=True)
 class MpcImplementability:
-    implementable: bool
-    defect: float
     check: MultiplicativityCheck
     domain_fraction: float
     restricted_dim: int
+
+    @property
+    def implementable(self) -> bool:
+        return self.check.multiplicative
+
+    @property
+    def defect(self) -> float:
+        return self.check.defect
 
 
 def _implementability_of(op: WalshOperator, shift: TruncatedKShift, t: int, tol: float) -> MpcImplementability:
@@ -603,13 +614,7 @@ def _implementability_of(op: WalshOperator, shift: TruncatedKShift, t: int, tol:
     through ``_XorRows`` in cache-sized row blocks and never held whole."""
     g = _step_weights(op, shift, t)
     check = multiplicativity_check(_XorRows(_step_kernel(g)), tol=tol)
-    return MpcImplementability(
-        implementable=check.multiplicative,
-        defect=check.defect,
-        check=check,
-        domain_fraction=op.domain_fraction,
-        restricted_dim=g.size,
-    )
+    return MpcImplementability(check=check, domain_fraction=op.domain_fraction, restricted_dim=g.size)
 
 
 def mpc_implementability(
@@ -722,30 +727,27 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
 
     if f is None:
         s0 = integer_field(f_spec, "s0")
-        coarse = coarse_grained_wt(shift, s0, t)
-        suite = _stochasticity_of(coarse, shift, t)
-        add("stochasticity_positivity_defect", suite.positivity_defect, suite.domain_fraction)
-        add("stochasticity_mass_defect", suite.mass_defect, suite.domain_fraction)
-        add("stochasticity_unitality_defect", suite.unitality_defect, suite.domain_fraction)
+        step = coarse_grained_wt(shift, s0, t)
         verdict = coarse_grained_implementability(shift, s0, t, tol=tol)
-        add("multiplicativity_defect", verdict.defect, verdict.domain_fraction)
-        add("implementable", float(verdict.implementable), verdict.domain_fraction)
-        return MpcExperiment(tuple(rows), verdict.implementable, asserted=False, tol=tol)
-
-    add("intertwining_defect", intertwining_defect(shift, f, t), u.domain_fraction)
-    if t + 1 <= 2 * shift.half_width:
-        add(
-            "semigroup_defect",
-            semigroup_defect(shift, f, 1, t),
-            shift.shift_operator(1 + t).domain_fraction,
-        )
-    add("contraction_violation", contraction_violation(shift, f, t), u.domain_fraction)
-    suite = stochasticity_suite(shift, f, t)
+        bound = None
+    else:
+        add("intertwining_defect", intertwining_defect(shift, f, t), u.domain_fraction)
+        if t + 1 <= 2 * shift.half_width:
+            add(
+                "semigroup_defect",
+                semigroup_defect(shift, f, 1, t),
+                shift.shift_operator(1 + t).domain_fraction,
+            )
+        add("contraction_violation", contraction_violation(shift, f, t), u.domain_fraction)
+        step = wt_build(shift, f, t)
+        verdict = mpc_implementability(shift, f, t, tol=tol)
+        bound = multiplicativity_lower_bound(shift, f, t)
+    suite = _stochasticity_of(step, shift, t)
     add("stochasticity_positivity_defect", suite.positivity_defect, suite.domain_fraction)
     add("stochasticity_mass_defect", suite.mass_defect, suite.domain_fraction)
     add("stochasticity_unitality_defect", suite.unitality_defect, suite.domain_fraction)
-    verdict = mpc_implementability(shift, f, t, tol=tol)
     add("multiplicativity_defect", verdict.defect, verdict.domain_fraction)
-    add("multiplicativity_lower_bound", multiplicativity_lower_bound(shift, f, t), verdict.domain_fraction)
+    if bound is not None:
+        add("multiplicativity_lower_bound", bound, verdict.domain_fraction)
     add("implementable", float(verdict.implementable), verdict.domain_fraction)
-    return MpcExperiment(tuple(rows), verdict.implementable, asserted=True, tol=tol)
+    return MpcExperiment(tuple(rows), verdict.implementable, asserted=f is not None, tol=tol)

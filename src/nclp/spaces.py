@@ -51,6 +51,12 @@ def check_p(p) -> float:
     return p
 
 
+def tau_exponent(p: float) -> float:
+    """The exponent 1/(2p) of the sandwich rho^(1/2p) X rho^(1/2p) at a
+    checked p; 0 at p = inf, where the sandwich is the identity."""
+    return 0.0 if math.isinf(p) else 1.0 / (2.0 * p)
+
+
 def conjugate_exponent(p) -> float:
     """The dual exponent q with 1/p + 1/q = 1."""
     p = check_p(p)
@@ -149,7 +155,7 @@ def weighted_norm(a, measure: QuantumMeasure, p):
         )
     if math.isinf(p):
         return schatten_norm(a, math.inf)
-    root = measure.power(1.0 / (2.0 * p))
+    root = measure.power(tau_exponent(p))
     norms = schatten_norm(root @ a.reshape(-1, *a.shape[-2:]) @ root, p)
     return norms if a.ndim == 3 else float(norms[0])
 
@@ -178,10 +184,8 @@ def tau_conjugate(x, measure: QuantumMeasure, p, direction: str = "forward") -> 
     p = check_p(p)
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    r = 0.0 if math.isinf(p) else 1.0 / (2.0 * p)
-    if direction == "inverse":
-        r = -r
-    root = measure.power(r)
+    r = tau_exponent(p)
+    root = measure.power(-r if direction == "inverse" else r)
     return root @ x @ root
 
 

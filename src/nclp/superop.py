@@ -36,17 +36,17 @@ import numpy as np
 from .linalg import (
     ABS_FLOOR,
     DEFAULT_TOL,
-    INVERTIBILITY_RATIO,
     DimensionMismatchError,
     SingularInputError,
     as_matrix,
     dagger,
     hermitian_part,
+    invertible,
     polar_decompose,
     threshold,
 )
 from .sampling import ginibre_stack
-from .spaces import QuantumMeasure, check_p, schatten_norm, weighted_norm
+from .spaces import QuantumMeasure, check_p, schatten_norm, tau_exponent, weighted_norm
 
 #: Relative cutoff for Choi-rank decisions: on the singular values in
 #: ``choi_rank``, on the pivot reading's Frobenius residual in
@@ -141,13 +141,11 @@ class SuperOperator:
     def inverse(self) -> "SuperOperator":
         """The inverse map; SingularInputError when the matrix M is singular.
 
-        M counts as singular when its smallest singular value is at most
-        INVERTIBILITY_RATIO times its largest (or M is zero), read through
-        ``_singular_value_bounds``: the O(n^4) Choi certificate when it
-        concludes, the singular values otherwise.
+        M counts as singular unless its singular values are ``invertible``,
+        read through ``_singular_value_bounds``: the O(n^4) Choi certificate
+        when it concludes, the singular values otherwise.
         """
-        low, high = _singular_value_bounds(self.matrix)
-        if not (high > 0.0 and low > INVERTIBILITY_RATIO * high):
+        if not invertible(*_singular_value_bounds(self.matrix)):
             raise SingularInputError("superoperator is not invertible")
         return SuperOperator(self.dim, np.linalg.inv(self.matrix))
 
@@ -291,9 +289,8 @@ def _choi_bounds(readings) -> tuple[float, float] | None:
 
 
 def _singular_value_bounds(m: np.ndarray, readings=None) -> tuple[float, float]:
-    """Bounds (low, high) around the singular values of M, the one
-    invertibility rule's input: M is invertible when high > 0 and
-    low > INVERTIBILITY_RATIO * high.
+    """Bounds (low, high) around the singular values of M, the input of
+    ``linalg.invertible``.
 
     They are the Choi certificate's (``_choi_bounds``, on ``readings`` or
     else a fresh ``_choi_pivot_reading(m)``) when it concludes: then
@@ -316,13 +313,14 @@ def _factor_gram_defects(readings, measure: QuantumMeasure | None):
     for M itself.
 
     M0 is X -> A X B with A = x, B = y^T, or X -> A X^T B.  The transport
-    L V(R X R) L, with L = rho^(1/4) and R = rho^(-1/4) (both 1 without a
-    measure), turns it into X -> A' X B' with A' = L A R, B' = R B L, or
-    into X -> A' X^T B' with R^T for R on the inner side.  Its matrix is
-    kron(B'^T, A'), or that with its columns permuted, so its Gram matrix
-    is kron(P, Q), up to a permutation similarity, with P = conj(B') B'^T
-    and Q = A'* A'.  d0 = ||kron(P, Q) - 1||_F is summed by blocks in
-    O(n^3), with no difference of large squares:
+    L V(R X R) L, with L = rho^r and R = rho^(-r) for r = tau_exponent(2)
+    = 1/4 (both 1 without a measure), turns it into X -> A' X B' with
+    A' = L A R, B' = R B L, or into X -> A' X^T B' with R^T for R on the
+    inner side.  Its matrix is kron(B'^T, A'), or that with its columns
+    permuted, so its Gram matrix is kron(P, Q), up to a permutation
+    similarity, with P = conj(B') B'^T and Q = A'* A'.
+    d0 = ||kron(P, Q) - 1||_F is summed by blocks in O(n^3), with no
+    difference of large squares:
     d0^2 = ||offdiag P||_F^2 ||Q||_F^2 + sum_i ||P_ii Q - 1||_F^2.
 
     The transport's matrix is kron(L^T, L) M kron(R^T, R), so it lies
@@ -332,7 +330,8 @@ def _factor_gram_defects(readings, measure: QuantumMeasure | None):
     """
     spread = 1.0
     if measure is not None:
-        left, right = measure.power(0.25), measure.power(-0.25)
+        r = tau_exponent(2.0)
+        left, right = measure.power(r), measure.power(-r)
         w = measure.eigenvalues
         spread = math.sqrt(w[-1] / w[0])
     for (x, y, e), transposed in zip(readings, (False, True)):
@@ -585,11 +584,11 @@ def isometry_check(
     Schatten norm, otherwise the state-weighted norm.
 
     Surjectivity is the invertibility of the n^2 x n^2 matrix M: onto when
-    the smallest singular value exceeds INVERTIBILITY_RATIO times the
-    largest, read through ``_singular_value_bounds``.  Its O(n^4) Choi
-    certificate concludes on every map close enough to an X -> A X B or
-    A X^T B with cond <= sqrt(3), Jordan maps included, and takes no
-    n^2 x n^2 product; other maps take one SVD.
+    its singular values are ``invertible``, read through
+    ``_singular_value_bounds``.  Its O(n^4) Choi certificate concludes on
+    every map close enough to an X -> A X B or A X^T B with cond <= sqrt(3),
+    Jordan maps included, and takes no n^2 x n^2 product; other maps take
+    one SVD.
 
     For p = 2 the isometry is also decided exactly, on top of the sampled
     comparison: the matrix of T in an orthonormal basis of the relevant L^2
@@ -624,8 +623,7 @@ def isometry_check(
     nx = norm(xs)
     max_rel = float(np.max(np.abs(norm(_apply_to_stack(t, xs)) - nx) / nx))
     readings = list(_choi_pivot_reading(t.matrix)) if p == 2.0 else None
-    low, high = _singular_value_bounds(t.matrix, readings)
-    onto = bool(high > 0.0 and low > INVERTIBILITY_RATIO * high)
+    onto = invertible(*_singular_value_bounds(t.matrix, readings))
     gram_defect = None
     limit = threshold(float(n), tol)
     if p == 2.0:
@@ -692,7 +690,7 @@ def lamperti_decompose(t: SuperOperator, p, tol: float = DEFAULT_TOL) -> Lampert
     n = t.dim
     a = t.apply(np.eye(n))
     try:
-        w_factor, positive = polar_decompose(a, tol=tol)
+        w_factor, positive = polar_decompose(a)
     except SingularInputError as exc:
         raise NotDecomposableError(f"T(1) is singular: {exc}", witness=a) from exc
     scale = float(np.trace(positive).real / n)
@@ -757,7 +755,7 @@ def weighted_isometry_transport(
     p = check_p(p)
     if v.dim != measure.dim:
         raise DimensionMismatchError("map and state dimensions differ")
-    r = 0.0 if math.isinf(p) else 1.0 / (2.0 * p)
+    r = tau_exponent(p)
     left, right = measure.power(r), measure.power(-r)
     if inverse:
         left, right = right, left
@@ -772,20 +770,24 @@ class ImplementabilityReport:
 
     Every failure mode is an entry here, never an exception: a negative
     verdict is a successful run.  ``jordan`` carries the implementing Jordan
-    automorphism when the map is implementable, in canonical form.
+    automorphism when the map is implementable, in canonical form.  The
+    fields past ``failure`` are None for the stages the check did not reach.
     """
 
-    implementable: bool
-    jordan: SuperOperator | None
-    kind: str | None
     unitality_defect: float
-    positivity_defect: float | None
-    isometry: IsometryCheck | None
-    decomposition: LampertiDecomposition | None
-    w_phase_defect: float | None
-    scale_defect: float | None
-    match_defect: float | None
     failure: str | None
+    jordan: SuperOperator | None = None
+    kind: str | None = None
+    positivity_defect: float | None = None
+    isometry: IsometryCheck | None = None
+    decomposition: LampertiDecomposition | None = None
+    w_phase_defect: float | None = None
+    scale_defect: float | None = None
+    match_defect: float | None = None
+
+    @property
+    def implementable(self) -> bool:
+        return self.failure is None
 
     @property
     def defects(self) -> dict[str, float]:
@@ -821,40 +823,24 @@ def implementability_check(
     """
     p = check_p(p)
     n = v.dim
-
-    def fail(stage, **kw):
-        defaults = dict(
-            implementable=False,
-            jordan=None,
-            kind=None,
-            unitality_defect=unitality_defect,
-            positivity_defect=None,
-            isometry=None,
-            decomposition=None,
-            w_phase_defect=None,
-            scale_defect=None,
-            match_defect=None,
-            failure=stage,
-        )
-        defaults.update(kw)
-        return ImplementabilityReport(**defaults)
-
     unitality_defect = float(np.linalg.norm(v.apply(np.eye(n)) - np.eye(n)))
     if unitality_defect > threshold(math.sqrt(n), tol):
-        return fail("unitality")
+        return ImplementabilityReport(unitality_defect, "unitality")
     pos = positivity_check(v, trials=trials, seed=seed, tol=tol)
     if not pos.positive:
-        return fail("positivity", positivity_defect=pos.defect)
+        return ImplementabilityReport(unitality_defect, "positivity", positivity_defect=pos.defect)
     iso = isometry_check(v, measure, p, trials=trials, seed=seed, tol=tol)
     if not iso.is_isometry or not iso.onto:
         stage = "onto" if not iso.onto else "isometry"
-        return fail(stage, positivity_defect=pos.defect, isometry=iso)
+        return ImplementabilityReport(
+            unitality_defect, stage, positivity_defect=pos.defect, isometry=iso
+        )
     transported = weighted_isometry_transport(v, measure, p)
     try:
         dec = lamperti_decompose(transported, p, tol=tol)
     except NotDecomposableError as exc:
-        return fail(
-            f"decomposition: {exc.reason}", positivity_defect=pos.defect, isometry=iso
+        return ImplementabilityReport(
+            unitality_defect, f"decomposition: {exc.reason}", positivity_defect=pos.defect, isometry=iso
         )
     tr = complex(np.trace(dec.w))
     phase = tr / abs(tr) if abs(tr) > 0 else 1.0
@@ -871,17 +857,10 @@ def implementability_check(
         match_defect=match_defect,
     )
     if w_phase_defect > threshold(math.sqrt(n), tol):
-        return fail("w_not_phase", **common)
+        return ImplementabilityReport(unitality_defect, "w_not_phase", **common)
     if match_defect > threshold(1.0, tol):
-        return fail("jordan_match", **common)
-    return ImplementabilityReport(
-        implementable=True,
-        jordan=canonical,
-        kind=dec.kind,
-        unitality_defect=unitality_defect,
-        failure=None,
-        **common,
-    )
+        return ImplementabilityReport(unitality_defect, "jordan_match", **common)
+    return ImplementabilityReport(unitality_defect, None, jordan=canonical, kind=dec.kind, **common)
 
 
 @dataclass(frozen=True)

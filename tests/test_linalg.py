@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nclp.linalg import (
+    INVERTIBILITY_RATIO,
     DensityMatrix,
     NegativeEigenvalueError,
     NonHermitianError,
@@ -11,6 +12,7 @@ from nclp.linalg import (
     SingularPowerError,
     frac_power,
     hermitian_eig,
+    invertible,
     matrix_abs,
     polar_decompose,
     psd_leq,
@@ -143,6 +145,46 @@ def test_polar_consistency_with_abs():
 def test_polar_rejects_singular():
     with pytest.raises(SingularInputError):
         polar_decompose(np.diag([1.0, 0.0]))
+
+
+#: The smallest value that a largest value of 1 leaves singular, and the
+#: next float above it.
+AT_RATIO = INVERTIBILITY_RATIO * 1.0
+ABOVE_RATIO = float(np.nextafter(AT_RATIO, 1.0))
+
+
+def test_invertible_boundary():
+    assert not invertible(AT_RATIO, 1.0)
+    assert invertible(ABOVE_RATIO, 1.0)
+    assert not invertible(0.0, 0.0) and not invertible(1.0, 0.0) and not invertible(-1.0, -1.0)
+
+
+def test_invertibility_boundary_in_every_consumer():
+    for low, ok in ((AT_RATIO, False), (ABOVE_RATIO, True)):
+        m = np.diag([1.0, low])
+        # a diagonal input reaches the rule with its entries unrounded
+        assert np.array_equal(np.linalg.svd(m, compute_uv=False), [1.0, low])
+        assert np.array_equal(hermitian_eig(m).eigenvalues, [low, 1.0])
+        if ok:
+            polar_decompose(m)
+            hermitian_eig(m).power(-0.5)
+        else:
+            with pytest.raises(SingularInputError):
+                polar_decompose(m)
+            with pytest.raises(SingularPowerError):
+                hermitian_eig(m).power(-0.5)
+    # a unit-trace diagonal state whose ratio is exactly the threshold, then
+    # the next float above
+    top = 1.0 / (1.0 + INVERTIBILITY_RATIO)
+    at = INVERTIBILITY_RATIO * top
+    for low, ok in ((at, False), (float(np.nextafter(at, 1.0)), True)):
+        rho = np.diag([top, low])
+        assert np.array_equal(np.linalg.eigvalsh(rho), [low, top])
+        if ok:
+            DensityMatrix(rho)
+        else:
+            with pytest.raises(SingularInputError):
+                DensityMatrix(rho)
 
 
 def test_psd_leq_basic():

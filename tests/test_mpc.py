@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from nclp import classical, mpc
 from nclp.classical import multiplicativity_check
+from nclp.jsonio import SchemaError
 from nclp.mpc import (
     DomainEmptyError,
     InvalidSpectralFunctionError,
@@ -810,6 +811,43 @@ def test_integer_arguments_are_integers(entry):
             entry(shift, bad)
 
 
+def test_walsh_operator_rejects_slots_that_leave_the_window():
+    # slot 3 of a 3-site window holds masks 4..7, which a shift by 1 moves out
+    with pytest.raises(ValueError):
+        WalshOperator(1, np.ones(4), np.ones(4, dtype=bool))
+    with pytest.raises(ValueError):
+        WalshOperator(0, np.ones(4), np.ones(3, dtype=bool))
+    # slot 0, the empty mask, stays put under any shift
+    op = WalshOperator(5, np.ones(4), np.arange(4) == 0)
+    assert op.domain_fraction == 1 / 8
+    ok = np.arange(4) <= 2
+    assert WalshOperator(1, np.ones(4), ok).domain_fraction == 0.5
+
+
+def test_every_builder_and_product_constructs():
+    for n in range(1, 4):
+        ops = [op for op, _, _ in slot_forms_and_mask_references(n)]
+        for a in ops:
+            for b in ops:
+                product = a.compose(b)
+                sites = product.slot_domain.size - 1
+                slots = np.flatnonzero(product.slot_domain[1:]) + 1
+                assert np.all(slots + product.shift <= sites)
+
+
+def test_spectral_function_half_widths_are_integers():
+    for build in (SpectralFunction.logistic, SpectralFunction.constant):
+        for bad in (True, 1.5, "2"):
+            with pytest.raises(SchemaError):
+                build(bad)
+    with pytest.raises(SchemaError):
+        SpectralFunction.from_table(1.5, np.ones(6))
+    assert repr(SpectralFunction.constant(2.0)) == repr(SpectralFunction.constant(2))
+    assert repr(SpectralFunction.logistic(np.int64(2))) == repr(SpectralFunction.logistic(2))
+    table = SpectralFunction.from_table(2.0, np.ones(7))
+    assert (table.s_min, table.s_max) == (-3, 3)
+
+
 def test_restricted_adjoint_grid_is_the_dense_walsh_product():
     # 0/1 and constant multipliers keep every sum an integer, so the gather
     # is exact there; logistic ratios are rounded in a different order
@@ -944,6 +982,26 @@ def test_coarse_grained_semigroup_reports():
     assert verdict.defect >= 0.0
     with pytest.raises(ValueError):
         mpc.coarse_grained_implementability(shift, 3, 1)
+
+
+def test_run_experiment_row_order():
+    def names(descriptor):
+        return [row.defect_name for row in mpc.run_experiment(descriptor).rows]
+
+    head = ["commutation_defect", "filtration_defect", "time_consistency_defect"]
+    tail = [
+        "stochasticity_positivity_defect",
+        "stochasticity_mass_defect",
+        "stochasticity_unitality_defect",
+        "multiplicativity_defect",
+    ]
+    bound, verdict = ["multiplicativity_lower_bound"], ["implementable"]
+    spectral = ["intertwining_defect", "semigroup_defect", "contraction_violation"]
+    assert names({"N": 2, "f": {"kind": "logistic"}, "t": 1}) == head + spectral + tail + bound + verdict
+    # at t = 2N no step by 1 + t exists, so there is no semigroup row
+    no_semigroup = ["intertwining_defect", "contraction_violation"]
+    assert names({"N": 2, "f": {"kind": "logistic"}, "t": 4}) == head + no_semigroup + tail + bound + verdict
+    assert names({"N": 2, "f": {"kind": "step", "s0": 0}, "t": 1}) == head + tail + verdict
 
 
 def test_run_experiment_rows():

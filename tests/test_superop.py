@@ -574,6 +574,22 @@ def test_isometry_check_unitary_conjugation_all_p():
         assert check.is_isometry and check.onto
 
 
+def test_invertibility_boundary_of_inverse_and_onto():
+    # singular values 1, 1, 1 and exactly INVERTIBILITY_RATIO, then the next
+    # float above: singular, then invertible
+    at = INVERTIBILITY_RATIO * 1.0
+    for low, ok in ((at, False), (float(np.nextafter(at, 1.0)), True)):
+        t = SuperOperator(2, np.diag([1.0, 1.0, 1.0, low]).astype(complex))
+        assert np.array_equal(np.linalg.svd(t.matrix, compute_uv=False), [1.0, 1.0, 1.0, low])
+        for p in (1.0, 2.0):
+            assert isometry_check(t, None, p, trials=2, seed=0).onto is ok
+        if ok:
+            assert np.array_equal(t.inverse().matrix, np.linalg.inv(t.matrix))
+        else:
+            with pytest.raises(SingularInputError):
+                t.inverse()
+
+
 def test_isometry_check_projection_is_not_onto():
     n = 2
     e = np.diag([1.0, 0.0]).astype(complex)
