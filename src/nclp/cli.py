@@ -67,7 +67,7 @@ def _optional_measure(payload: dict, tol: float, field: str = "rho") -> QuantumM
 
 
 def _exponent(payload: dict) -> float:
-    return float(jsonio.require(payload, "p"))
+    return spaces.check_p(jsonio.require(payload, "p"))
 
 
 def _fields(result, *skip: str) -> dict:

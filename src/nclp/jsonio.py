@@ -88,7 +88,7 @@ def matrix_from_json(obj, field: str) -> np.ndarray:
         raise SchemaError(field, str(exc)) from exc
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise SchemaError(field, f"matrix must be square, got shape {out.shape}")
-    if isinstance(obj, dict) and "dim" in obj and int(obj["dim"]) != out.shape[0]:
+    if isinstance(obj, dict) and "dim" in obj and integer_value(obj["dim"], "dim") != out.shape[0]:
         raise SchemaError(field, "declared dim does not match the matrix shape")
     return out
 
@@ -108,7 +108,7 @@ def superop_from_json(obj, field: str) -> SuperOperator:
     dim = int(round(side**0.5))
     if dim * dim != side:
         raise SchemaError(field, f"superoperator side {side} is not a perfect square")
-    if isinstance(obj, dict) and "dim" in obj and int(obj["dim"]) != dim:
+    if isinstance(obj, dict) and "dim" in obj and integer_value(obj["dim"], "dim") != dim:
         raise SchemaError(field, "declared dim does not match the matrix shape")
     return SuperOperator(dim, m)
 
@@ -119,8 +119,9 @@ def point_map_from_json(obj, field: str = "map") -> PointMap:
     images = require(obj, "map") if isinstance(obj, dict) else obj
     if not isinstance(images, list) or not images:
         raise SchemaError(field, "map must be a nonempty list of indices")
-    if isinstance(obj, dict) and "n" in obj and int(obj["n"]) != len(images):
+    if isinstance(obj, dict) and "n" in obj and integer_value(obj["n"], "n") != len(images):
         raise SchemaError(field, "declared n does not match the map length")
+    images = [integer_value(i, field) for i in images]
     try:
         return PointMap(np.asarray(images, dtype=int))
     except ValueError as exc:

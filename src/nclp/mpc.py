@@ -35,10 +35,10 @@ composition operator on the grid.  A step by t sends mask m to m << t, so
 its adjoint sends m << t back to m with the step's weight: the adjoint's
 sub-basis is the step's domain, the masks below d = 2^(2N+1-t), and its
 multipliers g are the step's weights there.  Its grid matrix is then an
-XOR convolution, K[x, y] = k[x ^ y] with k = fwht(g) / d, read by the check
-in cache-sized row blocks, so a verdict holds O(d) memory, not the grid.
-The tests compare it with the dense product H diag(g) H / d, H the +-1
-Walsh matrix.
+XOR convolution, K[x, y] = k[x ^ y] with k = fwht(g) / d.  Every row of K
+is a permutation of k, so the check reads k alone and a verdict takes O(d)
+time and memory, not the grid.  The tests compare it with the check of the
+dense product H diag(g) H / d, H the +-1 Walsh matrix.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .classical import MultiplicativityCheck, multiplicativity_check
+from .classical import MultiplicativityCheck, XorConvolution, multiplicativity_check
 from .jsonio import integer_field, integer_value
 from .linalg import DEFAULT_TOL
 
@@ -530,23 +530,6 @@ def stochasticity_suite(shift: TruncatedKShift, f: SpectralFunction, t: int) -> 
 # --- implementability ---------------------------------------------------------
 
 
-def _xor_head(k: np.ndarray, rows: int) -> np.ndarray:
-    """The first ``rows`` rows, a power of two, of K[x, y] = k[x ^ y], by
-    row doubling: for x < h, a power of two, K[x ^ h, y] = K[x, y ^ h], so
-    rows [h, 2h) are rows [0, h) with each adjacent pair of h-column blocks
-    swapped.  Every entry is a copy of an entry of k, written straight into
-    the output."""
-    d = k.size
-    head = np.empty((rows, d), dtype=k.dtype)
-    head[0] = k
-    h = 1
-    while h < rows:
-        blocks = (h, d // (2 * h), 2, h)
-        head[h : 2 * h].reshape(blocks)[...] = head[:h].reshape(blocks)[:, :, ::-1]
-        h *= 2
-    return head
-
-
 def _restricted_adjoint_grid(g: np.ndarray) -> np.ndarray:
     """Grid matrix of the adjoint semigroup step on its valid domain, whole.
 
@@ -555,43 +538,21 @@ def _restricted_adjoint_grid(g: np.ndarray) -> np.ndarray:
     is diagonal in that sub-basis, so its grid matrix H diag(g) H / d (H the
     +-1 Walsh matrix of size d) is an XOR convolution: since
     H[x, m] H[y, m] = H[x ^ y, m], K[x, y] = k[x ^ y] with k = fwht(g) / d.
-    The verdict reads K through ``_XorRows`` and never holds it; this d x d
-    build is the tests' oracle for those rows.
+    The verdict reads k alone; this d x d build is the tests' oracle.  It
+    doubles rows: for x < h, a power of two, K[x ^ h, y] = K[x, y ^ h], so
+    rows [h, 2h) are rows [0, h) with each adjacent pair of h-column blocks
+    swapped, every entry a copy of an entry of k written straight into the
+    output.
     """
-    return _xor_head(_step_kernel(g), g.size)
-
-
-class _XorRows:
-    """The rows of K[x, y] = k[x ^ y], d = k.size a power of two, served in
-    aligned blocks to ``multiplicativity_check``, which reads them once.
-
-    A block [x0, x0 + r) with r a power of two dividing x0 is the first r
-    rows with their columns XORed by x0, as x0 + i = x0 ^ i for i < r.  The
-    first r rows are built once; each block is one strided copy of them,
-    with the column bits above x0's lowest set bit as axes of length 2 and
-    the axis of each set bit reversed.  Any other slice raises ValueError.
-    """
-
-    def __init__(self, k: np.ndarray):
-        self.shape = (k.size, k.size)
-        self.dtype = k.dtype
-        self._head = k[None]  # row 0 of K is k
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        d = self.shape[0]
-        start, stop, step = rows.indices(d)
-        r = stop - start
-        if step != 1 or r < 1 or r & (r - 1) or start % r:
-            raise ValueError(f"rows [{start}, {stop}) are not an aligned power-of-two block")
-        if self._head.shape[0] < r:
-            self._head = _xor_head(self._head[0], r)
-        head = self._head[:r]
-        if start == 0:
-            return head
-        low = (start & -start).bit_length() - 1
-        bits = range(d.bit_length() - 2, low - 1, -1)
-        flips = tuple(slice(None, None, -1 if start >> b & 1 else 1) for b in bits)
-        return head.reshape(r, *(2,) * len(bits), 1 << low)[(slice(None), *flips)].reshape(r, d)
+    d = g.size
+    grid = np.empty((d, d))
+    grid[0] = _step_kernel(g)
+    h = 1
+    while h < d:
+        blocks = (h, d // (2 * h), 2, h)
+        grid[h : 2 * h].reshape(blocks)[...] = grid[:h].reshape(blocks)[:, :, ::-1]
+        h *= 2
+    return grid
 
 
 @dataclass(frozen=True)
@@ -610,10 +571,10 @@ class MpcImplementability:
 
 
 def _implementability_of(op: WalshOperator, shift: TruncatedKShift, t: int, tol: float) -> MpcImplementability:
-    """The verdict on the grid of the adjoint of the step ``op`` by t, read
-    through ``_XorRows`` in cache-sized row blocks and never held whole."""
+    """The verdict on the grid of the adjoint of the step ``op`` by t, an
+    XOR convolution that the check reads by its kernel, never as a grid."""
     g = _step_weights(op, shift, t)
-    check = multiplicativity_check(_XorRows(_step_kernel(g)), tol=tol)
+    check = multiplicativity_check(XorConvolution(_step_kernel(g)), tol=tol)
     return MpcImplementability(check=check, domain_fraction=op.domain_fraction, restricted_dim=g.size)
 
 

@@ -22,6 +22,7 @@ conjugates whole maps through it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,11 @@ P_GRID = (1.0, 1.5, 2.0, 3.0, 4.0)
 
 
 def check_p(p) -> float:
-    """Validate an L^p exponent: a real number >= 1, or inf."""
+    """Validate an L^p exponent: a real number >= 1, or inf.  A bool or any
+    other value that is not a real number, such as a string, is refused,
+    never cast."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise ValueError(f"p must be a real number, got {p!r}")
     p = float(p)
     if math.isnan(p) or p < 1.0:
         raise ValueError("p must be >= 1")

@@ -10,6 +10,7 @@ from nclp.classical import (
     SUPPORT_RTOL,
     FiniteMeasureSpace,
     PointMap,
+    XorConvolution,
     doubly_stochastic_check,
     frobenius_perron_of,
     koopman_of,
@@ -289,20 +290,65 @@ def test_multiplicativity_work_buffer_leaves_input_and_defects_alone():
         assert np.array_equal(k, before)
         assert (check.product_defect, check.unitality_defect) == _multiplicativity_defects(k)
         assert check.defect == check.product_defect + check.unitality_defect
-        # the same rows through a row source, in blocks that need not divide n
-        assert multiplicativity_check(_RowCopies(k)) == check
+    # an XOR kernel is read alone and left alone; its product defect is the
+    # gathered grid's, bit for bit
+    for k in _xor_kernels(rng):
+        before = k.copy()
+        check = multiplicativity_check(XorConvolution(k))
+        assert np.array_equal(k, before)
+        assert check.product_defect == _multiplicativity_defects(_xor_gather(k))[0]
+        assert check.defect == check.product_defect + check.unitality_defect
 
 
-class _RowCopies:
-    """The least row source: shape, dtype, and a copy of each row slice."""
+def _xor_gather(k):
+    """The dense operator K[x, y] = k[x ^ y]."""
+    i = np.arange(k.size)
+    return k[i[:, None] ^ i]
 
-    def __init__(self, k):
-        self._k = k
-        self.shape = k.shape
-        self.dtype = k.dtype
 
-    def __getitem__(self, rows):
-        return self._k[rows].copy()
+def _xor_kernels(rng):
+    """Random real and complex kernels at d = 1, 2, ..., 1024 and, from d = 2,
+    real and complex kernels whose largest modulus occurs twice."""
+    kernels = []
+    for m in range(11):
+        d = 1 << m
+        kernels.append(rng.standard_normal(d) / d)
+        kernels.append((rng.standard_normal(d) + 1j * rng.standard_normal(d)) / d)
+        if d >= 2:
+            tied = rng.random(d) / 2
+            tied[rng.choice(d, 2, replace=False)] = 0.75
+            kernels += [tied, tied * np.exp(1j * rng.random(d))]
+    return kernels
+
+
+def test_xor_kernel_check_matches_the_gathered_grid():
+    rng = rng_from(10)
+    eps = np.finfo(float).eps
+    for k in _xor_kernels(rng):
+        check, dense = multiplicativity_check(XorConvolution(k)), multiplicativity_check(_xor_gather(k))
+        assert check.product_defect == dense.product_defect
+        assert abs(check.unitality_defect - dense.unitality_defect) <= k.size * eps * np.sum(np.abs(k))
+    # dyadic kernels sum exactly in any order, so the two checks agree outright
+    for m in range(11):
+        d = 1 << m
+        for k in (rng.integers(-4, 5, d) / 8.0, rng.integers(0, 3, d) / 4.0 + 0.5j * rng.integers(-1, 2, d)):
+            check, dense = multiplicativity_check(XorConvolution(k)), multiplicativity_check(_xor_gather(k))
+            assert (check.multiplicative, check.product_defect, check.defect) == (
+                dense.multiplicative,
+                dense.product_defect,
+                dense.defect,
+            )
+        # a point mass at a is the translation x -> x ^ a, a composition operator
+        for a in {0, d // 3, d - 1}:
+            delta = np.zeros(d)
+            delta[a] = 1.0
+            for k in (delta, delta.astype(complex)):
+                check = multiplicativity_check(XorConvolution(k))
+                assert check.multiplicative and check.defect == 0.0
+                assert multiplicativity_check(_xor_gather(k)) == check
+    for bad in (np.ones(3), np.ones(0), np.ones((2, 2)), np.ones(6)):
+        with pytest.raises(ValueError):
+            XorConvolution(bad)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

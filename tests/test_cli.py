@@ -473,6 +473,18 @@ USAGE_ERRORS = {
     "tol-nan": ["implementable", "--input", NOT_UNITAL, "--tol", "nan"],
     "t_steps-fraction": ["change-rep", "--input", change_rep_payload(2.5)],
     "t_steps-bool": ["change-rep", "--input", change_rep_payload(True)],
+    # p = 1.0 and p = 3.0 were read from true and "3"
+    "p-bool": ["norm", "--input", payload({"A": {"matrix": [[3, 0], [0, 4]]}, "p": True})],
+    "p-string": ["norm", "--input", payload({"A": {"matrix": [[3, 0], [0, 4]]}, "p": "3"})],
+    # a declared dim, n or map entry was cast to int, or compared as read
+    "dim-fraction": ["norm", "--input", payload({"A": {"dim": 1.5, "matrix": [[1]]}, "p": 1})],
+    "dim-string": ["norm", "--input", payload({"A": {"dim": "1", "matrix": [[1]]}, "p": 1})],
+    "dim-bool": ["norm", "--input", payload({"A": {"dim": True, "matrix": [[1]]}, "p": 1})],
+    "superop-dim-bool": ["jordan", "--input", payload({"J": {**superop_to_json(SuperOperator.identity(1)), "dim": True}})],
+    "n-fraction": ["classical", "koopman", "--input", payload({"n": 2.0001, "map": [1, 0]})],
+    "n-string": ["classical", "koopman", "--input", payload({"n": "2", "map": [1, 0]})],
+    "map-fraction": ["classical", "koopman", "--input", payload({"map": [0.7, 1]})],
+    "map-bool": ["classical", "koopman", "--input", payload({"map": [True, 1]})],
 }
 
 

@@ -878,30 +878,25 @@ def test_restricted_adjoint_grid_is_the_dense_walsh_product():
 
 
 def test_restricted_adjoint_grid_is_the_xor_gather():
+    eps = np.finfo(float).eps
     for n in range(1, 6):
         shift = build_shift(n)
         for t in (1, 2):
             steps = [wt_build(shift, f, t) for f in (SpectralFunction.logistic(n), SpectralFunction.constant(n))]
             steps += [mpc.coarse_grained_wt(shift, s0, t) for s0 in range(-n - 1, n + 1)]
-            multipliers = [mpc._step_weights(step, shift, t) for step in steps]
-            for g in multipliers:
+            for step in steps:
+                g = mpc._step_weights(step, shift, t)
                 k = mpc.fwht(g) / g.size
                 idx = np.arange(g.size)
                 gather = k[idx[:, None] ^ idx]
                 assert np.array_equal(mpc._restricted_adjoint_grid(g), gather)
-                # the row source the verdict reads: every aligned block, at
-                # the check's block size and at each smaller power of two
-                rows = mpc._XorRows(mpc._step_kernel(g))
-                r = min(g.size, classical._BLOCK_ENTRIES // g.size)
-                while r >= 1:
-                    for start in range(0, g.size, r):
-                        assert np.array_equal(rows[start : start + r], gather[start : start + r])
-                    r //= 2
-                assert multiplicativity_check(rows) == multiplicativity_check(gather)
-    rows = mpc._XorRows(mpc.fwht(np.ones(8)) / 8)
-    for bad in (slice(1, 3), slice(0, 3), slice(2, 5), slice(0, 4, 2), slice(4, 4)):
-        with pytest.raises(ValueError):
-            rows[bad]
+                # the kernel the verdict reads, against the check of the gather
+                check = multiplicativity_check(classical.XorConvolution(k))
+                assert mpc._implementability_of(step, shift, t, mpc.DEFAULT_TOL).check == check
+                reference = multiplicativity_check(gather)
+                assert check.multiplicative == reference.multiplicative
+                assert check.product_defect == reference.product_defect
+                assert abs(check.unitality_defect - reference.unitality_defect) <= g.size * eps * np.sum(np.abs(k))
 
 
 def test_implementability_never_holds_the_grid():
@@ -915,8 +910,8 @@ def test_implementability_never_holds_the_grid():
     finally:
         tracemalloc.stop()
     assert verdict.restricted_dim == 4096 and not verdict.implementable
-    # the 4096 x 4096 grid would be 134 MB
-    assert peak - base < 4 * 2**20
+    # the 4096 x 4096 grid would be 134 MB; the kernel is 32 KB
+    assert peak - base < 16 * verdict.restricted_dim * 8
 
 
 def test_restricted_adjoint_grid_allocates_only_its_output():

@@ -30,6 +30,14 @@ def test_check_p_rejects_small_exponents():
         check_p(0.5)
 
 
+def test_check_p_takes_real_numbers_only():
+    for bad in (True, False, "3", "inf", None, 2j):
+        with pytest.raises(ValueError):
+            check_p(bad)
+    for p in (1, 2.5, np.float64(3.0), np.int64(4), math.inf):
+        assert check_p(p) == float(p)
+
+
 def test_conjugate_exponent():
     assert conjugate_exponent(1.0) == math.inf
     assert conjugate_exponent(math.inf) == 1.0
