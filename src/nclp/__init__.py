@@ -6,8 +6,8 @@ maps on matrix algebras and their isometry structure theory,
 :mod:`nclp.classical` for finite point dynamics, and :mod:`nclp.mpc` for the
 truncated shift model with its intertwined Markov semigroup.
 
-Importing the package runs ``linalg``, ``sampling`` and ``spaces``, which
-every subcommand needs.  ``superop``, ``mpc``, ``classical`` and
+Importing the package runs ``linalg``, ``sampling``, ``spaces`` and the
+``jsonio`` it reads exponents by, which every subcommand needs.  ``superop``, ``mpc``, ``classical`` and
 ``acceptance`` are registered lazily: each is in ``sys.modules`` and bound
 here from the start, but its body runs on the first attribute access, so a
 process runs only the modules it uses.  The package-level names
@@ -49,7 +49,7 @@ _EXPORTS = {
     ),
     "mpc": (
         "SpectralFunction TruncatedKShift WalshOperator build_shift conditional_expectation lambda_build "
-        "mpc_implementability stochasticity_suite time_operator walsh_to_grid wt_build"
+        "mpc_implementability stochasticity_suite time_operator wt_build"
     ),
     "spaces": (
         "P_GRID QuantumMeasure integrability_constant maximally_mixed norm_scale_report schatten_norm "

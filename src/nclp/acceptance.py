@@ -377,12 +377,11 @@ CRITERIA = (
 )
 
 
-def run_all(verbose: bool = True) -> list[AcceptanceResult]:
+def run_all() -> list[AcceptanceResult]:
     results = []
     for fn in CRITERIA:
         result = fn()
         results.append(result)
-        if verbose:
-            tag = "PASS" if result.passed else "FAIL"
-            print(f"[{tag}] criterion {result.criterion} ({result.name}): {result.details}")
+        tag = "PASS" if result.passed else "FAIL"
+        print(f"[{tag}] criterion {result.criterion} ({result.name}): {result.details}")
     return results

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ABS_FLOOR, DEFAULT_TOL, threshold
+from .spaces import check_p
 
 #: Per-row relative cutoff deciding which entries count as support.
 SUPPORT_RTOL = 1e-10
@@ -102,9 +103,7 @@ def lp_norm(f, space: FiniteMeasureSpace, p) -> float:
     f = np.asarray(f, dtype=complex).reshape(-1)
     if f.size != space.n:
         raise ValueError("function and measure space sizes differ")
-    p = float(p)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    p = check_p(p)
     if math.isinf(p):
         return float(np.max(np.abs(f)))
     return float(np.sum(space.weights * np.abs(f) ** p) ** (1.0 / p))
@@ -160,9 +159,7 @@ class WeightedPermutation:
     compatibility_defect: float | None
 
 
-def weighted_permutation_decompose(
-    v, space: FiniteMeasureSpace, p, support_rtol: float = SUPPORT_RTOL
-) -> WeightedPermutation:
+def weighted_permutation_decompose(v, space: FiniteMeasureSpace, p) -> WeightedPermutation:
     """Extract h and S from V f = h * (f o S), when V has that shape.
 
     Exactly one supported entry per row is the classical signature of an
@@ -172,13 +169,13 @@ def weighted_permutation_decompose(
     v = np.asarray(v, dtype=complex)
     if v.shape != (space.n, space.n):
         raise ValueError("operator shape does not match the measure space")
-    p = float(p)
-    if math.isinf(p) or p < 1:
-        raise ValueError("decomposition needs a finite exponent p >= 1")
+    p = check_p(p)
+    if math.isinf(p):
+        raise ValueError("decomposition needs a finite exponent p")
     n = space.n
     magnitudes = np.abs(v)
     peaks = np.max(magnitudes, axis=1)
-    cutoffs = np.where(peaks > 0, support_rtol * peaks, ABS_FLOOR)
+    cutoffs = np.where(peaks > 0, SUPPORT_RTOL * peaks, ABS_FLOOR)
     support = magnitudes > cutoffs[:, None]
     if np.any(np.count_nonzero(support, axis=1) != 1):
         return WeightedPermutation(False, None, None, None)

@@ -134,7 +134,9 @@ def _cmd_transport(cfg: RunConfig):
     v = jsonio.superop_from_json(jsonio.require(payload, "V"), "V")
     measure = _measure(payload, cfg.tol)
     p = _exponent(payload)
-    inverse = bool(payload.get("inverse", False))
+    inverse = payload.get("inverse", False)
+    if not isinstance(inverse, bool):
+        raise SchemaError("inverse", f"must be a JSON boolean, got {inverse!r}")
     iso_weighted = superop.isometry_check(v, measure, p, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol)
     t = superop.weighted_isometry_transport(v, measure, p, inverse=inverse)
     iso_tracial = superop.isometry_check(t, None, p, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol)
@@ -211,7 +213,7 @@ def _cmd_change_rep(cfg: RunConfig):
     lam = jsonio.superop_from_json(jsonio.require(payload, "Lambda"), "Lambda")
     measure = _measure(payload, cfg.tol)
     t_steps = jsonio.integer_field(payload, "t_steps")
-    p = float(payload.get("p", 2.0))
+    p = _exponent(payload) if "p" in payload else 2.0
     try:
         report = superop.change_of_representation_demo(
             u, lam, measure, t_steps, p=p, tol=cfg.tol, trials=cfg.trials, seed=cfg.seed
@@ -282,7 +284,7 @@ def _cmd_mpc_run(cfg: RunConfig):
 
 
 def _cmd_selftest(cfg: RunConfig):
-    results = acceptance.run_all(verbose=True)
+    results = acceptance.run_all()
     passed = all(r.passed for r in results)
     obj = {
         "passed": passed,

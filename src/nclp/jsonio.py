@@ -45,9 +45,17 @@ def integer_field(obj: dict, field: str) -> int:
     return integer_value(require(obj, field), field)
 
 
+def real_value(value, name: str) -> float:
+    """``value`` as a float, refusing bools, strings and anything else that is
+    not a real number rather than casting."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SchemaError(name, f"must be a real number, got {value!r}")
+    return float(value)
+
+
 def integer_value(value, name: str) -> int:
-    """``value`` as an int, refusing bools, fractions and strings rather than truncating."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+    """``value`` as an int, refusing fractions as well as what ``real_value`` refuses."""
+    if real_value(value, name) % 1:
         raise SchemaError(name, f"must be an integer, got {value!r}")
     return int(value)
 
@@ -58,10 +66,10 @@ def complex_pair(z) -> list[float]:
 
 
 def _entry_to_complex(entry, field: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return complex(float(entry[0]), float(entry[1]))
+    if not isinstance(entry, (list, tuple)):
+        return complex(real_value(entry, field))
+    if len(entry) == 2:
+        return complex(real_value(entry[0], field), real_value(entry[1], field))
     raise SchemaError(field, f"entry must be a number or an [re, im] pair, got {entry!r}")
 
 
@@ -74,10 +82,7 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj, field: str) -> np.ndarray:
-    if isinstance(obj, dict):
-        rows = require(obj, "matrix") if field != "matrix" else obj["matrix"]
-    else:
-        rows = obj
+    rows = require(obj, "matrix") if isinstance(obj, dict) else obj
     if not isinstance(rows, list) or not rows:
         raise SchemaError(field, "matrix must be a nonempty list of rows")
     try:
@@ -139,7 +144,7 @@ def measure_space_from_json(obj, field: str = "mu") -> FiniteMeasureSpace:
     if not isinstance(mu, list) or not mu:
         raise SchemaError(field, "mu must be a nonempty list of positive masses")
     try:
-        return FiniteMeasureSpace(np.asarray(mu, dtype=float))
+        return FiniteMeasureSpace(np.array([real_value(m, field) for m in mu]))
     except ValueError as exc:
         raise SchemaError(field, str(exc)) from exc
 

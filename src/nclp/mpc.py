@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .classical import MultiplicativityCheck, XorConvolution, multiplicativity_check
-from .jsonio import integer_field, integer_value
+from .jsonio import SchemaError, integer_field, integer_value, real_value, require
 from .linalg import DEFAULT_TOL
 
 MAX_WINDOW = 6
@@ -125,9 +125,10 @@ class SpectralFunction:
         return cls(-n - 1, n + 1, 1.0 / (1.0 + np.exp(s)))
 
     @classmethod
-    def constant(cls, half_width: int, value: float = 1.0) -> "SpectralFunction":
+    def constant(cls, half_width: int) -> "SpectralFunction":
+        """f = 1, the control: every step f(s + t) / f(s) is the plain shift."""
         n = integer_value(half_width, "half_width")
-        return cls(-n - 1, n + 1, np.full(2 * n + 3, float(value)))
+        return cls(-n - 1, n + 1, np.ones(2 * n + 3))
 
     @classmethod
     def from_table(cls, half_width: int, values) -> "SpectralFunction":
@@ -457,21 +458,6 @@ def fwht(values: np.ndarray) -> np.ndarray:
     return a
 
 
-def walsh_to_grid(shift: TruncatedKShift, coefficients: np.ndarray) -> np.ndarray:
-    """Evaluate a Walsh expansion on all grid points of {0,1}^(2N+1)."""
-    coefficients = np.asarray(coefficients)
-    if coefficients.shape[0] != shift.dim:
-        raise ValueError("coefficient vector does not match the basis size")
-    return fwht(coefficients)
-
-
-def grid_to_walsh(shift: TruncatedKShift, values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values)
-    if values.shape[0] != shift.dim:
-        raise ValueError("value vector does not match the grid size")
-    return fwht(values) / shift.dim
-
-
 @dataclass(frozen=True)
 class StochasticitySuite:
     positivity_defect: float
@@ -528,31 +514,6 @@ def stochasticity_suite(shift: TruncatedKShift, f: SpectralFunction, t: int) -> 
 
 
 # --- implementability ---------------------------------------------------------
-
-
-def _restricted_adjoint_grid(g: np.ndarray) -> np.ndarray:
-    """Grid matrix of the adjoint semigroup step on its valid domain, whole.
-
-    The adjoint's sub-basis is the step's domain, the masks below d, and its
-    multipliers ``g`` are the step's weights there (``_step_weights``).  It
-    is diagonal in that sub-basis, so its grid matrix H diag(g) H / d (H the
-    +-1 Walsh matrix of size d) is an XOR convolution: since
-    H[x, m] H[y, m] = H[x ^ y, m], K[x, y] = k[x ^ y] with k = fwht(g) / d.
-    The verdict reads k alone; this d x d build is the tests' oracle.  It
-    doubles rows: for x < h, a power of two, K[x ^ h, y] = K[x, y ^ h], so
-    rows [h, 2h) are rows [0, h) with each adjacent pair of h-column blocks
-    swapped, every entry a copy of an entry of k written straight into the
-    output.
-    """
-    d = g.size
-    grid = np.empty((d, d))
-    grid[0] = _step_kernel(g)
-    h = 1
-    while h < d:
-        blocks = (h, d // (2 * h), 2, h)
-        grid[h : 2 * h].reshape(blocks)[...] = grid[:h].reshape(blocks)[:, :, ::-1]
-        h *= 2
-    return grid
 
 
 @dataclass(frozen=True)
@@ -658,7 +619,10 @@ def spectral_function_from_descriptor(descriptor: dict, half_width: int) -> Spec
     if kind == "constant":
         return SpectralFunction.constant(half_width)
     if kind == "table":
-        return SpectralFunction.from_table(half_width, descriptor["values"])
+        values = require(descriptor, "values")
+        if not isinstance(values, list):
+            raise SchemaError("values", f"must be a list of numbers, got {values!r}")
+        return SpectralFunction.from_table(half_width, [real_value(v, "values") for v in values])
     if kind == "step":
         return None
     raise ValueError(f"unknown spectral function kind {kind!r}")

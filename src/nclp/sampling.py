@@ -41,13 +41,10 @@ def random_unitary(n: int, rng) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_density(n: int, rng, tol: float | None = None) -> DensityMatrix:
+def random_density(n: int, rng) -> DensityMatrix:
     g = ginibre(n, rng_from(rng))
     m = g @ dagger(g)
-    m = m / np.trace(m).real
-    if tol is None:
-        return DensityMatrix(m)
-    return DensityMatrix(m, tol=tol)
+    return DensityMatrix(m / np.trace(m).real)
 
 
 def commuting_unitary(eigenvectors: np.ndarray, rng) -> np.ndarray:

@@ -22,11 +22,11 @@ conjugates whole maps through it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonio import real_value
 from .linalg import (
     DEFAULT_TOL,
     DensityMatrix,
@@ -46,11 +46,9 @@ P_GRID = (1.0, 1.5, 2.0, 3.0, 4.0)
 
 def check_p(p) -> float:
     """Validate an L^p exponent: a real number >= 1, or inf.  A bool or any
-    other value that is not a real number, such as a string, is refused,
-    never cast."""
-    if isinstance(p, bool) or not isinstance(p, numbers.Real):
-        raise ValueError(f"p must be a real number, got {p!r}")
-    p = float(p)
+    other value that is not a real number, such as a string, is refused
+    (``jsonio.real_value``), never cast."""
+    p = real_value(p, "p")
     if math.isnan(p) or p < 1.0:
         raise ValueError("p must be >= 1")
     return p
@@ -60,16 +58,6 @@ def tau_exponent(p: float) -> float:
     """The exponent 1/(2p) of the sandwich rho^(1/2p) X rho^(1/2p) at a
     checked p; 0 at p = inf, where the sandwich is the identity."""
     return 0.0 if math.isinf(p) else 1.0 / (2.0 * p)
-
-
-def conjugate_exponent(p) -> float:
-    """The dual exponent q with 1/p + 1/q = 1."""
-    p = check_p(p)
-    if p == 1.0:
-        return math.inf
-    if math.isinf(p):
-        return 1.0
-    return p / (p - 1.0)
 
 
 class QuantumMeasure:

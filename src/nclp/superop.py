@@ -380,11 +380,11 @@ def choi(t: SuperOperator) -> np.ndarray:
     return _images(t).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
-def choi_rank(c: np.ndarray, rtol: float = CHOI_RANK_RTOL) -> int:
+def choi_rank(c: np.ndarray) -> int:
     s = np.linalg.svd(np.asarray(c, dtype=complex), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > CHOI_RANK_RTOL * s[0]))
 
 
 def _square_defects(j: SuperOperator, i: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -205,6 +205,23 @@ def test_weighted_permutation_rejects_rotation():
     assert abs(lp_norm(hadamard @ f, space, 2.0) - lp_norm(f, space, 2.0)) < 1e-12
 
 
+def test_exponents_are_read_by_the_rule_of_check_p():
+    space = uniform(2)
+    f = np.array([1.0, -2.0])
+    v = koopman_of(PointMap(np.array([1, 0])))
+    # true read as p = 1, "3" as 3 and nan gave a nan norm
+    for bad in (True, False, "3", np.nan, 0.5, None):
+        with pytest.raises(ValueError):
+            lp_norm(f, space, bad)
+        with pytest.raises(ValueError):
+            weighted_permutation_decompose(v, space, bad)
+    assert lp_norm(f, space, np.inf) == 2.0
+    with pytest.raises(ValueError, match="finite exponent"):
+        weighted_permutation_decompose(v, space, np.inf)
+    assert lp_norm(f, space, np.int64(3)) == lp_norm(f, space, 3.0)
+    assert weighted_permutation_decompose(v, space, 3).ok
+
+
 def test_multiplicativity_of_koopman_operators():
     rng = rng_from(5)
     for _ in range(10):

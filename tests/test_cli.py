@@ -396,7 +396,7 @@ PACKAGE_NAMES = {
     ),
     "mpc": (
         "SpectralFunction TruncatedKShift WalshOperator build_shift conditional_expectation lambda_build "
-        "mpc_implementability stochasticity_suite time_operator walsh_to_grid wt_build"
+        "mpc_implementability stochasticity_suite time_operator wt_build"
     ),
     "spaces": (
         "P_GRID QuantumMeasure integrability_constant maximally_mixed norm_scale_report schatten_norm "
@@ -419,7 +419,7 @@ def test_package_names_import_as_their_submodule_objects():
             exec(f"from nclp import {name}", namespace)
             assert namespace[name] is getattr(home, name)
             listed.append(name)
-    assert len(listed) == 46 and sorted(nclp.__all__) == sorted(listed)
+    assert len(listed) == 45 and sorted(nclp.__all__) == sorted(listed)
     assert not hasattr(nclp, "no_such_name")
 
 
@@ -492,6 +492,60 @@ USAGE_ERRORS = {
 def test_usage_errors_exit_two_with_one_error_line(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+IDENTITY_2 = superop_to_json(SuperOperator.identity(2))
+HALF = {"matrix": [[0.5, 0], [0, 0.5]]}
+
+
+def with_p(command, rest):
+    """The ``p`` field of ``command``'s payload ``rest``: a valid 2, or ``v``."""
+    return f"p-{command.replace(' ', '-')}", command, lambda v: {**rest, "p": v}, 2
+
+
+#: (id, command, payload with one numeric field set to v, a valid v)
+NUMBER_FIELDS = [
+    ("entry", "norm", lambda v: {"A": {"matrix": [[v, 0], [0, 1]]}, "p": 1}, 1),
+    ("pair-re", "norm", lambda v: {"A": {"matrix": [[[v, 0], 0], [0, 1]]}, "p": 1}, 1),
+    ("pair-im", "norm", lambda v: {"A": {"matrix": [[[1, v], 0], [0, 1]]}, "p": 1}, 0),
+    ("dim", "norm", lambda v: {"A": {"dim": v, "matrix": [[1, 0], [0, 1]]}, "p": 1}, 2),
+    ("superop-dim", "jordan", lambda v: {"J": {**IDENTITY_2, "dim": v}}, 2),
+    ("mu", "classical fp", lambda v: {"map": [1, 0], "mu": [v, 0.5]}, 0.5),
+    ("n", "classical koopman", lambda v: {"n": v, "map": [1, 0]}, 2),
+    ("map", "classical koopman", lambda v: {"map": [v, 0]}, 1),
+    ("N", "mpc run", lambda v: {"N": v, "f": {"kind": "logistic"}, "t": 1}, 1),
+    ("t", "mpc run", lambda v: {"N": 1, "f": {"kind": "logistic"}, "t": v}, 1),
+    ("s0", "mpc run", lambda v: {"N": 1, "f": {"kind": "step", "s0": v}, "t": 1}, 0),
+    ("values", "mpc run", lambda v: {"N": 1, "f": {"kind": "table", "values": [v, 0.9, 0.5, 0.2, 0.05]}, "t": 1}, 1),
+    ("t_steps", "change-rep", lambda v: json.loads(change_rep_payload(v)), 1),
+    with_p("norm", {"A": {"matrix": [[3, 0], [0, 4]]}}),
+    with_p("transport", {"V": IDENTITY_2, "rho": HALF}),
+    with_p("isometry", {"T": IDENTITY_2}),
+    with_p("decompose", {"T": IDENTITY_2}),
+    with_p("implementable", {"V": IDENTITY_2, "rho": HALF}),
+    with_p("change-rep", json.loads(change_rep_payload(1))),
+    with_p("classical lamperti", {"V": {"matrix": [[0, 1], [1, 0]]}, "mu": [0.5, 0.5]}),
+]
+NUMBER_CASES = [
+    pytest.param(command, build, good, bad, id=f"{name}-{label}")
+    for name, command, build, good in NUMBER_FIELDS
+    for label, bad in (("true", True), ("string", "1"))
+] + [
+    pytest.param("transport", lambda v: {"V": IDENTITY_2, "rho": HALF, "p": 2, "inverse": v}, False, bad, id=f"inverse-{label}")
+    for label, bad in (("string", "false"), ("number", 1))
+]
+
+
+@pytest.mark.parametrize("command, build, good, bad", NUMBER_CASES)
+def test_numbers_in_a_payload_are_json_numbers(capsys, command, build, good, bad):
+    # every entry, pair part, mass, table value, p and integer field is a
+    # JSON number, and inverse a JSON boolean: a valid value runs, a boolean
+    # or a string in its place exits 2
+    assert run_cli(capsys, *command.split(), "--input", payload(build(good)))[0] in (0, 1)
+    code, out, err = run_cli(capsys, *command.split(), "--input", payload(build(bad)))
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

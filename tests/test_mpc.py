@@ -27,8 +27,6 @@ from nclp.mpc import (
     conditional_expectation,
     lambda_build,
     time_operator,
-    walsh_to_grid,
-    grid_to_walsh,
     wt_build,
 )
 from nclp.sampling import rng_from
@@ -102,6 +100,11 @@ def dense_walsh_grid(g):
     """H diag(g) H / d with H = fwht(eye) the dense +-1 Walsh matrix."""
     h = mpc.fwht(np.eye(g.size))
     return (h * g) @ h / g.size
+
+
+def xor_gather(k):
+    """The d x d XOR convolution K[x, y] = k[x ^ y] of a kernel k."""
+    return k[np.bitwise_xor.outer(np.arange(k.size), np.arange(k.size))]
 
 
 # --- construction fixtures -----------------------------------------------------
@@ -425,10 +428,10 @@ def test_walsh_to_grid_constants_and_single_site():
     shift = build_shift(1)
     e_empty = np.zeros(shift.dim)
     e_empty[0] = 1.0
-    assert np.array_equal(walsh_to_grid(shift, e_empty), np.ones(shift.dim))
+    assert np.array_equal(mpc.fwht(e_empty), np.ones(shift.dim))
     e0 = np.zeros(shift.dim)
     e0[shift.index_of({0})] = 1.0
-    values = walsh_to_grid(shift, e0)
+    values = mpc.fwht(e0)
     assert set(values) == {-1.0, 1.0}
     # sign flips exactly with the bit of coordinate 0
     bit = shift.index_of({0})
@@ -439,8 +442,8 @@ def test_grid_round_trip_and_parseval():
     shift = build_shift(3)
     rng = rng_from(0)
     grid = rng.standard_normal(shift.dim)
-    coeffs = grid_to_walsh(shift, grid)
-    back = walsh_to_grid(shift, coeffs)
+    coeffs = mpc.fwht(grid) / shift.dim
+    back = mpc.fwht(coeffs)
     assert np.max(np.abs(back - grid)) <= 1e-12
     assert abs(np.mean(grid**2) - np.sum(coeffs**2)) <= 1e-12
 
@@ -494,10 +497,10 @@ def test_walsh_products_are_symmetric_differences():
         er, eq = np.zeros(shift.dim), np.zeros(shift.dim)
         er[shift.index_of(r)] = 1.0
         eq[shift.index_of(q)] = 1.0
-        product = walsh_to_grid(shift, er) * walsh_to_grid(shift, eq)
+        product = mpc.fwht(er) * mpc.fwht(eq)
         esym = np.zeros(shift.dim)
         esym[shift.index_of(r ^ q)] = 1.0
-        assert np.array_equal(product, walsh_to_grid(shift, esym))
+        assert np.array_equal(product, mpc.fwht(esym))
 
 
 # --- stochasticity and implementability ------------------------------------------
@@ -559,7 +562,7 @@ def _positivity_defect_loop(op, shift, t, samples, seed):
     defect = 0.0
     for _ in range(samples):
         grid = np.tile(rng.random(d).reshape(d // block, block).mean(axis=0), d // block)
-        out = walsh_to_grid(shift, op.apply(grid_to_walsh(shift, grid)))
+        out = mpc.fwht(op.apply(mpc.fwht(grid) / d))
         defect = max(defect, max(0.0, -float(np.min(out.real))))
     return defect
 
@@ -631,7 +634,7 @@ def test_exact_positivity_defect_is_reached():
         assert exact == pytest.approx(float(np.sum(np.maximum(0.0, -k))), rel=1e-12, abs=1e-15)
         x = int(np.argmin(k))
         density = (k[x ^ np.arange(k.size)] < 0).astype(float)
-        out = walsh_to_grid(shift, op.apply(grid_to_walsh(shift, np.tile(density, d // k.size))))
+        out = mpc.fwht(op.apply(mpc.fwht(np.tile(density, d // k.size)) / d))
         assert float(np.min(out)) == pytest.approx(-exact, rel=1e-12, abs=1e-12)
         reached += exact > 0.0
     assert reached == 17
@@ -721,7 +724,7 @@ def test_restricted_adjoint_grid_matches_direct_construction():
     h = mpc.fwht(np.eye(d_sub))
     direct = h @ sub @ h / d_sub
     g = mpc._step_weights(wt_build(shift, f, t), shift, t)
-    assert np.allclose(mpc._restricted_adjoint_grid(g), direct, atol=1e-14)
+    assert np.allclose(xor_gather(mpc._step_kernel(g)), direct, atol=1e-14)
 
 
 def test_age_tables_match_mask_loops():
@@ -857,7 +860,7 @@ def test_restricted_adjoint_grid_is_the_dense_walsh_product():
             spectral = ((SpectralFunction.constant(n), True), (SpectralFunction.logistic(n), False))
             for f, exact in spectral:
                 g = loop_adjoint_multipliers(shift, t, lambda a: f.ratio(a, a - t))
-                grid, dense = mpc._restricted_adjoint_grid(g), dense_walsh_grid(g)
+                grid, dense = xor_gather(mpc._step_kernel(g)), dense_walsh_grid(g)
                 verdict = mpc.mpc_implementability(shift, f, t)
                 reference = multiplicativity_check(dense)
                 assert verdict.implementable == reference.multiplicative
@@ -870,7 +873,7 @@ def test_restricted_adjoint_grid_is_the_dense_walsh_product():
             for s0 in range(-n - 1, n + 1):
                 g = loop_adjoint_multipliers(shift, t, lambda a: float(a <= s0))
                 dense = dense_walsh_grid(g)
-                assert np.array_equal(mpc._restricted_adjoint_grid(g), dense)
+                assert np.array_equal(xor_gather(mpc._step_kernel(g)), dense)
                 verdict = mpc.coarse_grained_implementability(shift, s0, t)
                 reference = multiplicativity_check(dense)
                 assert verdict.implementable == reference.multiplicative
@@ -889,7 +892,7 @@ def test_restricted_adjoint_grid_is_the_xor_gather():
                 k = mpc.fwht(g) / g.size
                 idx = np.arange(g.size)
                 gather = k[idx[:, None] ^ idx]
-                assert np.array_equal(mpc._restricted_adjoint_grid(g), gather)
+                assert np.array_equal(xor_gather(mpc._step_kernel(g)), gather)
                 # the kernel the verdict reads, against the check of the gather
                 check = multiplicativity_check(classical.XorConvolution(k))
                 assert mpc._implementability_of(step, shift, t, mpc.DEFAULT_TOL).check == check
@@ -912,21 +915,6 @@ def test_implementability_never_holds_the_grid():
     assert verdict.restricted_dim == 4096 and not verdict.implementable
     # the 4096 x 4096 grid would be 134 MB; the kernel is 32 KB
     assert peak - base < 16 * verdict.restricted_dim * 8
-
-
-def test_restricted_adjoint_grid_allocates_only_its_output():
-    shift = build_shift(5)
-    g = mpc._step_weights(wt_build(shift, SpectralFunction.logistic(5), 1), shift, 1)
-    d = g.size
-    assert d == 1024
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        grid = mpc._restricted_adjoint_grid(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - base <= 1.05 * grid.nbytes + 64 * d * 8
 
 
 def _lower_bound_loop(shift, f, t):

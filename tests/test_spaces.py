@@ -13,7 +13,6 @@ from nclp.spaces import (
     NormScaleRow,
     QuantumMeasure,
     check_p,
-    conjugate_exponent,
     integrability_constant,
     maximally_mixed,
     norm_scale_report,
@@ -36,14 +35,6 @@ def test_check_p_takes_real_numbers_only():
             check_p(bad)
     for p in (1, 2.5, np.float64(3.0), np.int64(4), math.inf):
         assert check_p(p) == float(p)
-
-
-def test_conjugate_exponent():
-    assert conjugate_exponent(1.0) == math.inf
-    assert conjugate_exponent(math.inf) == 1.0
-    assert conjugate_exponent(2.0) == 2.0
-    p, q = 1.5, conjugate_exponent(1.5)
-    assert abs(1 / p + 1 / q - 1.0) < 1e-15
 
 
 def test_schatten_identity():
