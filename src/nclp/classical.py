@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonio import real_value
 from .linalg import ABS_FLOOR, DEFAULT_TOL, threshold
 from .spaces import check_p
 
@@ -33,9 +34,9 @@ class FiniteMeasureSpace:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
+        if np.ndim(self.weights) != 1 or len(self.weights) == 0:
             raise ValueError("weights must be a nonempty 1-d array")
+        w = np.array([real_value(m, "weights") for m in self.weights])
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ValueError("weights must be finite and strictly positive")
         object.__setattr__(self, "weights", w)

@@ -93,6 +93,8 @@ def matrix_from_json(obj, field: str) -> np.ndarray:
         raise SchemaError(field, str(exc)) from exc
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise SchemaError(field, f"matrix must be square, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise SchemaError(field, "matrix entries must be finite")
     if isinstance(obj, dict) and "dim" in obj and integer_value(obj["dim"], "dim") != out.shape[0]:
         raise SchemaError(field, "declared dim does not match the matrix shape")
     return out

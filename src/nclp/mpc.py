@@ -43,8 +43,8 @@ dense product H diag(g) H / d, H the +-1 Walsh matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .classical import MultiplicativityCheck, XorConvolution, multiplicativity_c
 from .jsonio import SchemaError, integer_field, integer_value, real_value, require
 from .linalg import DEFAULT_TOL
 
-MAX_WINDOW = 6
+MAX_WINDOW = 9
 
 
 class WindowTooLargeError(ValueError):
@@ -132,8 +132,10 @@ class SpectralFunction:
 
     @classmethod
     def from_table(cls, half_width: int, values) -> "SpectralFunction":
+        """f on [-N-1, N+1] from one real number per age, each read by
+        ``real_value``."""
         n = integer_value(half_width, "half_width")
-        return cls(-n - 1, n + 1, np.asarray(values, dtype=float))
+        return cls(-n - 1, n + 1, np.array([real_value(v, "values") for v in values]))
 
 
 @lru_cache(maxsize=None)
@@ -189,8 +191,9 @@ class WalshOperator:
 
     @property
     def domain_fraction(self) -> float:
-        sizes = np.r_[1, 1 << np.arange(self.slot_domain.size - 1)]
-        return int(sizes @ self.slot_domain) / self.dim
+        # slot 0 holds one mask and slot 1 + b holds 2^b
+        kept = self.slot_domain.tolist()
+        return (kept[0] + sum(1 << b for b, k in enumerate(kept[1:]) if k)) / self.dim
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Map a coefficient vector, or each column of a (dim, k) array."""
@@ -272,6 +275,15 @@ class TruncatedKShift:
     def ages(self) -> np.ndarray:
         """age[mask] = max coordinate of the subset, -N-1 for the empty mask."""
         return self.slot_ages[_slot_index(self.sites)]
+
+    @cached_property
+    def _filtration(self) -> np.ndarray:
+        """The weights of E_t at the filtration times t = -N-1..N (the slot
+        ages), one row per time and one column per age slot; built once per
+        shift from ``conditional_expectation``."""
+        table = np.stack([conditional_expectation(self, t).slot_weights for t in self.slot_ages])
+        table.setflags(write=False)
+        return table
 
     def shift_operator(self, t: int) -> WalshOperator:
         """U_t for t >= 0: subset S -> S + t where the image stays inside the
@@ -401,17 +413,10 @@ def semigroup_defect(shift: TruncatedKShift, f: SpectralFunction, s: int, t: int
     return _masked_max(residual, wst.slot_domain)
 
 
-def _filtration_by_age(shift: TruncatedKShift) -> tuple[np.ndarray, np.ndarray]:
-    """The filtration times -N-1..N and the weights of each E_t, one row per
-    time and one column per age slot."""
-    times = shift.slot_ages
-    return times, np.stack([conditional_expectation(shift, t).slot_weights for t in times])
-
-
 def filtration_defect(shift: TruncatedKShift) -> float:
     """Projector algebra: E_s E_t = E_t E_s = E_min(s,t), exactly."""
-    times, per_age = _filtration_by_age(shift)
-    k = np.arange(times.size)
+    per_age = shift._filtration
+    k = np.arange(per_age.shape[0])
     products = per_age[:, None] * per_age[None] - per_age[np.minimum.outer(k, k)]
     return float(np.max(np.abs(products)))
 
@@ -419,8 +424,7 @@ def filtration_defect(shift: TruncatedKShift) -> float:
 def time_consistency_defect(shift: TruncatedKShift) -> float:
     """The telescoping sum sum_t t (E_t - E_{t-1}) must reproduce the age
     operator on its domain."""
-    times, per_age = _filtration_by_age(shift)
-    total = times[1:] @ np.diff(per_age, axis=0)
+    total = shift.slot_ages[1:] @ np.diff(shift._filtration, axis=0)
     reference = time_operator(shift)
     mask = reference.slot_domain
     return float(np.max(np.abs(total[mask] - reference.slot_weights[mask])))
@@ -476,18 +480,25 @@ def _step_kernel(multipliers: np.ndarray) -> np.ndarray:
     return fwht(multipliers) / multipliers.size
 
 
-def _step_weights(op: WalshOperator, shift: TruncatedKShift, t: int) -> np.ndarray:
-    """A step's weights on the masks below 2^(2N+1-t), the subsets of the low
-    2N+1-t coordinates, and zero on those off its domain.  A step by t
-    reads only these coordinates, and its adjoint acts on these masks with
-    these multipliers: the slots 0..2N+1-t, spread over their masks."""
+def _step_slots(op: WalshOperator, shift: TruncatedKShift, t: int) -> np.ndarray:
+    """A step's weights by age slot 0..2N+1-t, zero off its domain: the slots
+    of the masks below 2^(2N+1-t), the subsets of the low 2N+1-t
+    coordinates.  A step by t reads only these coordinates, and its adjoint
+    acts on these masks with these multipliers."""
     sites = shift.sites - t
-    slots = np.where(op.slot_domain[: sites + 1], op.slot_weights[: sites + 1], 0.0)
-    return slots[_slot_index(sites)]
+    return np.where(op.slot_domain[: sites + 1], op.slot_weights[: sites + 1], 0.0)
 
 
-def _stochasticity_of(op: WalshOperator, shift: TruncatedKShift, t: int) -> StochasticitySuite:
-    """Unitality, mass and positivity of a step, all exact.
+def _step_weights(op: WalshOperator, shift: TruncatedKShift, t: int) -> np.ndarray:
+    """A step's weights on the masks below 2^(2N+1-t): its slot weights
+    (``_step_slots``) spread over their masks."""
+    slots = _step_slots(op, shift, t)
+    return slots[_slot_index(slots.size - 1)]
+
+
+def _stochasticity_of(op: WalshOperator, kernel: np.ndarray) -> StochasticitySuite:
+    """Unitality, mass and positivity of a step, all exact, given its kernel
+    ``_step_kernel(_step_weights(op, shift, t))``.
 
     Unitality and mass both read the weight on the empty set, the only mask
     that a step sends there.  Positivity is decided on densities of the low
@@ -498,9 +509,8 @@ def _stochasticity_of(op: WalshOperator, shift: TruncatedKShift, t: int) -> Stoc
     lowest value is -sum max(0, -k), reached by the indicator of
     {y : k[x ^ y] < 0}; that sum is the positivity defect.
     """
-    k = _step_kernel(_step_weights(op, shift, t))
     return StochasticitySuite(
-        positivity_defect=0.0 - float(np.sum(k[k < 0])),  # +0.0 when k >= 0
+        positivity_defect=0.0 - float(np.sum(kernel[kernel < 0])),  # +0.0 when k >= 0
         mass_defect=abs(float(op.slot_weights[0] if op.slot_domain[0] else 0.0) - 1.0),
         domain_fraction=op.domain_fraction,
     )
@@ -510,7 +520,8 @@ def stochasticity_suite(shift: TruncatedKShift, f: SpectralFunction, t: int) -> 
     """Positivity, mass preservation, and unitality of the semigroup step,
     all decided exactly (``_stochasticity_of``); log-concavity of f is the
     hypothesis that should make the step's kernel nonnegative."""
-    return _stochasticity_of(wt_build(shift, f, t), shift, t)
+    step = wt_build(shift, f, t)
+    return _stochasticity_of(step, _step_kernel(_step_weights(step, shift, t)))
 
 
 # --- implementability ---------------------------------------------------------
@@ -520,7 +531,12 @@ def stochasticity_suite(shift: TruncatedKShift, f: SpectralFunction, t: int) -> 
 class MpcImplementability:
     check: MultiplicativityCheck
     domain_fraction: float
-    restricted_dim: int
+    # the kernel the check read; an array field would make == ambiguous
+    convolution: XorConvolution = field(compare=False, repr=False)
+
+    @property
+    def restricted_dim(self) -> int:
+        return self.convolution.kernel.size
 
     @property
     def implementable(self) -> bool:
@@ -534,9 +550,9 @@ class MpcImplementability:
 def _implementability_of(op: WalshOperator, shift: TruncatedKShift, t: int, tol: float) -> MpcImplementability:
     """The verdict on the grid of the adjoint of the step ``op`` by t, an
     XOR convolution that the check reads by its kernel, never as a grid."""
-    g = _step_weights(op, shift, t)
-    check = multiplicativity_check(XorConvolution(_step_kernel(g)), tol=tol)
-    return MpcImplementability(check=check, domain_fraction=op.domain_fraction, restricted_dim=g.size)
+    convolution = XorConvolution(_step_kernel(_step_weights(op, shift, t)))
+    check = multiplicativity_check(convolution, tol=tol)
+    return MpcImplementability(check=check, domain_fraction=op.domain_fraction, convolution=convolution)
 
 
 def mpc_implementability(
@@ -575,16 +591,24 @@ def multiplicativity_lower_bound(shift: TruncatedKShift, f: SpectralFunction, t:
     composition operator would make every comparison an equality.  Each
     Walsh function expands into grid indicators with unit coefficients, so
     the worst discrepancy divided by (number of grid points)^2 bounds the
-    grid multiplicativity defect from below.  g depends only on age, and
-    over all Q an R of top bit b meets the same age triples (R, Q, R xor Q)
-    as the singleton {b}: the empty set and the singletons give the same
-    floats as every R, so the maximum is bit-identical to the full scan.
+    grid multiplicativity defect from below.
+
+    g depends only on the age slot, so the scan reads the L + 1 slot
+    weights gs, L = 2N+1-t, by slot pairs: R in slot i and Q in slot j give
+    R xor Q in slot max(i, j) when i != j or i = j = 0, and in every slot
+    r < i when i = j > 0.  The worst discrepancy is thus the max of
+    |gs[max(i, j)] - gs[i] gs[j]| over those pairs and of |gs[r] - gs[i]^2|
+    over r < i: the same floats as the scan over every (R, Q), so the same
+    maximum bit for bit, in O(N^2) time, where pairing one subset per slot
+    with every subset takes (L + 1) 2^L.
     """
-    g = _step_weights(wt_build(shift, f, t), shift, t)
-    masks = np.arange(g.size)
-    reps = np.concatenate(([0], 1 << np.arange(g.size.bit_length() - 1)))
-    worst = float(np.max(np.abs(g[reps[:, None] ^ masks] - g[reps, None] * g)))
-    return worst / float(g.size) ** 2
+    gs = _step_slots(wt_build(shift, f, t), shift, t)
+    i = np.arange(gs.size)[:, None]
+    j = np.arange(gs.size)
+    pairs = np.abs(gs[np.maximum(i, j)] - gs[i] * gs[j])[(i != j) | (i + j == 0)]
+    within = np.abs(gs[j] - gs[i] * gs[i])[j < i]
+    worst = float(max(pairs.max(), within.max()))
+    return worst / float(1 << (gs.size - 1)) ** 2
 
 
 # --- experiment driver --------------------------------------------------------
@@ -622,7 +646,7 @@ def spectral_function_from_descriptor(descriptor: dict, half_width: int) -> Spec
         values = require(descriptor, "values")
         if not isinstance(values, list):
             raise SchemaError("values", f"must be a list of numbers, got {values!r}")
-        return SpectralFunction.from_table(half_width, [real_value(v, "values") for v in values])
+        return SpectralFunction.from_table(half_width, values)
     if kind == "step":
         return None
     raise ValueError(f"unknown spectral function kind {kind!r}")
@@ -667,7 +691,7 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
         step = wt_build(shift, f, t)
         verdict = mpc_implementability(shift, f, t, tol=tol)
         bound = multiplicativity_lower_bound(shift, f, t)
-    suite = _stochasticity_of(step, shift, t)
+    suite = _stochasticity_of(step, verdict.convolution.kernel)
     add("stochasticity_positivity_defect", suite.positivity_defect, suite.domain_fraction)
     add("stochasticity_mass_defect", suite.mass_defect, suite.domain_fraction)
     add("stochasticity_unitality_defect", suite.unitality_defect, suite.domain_fraction)

@@ -18,6 +18,7 @@ from nclp.classical import (
     multiplicativity_check,
     weighted_permutation_decompose,
 )
+from nclp.jsonio import SchemaError
 from nclp.linalg import ABS_FLOOR
 from nclp.sampling import rng_from
 
@@ -413,6 +414,18 @@ def test_multiplicative_isometry_decomposes_with_unit_weights():
         dec = weighted_permutation_decompose(v, space, 3.0)
         assert dec.ok
         assert np.allclose(dec.weights, 1.0)
+
+
+def test_measure_space_masses_are_real_numbers():
+    space = FiniteMeasureSpace([1, np.int64(2), 0.5])
+    assert space.weights.dtype == float and np.array_equal(space.weights, [1.0, 2.0, 0.5])
+    # bools, strings, None and complex values are refused, never cast
+    for bad in (["1", True], [1.0, True], [0.5, "0.5"], [0.5, None], [0.5, 0.5j], np.ones(2, dtype=bool)):
+        with pytest.raises(SchemaError):
+            FiniteMeasureSpace(bad)
+    for shape in (np.ones((2, 2)), np.float64(1.0), []):
+        with pytest.raises(ValueError):
+            FiniteMeasureSpace(shape)
 
 
 def test_measure_space_validation():

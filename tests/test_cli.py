@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -460,7 +461,7 @@ USAGE_ERRORS = {
     "tol-zero": ["norm", "--input", payload({"A": {"matrix": [[1]]}, "p": 1}), "--tol", "0"],
     "trials-zero": ["norm", "--input", payload({"A": {"matrix": [[1]]}, "p": 1}), "--trials", "0"],
     "N-missing": ["mpc", "run", "--input", payload({"f": {"kind": "logistic"}, "t": 1})],
-    "N-too-large": ["mpc", "run", "--input", payload({"N": 7, "f": {"kind": "logistic"}, "t": 1})],
+    "N-too-large": ["mpc", "run", "--input", payload({"N": 10, "f": {"kind": "logistic"}, "t": 1})],
     "unknown-kind": ["mpc", "run", "--input", payload({"N": 2, "f": {"kind": "wiggle"}, "t": 1})],
     "N-fraction": ["mpc", "run", "--input", payload({"N": 2.5, "f": {"kind": "logistic"}, "t": 1})],
     "t-fraction": ["mpc", "run", "--input", payload({"N": 2, "f": {"kind": "logistic"}, "t": 1.5})],
@@ -549,6 +550,26 @@ def test_numbers_in_a_payload_are_json_numbers(capsys, command, build, good, bad
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+#: (command, payload with one matrix entry set to v, a valid v)
+MATRIX_ENTRY_FIELDS = [
+    ("classical lamperti", lambda v: {"V": {"matrix": [[v, 1], [1, 0]]}, "mu": [0.5, 0.5], "p": 3}, 0),
+    ("classical ds-check", lambda v: {"W": {"matrix": [[v, 1], [1, 0]]}, "mu": [0.5, 0.5]}, 0),
+    ("classical multiplicative", lambda v: {"K": {"matrix": [[v, 0], [0, 1]]}}, 1),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, [0, math.nan]], ids=["nan", "inf", "-inf", "pair-nan"])
+@pytest.mark.parametrize("command, build, good", MATRIX_ENTRY_FIELDS, ids=[c for c, _, _ in MATRIX_ENTRY_FIELDS])
+def test_non_finite_matrix_entries_are_usage_errors(capsys, command, build, good, bad):
+    # a NaN entry dropped out of the lamperti support test, a wrong "yes",
+    # and gave the other two NaN defects with exit 1
+    assert run_cli(capsys, *command.split(), "--input", payload(build(good)))[0] == 0
+    code, out, err = run_cli(capsys, *command.split(), "--input", payload(build(bad)))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "finite" in err
 
 
 def test_readme_and_help_name_the_commands_of_the_table(capsys):

@@ -119,7 +119,7 @@ def test_build_shift_small_window():
 
 def test_build_shift_rejects_large_windows():
     with pytest.raises(WindowTooLargeError):
-        build_shift(7)
+        build_shift(10)
     with pytest.raises(WindowTooLargeError):
         build_shift(0)
 
@@ -506,6 +506,12 @@ def test_walsh_products_are_symmetric_differences():
 # --- stochasticity and implementability ------------------------------------------
 
 
+def stochasticity_of(op, shift, t):
+    """``mpc._stochasticity_of`` of the step ``op`` by t, given the kernel
+    that its verdict reads."""
+    return mpc._stochasticity_of(op, mpc._step_kernel(mpc._step_weights(op, shift, t)))
+
+
 def test_stochasticity_logistic():
     shift = build_shift(3)
     suite = mpc.stochasticity_suite(shift, SpectralFunction.logistic(3), 1)
@@ -537,7 +543,7 @@ def test_stochasticity_exploratory_non_log_concave():
     # the table cannot be a SpectralFunction, so its step is built by hand;
     # without log-concavity the step is not positive
     shift = build_shift(2)
-    suite = mpc._stochasticity_of(hand_built_step(shift, EXPLORATORY, 1), shift, 1)
+    suite = stochasticity_of(hand_built_step(shift, EXPLORATORY, 1), shift, 1)
     print(f"exploratory non-log-concave positivity defect: {suite.positivity_defect:.3e}")
     assert suite.positivity_defect > 0.0
     assert suite.mass_defect == 0.0 and suite.unitality_defect == 0.0
@@ -548,7 +554,7 @@ def test_stochasticity_reports_lost_mass():
     weights = np.ones(shift.sites + 1)
     weights[0] = 0.5
     op = WalshOperator(0, weights, np.ones(shift.sites + 1, dtype=bool))
-    suite = mpc._stochasticity_of(op, shift, 1)
+    suite = stochasticity_of(op, shift, 1)
     assert suite.mass_defect == 0.5 and suite.unitality_defect == 0.5
 
 
@@ -603,7 +609,7 @@ def non_log_concave_tables(draw):
 
 
 def assert_sample_below_exact_defect(shift, t, op, seed):
-    exact = mpc._stochasticity_of(op, shift, t).positivity_defect
+    exact = stochasticity_of(op, shift, t).positivity_defect
     assert _positivity_defect_loop(op, shift, t, 20, seed) <= exact
     assert (exact > 0.0) == (float(np.min(dense_kernel(op, shift, t))) < 0.0)
 
@@ -630,7 +636,7 @@ def test_exact_positivity_defect_is_reached():
     for shift, t, op in cases:
         d = shift.dim
         k = dense_kernel(op, shift, t)
-        exact = mpc._stochasticity_of(op, shift, t).positivity_defect
+        exact = stochasticity_of(op, shift, t).positivity_defect
         assert exact == pytest.approx(float(np.sum(np.maximum(0.0, -k))), rel=1e-12, abs=1e-15)
         x = int(np.argmin(k))
         density = (k[x ^ np.arange(k.size)] < 0).astype(float)
@@ -646,7 +652,7 @@ def test_exact_positivity_defect_is_zero_on_every_valid_case():
         for t in range(1, 2 * n + 1):
             suites = [mpc.stochasticity_suite(shift, f, t) for f in
                       (SpectralFunction.logistic(n), SpectralFunction.constant(n))]
-            suites += [mpc._stochasticity_of(mpc.coarse_grained_wt(shift, s0, t), shift, t)
+            suites += [stochasticity_of(mpc.coarse_grained_wt(shift, s0, t), shift, t)
                        for s0 in range(-n - 1, n + 1)]
             for suite in suites:
                 # +0.0, which serializes as 0.0, never -0.0
@@ -658,7 +664,7 @@ def test_stochasticity_rejects_a_negative_shift():
     # shift model nor a hand-built operator can make one
     shift = build_shift(2)
     with pytest.raises(ValueError):
-        mpc._stochasticity_of(shift.shift_operator(-1), shift, 1)
+        stochasticity_of(shift.shift_operator(-1), shift, 1)
     with pytest.raises(ValueError):
         WalshOperator(-1, np.ones(shift.sites + 1), np.ones(shift.sites + 1, dtype=bool))
 
@@ -672,7 +678,7 @@ def test_stochasticity_sample_allocates_at_block_size():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        mpc._stochasticity_of(op, shift, t)
+        stochasticity_of(op, shift, t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -685,6 +691,7 @@ def test_implementability_logistic_negative_with_oracle_bound():
     f = SpectralFunction.logistic(3)
     verdict = mpc.mpc_implementability(shift, f, 1)
     bound = mpc.multiplicativity_lower_bound(shift, f, 1)
+    assert mpc.mpc_implementability(shift, f, 1) == verdict and verdict.restricted_dim == 64
     assert not verdict.implementable
     assert bound > 0.0
     assert verdict.defect >= bound
@@ -851,6 +858,20 @@ def test_spectral_function_half_widths_are_integers():
     assert (table.s_min, table.s_max) == (-3, 3)
 
 
+def test_spectral_function_table_values_are_real_numbers():
+    good = [1.0, 0.9, 0.5, 0.2, 0.05]
+    table = SpectralFunction.from_table(1, [1, 0.9, np.float32(0.5), *good[3:]])
+    assert table.values.dtype == float and np.array_equal(table.values, good)
+    # bools, strings, None and complex values are refused, never cast
+    for slot, bad in ((0, True), (1, "0.9"), (2, None), (3, 0.2j), (0, np.True_)):
+        values = list(good)
+        values[slot] = bad
+        with pytest.raises(SchemaError):
+            SpectralFunction.from_table(1, values)
+    with pytest.raises(SchemaError):
+        SpectralFunction.from_table(1, np.ones(5, dtype=bool))
+
+
 def test_restricted_adjoint_grid_is_the_dense_walsh_product():
     # 0/1 and constant multipliers keep every sum an integer, so the gather
     # is exact there; logistic ratios are rounded in a different order
@@ -928,6 +949,34 @@ def _lower_bound_loop(shift, f, t):
     return worst / float(d_sub) ** 2
 
 
+def _lower_bound_rep_scan(shift, f, t):
+    """The pair-scan lower bound over the empty set and the singletons R
+    against every mask, one R at a time: an R of top bit b meets the same
+    age triples (R, Q, R xor Q) over all Q as the singleton {b}."""
+    g = mpc._step_weights(wt_build(shift, f, t), shift, t)
+    masks = np.arange(g.size)
+    worst = 0.0
+    for r in (0, *(1 << b for b in range(g.size.bit_length() - 1))):
+        worst = max(worst, float(np.max(np.abs(g[r ^ masks] - g[r] * g))))
+    return worst / float(g.size) ** 2
+
+
+def random_log_concave_table(rng, n):
+    """A strictly decreasing log-concave table on [-N-1, N+1]: its log steps
+    are negative and non-increasing."""
+    steps = -np.sort(rng.uniform(0.05, 1.0, 2 * n + 2))
+    return SpectralFunction.from_table(n, np.exp(np.concatenate(([0.0], np.cumsum(steps)))))
+
+
+def test_lower_bound_by_slot_pairs_equals_the_rep_scan():
+    rng = rng_from(3)
+    for n in range(1, 10):
+        shift = build_shift(n)
+        for f in (SpectralFunction.logistic(n), SpectralFunction.constant(n), random_log_concave_table(rng, n)):
+            for t in range(1, 2 * n + 1):
+                assert mpc.multiplicativity_lower_bound(shift, f, t) == _lower_bound_rep_scan(shift, f, t)
+
+
 def test_lower_bound_matches_the_scan_over_every_subset():
     for n in range(1, 6):
         shift = build_shift(n)
@@ -957,7 +1006,7 @@ def test_pair_scan_bound_close_form_spot_check():
 def test_coarse_grained_semigroup_reports():
     shift = build_shift(2)
     coarse = mpc.coarse_grained_wt(shift, 0, 1)
-    suite = mpc._stochasticity_of(coarse, shift, 1)
+    suite = stochasticity_of(coarse, shift, 1)
     assert suite.positivity_defect <= 1e-12
     assert suite.mass_defect == 0.0 and suite.unitality_defect == 0.0
     verdict = mpc.coarse_grained_implementability(shift, 0, 1)
@@ -965,6 +1014,59 @@ def test_coarse_grained_semigroup_reports():
     assert verdict.defect >= 0.0
     with pytest.raises(ValueError):
         mpc.coarse_grained_implementability(shift, 3, 1)
+
+
+def test_an_experiment_transforms_once_and_projects_once_per_time(monkeypatch):
+    calls = {"fwht": 0, "conditional_expectation": 0}
+
+    def counted(name):
+        original = getattr(mpc, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mpc, name, counted(name))
+    for n in (1, 3, 6):
+        for f, coarse_steps in (({"kind": "logistic"}, 0), ({"kind": "constant"}, 0), ({"kind": "step", "s0": 0}, 2)):
+            for t in (1, 2 * n):
+                calls.update(fwht=0, conditional_expectation=0)
+                mpc.run_experiment({"N": n, "f": f, "t": t})
+                # one kernel for the verdict and the positivity defect, one
+                # filtration table for both filtration rows, and each of the
+                # two coarse steps (the experiment's and the verdict's) projects once
+                assert calls == {"fwht": 1, "conditional_expectation": 2 * n + 2 + coarse_steps}
+
+
+def test_windows_past_six_pass_every_check():
+    exact_rows = (
+        "commutation_defect",
+        "filtration_defect",
+        "time_consistency_defect",
+        "intertwining_defect",
+        "semigroup_defect",
+        "contraction_violation",
+        "stochasticity_mass_defect",
+        "stochasticity_unitality_defect",
+    )
+    for n in (7, 8, 9):
+        for t in (1, 2 * n):
+            for kind in ("logistic", "constant", "step"):
+                f = {"kind": "step", "s0": 0} if kind == "step" else {"kind": kind}
+                result = mpc.run_experiment({"N": n, "f": f, "t": t})
+                rows = {row.defect_name: row.value for row in result.rows}
+                assert all(rows[name] <= 1e-12 for name in exact_rows if name in rows)
+                assert rows["stochasticity_positivity_defect"] <= 1e-10
+                if kind == "step":
+                    assert not result.asserted
+                    continue
+                assert result.asserted and result.implementable == (kind == "constant")
+                assert rows["multiplicativity_defect"] >= rows["multiplicativity_lower_bound"]
+                if kind == "logistic":
+                    assert rows["multiplicativity_lower_bound"] > 0.0
 
 
 def test_run_experiment_row_order():
