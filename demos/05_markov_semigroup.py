@@ -23,15 +23,17 @@ from nclp import mpc
 N, t = 3, 1
 shift = mpc.build_shift(N)
 f = mpc.SpectralFunction.logistic(N)
+u = shift.shift_operator(t)
+w, w1, w1t = (mpc.wt_build(shift, f, s) for s in (t, 1, 1 + t))
 print(f"window half-width {N}: {shift.dim} Walsh basis elements")
 
 print("\nexact operator identities (float route; the test suite repeats them")
 print("in exact rational arithmetic):")
-print(f"  age commutation defect      {mpc.commutation_check(shift, t)}")
+print(f"  age commutation defect      {mpc.commutation_check(shift, u)}")
 print(f"  filtration projector defect {mpc.filtration_defect(shift)}")
-print(f"  intertwining defect         {mpc.intertwining_defect(shift, f, t)}")
-print(f"  semigroup law defect        {mpc.semigroup_defect(shift, f, 1, t)}")
-print(f"  contraction violation       {mpc.contraction_violation(shift, f, t)}")
+print(f"  intertwining defect         {mpc.intertwining_defect(w, mpc.lambda_build(shift, f), u)}")
+print(f"  semigroup law defect        {mpc.semigroup_defect(w1, w, w1t)}")
+print(f"  contraction violation       {mpc.contraction_violation(w)}")
 
 suite = mpc.stochasticity_suite(shift, f, t)
 print(f"\ndoubly stochastic on every density (domain fraction {suite.domain_fraction}):")
@@ -39,7 +41,7 @@ print(f"  positivity {suite.positivity_defect}  mass {suite.mass_defect}  "
       f"unitality {suite.unitality_defect}")
 
 verdict = mpc.mpc_implementability(shift, f, t)
-bound = mpc.multiplicativity_lower_bound(shift, f, t)
+bound = mpc.multiplicativity_lower_bound(shift, verdict.step)
 print(f"\nis the semigroup step induced by a point map?")
 print(f"  implementable = {verdict.implementable}")
 print(f"  multiplicativity defect {verdict.defect:.6f} >= pair-scan bound {bound:.6f}")

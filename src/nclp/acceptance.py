@@ -258,20 +258,24 @@ def criterion_7_mpc_exact_identities() -> AcceptanceResult:
     for n in (1, 2, 3):
         shift = mpc.build_shift(n)
         f = mpc.SpectralFunction.logistic(n)
+        lam = mpc.lambda_build(shift, f)
         if mpc.filtration_defect(shift) != 0.0:
             failures.append(f"filtration N={n}")
         if mpc.time_consistency_defect(shift) != 0.0:
             failures.append(f"time consistency N={n}")
         for t in (1, 2):
-            if mpc.commutation_check(shift, t) != 0.0:
+            u = shift.shift_operator(t)
+            if mpc.commutation_check(shift, u) != 0.0:
                 failures.append(f"commutation N={n} t={t}")
             if t > 2 * n:
                 continue
-            if mpc.intertwining_defect(shift, f, t) > 1e-12:
+            w = mpc.wt_build(shift, f, t)
+            if mpc.intertwining_defect(w, lam, u) > 1e-12:
                 failures.append(f"intertwining N={n} t={t}")
-            if 1 + t <= 2 * n and mpc.semigroup_defect(shift, f, 1, t) > 1e-12:
-                failures.append(f"semigroup N={n} t={t}")
-            if mpc.contraction_violation(shift, f, t) > 0.0:
+            if 1 + t <= 2 * n:
+                if mpc.semigroup_defect(mpc.wt_build(shift, f, 1), w, mpc.wt_build(shift, f, 1 + t)) > 1e-12:
+                    failures.append(f"semigroup N={n} t={t}")
+            if mpc.contraction_violation(w) > 0.0:
                 failures.append(f"contraction N={n} t={t}")
     elapsed = time.perf_counter() - start
     if elapsed >= 30.0:
@@ -292,7 +296,7 @@ def criterion_8_mpc_verdicts() -> AcceptanceResult:
         if value > 1e-10:
             failures.append(f"stochasticity {name} defect={value:.2e}")
     verdict = mpc.mpc_implementability(shift, logistic, 1)
-    bound = mpc.multiplicativity_lower_bound(shift, logistic, 1)
+    bound = mpc.multiplicativity_lower_bound(shift, verdict.step)
     if verdict.implementable:
         failures.append("logistic step was reported implementable")
     if bound <= 0.0:

@@ -278,10 +278,11 @@ class TruncatedKShift:
 
     @cached_property
     def _filtration(self) -> np.ndarray:
-        """The weights of E_t at the filtration times t = -N-1..N (the slot
-        ages), one row per time and one column per age slot; built once per
-        shift from ``conditional_expectation``."""
-        table = np.stack([conditional_expectation(self, t).slot_weights for t in self.slot_ages])
+        """The rule for E_t: its weights at the filtration times t = -N-1..N
+        (the slot ages), one row per time and one column per age slot, 1
+        where the slot's age is <= t.  Built once per shift by one comparison;
+        ``conditional_expectation`` returns its rows."""
+        table = (self.slot_ages[:, None] >= self.slot_ages).astype(float)
         table.setflags(write=False)
         return table
 
@@ -302,13 +303,13 @@ def build_shift(half_width: int) -> TruncatedKShift:
 
 
 def conditional_expectation(shift: TruncatedKShift, t: int) -> WalshOperator:
-    """The projector onto ages <= t; t = -N-1 keeps only the constants."""
+    """The projector onto ages <= t, row t of the shift's filtration table;
+    t = -N-1 keeps only the constants."""
     n = shift.half_width
     t = integer_value(t, "t")
     if t < -n - 1 or t > n:
         raise ValueError(f"filtration time {t} outside [{-n - 1}, {n}]")
-    keep = shift.slot_ages <= t
-    return WalshOperator(0, keep.astype(float), np.ones(keep.size, dtype=bool))
+    return WalshOperator(0, shift._filtration[t + n + 1], np.ones(shift.sites + 1, dtype=bool))
 
 
 def time_operator(shift: TruncatedKShift) -> WalshOperator:
@@ -319,10 +320,10 @@ def time_operator(shift: TruncatedKShift) -> WalshOperator:
     return WalshOperator(0, diag, np.arange(diag.size) > 0)
 
 
-def commutation_check(shift: TruncatedKShift, t: int) -> float:
+def commutation_check(shift: TruncatedKShift, u: WalshOperator) -> float:
     """max over in-domain nonconstant basis vectors of
-    ||(T U_t - U_t T - t U_t) w||; exactly zero, since ages shift by t."""
-    u = shift.shift_operator(t)
+    ||(T U_t - U_t T - t U_t) w|| for the shift U_t = ``u``; exactly zero,
+    since ages shift by t."""
     time = time_operator(shift)
     residual = time.compose(u).slot_weights - u.compose(time).slot_weights - u.shift * u.slot_weights
     return _masked_max(residual[1:], u.slot_domain[1:])
@@ -395,20 +396,14 @@ def coarse_grained_wt(shift: TruncatedKShift, s0: int, t: int) -> WalshOperator:
 # --- exact-identity defects -------------------------------------------------
 
 
-def intertwining_defect(shift: TruncatedKShift, f: SpectralFunction, t: int) -> float:
-    """max |weight| of (W_t Lam - Lam U_t) over in-domain masks."""
-    w = wt_build(shift, f, t)
-    lam = lambda_build(shift, f)
-    u = shift.shift_operator(t)
+def intertwining_defect(w: WalshOperator, lam: WalshOperator, u: WalshOperator) -> float:
+    """max |weight| of (W_t Lam - Lam U_t) over the masks where U_t acts."""
     residual = w.compose(lam).slot_weights - lam.compose(u).slot_weights
     return _masked_max(residual, u.slot_domain)
 
 
-def semigroup_defect(shift: TruncatedKShift, f: SpectralFunction, s: int, t: int) -> float:
-    """max |weight| of (W_s W_t - W_{s+t}) over masks where all three act."""
-    ws = wt_build(shift, f, s)
-    wt = wt_build(shift, f, t)
-    wst = wt_build(shift, f, s + t)
+def semigroup_defect(ws: WalshOperator, wt: WalshOperator, wst: WalshOperator) -> float:
+    """max |weight| of (W_s W_t - W_{s+t}) over the masks where W_{s+t} acts."""
     residual = ws.compose(wt).slot_weights - wst.slot_weights
     return _masked_max(residual, wst.slot_domain)
 
@@ -430,9 +425,8 @@ def time_consistency_defect(shift: TruncatedKShift) -> float:
     return float(np.max(np.abs(total[mask] - reference.slot_weights[mask])))
 
 
-def contraction_violation(shift: TruncatedKShift, f: SpectralFunction, t: int) -> float:
-    """How far any semigroup multiplier strays outside (0, 1]."""
-    w = wt_build(shift, f, t)
+def contraction_violation(w: WalshOperator) -> float:
+    """How far any multiplier of the step ``w`` strays outside (0, 1]."""
     data = w.slot_weights[w.slot_domain]
     return float(max(0.0, float(np.max(data)) - 1.0) + max(0.0, -float(np.min(data))))
 
@@ -531,7 +525,9 @@ def stochasticity_suite(shift: TruncatedKShift, f: SpectralFunction, t: int) -> 
 class MpcImplementability:
     check: MultiplicativityCheck
     domain_fraction: float
-    # the kernel the check read; an array field would make == ambiguous
+    # the step judged and the kernel the check read; array fields would make
+    # == ambiguous
+    step: WalshOperator = field(compare=False, repr=False)
     convolution: XorConvolution = field(compare=False, repr=False)
 
     @property
@@ -552,7 +548,7 @@ def _implementability_of(op: WalshOperator, shift: TruncatedKShift, t: int, tol:
     XOR convolution that the check reads by its kernel, never as a grid."""
     convolution = XorConvolution(_step_kernel(_step_weights(op, shift, t)))
     check = multiplicativity_check(convolution, tol=tol)
-    return MpcImplementability(check=check, domain_fraction=op.domain_fraction, convolution=convolution)
+    return MpcImplementability(check, op.domain_fraction, op, convolution)
 
 
 def mpc_implementability(
@@ -582,8 +578,9 @@ def coarse_grained_implementability(
     return _implementability_of(coarse_grained_wt(shift, s0, t), shift, t, tol)
 
 
-def multiplicativity_lower_bound(shift: TruncatedKShift, f: SpectralFunction, t: int) -> float:
-    """Pair-scan lower bound for the implementability defect.
+def multiplicativity_lower_bound(shift: TruncatedKShift, step: WalshOperator) -> float:
+    """Pair-scan lower bound for the implementability defect of the step
+    ``step`` of the shift model ``shift``.
 
     Compares pairs (R, Q) of in-domain subsets, with g the step's weights:
     the adjoint multiplier of the product basis element, g(R xor Q),
@@ -602,7 +599,7 @@ def multiplicativity_lower_bound(shift: TruncatedKShift, f: SpectralFunction, t:
     maximum bit for bit, in O(N^2) time, where pairing one subset per slot
     with every subset takes (L + 1) 2^L.
     """
-    gs = _step_slots(wt_build(shift, f, t), shift, t)
+    gs = _step_slots(step, shift, step.shift)
     i = np.arange(gs.size)[:, None]
     j = np.arange(gs.size)
     pairs = np.abs(gs[np.maximum(i, j)] - gs[i] * gs[j])[(i != j) | (i + j == 0)]
@@ -659,10 +656,18 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
     logistic | constant | table | step), t (semigroup step); N, t and s0 are
     integers, a "seed" is ignored.  A step kind runs only the coarse-graining
     experiment, and its verdict is recorded, not asserted.
+
+    Each operator is built once and read by every row that needs it: U_t by
+    the commutation and intertwining rows; the shift's filtration table by
+    the filtration and time-consistency rows (and by the coarse step);
+    the verdict's step (W_t, or the coarse step for a step kind) and its
+    kernel by the intertwining, contraction, semigroup, stochasticity and
+    implementability rows and the lower bound; W_1 and W_{1+t} by the
+    semigroup row, which reports W_{1+t}'s domain fraction.
     """
     shift = build_shift(integer_field(descriptor, "N"))
     t = integer_field(descriptor, "t")
-    f_spec = descriptor["f"]
+    f_spec = require(descriptor, "f")
     f = spectral_function_from_descriptor(f_spec, shift.half_width)
     rows: list[ExperimentRow] = []
 
@@ -670,28 +675,23 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
         rows.append(ExperimentRow("mpc", name, float(value), float(fraction)))
 
     u = shift.shift_operator(t)
-    add("commutation_defect", commutation_check(shift, t), u.domain_fraction)
+    add("commutation_defect", commutation_check(shift, u), u.domain_fraction)
     add("filtration_defect", filtration_defect(shift), 1.0)
     add("time_consistency_defect", time_consistency_defect(shift), 1.0 - 1.0 / shift.dim)
 
     if f is None:
-        s0 = integer_field(f_spec, "s0")
-        step = coarse_grained_wt(shift, s0, t)
-        verdict = coarse_grained_implementability(shift, s0, t, tol=tol)
+        verdict = coarse_grained_implementability(shift, integer_field(f_spec, "s0"), t, tol=tol)
         bound = None
     else:
-        add("intertwining_defect", intertwining_defect(shift, f, t), u.domain_fraction)
-        if t + 1 <= 2 * shift.half_width:
-            add(
-                "semigroup_defect",
-                semigroup_defect(shift, f, 1, t),
-                shift.shift_operator(1 + t).domain_fraction,
-            )
-        add("contraction_violation", contraction_violation(shift, f, t), u.domain_fraction)
-        step = wt_build(shift, f, t)
         verdict = mpc_implementability(shift, f, t, tol=tol)
-        bound = multiplicativity_lower_bound(shift, f, t)
-    suite = _stochasticity_of(step, verdict.convolution.kernel)
+        step = verdict.step
+        add("intertwining_defect", intertwining_defect(step, lambda_build(shift, f), u), u.domain_fraction)
+        if t + 1 <= 2 * shift.half_width:
+            after = wt_build(shift, f, 1 + t)
+            add("semigroup_defect", semigroup_defect(wt_build(shift, f, 1), step, after), after.domain_fraction)
+        add("contraction_violation", contraction_violation(step), u.domain_fraction)
+        bound = multiplicativity_lower_bound(shift, step)
+    suite = _stochasticity_of(verdict.step, verdict.convolution.kernel)
     add("stochasticity_positivity_defect", suite.positivity_defect, suite.domain_fraction)
     add("stochasticity_mass_defect", suite.mass_defect, suite.domain_fraction)
     add("stochasticity_unitality_defect", suite.unitality_defect, suite.domain_fraction)

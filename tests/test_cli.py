@@ -461,6 +461,7 @@ USAGE_ERRORS = {
     "tol-zero": ["norm", "--input", payload({"A": {"matrix": [[1]]}, "p": 1}), "--tol", "0"],
     "trials-zero": ["norm", "--input", payload({"A": {"matrix": [[1]]}, "p": 1}), "--trials", "0"],
     "N-missing": ["mpc", "run", "--input", payload({"f": {"kind": "logistic"}, "t": 1})],
+    "f-missing": ["mpc", "run", "--input", payload({"N": 2, "t": 1})],
     "N-too-large": ["mpc", "run", "--input", payload({"N": 10, "f": {"kind": "logistic"}, "t": 1})],
     "unknown-kind": ["mpc", "run", "--input", payload({"N": 2, "f": {"kind": "wiggle"}, "t": 1})],
     "N-fraction": ["mpc", "run", "--input", payload({"N": 2.5, "f": {"kind": "logistic"}, "t": 1})],
@@ -496,6 +497,15 @@ def test_usage_errors_exit_two_with_one_error_line(capsys, tmp_path, monkeypatch
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field", ["N", "f", "t"])
+def test_a_missing_mpc_field_is_named(capsys, field):
+    # a missing f printed "error: 'f'", the repr of a KeyError
+    descriptor = {"N": 2, "f": {"kind": "logistic"}, "t": 1}
+    del descriptor[field]
+    code, out, err = run_cli(capsys, "mpc", "run", "--input", payload(descriptor))
+    assert (code, out, err) == (2, "", f"error: field '{field}': missing\n")
 
 
 IDENTITY_2 = superop_to_json(SuperOperator.identity(2))

@@ -6,6 +6,7 @@ and the implementability verdicts."""
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -213,9 +214,9 @@ def test_time_operator_max_rule():
 
 
 def test_commutation_identity_exact():
-    for n, t in ((1, 1), (2, 1), (2, 2), (3, 2)):
-        assert commutation_check(build_shift(n), t) == 0.0
-    assert commutation_check(build_shift(2), 0) == 0.0
+    for n, t in ((1, 1), (2, 1), (2, 2), (3, 2), (2, 0)):
+        shift = build_shift(n)
+        assert commutation_check(shift, shift.shift_operator(t)) == 0.0
 
 
 def test_commutation_oracle_set_logic():
@@ -316,9 +317,9 @@ def test_intertwining_float_and_exact_oracle():
     for n, t in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)):
         shift = build_shift(n)
         f = SpectralFunction.logistic(n)
-        assert mpc.intertwining_defect(shift, f, t) <= 1e-12
-        # oracle: exact rational identity per coordinate set
         w = wt_build(shift, f, t)
+        assert mpc.intertwining_defect(w, lambda_build(shift, f), shift.shift_operator(t)) <= 1e-12
+        # oracle: exact rational identity per coordinate set
         w_matrix = dense(w)
         for subset in all_subsets(n):
             if not subset:
@@ -341,7 +342,7 @@ def test_semigroup_float_and_exact_oracle():
     for n, s, t in ((2, 1, 1), (3, 1, 1), (3, 1, 2), (3, 2, 2)):
         shift = build_shift(n)
         f = SpectralFunction.logistic(n)
-        assert mpc.semigroup_defect(shift, f, s, t) <= 1e-12
+        assert mpc.semigroup_defect(wt_build(shift, f, s), wt_build(shift, f, t), wt_build(shift, f, s + t)) <= 1e-12
         for subset in all_subsets(n):
             if not subset or not in_window(shifted(subset, s + t), n):
                 continue
@@ -387,17 +388,16 @@ def test_filtration_and_time_consistency_exact(monkeypatch):
         shift = build_shift(n)
         assert mpc.filtration_defect(shift) == _filtration_defect_loop(shift) == 0.0
         assert mpc.time_consistency_defect(shift) == _time_consistency_defect_loop(shift) == 0.0
-    original = mpc.conditional_expectation
+    original = mpc.TruncatedKShift._filtration.func
     halved_slot = 1
 
-    def halved(shift, t):
-        # E_N with the weight of one age slot halved
-        e = original(shift, t)
-        if t == shift.half_width:
-            e.slot_weights[halved_slot] = 0.5
-        return e
+    def halved(shift):
+        # the rule for E_t, with E_N's weight of one age slot halved
+        table = original(shift).copy()
+        table[-1, halved_slot] = 0.5
+        return table
 
-    monkeypatch.setattr(mpc, "conditional_expectation", halved)
+    monkeypatch.setattr(mpc.TruncatedKShift, "_filtration", property(halved))
     for n in range(1, 7):
         shift = build_shift(n)
         # slot 1 holds mask 1 = {-N} alone
@@ -415,8 +415,8 @@ def test_contraction_multipliers_in_unit_interval():
     shift = build_shift(3)
     f = SpectralFunction.logistic(3)
     for t in (1, 2, 3):
-        assert mpc.contraction_violation(shift, f, t) == 0.0
         w = wt_build(shift, f, t)
+        assert mpc.contraction_violation(w) == 0.0
         data = w.weights[w.domain]
         assert np.all(data > 0.0) and np.all(data <= 1.0)
 
@@ -690,7 +690,7 @@ def test_implementability_logistic_negative_with_oracle_bound():
     shift = build_shift(3)
     f = SpectralFunction.logistic(3)
     verdict = mpc.mpc_implementability(shift, f, 1)
-    bound = mpc.multiplicativity_lower_bound(shift, f, 1)
+    bound = mpc.multiplicativity_lower_bound(shift, verdict.step)
     assert mpc.mpc_implementability(shift, f, 1) == verdict and verdict.restricted_dim == 64
     assert not verdict.implementable
     assert bound > 0.0
@@ -710,7 +710,7 @@ def test_implementability_negative_for_every_strictly_decreasing_f():
     steep = SpectralFunction.from_table(2, [10.0**-s for s in range(-3, 4)])
     for f, t in ((geometric, 1), (geometric, 2), (steep, 1), (SpectralFunction.logistic(2), 1)):
         verdict = mpc.mpc_implementability(shift, f, t)
-        bound = mpc.multiplicativity_lower_bound(shift, f, t)
+        bound = mpc.multiplicativity_lower_bound(shift, verdict.step)
         assert not verdict.implementable
         assert verdict.defect >= bound > 0.0
 
@@ -804,7 +804,7 @@ def test_slot_forms_match_mask_loops():
     [
         lambda shift, x: build_shift(x),
         lambda shift, x: shift.shift_operator(x),
-        lambda shift, x: commutation_check(shift, x),
+        lambda shift, x: commutation_check(shift, shift.shift_operator(x)),
         lambda shift, x: conditional_expectation(shift, x),
         lambda shift, x: wt_build(shift, SpectralFunction.logistic(2), x),
         lambda shift, x: mpc.coarse_grained_wt(shift, x, 1),
@@ -974,7 +974,7 @@ def test_lower_bound_by_slot_pairs_equals_the_rep_scan():
         shift = build_shift(n)
         for f in (SpectralFunction.logistic(n), SpectralFunction.constant(n), random_log_concave_table(rng, n)):
             for t in range(1, 2 * n + 1):
-                assert mpc.multiplicativity_lower_bound(shift, f, t) == _lower_bound_rep_scan(shift, f, t)
+                assert mpc.multiplicativity_lower_bound(shift, wt_build(shift, f, t)) == _lower_bound_rep_scan(shift, f, t)
 
 
 def test_lower_bound_matches_the_scan_over_every_subset():
@@ -983,12 +983,17 @@ def test_lower_bound_matches_the_scan_over_every_subset():
         geometric = SpectralFunction.from_table(n, [2.0**-s for s in range(-n - 1, n + 2)])
         for f in (SpectralFunction.logistic(n), SpectralFunction.constant(n), geometric):
             for t in (1, 2):
-                assert mpc.multiplicativity_lower_bound(shift, f, t) == _lower_bound_loop(shift, f, t)
+                assert mpc.multiplicativity_lower_bound(shift, wt_build(shift, f, t)) == _lower_bound_loop(shift, f, t)
 
 
 def test_lower_bound_rejects_a_spectral_function_short_of_the_window():
+    # the bound reads a built step, and no step is built from a spectral
+    # function short of the window
+    shift, short = build_shift(3), SpectralFunction.logistic(2)
     with pytest.raises(InvalidSpectralFunctionError):
-        mpc.multiplicativity_lower_bound(build_shift(3), SpectralFunction.logistic(2), 1)
+        mpc.multiplicativity_lower_bound(shift, wt_build(shift, short, 1))
+    with pytest.raises(InvalidSpectralFunctionError):
+        mpc.multiplicativity_lower_bound(shift, mpc.mpc_implementability(shift, short, 1).step)
 
 
 def test_pair_scan_bound_close_form_spot_check():
@@ -999,7 +1004,7 @@ def test_pair_scan_bound_close_form_spot_check():
     t = 1
     g = f.value(1) / f.value(0)
     sites = 2 * shift.half_width + 1 - t
-    bound = mpc.multiplicativity_lower_bound(shift, f, t)
+    bound = mpc.multiplicativity_lower_bound(shift, wt_build(shift, f, t))
     assert bound >= (1.0 - g * g) / (1 << sites) ** 2 - 1e-15
 
 
@@ -1017,28 +1022,40 @@ def test_coarse_grained_semigroup_reports():
 
 
 def test_an_experiment_transforms_once_and_projects_once_per_time(monkeypatch):
-    calls = {"fwht": 0, "conditional_expectation": 0}
+    names = ("fwht", "filtration", "conditional_expectation", "wt_build", "coarse_grained_wt")
+    calls = dict.fromkeys(names, 0)
 
-    def counted(name):
-        original = getattr(mpc, name)
-
+    def counted(name, original):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(mpc, name, counted(name))
+    for name in ("fwht", "conditional_expectation", "wt_build", "coarse_grained_wt"):
+        monkeypatch.setattr(mpc, name, counted(name, getattr(mpc, name)))
+    table = cached_property(counted("filtration", mpc.TruncatedKShift._filtration.func))
+    table.__set_name__(mpc.TruncatedKShift, "_filtration")
+    monkeypatch.setattr(mpc.TruncatedKShift, "_filtration", table)
     for n in (1, 3, 6):
-        for f, coarse_steps in (({"kind": "logistic"}, 0), ({"kind": "constant"}, 0), ({"kind": "step", "s0": 0}, 2)):
+        for f in ({"kind": "logistic"}, {"kind": "constant"}, {"kind": "step", "s0": 0}):
+            coarse = int(f["kind"] == "step")
             for t in (1, 2 * n):
-                calls.update(fwht=0, conditional_expectation=0)
+                calls.update(dict.fromkeys(names, 0))
                 mpc.run_experiment({"N": n, "f": f, "t": t})
-                # one kernel for the verdict and the positivity defect, one
-                # filtration table for both filtration rows, and each of the
-                # two coarse steps (the experiment's and the verdict's) projects once
-                assert calls == {"fwht": 1, "conditional_expectation": 2 * n + 2 + coarse_steps}
+                # one kernel for the verdict and the positivity defect; one
+                # filtration table for both filtration rows and the coarse
+                # step's projection; each step built once: the verdict's W_t
+                # (or its coarse step), and W_1 and W_{1+t} for the semigroup
+                # row where a step by 1 + t exists
+                steps = 0 if coarse else 3 if t + 1 <= 2 * n else 1
+                assert calls == {
+                    "fwht": 1,
+                    "filtration": 1,
+                    "conditional_expectation": coarse,
+                    "wt_build": steps,
+                    "coarse_grained_wt": coarse,
+                }
 
 
 def test_windows_past_six_pass_every_check():
