@@ -259,18 +259,18 @@ def multiplicativity_check(k, tol: float = DEFAULT_TOL) -> MultiplicativityCheck
         np.multiply(block, block, out=w)
         np.subtract(block, w, out=w)
         np.abs(w, out=mag)
-        np.max(mag, axis=1, out=row_defects[start:stop])
+        mag.max(axis=1, out=row_defects[start:stop])
         # i != j: images of disjoint indicators need disjoint support
         np.abs(block, out=mag)
-        at = (np.arange(stop - start), np.argmax(mag, axis=1))
+        at = (np.arange(stop - start), mag.argmax(axis=1))
         largest[start:stop] = mag[at]
         mag[at] = -1.0
-        np.max(mag, axis=1, out=second[start:stop])
-    product_defect = float(np.max(row_defects))
-    top = float(np.max(largest))
+        mag.max(axis=1, out=second[start:stop])
+    product_defect = float(row_defects.max())
+    top = float(largest.max())
     if n > 1:
-        product_defect = max(product_defect, float(np.max(largest * second)))
-    unitality_defect = float(np.max(np.abs(row_sums - 1.0)))
+        product_defect = max(product_defect, float((largest * second).max()))
+    unitality_defect = float(np.abs(row_sums - 1.0).max())
     defect = product_defect + unitality_defect
     scale = max(1.0, top**2)
     return MultiplicativityCheck(

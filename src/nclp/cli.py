@@ -367,12 +367,12 @@ def main(argv=None) -> int:
             raise SchemaError("trials", "trials must be >= 1")
         cfg = RunConfig(command, payload, args.tol, args.seed, args.trials, args.fmt)
         code, text = dispatch(cfg)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return code
 

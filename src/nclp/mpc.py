@@ -91,18 +91,19 @@ class SpectralFunction:
             raise InvalidSpectralFunctionError(
                 f"need one value per integer in [{self.s_min}, {self.s_max}]"
             )
-        if not np.all(np.isfinite(v)) or np.any(v <= 0):
+        if not np.isfinite(v).all() or (v <= 0).any():
             raise InvalidSpectralFunctionError("values must be finite and positive")
-        if np.any(np.diff(v) > 0):
+        steps = v[1:] - v[:-1]
+        if (steps > 0).any():
             raise InvalidSpectralFunctionError("values must be non-increasing")
         # log-concavity f(s)^2 >= f(s-1) f(s+1), with relative float slack
         mid = v[1:-1] ** 2
         sides = v[:-2] * v[2:]
-        if np.any(mid < sides * (1.0 - 1e-12)):
+        if (mid < sides * (1.0 - 1e-12)).any():
             raise InvalidSpectralFunctionError("values must be log-concave")
         object.__setattr__(self, "values", v)
         warnings = tuple(self.warnings)
-        if not np.all(np.diff(v) < 0):
+        if not (steps < 0).all():
             warnings += (
                 "not strictly decreasing: the declared limit 0 at +infinity "
                 "is unreachable; accepted as a control case",
@@ -138,14 +139,42 @@ class SpectralFunction:
         return cls(-n - 1, n + 1, np.array([real_value(v, "values") for v in values]))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=None)
 def _slot_index(sites: int) -> np.ndarray:
     """slot[mask] for the 2^sites masks: 0 for the empty mask, 1 + b for the
     2^b masks in [2^b, 2^(b+1)), whose top bit is b."""
     bits = np.arange(sites)
-    slots = np.concatenate(([0], np.repeat(bits + 1, 1 << bits)))
-    slots.setflags(write=False)
-    return slots
+    return _read_only(np.concatenate(([0], np.repeat(bits + 1, 1 << bits))))
+
+
+@lru_cache(maxsize=None)
+def _step_domain(sites: int, t: int) -> np.ndarray:
+    """The slots a step by t keeps in the window: 0 and each s with s + t <= sites."""
+    slots = np.arange(sites + 1)
+    return _read_only((slots == 0) | (slots + t <= sites))
+
+
+@lru_cache(maxsize=None)
+def _moved_slots(size: int, shift: int) -> np.ndarray:
+    """Where a shift moves each slot: 0 to 0, i > 0 to i + shift, capped at
+    the top slot, which only off-domain slots would pass."""
+    slots = np.arange(size)
+    return _read_only(np.where(slots > 0, np.minimum(slots + shift, size - 1), 0))
+
+
+@lru_cache(maxsize=None)
+def _slot_pairs(size: int) -> tuple[np.ndarray, ...]:
+    """Over the slot pairs (i, j), row by row: the table min(i, j), then
+    (i, j, max(i, j)) where i != j or i = j = 0, and (i, j) where j < i."""
+    i, j = np.indices((size, size))
+    pairs, within = (i != j) | (i + j == 0), j < i
+    tables = (np.minimum(i, j), i[pairs], j[pairs], np.maximum(i, j)[pairs], i[within], j[within])
+    return tuple(map(_read_only, tables))
 
 
 @dataclass(frozen=True)
@@ -159,9 +188,9 @@ class WalshOperator:
     from this operator must quantify over the domain only and report
     ``domain_fraction`` alongside.  In-domain masks never lose a bit, so the
     map is one-to-one there and a composition is again a weighted bit shift.
-    ``weights``, ``domain`` and ``apply`` are the per-mask views.  The two
-    slot arrays must match in length, and an in-domain slot s >= 1 must
-    stay in the window, s + shift <= sites; ValueError otherwise.
+    ``weights``, ``domain`` and ``apply`` are the per-mask views.  The domain
+    is a 1-d boolean array, matched in length by the weights, and an in-domain
+    slot s >= 1 must stay in the window, s + shift <= sites; else ValueError.
     """
 
     shift: int
@@ -171,10 +200,12 @@ class WalshOperator:
     def __post_init__(self):
         if self.shift < 0:
             raise ValueError("a Walsh operator shifts by t >= 0")
+        if not isinstance(self.slot_domain, np.ndarray) or self.slot_domain.dtype != bool or self.slot_domain.ndim != 1:
+            raise ValueError("a Walsh operator's domain is a 1-d boolean array, one flag per slot")
         if self.slot_weights.shape != self.slot_domain.shape:
             raise ValueError("a Walsh operator needs one weight and one domain flag per slot")
         sites = self.slot_domain.size - 1
-        if self.slot_domain[max(1, sites - self.shift + 1) :].any():
+        if any(self.slot_domain[max(1, sites - self.shift + 1) :].tolist()):
             raise ValueError(f"a domain slot leaves the {sites}-site window shifted by {self.shift}")
 
     @property
@@ -189,7 +220,7 @@ class WalshOperator:
     def domain(self) -> np.ndarray:
         return self.slot_domain[_slot_index(self.slot_domain.size - 1)]
 
-    @property
+    @cached_property
     def domain_fraction(self) -> float:
         # slot 0 holds one mask and slot 1 + b holds 2^b
         kept = self.slot_domain.tolist()
@@ -205,16 +236,15 @@ class WalshOperator:
         return out
 
     def compose(self, other: "WalshOperator") -> "WalshOperator":
-        """The product self o other: ``other`` acts first, moving slot i > 0
-        to slot i + other.shift."""
-        src = np.flatnonzero(other.slot_domain)
-        mid = src + other.shift * (src > 0)
-        kept = self.slot_domain[mid]
-        src, mid = src[kept], mid[kept]
-        weights = np.zeros(self.slot_weights.size)
-        weights[src] = self.slot_weights[mid] * other.slot_weights[src]
-        domain = np.zeros(self.slot_domain.size, dtype=bool)
-        domain[src] = True
+        """The product self o other, one gather and one mask: ``other`` acts
+        first, moving slot i > 0 to slot i + other.shift (``_moved_slots``).
+        ValueError unless both have the same number of slots."""
+        size = self.slot_weights.size
+        if other.slot_weights.size != size:
+            raise ValueError(f"cannot compose a {size}-slot operator with a {other.slot_weights.size}-slot one")
+        moved = _moved_slots(size, min(other.shift, size))
+        domain = other.slot_domain & self.slot_domain[moved]
+        weights = np.where(domain, self.slot_weights[moved] * other.slot_weights, 0.0)
         return WalshOperator(self.shift + other.shift, weights, domain)
 
 
@@ -265,11 +295,11 @@ class TruncatedKShift:
             mask |= 1 << (k + n)
         return mask
 
-    @property
+    @cached_property
     def slot_ages(self) -> np.ndarray:
         """The age of each slot, -N-1..N: the empty mask's is the sentinel
-        -N-1, one below the window."""
-        return np.arange(-self.half_width - 1, self.half_width + 1)
+        -N-1, one below the window.  Read-only, built once per shift."""
+        return _read_only(np.arange(-self.half_width - 1, self.half_width + 1))
 
     @property
     def ages(self) -> np.ndarray:
@@ -282,9 +312,13 @@ class TruncatedKShift:
         (the slot ages), one row per time and one column per age slot, 1
         where the slot's age is <= t.  Built once per shift by one comparison;
         ``conditional_expectation`` returns its rows."""
-        table = (self.slot_ages[:, None] >= self.slot_ages).astype(float)
-        table.setflags(write=False)
-        return table
+        return _read_only((self.slot_ages[:, None] >= self.slot_ages).astype(float))
+
+    @cached_property
+    def _age_operator(self) -> WalshOperator:
+        """The age operator, built once per shift; ``time_operator`` returns it."""
+        domain = _read_only(np.arange(self.sites + 1) > 0)
+        return WalshOperator(0, _read_only(np.where(domain, self.slot_ages, 0.0)), domain)
 
     def shift_operator(self, t: int) -> WalshOperator:
         """U_t for t >= 0: subset S -> S + t where the image stays inside the
@@ -292,8 +326,7 @@ class TruncatedKShift:
         t = integer_value(t, "t")
         if t < 0:
             raise ValueError("shift operators need t >= 0")
-        slots = np.arange(self.sites + 1)
-        in_dom = (slots == 0) | (slots + t <= self.sites)
+        in_dom = _step_domain(self.sites, min(t, self.sites + 1))
         return WalshOperator(t, in_dom.astype(float), in_dom)
 
 
@@ -314,10 +347,8 @@ def conditional_expectation(shift: TruncatedKShift, t: int) -> WalshOperator:
 
 def time_operator(shift: TruncatedKShift) -> WalshOperator:
     """Diagonal age operator; the constant function carries no age and sits
-    outside the domain mask."""
-    diag = shift.slot_ages.astype(float)
-    diag[0] = 0.0
-    return WalshOperator(0, diag, np.arange(diag.size) > 0)
+    outside the domain mask.  One read-only operator per shift."""
+    return shift._age_operator
 
 
 def commutation_check(shift: TruncatedKShift, u: WalshOperator) -> float:
@@ -349,13 +380,11 @@ def wt_build(shift: TruncatedKShift, f: SpectralFunction, t: int) -> WalshOperat
     """
     t = _check_step(shift, t)
     _check_range(shift, f)
-    domain = shift.shift_operator(t).slot_domain
-    sources = np.flatnonzero(domain)[1:]
-    ages = shift.slot_ages[sources]
-    weights = np.zeros(domain.size)
+    ages = shift.slot_ages[1 : shift.sites + 1 - t] - f.s_min
+    weights = np.zeros(shift.sites + 1)
     weights[0] = 1.0
-    weights[sources] = f.values[ages + t - f.s_min] / f.values[ages - f.s_min]
-    return WalshOperator(t, weights, domain)
+    weights[1 : ages.size + 1] = f.values[ages + t] / f.values[ages]
+    return WalshOperator(t, weights, _step_domain(shift.sites, t))
 
 
 def _check_step(shift: TruncatedKShift, t: int) -> int:
@@ -411,9 +440,9 @@ def semigroup_defect(ws: WalshOperator, wt: WalshOperator, wst: WalshOperator) -
 def filtration_defect(shift: TruncatedKShift) -> float:
     """Projector algebra: E_s E_t = E_t E_s = E_min(s,t), exactly."""
     per_age = shift._filtration
-    k = np.arange(per_age.shape[0])
-    products = per_age[:, None] * per_age[None] - per_age[np.minimum.outer(k, k)]
-    return float(np.max(np.abs(products)))
+    earlier = _slot_pairs(per_age.shape[0])[0]
+    products = per_age[:, None] * per_age[None] - per_age[earlier]
+    return float(np.abs(products).max())
 
 
 def time_consistency_defect(shift: TruncatedKShift) -> float:
@@ -422,13 +451,13 @@ def time_consistency_defect(shift: TruncatedKShift) -> float:
     total = shift.slot_ages[1:] @ np.diff(shift._filtration, axis=0)
     reference = time_operator(shift)
     mask = reference.slot_domain
-    return float(np.max(np.abs(total[mask] - reference.slot_weights[mask])))
+    return float(np.abs(total[mask] - reference.slot_weights[mask]).max())
 
 
 def contraction_violation(w: WalshOperator) -> float:
     """How far any multiplier of the step ``w`` strays outside (0, 1]."""
     data = w.slot_weights[w.slot_domain]
-    return float(max(0.0, float(np.max(data)) - 1.0) + max(0.0, -float(np.min(data))))
+    return float(max(0.0, float(data.max()) - 1.0) + max(0.0, -float(data.min())))
 
 
 # --- grid transform and stochasticity ----------------------------------------
@@ -504,7 +533,7 @@ def _stochasticity_of(op: WalshOperator, kernel: np.ndarray) -> StochasticitySui
     {y : k[x ^ y] < 0}; that sum is the positivity defect.
     """
     return StochasticitySuite(
-        positivity_defect=0.0 - float(np.sum(kernel[kernel < 0])),  # +0.0 when k >= 0
+        positivity_defect=0.0 - float(kernel[kernel < 0].sum()),  # +0.0 when k >= 0
         mass_defect=abs(float(op.slot_weights[0] if op.slot_domain[0] else 0.0) - 1.0),
         domain_fraction=op.domain_fraction,
     )
@@ -600,10 +629,9 @@ def multiplicativity_lower_bound(shift: TruncatedKShift, step: WalshOperator) ->
     with every subset takes (L + 1) 2^L.
     """
     gs = _step_slots(step, shift, step.shift)
-    i = np.arange(gs.size)[:, None]
-    j = np.arange(gs.size)
-    pairs = np.abs(gs[np.maximum(i, j)] - gs[i] * gs[j])[(i != j) | (i + j == 0)]
-    within = np.abs(gs[j] - gs[i] * gs[i])[j < i]
+    _, i, j, top, above, below = _slot_pairs(gs.size)
+    pairs = np.abs(gs[top] - gs[i] * gs[j])
+    within = np.abs(gs[below] - gs[above] * gs[above])
     worst = float(max(pairs.max(), within.max()))
     return worst / float(1 << (gs.size - 1)) ** 2
 
@@ -663,7 +691,9 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
     the verdict's step (W_t, or the coarse step for a step kind) and its
     kernel by the intertwining, contraction, semigroup, stochasticity and
     implementability rows and the lower bound; W_1 and W_{1+t} by the
-    semigroup row, which reports W_{1+t}'s domain fraction.
+    semigroup row, which reports W_{1+t}'s domain fraction.  Index rules are
+    per size (cached across experiments), the slot ages, filtration table and
+    age operator per shift, and each domain fraction per operator.
     """
     shift = build_shift(integer_field(descriptor, "N"))
     t = integer_field(descriptor, "t")

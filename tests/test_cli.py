@@ -487,6 +487,9 @@ USAGE_ERRORS = {
     "n-string": ["classical", "koopman", "--input", payload({"n": "2", "map": [1, 0]})],
     "map-fraction": ["classical", "koopman", "--input", payload({"map": [0.7, 1]})],
     "map-bool": ["classical", "koopman", "--input", payload({"map": [True, 1]})],
+    # the write to an --out path in a missing directory printed a traceback
+    # and exited 1, the code of a genuine "no"
+    "out-unwritable": ["norm", "--input", payload({"A": {"matrix": [[1, 0], [0, 1]]}, "p": 2}), "--out", "missing/x.json"],
 }
 
 

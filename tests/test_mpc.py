@@ -834,6 +834,37 @@ def test_walsh_operator_rejects_slots_that_leave_the_window():
     assert WalshOperator(1, np.ones(4), ok).domain_fraction == 0.5
 
 
+def test_walsh_operator_domain_is_boolean_and_products_share_a_window():
+    # a float domain of ones was taken as a domain
+    for domain in (np.ones(4), np.ones((1, 4), dtype=bool), [True] * 4):
+        with pytest.raises(ValueError, match="boolean"):
+            WalshOperator(0, np.ones(4), domain)
+    # a 6-slot product was built from a 4-slot operator, and the other order
+    # raised a bare IndexError
+    wide, narrow = build_shift(2).shift_operator(1), build_shift(1).shift_operator(1)
+    for a, b in ((wide, narrow), (narrow, wide)):
+        with pytest.raises(ValueError, match="6-slot .* 4-slot|4-slot .* 6-slot"):
+            a.compose(b)
+    f = SpectralFunction.logistic(2)
+    with pytest.raises(ValueError, match="slot"):
+        mpc.intertwining_defect(wt_build(build_shift(2), f, 1), lambda_build(build_shift(2), f), narrow)
+
+
+def test_shared_tables_are_read_only():
+    # the size-keyed index rules and the per-shift tables are handed to every
+    # caller, so a write through one caller must fail instead of reaching
+    # the next
+    shift = build_shift(2)
+    f = SpectralFunction.logistic(2)
+    assert time_operator(shift) is time_operator(shift)
+    shared = [shift.slot_ages, shift._filtration, time_operator(shift).slot_weights, time_operator(shift).slot_domain]
+    shared += [shift.shift_operator(1).slot_domain, wt_build(shift, f, 2).slot_domain, mpc._moved_slots(6, 1)]
+    shared += [mpc._slot_index(5), *mpc._slot_pairs(6)]
+    for table in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+
+
 def test_every_builder_and_product_constructs():
     for n in range(1, 4):
         ops = [op for op, _, _ in slot_forms_and_mask_references(n)]
@@ -1022,7 +1053,15 @@ def test_coarse_grained_semigroup_reports():
 
 
 def test_an_experiment_transforms_once_and_projects_once_per_time(monkeypatch):
-    names = ("fwht", "filtration", "conditional_expectation", "wt_build", "coarse_grained_wt")
+    names = (
+        "fwht",
+        "filtration",
+        "age_operator",
+        "shift_operator",
+        "conditional_expectation",
+        "wt_build",
+        "coarse_grained_wt",
+    )
     calls = dict.fromkeys(names, 0)
 
     def counted(name, original):
@@ -1034,9 +1073,11 @@ def test_an_experiment_transforms_once_and_projects_once_per_time(monkeypatch):
 
     for name in ("fwht", "conditional_expectation", "wt_build", "coarse_grained_wt"):
         monkeypatch.setattr(mpc, name, counted(name, getattr(mpc, name)))
-    table = cached_property(counted("filtration", mpc.TruncatedKShift._filtration.func))
-    table.__set_name__(mpc.TruncatedKShift, "_filtration")
-    monkeypatch.setattr(mpc.TruncatedKShift, "_filtration", table)
+    monkeypatch.setattr(mpc.TruncatedKShift, "shift_operator", counted("shift_operator", mpc.TruncatedKShift.shift_operator))
+    for name, attribute in (("filtration", "_filtration"), ("age_operator", "_age_operator")):
+        table = cached_property(counted(name, getattr(mpc.TruncatedKShift, attribute).func))
+        table.__set_name__(mpc.TruncatedKShift, attribute)
+        monkeypatch.setattr(mpc.TruncatedKShift, attribute, table)
     for n in (1, 3, 6):
         for f in ({"kind": "logistic"}, {"kind": "constant"}, {"kind": "step", "s0": 0}):
             coarse = int(f["kind"] == "step")
@@ -1045,13 +1086,18 @@ def test_an_experiment_transforms_once_and_projects_once_per_time(monkeypatch):
                 mpc.run_experiment({"N": n, "f": f, "t": t})
                 # one kernel for the verdict and the positivity defect; one
                 # filtration table for both filtration rows and the coarse
-                # step's projection; each step built once: the verdict's W_t
-                # (or its coarse step), and W_1 and W_{1+t} for the semigroup
-                # row where a step by 1 + t exists
+                # step's projection; one age operator for the commutation
+                # and time-consistency rows; one U_t, read by the
+                # commutation and intertwining rows (a coarse step builds
+                # its own); each step built once: the verdict's W_t (or its
+                # coarse step), and W_1 and W_{1+t} for the semigroup row
+                # where a step by 1 + t exists
                 steps = 0 if coarse else 3 if t + 1 <= 2 * n else 1
                 assert calls == {
                     "fwht": 1,
                     "filtration": 1,
+                    "age_operator": 1,
+                    "shift_operator": 1 + coarse,
                     "conditional_expectation": coarse,
                     "wt_build": steps,
                     "coarse_grained_wt": coarse,
