@@ -29,7 +29,7 @@ print(f"window half-width {N}: {shift.dim} Walsh basis elements")
 
 print("\nexact operator identities (float route; the test suite repeats them")
 print("in exact rational arithmetic):")
-print(f"  age commutation defect      {mpc.commutation_check(shift, u)}")
+print(f"  age commutation defect      {mpc.commutation_check(u)}")
 print(f"  filtration projector defect {mpc.filtration_defect(shift)}")
 print(f"  intertwining defect         {mpc.intertwining_defect(w, mpc.lambda_build(shift, f), u)}")
 print(f"  semigroup law defect        {mpc.semigroup_defect(w1, w, w1t)}")
@@ -41,7 +41,7 @@ print(f"  positivity {suite.positivity_defect}  mass {suite.mass_defect}  "
       f"unitality {suite.unitality_defect}")
 
 verdict = mpc.mpc_implementability(shift, f, t)
-bound = mpc.multiplicativity_lower_bound(shift, verdict.step)
+bound = mpc.multiplicativity_lower_bound(verdict.step)
 print(f"\nis the semigroup step induced by a point map?")
 print(f"  implementable = {verdict.implementable}")
 print(f"  multiplicativity defect {verdict.defect:.6f} >= pair-scan bound {bound:.6f}")

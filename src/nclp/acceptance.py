@@ -265,7 +265,7 @@ def criterion_7_mpc_exact_identities() -> AcceptanceResult:
             failures.append(f"time consistency N={n}")
         for t in (1, 2):
             u = shift.shift_operator(t)
-            if mpc.commutation_check(shift, u) != 0.0:
+            if mpc.commutation_check(u) != 0.0:
                 failures.append(f"commutation N={n} t={t}")
             if t > 2 * n:
                 continue
@@ -296,7 +296,7 @@ def criterion_8_mpc_verdicts() -> AcceptanceResult:
         if value > 1e-10:
             failures.append(f"stochasticity {name} defect={value:.2e}")
     verdict = mpc.mpc_implementability(shift, logistic, 1)
-    bound = mpc.multiplicativity_lower_bound(shift, verdict.step)
+    bound = mpc.multiplicativity_lower_bound(verdict.step)
     if verdict.implementable:
         failures.append("logistic step was reported implementable")
     if bound <= 0.0:

@@ -72,7 +72,7 @@ class SpectralFunction:
     """Positive, non-increasing, log-concave values on [-N-1, N+1].
 
     The declared limits are 1 at -infinity and 0 at +infinity; a finite
-    window cannot exhibit them, so they are recorded as intent.  Functions
+    window cannot exhibit them, so they are stated here as intent.  Functions
     that are not strictly decreasing (the constant one used as a control)
     are accepted but flagged in ``warnings``.
     """
@@ -81,9 +81,6 @@ class SpectralFunction:
     s_max: int
     values: np.ndarray
     warnings: tuple[str, ...] = ()
-
-    limit_at_minus_inf = 1.0
-    limit_at_plus_inf = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -177,6 +174,28 @@ def _slot_pairs(size: int) -> tuple[np.ndarray, ...]:
     return tuple(map(_read_only, tables))
 
 
+@lru_cache(maxsize=None)
+def _slot_ages(sites: int) -> np.ndarray:
+    """Slot ages -N-1..N of a 2N+1-site window; the empty mask's is the sentinel -N-1."""
+    return _read_only(np.arange(sites + 1) - (sites + 1) // 2)
+
+
+@lru_cache(maxsize=None)
+def _filtration(sites: int) -> np.ndarray:
+    """The rule for E_t: its weights at the filtration times t = -N-1..N
+    (the slot ages), one row per time and one column per age slot, 1 where
+    the slot's age is <= t; ``conditional_expectation`` returns its rows."""
+    ages = _slot_ages(sites)
+    return _read_only((ages[:, None] >= ages).astype(float))
+
+
+@lru_cache(maxsize=None)
+def _age_operator(sites: int) -> WalshOperator:
+    """The age operator of a ``sites``-site window; ``time_operator`` returns it."""
+    domain = _read_only(np.arange(sites + 1) > 0)
+    return WalshOperator(0, _read_only(np.where(domain, _slot_ages(sites), 0.0)), domain)
+
+
 @dataclass(frozen=True)
 class WalshOperator:
     """A weighted bit shift on Walsh coordinates, stored by age slot.
@@ -189,8 +208,9 @@ class WalshOperator:
     ``domain_fraction`` alongside.  In-domain masks never lose a bit, so the
     map is one-to-one there and a composition is again a weighted bit shift.
     ``weights``, ``domain`` and ``apply`` are the per-mask views.  The domain
-    is a 1-d boolean array, matched in length by the weights, and an in-domain
-    slot s >= 1 must stay in the window, s + shift <= sites; else ValueError.
+    is a 1-d boolean array, matched in shape by the float weights, and an
+    in-domain slot s >= 1 must stay in the window, s + shift <= sites; else
+    ValueError.
     """
 
     shift: int
@@ -202,6 +222,8 @@ class WalshOperator:
             raise ValueError("a Walsh operator shifts by t >= 0")
         if not isinstance(self.slot_domain, np.ndarray) or self.slot_domain.dtype != bool or self.slot_domain.ndim != 1:
             raise ValueError("a Walsh operator's domain is a 1-d boolean array, one flag per slot")
+        if not isinstance(self.slot_weights, np.ndarray) or self.slot_weights.dtype != float:
+            raise ValueError("a Walsh operator's weights are a float array, one weight per slot")
         if self.slot_weights.shape != self.slot_domain.shape:
             raise ValueError("a Walsh operator needs one weight and one domain flag per slot")
         sites = self.slot_domain.size - 1
@@ -239,13 +261,18 @@ class WalshOperator:
         """The product self o other, one gather and one mask: ``other`` acts
         first, moving slot i > 0 to slot i + other.shift (``_moved_slots``).
         ValueError unless both have the same number of slots."""
-        size = self.slot_weights.size
-        if other.slot_weights.size != size:
-            raise ValueError(f"cannot compose a {size}-slot operator with a {other.slot_weights.size}-slot one")
+        size = _slot_count(self, other)
         moved = _moved_slots(size, min(other.shift, size))
         domain = other.slot_domain & self.slot_domain[moved]
         weights = np.where(domain, self.slot_weights[moved] * other.slot_weights, 0.0)
         return WalshOperator(self.shift + other.shift, weights, domain)
+
+
+def _slot_count(a: WalshOperator, b: WalshOperator) -> int:
+    """The slot count of ``a`` and ``b``; ValueError naming both unless equal."""
+    if a.slot_weights.size != b.slot_weights.size:
+        raise ValueError(f"cannot combine a {a.slot_weights.size}-slot operator with a {b.slot_weights.size}-slot one")
+    return a.slot_weights.size
 
 
 def _masked_max(values: np.ndarray, mask: np.ndarray) -> float:
@@ -268,9 +295,7 @@ class TruncatedKShift:
     def __post_init__(self):
         n = integer_value(self.half_width, "half_width")
         if n < 1 or n > MAX_WINDOW:
-            raise WindowTooLargeError(
-                f"half-width must lie in [1, {MAX_WINDOW}], got {n}"
-            )
+            raise WindowTooLargeError(f"half-width must lie in [1, {MAX_WINDOW}], got {n}")
         object.__setattr__(self, "half_width", n)
 
     @property
@@ -295,30 +320,15 @@ class TruncatedKShift:
             mask |= 1 << (k + n)
         return mask
 
-    @cached_property
+    @property
     def slot_ages(self) -> np.ndarray:
-        """The age of each slot, -N-1..N: the empty mask's is the sentinel
-        -N-1, one below the window.  Read-only, built once per shift."""
-        return _read_only(np.arange(-self.half_width - 1, self.half_width + 1))
+        """The age of each slot, -N-1..N (``_slot_ages``)."""
+        return _slot_ages(self.sites)
 
     @property
     def ages(self) -> np.ndarray:
         """age[mask] = max coordinate of the subset, -N-1 for the empty mask."""
         return self.slot_ages[_slot_index(self.sites)]
-
-    @cached_property
-    def _filtration(self) -> np.ndarray:
-        """The rule for E_t: its weights at the filtration times t = -N-1..N
-        (the slot ages), one row per time and one column per age slot, 1
-        where the slot's age is <= t.  Built once per shift by one comparison;
-        ``conditional_expectation`` returns its rows."""
-        return _read_only((self.slot_ages[:, None] >= self.slot_ages).astype(float))
-
-    @cached_property
-    def _age_operator(self) -> WalshOperator:
-        """The age operator, built once per shift; ``time_operator`` returns it."""
-        domain = _read_only(np.arange(self.sites + 1) > 0)
-        return WalshOperator(0, _read_only(np.where(domain, self.slot_ages, 0.0)), domain)
 
     def shift_operator(self, t: int) -> WalshOperator:
         """U_t for t >= 0: subset S -> S + t where the image stays inside the
@@ -342,20 +352,20 @@ def conditional_expectation(shift: TruncatedKShift, t: int) -> WalshOperator:
     t = integer_value(t, "t")
     if t < -n - 1 or t > n:
         raise ValueError(f"filtration time {t} outside [{-n - 1}, {n}]")
-    return WalshOperator(0, shift._filtration[t + n + 1], np.ones(shift.sites + 1, dtype=bool))
+    return WalshOperator(0, _filtration(shift.sites)[t + n + 1], np.ones(shift.sites + 1, dtype=bool))
 
 
 def time_operator(shift: TruncatedKShift) -> WalshOperator:
     """Diagonal age operator; the constant function carries no age and sits
-    outside the domain mask.  One read-only operator per shift."""
-    return shift._age_operator
+    outside the domain mask.  One read-only operator per window size."""
+    return _age_operator(shift.sites)
 
 
-def commutation_check(shift: TruncatedKShift, u: WalshOperator) -> float:
+def commutation_check(u: WalshOperator) -> float:
     """max over in-domain nonconstant basis vectors of
-    ||(T U_t - U_t T - t U_t) w|| for the shift U_t = ``u``; exactly zero,
-    since ages shift by t."""
-    time = time_operator(shift)
+    ||(T U_t - U_t T - t U_t) w|| for the shift U_t = ``u`` and the age
+    operator T of its window; exactly zero, since ages shift by t."""
+    time = _age_operator(u.slot_weights.size - 1)
     residual = time.compose(u).slot_weights - u.compose(time).slot_weights - u.shift * u.slot_weights
     return _masked_max(residual[1:], u.slot_domain[1:])
 
@@ -394,8 +404,7 @@ def _check_step(shift: TruncatedKShift, t: int) -> int:
         raise ValueError("semigroup steps require t >= 1")
     if t > 2 * shift.half_width:
         raise DomainEmptyError(
-            f"no nonconstant subset survives a shift by {t} in a window of "
-            f"half-width {shift.half_width}"
+            f"no nonconstant subset survives a shift by {t} in a window of half-width {shift.half_width}"
         )
     return t
 
@@ -404,8 +413,7 @@ def _check_range(shift: TruncatedKShift, f: SpectralFunction):
     n = shift.half_width
     if f.s_min > -n - 1 or f.s_max < n + 1:
         raise InvalidSpectralFunctionError(
-            f"spectral function tabulated on [{f.s_min}, {f.s_max}] does not "
-            f"cover the window range [{-n - 1}, {n + 1}]"
+            f"spectral function tabulated on [{f.s_min}, {f.s_max}] does not cover the window range [{-n - 1}, {n + 1}]"
         )
 
 
@@ -432,14 +440,16 @@ def intertwining_defect(w: WalshOperator, lam: WalshOperator, u: WalshOperator) 
 
 
 def semigroup_defect(ws: WalshOperator, wt: WalshOperator, wst: WalshOperator) -> float:
-    """max |weight| of (W_s W_t - W_{s+t}) over the masks where W_{s+t} acts."""
+    """max |weight| of (W_s W_t - W_{s+t}) over the masks where W_{s+t} acts;
+    ValueError unless all three share a window."""
+    _slot_count(ws, wst)
     residual = ws.compose(wt).slot_weights - wst.slot_weights
     return _masked_max(residual, wst.slot_domain)
 
 
 def filtration_defect(shift: TruncatedKShift) -> float:
     """Projector algebra: E_s E_t = E_t E_s = E_min(s,t), exactly."""
-    per_age = shift._filtration
+    per_age = _filtration(shift.sites)
     earlier = _slot_pairs(per_age.shape[0])[0]
     products = per_age[:, None] * per_age[None] - per_age[earlier]
     return float(np.abs(products).max())
@@ -448,7 +458,7 @@ def filtration_defect(shift: TruncatedKShift) -> float:
 def time_consistency_defect(shift: TruncatedKShift) -> float:
     """The telescoping sum sum_t t (E_t - E_{t-1}) must reproduce the age
     operator on its domain."""
-    total = shift.slot_ages[1:] @ np.diff(shift._filtration, axis=0)
+    total = shift.slot_ages[1:] @ np.diff(_filtration(shift.sites), axis=0)
     reference = time_operator(shift)
     mask = reference.slot_domain
     return float(np.abs(total[mask] - reference.slot_weights[mask]).max())
@@ -503,25 +513,25 @@ def _step_kernel(multipliers: np.ndarray) -> np.ndarray:
     return fwht(multipliers) / multipliers.size
 
 
-def _step_slots(op: WalshOperator, shift: TruncatedKShift, t: int) -> np.ndarray:
-    """A step's weights by age slot 0..2N+1-t, zero off its domain: the slots
-    of the masks below 2^(2N+1-t), the subsets of the low 2N+1-t
-    coordinates.  A step by t reads only these coordinates, and its adjoint
-    acts on these masks with these multipliers."""
-    sites = shift.sites - t
+def _step_slots(op: WalshOperator) -> np.ndarray:
+    """The weights by age slot 0..2N+1-t, zero off its domain, of a step by t
+    in a 2N+1-site window: the slots of the masks below 2^(2N+1-t), the
+    subsets of the low 2N+1-t coordinates.  A step by t reads only these
+    coordinates, and its adjoint acts on these masks with these multipliers."""
+    sites = op.slot_weights.size - 1 - op.shift
     return np.where(op.slot_domain[: sites + 1], op.slot_weights[: sites + 1], 0.0)
 
 
-def _step_weights(op: WalshOperator, shift: TruncatedKShift, t: int) -> np.ndarray:
+def _step_weights(op: WalshOperator) -> np.ndarray:
     """A step's weights on the masks below 2^(2N+1-t): its slot weights
     (``_step_slots``) spread over their masks."""
-    slots = _step_slots(op, shift, t)
+    slots = _step_slots(op)
     return slots[_slot_index(slots.size - 1)]
 
 
 def _stochasticity_of(op: WalshOperator, kernel: np.ndarray) -> StochasticitySuite:
     """Unitality, mass and positivity of a step, all exact, given its kernel
-    ``_step_kernel(_step_weights(op, shift, t))``.
+    ``_step_kernel(_step_weights(op))``.
 
     Unitality and mass both read the weight on the empty set, the only mask
     that a step sends there.  Positivity is decided on densities of the low
@@ -544,7 +554,7 @@ def stochasticity_suite(shift: TruncatedKShift, f: SpectralFunction, t: int) -> 
     all decided exactly (``_stochasticity_of``); log-concavity of f is the
     hypothesis that should make the step's kernel nonnegative."""
     step = wt_build(shift, f, t)
-    return _stochasticity_of(step, _step_kernel(_step_weights(step, shift, t)))
+    return _stochasticity_of(step, _step_kernel(_step_weights(step)))
 
 
 # --- implementability ---------------------------------------------------------
@@ -554,8 +564,7 @@ def stochasticity_suite(shift: TruncatedKShift, f: SpectralFunction, t: int) -> 
 class MpcImplementability:
     check: MultiplicativityCheck
     domain_fraction: float
-    # the step judged and the kernel the check read; array fields would make
-    # == ambiguous
+    # the step judged and the kernel the check read: arrays would make == ambiguous
     step: WalshOperator = field(compare=False, repr=False)
     convolution: XorConvolution = field(compare=False, repr=False)
 
@@ -572,19 +581,16 @@ class MpcImplementability:
         return self.check.defect
 
 
-def _implementability_of(op: WalshOperator, shift: TruncatedKShift, t: int, tol: float) -> MpcImplementability:
+def _implementability_of(op: WalshOperator, tol: float) -> MpcImplementability:
     """The verdict on the grid of the adjoint of the step ``op`` by t, an
     XOR convolution that the check reads by its kernel, never as a grid."""
-    convolution = XorConvolution(_step_kernel(_step_weights(op, shift, t)))
+    convolution = XorConvolution(_step_kernel(_step_weights(op)))
     check = multiplicativity_check(convolution, tol=tol)
     return MpcImplementability(check, op.domain_fraction, op, convolution)
 
 
 def mpc_implementability(
-    shift: TruncatedKShift,
-    f: SpectralFunction,
-    t: int,
-    tol: float = DEFAULT_TOL,
+    shift: TruncatedKShift, f: SpectralFunction, t: int, tol: float = DEFAULT_TOL
 ) -> MpcImplementability:
     """Is the semigroup step the density evolution of some point map?
 
@@ -595,7 +601,7 @@ def mpc_implementability(
     and the defect is zero; any strictly decreasing spectral function leaves
     a strictly positive defect.
     """
-    return _implementability_of(wt_build(shift, f, t), shift, t, tol)
+    return _implementability_of(wt_build(shift, f, t), tol)
 
 
 def coarse_grained_implementability(
@@ -604,20 +610,20 @@ def coarse_grained_implementability(
     """Same check for the coarse-graining variant, reported as an experiment.
     Its adjoint acts on the coarse step's domain with the coarse step's
     weights, E_s0's weight at m << t for mask m."""
-    return _implementability_of(coarse_grained_wt(shift, s0, t), shift, t, tol)
+    return _implementability_of(coarse_grained_wt(shift, s0, t), tol)
 
 
-def multiplicativity_lower_bound(shift: TruncatedKShift, step: WalshOperator) -> float:
+def multiplicativity_lower_bound(step: WalshOperator) -> float:
     """Pair-scan lower bound for the implementability defect of the step
-    ``step`` of the shift model ``shift``.
+    ``step`` of the shift model, in its own window.
 
     Compares pairs (R, Q) of in-domain subsets, with g the step's weights:
-    the adjoint multiplier of the product basis element, g(R xor Q),
-    against the product g(R) g(Q); a
-    composition operator would make every comparison an equality.  Each
-    Walsh function expands into grid indicators with unit coefficients, so
-    the worst discrepancy divided by (number of grid points)^2 bounds the
-    grid multiplicativity defect from below.
+    the adjoint multiplier of the product basis element, g(R xor Q), against
+    the product g(R) g(Q); a composition operator would make every
+    comparison an equality.  Each Walsh function expands into grid
+    indicators with unit coefficients, so the worst discrepancy divided by
+    (number of grid points)^2 bounds the grid multiplicativity defect from
+    below.
 
     g depends only on the age slot, so the scan reads the L + 1 slot
     weights gs, L = 2N+1-t, by slot pairs: R in slot i and Q in slot j give
@@ -628,7 +634,7 @@ def multiplicativity_lower_bound(shift: TruncatedKShift, step: WalshOperator) ->
     maximum bit for bit, in O(N^2) time, where pairing one subset per slot
     with every subset takes (L + 1) 2^L.
     """
-    gs = _step_slots(step, shift, step.shift)
+    gs = _step_slots(step)
     _, i, j, top, above, below = _slot_pairs(gs.size)
     pairs = np.abs(gs[top] - gs[i] * gs[j])
     within = np.abs(gs[below] - gs[above] * gs[above])
@@ -685,15 +691,8 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
     integers, a "seed" is ignored.  A step kind runs only the coarse-graining
     experiment, and its verdict is recorded, not asserted.
 
-    Each operator is built once and read by every row that needs it: U_t by
-    the commutation and intertwining rows; the shift's filtration table by
-    the filtration and time-consistency rows (and by the coarse step);
-    the verdict's step (W_t, or the coarse step for a step kind) and its
-    kernel by the intertwining, contraction, semigroup, stochasticity and
-    implementability rows and the lower bound; W_1 and W_{1+t} by the
-    semigroup row, which reports W_{1+t}'s domain fraction.  Index rules are
-    per size (cached across experiments), the slot ages, filtration table and
-    age operator per shift, and each domain fraction per operator.
+    Each operator is built once per experiment and handed to every row that
+    reads it.  Tables are read-only and cached by window size.
     """
     shift = build_shift(integer_field(descriptor, "N"))
     t = integer_field(descriptor, "t")
@@ -705,7 +704,7 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
         rows.append(ExperimentRow("mpc", name, float(value), float(fraction)))
 
     u = shift.shift_operator(t)
-    add("commutation_defect", commutation_check(shift, u), u.domain_fraction)
+    add("commutation_defect", commutation_check(u), u.domain_fraction)
     add("filtration_defect", filtration_defect(shift), 1.0)
     add("time_consistency_defect", time_consistency_defect(shift), 1.0 - 1.0 / shift.dim)
 
@@ -720,7 +719,7 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
             after = wt_build(shift, f, 1 + t)
             add("semigroup_defect", semigroup_defect(wt_build(shift, f, 1), step, after), after.domain_fraction)
         add("contraction_violation", contraction_violation(step), u.domain_fraction)
-        bound = multiplicativity_lower_bound(shift, step)
+        bound = multiplicativity_lower_bound(step)
     suite = _stochasticity_of(verdict.step, verdict.convolution.kernel)
     add("stochasticity_positivity_defect", suite.positivity_defect, suite.domain_fraction)
     add("stochasticity_mass_defect", suite.mass_defect, suite.domain_fraction)

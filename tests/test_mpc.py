@@ -6,7 +6,7 @@ and the implementability verdicts."""
 import math
 import tracemalloc
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -216,7 +216,7 @@ def test_time_operator_max_rule():
 def test_commutation_identity_exact():
     for n, t in ((1, 1), (2, 1), (2, 2), (3, 2), (2, 0)):
         shift = build_shift(n)
-        assert commutation_check(shift, shift.shift_operator(t)) == 0.0
+        assert commutation_check(shift.shift_operator(t)) == 0.0
 
 
 def test_commutation_oracle_set_logic():
@@ -388,16 +388,16 @@ def test_filtration_and_time_consistency_exact(monkeypatch):
         shift = build_shift(n)
         assert mpc.filtration_defect(shift) == _filtration_defect_loop(shift) == 0.0
         assert mpc.time_consistency_defect(shift) == _time_consistency_defect_loop(shift) == 0.0
-    original = mpc.TruncatedKShift._filtration.func
+    original = mpc._filtration
     halved_slot = 1
 
-    def halved(shift):
+    def halved(sites):
         # the rule for E_t, with E_N's weight of one age slot halved
-        table = original(shift).copy()
+        table = original(sites).copy()
         table[-1, halved_slot] = 0.5
         return table
 
-    monkeypatch.setattr(mpc.TruncatedKShift, "_filtration", property(halved))
+    monkeypatch.setattr(mpc, "_filtration", halved)
     for n in range(1, 7):
         shift = build_shift(n)
         # slot 1 holds mask 1 = {-N} alone
@@ -506,10 +506,10 @@ def test_walsh_products_are_symmetric_differences():
 # --- stochasticity and implementability ------------------------------------------
 
 
-def stochasticity_of(op, shift, t):
-    """``mpc._stochasticity_of`` of the step ``op`` by t, given the kernel
-    that its verdict reads."""
-    return mpc._stochasticity_of(op, mpc._step_kernel(mpc._step_weights(op, shift, t)))
+def stochasticity_of(op):
+    """``mpc._stochasticity_of`` of the step ``op``, given the kernel that its
+    verdict reads."""
+    return mpc._stochasticity_of(op, mpc._step_kernel(mpc._step_weights(op)))
 
 
 def test_stochasticity_logistic():
@@ -543,7 +543,7 @@ def test_stochasticity_exploratory_non_log_concave():
     # the table cannot be a SpectralFunction, so its step is built by hand;
     # without log-concavity the step is not positive
     shift = build_shift(2)
-    suite = stochasticity_of(hand_built_step(shift, EXPLORATORY, 1), shift, 1)
+    suite = stochasticity_of(hand_built_step(shift, EXPLORATORY, 1))
     print(f"exploratory non-log-concave positivity defect: {suite.positivity_defect:.3e}")
     assert suite.positivity_defect > 0.0
     assert suite.mass_defect == 0.0 and suite.unitality_defect == 0.0
@@ -554,7 +554,7 @@ def test_stochasticity_reports_lost_mass():
     weights = np.ones(shift.sites + 1)
     weights[0] = 0.5
     op = WalshOperator(0, weights, np.ones(shift.sites + 1, dtype=bool))
-    suite = stochasticity_of(op, shift, 1)
+    suite = stochasticity_of(op)
     assert suite.mass_defect == 0.5 and suite.unitality_defect == 0.5
 
 
@@ -585,9 +585,11 @@ def stochasticity_operators():
     for n in (1, 2, 3, 4):
         shift = build_shift(n)
         slots = np.arange(shift.sites + 1)
-        # 11 * mean - 10 * f: negative wherever a density exceeds 1.1 times its mean
-        reflect = WalshOperator(0, np.where(slots == 0, 1.0, -10.0), np.ones(slots.size, dtype=bool))
         for t in (1, 2):
+            # 11 * mean - 10 * U_t f: negative wherever a density exceeds 1.1
+            # times its mean
+            u = shift.shift_operator(t)
+            reflect = WalshOperator(t, np.where(slots == 0, 1.0, -10.0 * u.slot_weights), u.slot_domain)
             wt = wt_build(shift, SpectralFunction.logistic(n), t)
             # the step with its non-constant part reflected: negative, and
             # where depends on which coordinates a density involves
@@ -609,7 +611,7 @@ def non_log_concave_tables(draw):
 
 
 def assert_sample_below_exact_defect(shift, t, op, seed):
-    exact = stochasticity_of(op, shift, t).positivity_defect
+    exact = stochasticity_of(op).positivity_defect
     assert _positivity_defect_loop(op, shift, t, 20, seed) <= exact
     assert (exact > 0.0) == (float(np.min(dense_kernel(op, shift, t))) < 0.0)
 
@@ -636,7 +638,7 @@ def test_exact_positivity_defect_is_reached():
     for shift, t, op in cases:
         d = shift.dim
         k = dense_kernel(op, shift, t)
-        exact = stochasticity_of(op, shift, t).positivity_defect
+        exact = stochasticity_of(op).positivity_defect
         assert exact == pytest.approx(float(np.sum(np.maximum(0.0, -k))), rel=1e-12, abs=1e-15)
         x = int(np.argmin(k))
         density = (k[x ^ np.arange(k.size)] < 0).astype(float)
@@ -652,8 +654,7 @@ def test_exact_positivity_defect_is_zero_on_every_valid_case():
         for t in range(1, 2 * n + 1):
             suites = [mpc.stochasticity_suite(shift, f, t) for f in
                       (SpectralFunction.logistic(n), SpectralFunction.constant(n))]
-            suites += [stochasticity_of(mpc.coarse_grained_wt(shift, s0, t), shift, t)
-                       for s0 in range(-n - 1, n + 1)]
+            suites += [stochasticity_of(mpc.coarse_grained_wt(shift, s0, t)) for s0 in range(-n - 1, n + 1)]
             for suite in suites:
                 # +0.0, which serializes as 0.0, never -0.0
                 assert suite.positivity_defect == 0.0 and math.copysign(1.0, suite.positivity_defect) == 1.0
@@ -664,7 +665,7 @@ def test_stochasticity_rejects_a_negative_shift():
     # shift model nor a hand-built operator can make one
     shift = build_shift(2)
     with pytest.raises(ValueError):
-        stochasticity_of(shift.shift_operator(-1), shift, 1)
+        stochasticity_of(shift.shift_operator(-1))
     with pytest.raises(ValueError):
         WalshOperator(-1, np.ones(shift.sites + 1), np.ones(shift.sites + 1, dtype=bool))
 
@@ -678,7 +679,7 @@ def test_stochasticity_sample_allocates_at_block_size():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        stochasticity_of(op, shift, t)
+        stochasticity_of(op)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -690,7 +691,7 @@ def test_implementability_logistic_negative_with_oracle_bound():
     shift = build_shift(3)
     f = SpectralFunction.logistic(3)
     verdict = mpc.mpc_implementability(shift, f, 1)
-    bound = mpc.multiplicativity_lower_bound(shift, verdict.step)
+    bound = mpc.multiplicativity_lower_bound(verdict.step)
     assert mpc.mpc_implementability(shift, f, 1) == verdict and verdict.restricted_dim == 64
     assert not verdict.implementable
     assert bound > 0.0
@@ -710,7 +711,7 @@ def test_implementability_negative_for_every_strictly_decreasing_f():
     steep = SpectralFunction.from_table(2, [10.0**-s for s in range(-3, 4)])
     for f, t in ((geometric, 1), (geometric, 2), (steep, 1), (SpectralFunction.logistic(2), 1)):
         verdict = mpc.mpc_implementability(shift, f, t)
-        bound = mpc.multiplicativity_lower_bound(shift, verdict.step)
+        bound = mpc.multiplicativity_lower_bound(verdict.step)
         assert not verdict.implementable
         assert verdict.defect >= bound > 0.0
 
@@ -730,7 +731,7 @@ def test_restricted_adjoint_grid_matches_direct_construction():
             sub[s, q] = adj[s, q << t]
     h = mpc.fwht(np.eye(d_sub))
     direct = h @ sub @ h / d_sub
-    g = mpc._step_weights(wt_build(shift, f, t), shift, t)
+    g = mpc._step_weights(wt_build(shift, f, t))
     assert np.allclose(xor_gather(mpc._step_kernel(g)), direct, atol=1e-14)
 
 
@@ -747,12 +748,12 @@ def test_age_tables_match_mask_loops():
                 step = wt_build(shift, f, t)
                 assert np.array_equal(step.weights, loop_wt_weights(shift, f, t))
                 reference = loop_adjoint_multipliers(shift, t, lambda a: f.ratio(a, a - t))
-                assert np.array_equal(mpc._step_weights(step, shift, t), reference)
+                assert np.array_equal(mpc._step_weights(step), reference)
         for t in range(1, 2 * n + 1):
             for s0 in range(-n - 1, n + 1):
                 coarse = mpc.coarse_grained_wt(shift, s0, t)
                 reference = loop_adjoint_multipliers(shift, t, lambda a: float(a <= s0))
-                assert np.array_equal(mpc._step_weights(coarse, shift, t), reference)
+                assert np.array_equal(mpc._step_weights(coarse), reference)
 
 
 def slot_forms_and_mask_references(n):
@@ -804,7 +805,7 @@ def test_slot_forms_match_mask_loops():
     [
         lambda shift, x: build_shift(x),
         lambda shift, x: shift.shift_operator(x),
-        lambda shift, x: commutation_check(shift, shift.shift_operator(x)),
+        lambda shift, x: commutation_check(shift.shift_operator(x)),
         lambda shift, x: conditional_expectation(shift, x),
         lambda shift, x: wt_build(shift, SpectralFunction.logistic(2), x),
         lambda shift, x: mpc.coarse_grained_wt(shift, x, 1),
@@ -850,15 +851,34 @@ def test_walsh_operator_domain_is_boolean_and_products_share_a_window():
         mpc.intertwining_defect(wt_build(build_shift(2), f, 1), lambda_build(build_shift(2), f), narrow)
 
 
-def test_shared_tables_are_read_only():
-    # the size-keyed index rules and the per-shift tables are handed to every
-    # caller, so a write through one caller must fail instead of reaching
-    # the next
-    shift = build_shift(2)
+def test_semigroup_defect_refuses_operators_of_another_window():
+    # W_{s+t} from a 1-site-narrower window raised numpy's broadcast error
     f = SpectralFunction.logistic(2)
-    assert time_operator(shift) is time_operator(shift)
-    shared = [shift.slot_ages, shift._filtration, time_operator(shift).slot_weights, time_operator(shift).slot_domain]
-    shared += [shift.shift_operator(1).slot_domain, wt_build(shift, f, 2).slot_domain, mpc._moved_slots(6, 1)]
+    ws = wt = wt_build(build_shift(2), f, 1)
+    with pytest.raises(ValueError, match="6-slot .* 4-slot"):
+        mpc.semigroup_defect(ws, wt, wt_build(build_shift(1), f, 2))
+
+
+def test_walsh_operator_weights_are_a_float_array():
+    # a list of weights raised AttributeError from the shape comparison
+    for weights in ([1.0] * 4, np.ones(4, dtype=int), np.ones(4, dtype=complex)):
+        with pytest.raises(ValueError, match="float"):
+            WalshOperator(0, weights, np.ones(4, dtype=bool))
+    with pytest.raises(ValueError, match="one weight"):
+        WalshOperator(0, np.ones((1, 4)), np.ones(4, dtype=bool))
+
+
+def test_shared_tables_are_read_only():
+    # the tables are cached by window size and handed to every caller, so a
+    # write through one caller must fail instead of reaching the next
+    shift, again = build_shift(2), build_shift(2)
+    f = SpectralFunction.logistic(2)
+    assert time_operator(shift) is time_operator(again)
+    assert shift.slot_ages is again.slot_ages and mpc._filtration(shift.sites) is mpc._filtration(again.sites)
+    row = conditional_expectation(shift, 0).slot_weights
+    assert row.base is conditional_expectation(again, 0).slot_weights.base is mpc._filtration(5)
+    shared = [shift.slot_ages, mpc._filtration(5), time_operator(shift).slot_weights, time_operator(shift).slot_domain]
+    shared += [row, shift.shift_operator(1).slot_domain, wt_build(shift, f, 2).slot_domain, mpc._moved_slots(6, 1)]
     shared += [mpc._slot_index(5), *mpc._slot_pairs(6)]
     for table in shared:
         with pytest.raises(ValueError, match="read-only"):
@@ -940,14 +960,14 @@ def test_restricted_adjoint_grid_is_the_xor_gather():
             steps = [wt_build(shift, f, t) for f in (SpectralFunction.logistic(n), SpectralFunction.constant(n))]
             steps += [mpc.coarse_grained_wt(shift, s0, t) for s0 in range(-n - 1, n + 1)]
             for step in steps:
-                g = mpc._step_weights(step, shift, t)
+                g = mpc._step_weights(step)
                 k = mpc.fwht(g) / g.size
                 idx = np.arange(g.size)
                 gather = k[idx[:, None] ^ idx]
                 assert np.array_equal(xor_gather(mpc._step_kernel(g)), gather)
                 # the kernel the verdict reads, against the check of the gather
                 check = multiplicativity_check(classical.XorConvolution(k))
-                assert mpc._implementability_of(step, shift, t, mpc.DEFAULT_TOL).check == check
+                assert mpc._implementability_of(step, mpc.DEFAULT_TOL).check == check
                 reference = multiplicativity_check(gather)
                 assert check.multiplicative == reference.multiplicative
                 assert check.product_defect == reference.product_defect
@@ -984,7 +1004,7 @@ def _lower_bound_rep_scan(shift, f, t):
     """The pair-scan lower bound over the empty set and the singletons R
     against every mask, one R at a time: an R of top bit b meets the same
     age triples (R, Q, R xor Q) over all Q as the singleton {b}."""
-    g = mpc._step_weights(wt_build(shift, f, t), shift, t)
+    g = mpc._step_weights(wt_build(shift, f, t))
     masks = np.arange(g.size)
     worst = 0.0
     for r in (0, *(1 << b for b in range(g.size.bit_length() - 1))):
@@ -1005,7 +1025,7 @@ def test_lower_bound_by_slot_pairs_equals_the_rep_scan():
         shift = build_shift(n)
         for f in (SpectralFunction.logistic(n), SpectralFunction.constant(n), random_log_concave_table(rng, n)):
             for t in range(1, 2 * n + 1):
-                assert mpc.multiplicativity_lower_bound(shift, wt_build(shift, f, t)) == _lower_bound_rep_scan(shift, f, t)
+                assert mpc.multiplicativity_lower_bound(wt_build(shift, f, t)) == _lower_bound_rep_scan(shift, f, t)
 
 
 def test_lower_bound_matches_the_scan_over_every_subset():
@@ -1014,7 +1034,7 @@ def test_lower_bound_matches_the_scan_over_every_subset():
         geometric = SpectralFunction.from_table(n, [2.0**-s for s in range(-n - 1, n + 2)])
         for f in (SpectralFunction.logistic(n), SpectralFunction.constant(n), geometric):
             for t in (1, 2):
-                assert mpc.multiplicativity_lower_bound(shift, wt_build(shift, f, t)) == _lower_bound_loop(shift, f, t)
+                assert mpc.multiplicativity_lower_bound(wt_build(shift, f, t)) == _lower_bound_loop(shift, f, t)
 
 
 def test_lower_bound_rejects_a_spectral_function_short_of_the_window():
@@ -1022,9 +1042,9 @@ def test_lower_bound_rejects_a_spectral_function_short_of_the_window():
     # function short of the window
     shift, short = build_shift(3), SpectralFunction.logistic(2)
     with pytest.raises(InvalidSpectralFunctionError):
-        mpc.multiplicativity_lower_bound(shift, wt_build(shift, short, 1))
+        mpc.multiplicativity_lower_bound(wt_build(shift, short, 1))
     with pytest.raises(InvalidSpectralFunctionError):
-        mpc.multiplicativity_lower_bound(shift, mpc.mpc_implementability(shift, short, 1).step)
+        mpc.multiplicativity_lower_bound(mpc.mpc_implementability(shift, short, 1).step)
 
 
 def test_pair_scan_bound_close_form_spot_check():
@@ -1035,14 +1055,14 @@ def test_pair_scan_bound_close_form_spot_check():
     t = 1
     g = f.value(1) / f.value(0)
     sites = 2 * shift.half_width + 1 - t
-    bound = mpc.multiplicativity_lower_bound(shift, wt_build(shift, f, t))
+    bound = mpc.multiplicativity_lower_bound(wt_build(shift, f, t))
     assert bound >= (1.0 - g * g) / (1 << sites) ** 2 - 1e-15
 
 
 def test_coarse_grained_semigroup_reports():
     shift = build_shift(2)
     coarse = mpc.coarse_grained_wt(shift, 0, 1)
-    suite = stochasticity_of(coarse, shift, 1)
+    suite = stochasticity_of(coarse)
     assert suite.positivity_defect <= 1e-12
     assert suite.mass_defect == 0.0 and suite.unitality_defect == 0.0
     verdict = mpc.coarse_grained_implementability(shift, 0, 1)
@@ -1055,6 +1075,7 @@ def test_coarse_grained_semigroup_reports():
 def test_an_experiment_transforms_once_and_projects_once_per_time(monkeypatch):
     names = (
         "fwht",
+        "slot_ages",
         "filtration",
         "age_operator",
         "shift_operator",
@@ -1074,14 +1095,18 @@ def test_an_experiment_transforms_once_and_projects_once_per_time(monkeypatch):
     for name in ("fwht", "conditional_expectation", "wt_build", "coarse_grained_wt"):
         monkeypatch.setattr(mpc, name, counted(name, getattr(mpc, name)))
     monkeypatch.setattr(mpc.TruncatedKShift, "shift_operator", counted("shift_operator", mpc.TruncatedKShift.shift_operator))
-    for name, attribute in (("filtration", "_filtration"), ("age_operator", "_age_operator")):
-        table = cached_property(counted(name, getattr(mpc.TruncatedKShift, attribute).func))
-        table.__set_name__(mpc.TruncatedKShift, attribute)
-        monkeypatch.setattr(mpc.TruncatedKShift, attribute, table)
+    # the size-keyed tables, each counted where it is built and cached
+    tables = {}
+    for name in ("slot_ages", "filtration", "age_operator"):
+        tables[name] = lru_cache(counted(name, getattr(mpc, f"_{name}").__wrapped__))
+        monkeypatch.setattr(mpc, f"_{name}", tables[name])
     for n in (1, 3, 6):
         for f in ({"kind": "logistic"}, {"kind": "constant"}, {"kind": "step", "s0": 0}):
             coarse = int(f["kind"] == "step")
             for t in (1, 2 * n):
+                # empty caches, so that each table is built by this experiment
+                for table in tables.values():
+                    table.cache_clear()
                 calls.update(dict.fromkeys(names, 0))
                 mpc.run_experiment({"N": n, "f": f, "t": t})
                 # one kernel for the verdict and the positivity defect; one
@@ -1093,8 +1118,9 @@ def test_an_experiment_transforms_once_and_projects_once_per_time(monkeypatch):
                 # coarse step), and W_1 and W_{1+t} for the semigroup row
                 # where a step by 1 + t exists
                 steps = 0 if coarse else 3 if t + 1 <= 2 * n else 1
-                assert calls == {
+                expected = {
                     "fwht": 1,
+                    "slot_ages": 1,
                     "filtration": 1,
                     "age_operator": 1,
                     "shift_operator": 1 + coarse,
@@ -1102,6 +1128,11 @@ def test_an_experiment_transforms_once_and_projects_once_per_time(monkeypatch):
                     "wt_build": steps,
                     "coarse_grained_wt": coarse,
                 }
+                assert calls == expected
+                # a second experiment at the same N builds no table
+                calls.update(dict.fromkeys(names, 0))
+                mpc.run_experiment({"N": n, "f": {"kind": "logistic"}, "t": 1})
+                assert calls["slot_ages"] == calls["filtration"] == calls["age_operator"] == 0
 
 
 def test_windows_past_six_pass_every_check():
