@@ -21,10 +21,6 @@ from .spaces import check_p
 #: Per-row relative cutoff deciding which entries count as support.
 SUPPORT_RTOL = 1e-10
 
-# Entries per row block of multiplicativity_check: 512 KB of float64 work
-# buffer, which stays in a per-core L2 cache between its passes.
-_BLOCK_ENTRIES = 1 << 16
-
 
 @dataclass(frozen=True)
 class FiniteMeasureSpace:
@@ -220,19 +216,17 @@ def multiplicativity_check(k, tol: float = DEFAULT_TOL) -> MultiplicativityCheck
     basis is vanishing everywhere.
 
     K is a square array, through ``np.asarray`` as complex or float, read
-    once in blocks of whole rows, about ``_BLOCK_ENTRIES`` entries each, so
-    the work buffers stay cache-sized and only four values per row outlive
-    their block.  The worst disjoint pair at a point multiplies the two
-    largest entries of its row in modulus; they come from two passes, the
-    row maximum at its ``argmax``, then the maximum again with that one
-    entry set to -1.  A maximum that occurs twice in a row is found again by
-    the second pass, so it is paired with itself, as a sort would pair it.
+    whole.  The worst disjoint pair at a point multiplies the two largest
+    entries of its row in modulus; they come from two passes, the row
+    maximum at its ``argmax``, then the maximum again with that one entry
+    set to -1.  A maximum that occurs twice in a row is found again by the
+    second pass, so it is paired with itself, as a sort would pair it.
 
-    Or K is an ``XorConvolution``, whose every row is a permutation of its
-    row 0, the kernel: that one row gives every row's maxima, so the check
-    reads it alone, in O(d) time and memory.  The product defect is
-    bit-identical to the array path's on the gathered grid; the unitality
-    defect, row 0's sum, may differ from the worst row sum by rounding.
+    Or K is an ``XorConvolution``, read as its one row, the kernel: every
+    row of K is a permutation of it, so that row gives every row's maxima,
+    in O(d) time and memory.  The product defect is bit-identical to the
+    array path's on the gathered grid; the unitality defect, row 0's sum,
+    may differ from the worst row sum by rounding.
     """
     if isinstance(k, XorConvolution):
         k = k.kernel[None]
@@ -241,32 +235,16 @@ def multiplicativity_check(k, tol: float = DEFAULT_TOL) -> MultiplicativityCheck
         if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] == 0:
             raise ValueError("operator must be a nonempty square matrix")
     m, n = k.shape
-    rows = max(1, _BLOCK_ENTRIES // n)
-    work = np.empty((min(rows, m), n), dtype=k.dtype)
-    magnitudes = np.empty(work.shape) if np.iscomplexobj(work) else work
-    ones = np.ones(n)
-    row_defects = np.empty(m)
-    largest = np.empty(m)
-    second = np.empty(m)
-    row_sums = np.empty(m, dtype=k.dtype)
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        block = k[start:stop]
-        w, mag = work[: stop - start], magnitudes[: stop - start]
-        # block @ ones sums each row as k @ ones does; np.sum takes another order
-        row_sums[start:stop] = block @ ones
-        # i = j: K(e_i) must be pointwise idempotent
-        np.multiply(block, block, out=w)
-        np.subtract(block, w, out=w)
-        np.abs(w, out=mag)
-        mag.max(axis=1, out=row_defects[start:stop])
-        # i != j: images of disjoint indicators need disjoint support
-        np.abs(block, out=mag)
-        at = (np.arange(stop - start), mag.argmax(axis=1))
-        largest[start:stop] = mag[at]
-        mag[at] = -1.0
-        mag.max(axis=1, out=second[start:stop])
-    product_defect = float(row_defects.max())
+    # k @ ones, not k.sum(axis=1): the two add a row in different orders
+    row_sums = k @ np.ones(n)
+    # i = j: K(e_i) must be pointwise idempotent
+    product_defect = float(np.abs(k - k * k).max())
+    # i != j: images of disjoint indicators need disjoint support
+    magnitudes = np.abs(k)
+    at = (np.arange(m), magnitudes.argmax(axis=1))
+    largest = magnitudes[at]
+    magnitudes[at] = -1.0
+    second = magnitudes.max(axis=1)
     top = float(largest.max())
     if n > 1:
         product_defect = max(product_defect, float((largest * second).max()))

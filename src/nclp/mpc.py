@@ -307,6 +307,9 @@ class TruncatedKShift:
         return 1 << self.sites
 
     def coords_of(self, index: int) -> tuple[int, ...]:
+        index = integer_value(index, "index")
+        if index < 0 or index >= self.dim:
+            raise ValueError(f"index {index} outside [0, {self.dim})")
         n = self.half_width
         return tuple(b - n for b in range(self.sites) if index >> b & 1)
 
@@ -314,7 +317,7 @@ class TruncatedKShift:
         n = self.half_width
         mask = 0
         for k in set(coords):
-            k = int(k)
+            k = integer_value(k, "coords")
             if k < -n or k > n:
                 raise ValueError(f"coordinate {k} outside the window [-{n}, {n}]")
             mask |= 1 << (k + n)
@@ -517,8 +520,13 @@ def _step_slots(op: WalshOperator) -> np.ndarray:
     """The weights by age slot 0..2N+1-t, zero off its domain, of a step by t
     in a 2N+1-site window: the slots of the masks below 2^(2N+1-t), the
     subsets of the low 2N+1-t coordinates.  A step by t reads only these
-    coordinates, and its adjoint acts on these masks with these multipliers."""
+    coordinates, and its adjoint acts on these masks with these multipliers.
+    A step by t > 2N keeps no nonconstant subset: DomainEmptyError, the rule
+    of ``_check_step``."""
     sites = op.slot_weights.size - 1 - op.shift
+    if sites < 1:
+        n = (op.slot_weights.size - 2) // 2
+        raise DomainEmptyError(f"no nonconstant subset survives a shift by {op.shift} in a window of half-width {n}")
     return np.where(op.slot_domain[: sites + 1], op.slot_weights[: sites + 1], 0.0)
 
 

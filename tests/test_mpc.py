@@ -125,6 +125,25 @@ def test_build_shift_rejects_large_windows():
         build_shift(0)
 
 
+@pytest.mark.parametrize("coordinate", [0.5, -1.9, True], ids=["half", "negative-fraction", "bool"])
+def test_index_of_refuses_coordinates_that_are_not_integers(coordinate):
+    # int() cast them: {0.5} named {0}, {-1.9} named {-1} and {True} named {1}
+    shift = build_shift(1)
+    with pytest.raises(ValueError):
+        shift.index_of({coordinate})
+    assert shift.index_of({np.int64(1), 0.0}) == shift.index_of({1, 0}) == 6
+
+
+@pytest.mark.parametrize("index", [9, 8, -1])
+def test_coords_of_refuses_an_index_outside_the_window(index):
+    # bits above the window were ignored: 9 read as 1, 8 as the empty set,
+    # and -1 as the whole window
+    shift = build_shift(1)
+    with pytest.raises(ValueError):
+        shift.coords_of(index)
+    assert shift.coords_of(np.int64(7)) == shift.coords_of(7.0) == (-1, 0, 1)
+
+
 def test_shift_moves_singletons():
     shift = build_shift(2)
     u = shift.shift_operator(1)
@@ -1035,6 +1054,24 @@ def test_lower_bound_matches_the_scan_over_every_subset():
         for f in (SpectralFunction.logistic(n), SpectralFunction.constant(n), geometric):
             for t in (1, 2):
                 assert mpc.multiplicativity_lower_bound(wt_build(shift, f, t)) == _lower_bound_loop(shift, f, t)
+
+
+def test_steps_past_the_window_are_refused():
+    # shifts by 3, 4 and 5 in a 3-site window raised numpy's zero-size error
+    # or an IndexError, or read a negative slice as a number
+    shift = build_shift(1)
+    for t in (3, 4, 5):
+        op = shift.shift_operator(t)
+        with pytest.raises(DomainEmptyError):
+            mpc.multiplicativity_lower_bound(op)
+        with pytest.raises(DomainEmptyError):
+            mpc._implementability_of(op, mpc.DEFAULT_TOL)
+    exact = classical.MultiplicativityCheck(True, 0.0, 0.0, 0.0)
+    for t, fraction in ((1, 0.5), (2, 0.25)):
+        op = shift.shift_operator(t)
+        assert mpc.multiplicativity_lower_bound(op) == 0.0
+        verdict = mpc._implementability_of(op, mpc.DEFAULT_TOL)
+        assert (verdict.check, verdict.domain_fraction) == (exact, fraction)
 
 
 def test_lower_bound_rejects_a_spectral_function_short_of_the_window():
