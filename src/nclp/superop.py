@@ -391,28 +391,15 @@ def _square_defects(j: SuperOperator, i: np.ndarray, k: np.ndarray) -> np.ndarra
     """||J(A^2) - J(A)^2||_F over the Hermitian spanning set, in order: E_ii,
     then for each pair (i, k) of ``np.triu_indices`` the symmetric
     E_ik + E_ki and the skew i E_ik - i E_ki, both squaring to E_ii + E_kk.
-
-    The images ja are written into one (n^2, n, n) stack and squared once;
-    the squares' images are subtracted in place, so at most three
-    n^2 x n^2 arrays' worth is alive at once.
     """
     n = j.dim
     images = _images(j)
     units = images[np.arange(n), np.arange(n)]
-    ja = np.empty((n * n, n, n), dtype=complex)
-    ja[:n] = units
-    pairs = ja[n:].reshape(-1, 2, n, n)
     upper, lower = images[i, k], images[k, i]
-    np.add(upper, lower, out=pairs[:, 0])
-    np.subtract(upper, lower, out=pairs[:, 1])
-    pairs[:, 1] *= 1j
-    del upper, lower
-    sq = ja @ ja
-    del ja, pairs
-    sq[:n] -= units
-    paired = sq[n:].reshape(-1, 2, n, n)
-    paired -= (units[i] + units[k])[:, None]
-    return np.linalg.norm(sq, axis=(1, 2))
+    pairs = np.stack([upper + lower, 1j * (upper - lower)], axis=1).reshape(-1, n, n)
+    ja = np.concatenate([units, pairs])
+    targets = np.concatenate([units, np.repeat(units[i] + units[k], 2, axis=0)])
+    return np.linalg.norm(targets - ja @ ja, axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -464,16 +451,9 @@ def jordan_check(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanCheck:
             pair, skew = divmod(worst_index - n, 2)
             a, b = i[pair], k[pair]
             worst[a, b], worst[b, a] = (1j, -1j) if skew else (1.0, 1.0)
-    # column vec(E) of m[:, s] is J(E*); of m.conj()[s] it is J(E)*; taken
-    # over blocks of about 64 columns, so that no permuted n^2 x n^2 copy is
-    # made.  A block is a multiple of n wide: a one-column block would be
-    # summed in another order, and its norm could differ in the last bit
+    # column vec(E) of m[:, s] is J(E*); of m.conj()[s] it is J(E)*
     m, s = j.matrix, swap(n)
-    width = n * max(1, 64 // n)
-    star_defect = max(
-        _max_column_norm(m[:, s[c : c + width]] - m[s, c : c + width].conj())
-        for c in range(0, n * n, width)
-    )
+    star_defect = _max_column_norm(m[:, s] - m.conj()[s])
     low, high = _singular_value_bounds(j.matrix)
     invertibility_defect = math.inf if low <= 0.0 else ABS_FLOOR * (high / low)
     defect = square_defect + star_defect + invertibility_defect
@@ -547,6 +527,8 @@ def positivity_check(
     positivity only: complete positivity is strictly stronger, and maps with
     a transposed part are positive without being completely positive.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     n = t.dim
     g = ginibre_stack(n, trials, seed)
     states = g @ g.conj().transpose(0, 2, 1)

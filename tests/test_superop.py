@@ -20,7 +20,14 @@ from nclp.linalg import (
     threshold,
 )
 from nclp.sampling import commuting_unitary, ginibre, ginibre_stack, random_density, random_unitary, rng_from
-from nclp.spaces import P_GRID, QuantumMeasure, maximally_mixed, schatten_norm, weighted_norm
+from nclp.spaces import (
+    P_GRID,
+    QuantumMeasure,
+    integrability_constant,
+    maximally_mixed,
+    schatten_norm,
+    weighted_norm,
+)
 from nclp.superop import (
     CHOI_RANK_RTOL,
     KIND_ANTI,
@@ -384,22 +391,6 @@ def _jordan_defects_whole(j):
     return square, star
 
 
-def test_jordan_check_holds_at_most_three_n2_by_n2_arrays():
-    n = 16
-    u = random_unitary(n, rng_from(48))
-    for j in (SuperOperator.ad_unitary(u), canonical_jordan(KIND_ANTI, u)):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            check = jordan_check(j)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert check.is_jordan
-        assert (check.square_defect, check.star_defect) == _jordan_defects_whole(j)
-        assert peak - base <= 3 * j.matrix.nbytes
-
-
 def test_jordan_check_defects_equal_the_whole_array_formulas():
     rng = rng_from(49)
     for n in range(1, 9):
@@ -408,6 +399,11 @@ def test_jordan_check_defects_equal_the_whole_array_formulas():
             j = SuperOperator(n, m)
             check = jordan_check(j)
             assert (check.square_defect, check.star_defect) == _jordan_defects_whole(j)
+    u = random_unitary(16, rng_from(48))
+    for j in (SuperOperator.ad_unitary(u), canonical_jordan(KIND_ANTI, u)):
+        check = jordan_check(j)
+        assert check.is_jordan
+        assert (check.square_defect, check.star_defect) == _jordan_defects_whole(j)
 
 
 def test_ginibre_stack_is_the_per_sample_draws():
@@ -557,13 +553,28 @@ def test_positivity_check_accepts_and_rejects():
     assert good.positive
     bad = positivity_check(SuperOperator.identity(n).scaled(-1.0))
     assert not bad.positive and bad.defect > 0.1
-    # with no random states the diagonal matrix units alone must catch it
-    units_only = positivity_check(SuperOperator.identity(n).scaled(-1.0), trials=0)
-    assert not units_only.positive and units_only.defect == 1.0
+    # the diagonal matrix units are always tested: a sampled full-rank state
+    # reads a defect below 1 here, and only a unit reads exactly 1
+    units_too = positivity_check(SuperOperator.identity(n).scaled(-1.0), trials=1)
+    assert not units_too.positive and units_too.defect == 1.0
     # transposition is positive but not completely positive
     transpose = SuperOperator.transpose_map(2)
     assert positivity_check(transpose).positive
     assert np.linalg.eigvalsh(hermitian_part(choi(transpose)))[0] < -0.5
+
+
+def test_positivity_check_refuses_fewer_than_one_trial():
+    # the Schur multiplier X -> (2I - J) o X is not positive, but the
+    # diagonal units alone miss it
+    n = 3
+    t = SuperOperator(n, np.diag(vec(2.0 * np.eye(n) - np.ones((n, n)))))
+    report = positivity_check(t, trials=1)
+    assert not report.positive and report.defect > 0.1
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            positivity_check(t, trials=trials)
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            integrability_constant(t, maximally_mixed(n), trials=trials)
 
 
 def test_isometry_check_unitary_conjugation_all_p():
@@ -875,6 +886,21 @@ def test_lamperti_refuses_a_map_that_passes_jordan_check():
         assert dec.kind == KIND_ISO and dec.residual < 1e-9
 
 
+def test_lamperti_refuses_a_unital_remainder_that_fails_jordan_check():
+    # T = (1 - eps) id + eps (X -> tr(X)/n 1) is unital, so W = 1, scale = 1
+    # and the remainder is T itself, which squares E_01 + E_10 wrongly
+    n, eps = 3, 1e-3
+    t = SuperOperator.from_apply(n, lambda x: (1 - eps) * x + eps * np.trace(x) / n * np.eye(n))
+    check = jordan_check(t)
+    assert not check.is_jordan
+    for p in (1.0, 2.0, 3.0, math.inf):
+        with pytest.raises(NotDecomposableError, match="^remainder is not a Jordan automorphism") as info:
+            lamperti_decompose(t, p)
+        assert info.value.reason.endswith("defect 2.448e-03")
+        assert info.value.defect == check.defect
+        assert np.array_equal(info.value.witness, check.worst_input)
+
+
 def test_lamperti_rejects_perturbed_isometries():
     rng = rng_from(22)
     for trial in range(20):
@@ -982,6 +1008,25 @@ def test_implementability_scalar_expectation_not_onto():
     report = implementability_check(v, QuantumMeasure(rho), 2.0)
     assert not report.implementable
     assert report.failure == "onto"
+
+
+def test_implementability_fails_the_jordan_match_within_its_window():
+    # V = tau^-1 o Ad(U) o tau for a rotation U of two nearly equal
+    # eigenvectors of rho: unital within tolerance, yet V is not Ad(U)
+    n = 16
+    u = np.eye(n, dtype=complex)
+    c, s = math.cos(0.7), math.sin(0.7)
+    u[:2, :2] = [[c, -s], [s, c]]
+    lam = np.linspace(1.0, 2.0, n)
+    lam[1] = lam[0] * (1.0 + 10.0**-8.6)
+    m = QuantumMeasure(np.diag(lam / lam.sum()).astype(complex))
+    v = weighted_isometry_transport(SuperOperator.ad_unitary(u), m, 1.0, inverse=True)
+    for seed in range(3):
+        report = implementability_check(v, m, 1.0, seed=seed)
+        assert report.failure == "jordan_match"
+        assert report.decomposition is not None and report.jordan is None
+        assert 2e-9 < report.unitality_defect <= threshold(math.sqrt(n))
+        assert threshold(1.0) < report.match_defect < 2e-9
 
 
 def test_implementability_defect_report_is_structured():
