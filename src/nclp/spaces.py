@@ -104,9 +104,6 @@ class QuantumMeasure:
             self._powers[r] = cached
         return cached
 
-    def expectation(self, a) -> complex:
-        return complex(np.trace(self.rho @ as_matrix(a)))
-
 
 def maximally_mixed(n: int) -> QuantumMeasure:
     """The tracial state rho = identity/n."""

@@ -145,7 +145,7 @@ class SuperOperator:
         read through ``_singular_value_bounds``: the O(n^4) Choi certificate
         when it concludes, the singular values otherwise.
         """
-        if not invertible(*_singular_value_bounds(self.matrix)):
+        if not invertible(*_singular_value_bounds(self.matrix, _choi_pivot_reading(self.matrix))):
             raise SingularInputError("superoperator is not invertible")
         return SuperOperator(self.dim, np.linalg.inv(self.matrix))
 
@@ -216,9 +216,9 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a * phase - b))
 
 
-def _choi_pivot_reading(m: np.ndarray):
-    """Yield (x, y, e) for the conjugation kind, then the transposed kind,
-    read in O(n^4) off the n^2 x n^2 matrix M of a map; nothing when M = 0.
+def _choi_pivot_reading(m: np.ndarray) -> tuple:
+    """The (x, y, e) of the conjugation kind and of the transposed kind,
+    read in O(n^4) off the n^2 x n^2 matrix M of a map; () when M = 0.
 
     A map X -> A X B has Choi matrix x y^T, rank one; X -> A X^T B is that
     map composed with the transpose, which only permutes the columns of M.
@@ -229,53 +229,49 @@ def _choi_pivot_reading(m: np.ndarray):
     as y, so that the map M0 whose Choi matrix is x y^T has
     M0[bn + a, kn + i] = x[a, i] y[b, k] (conjugation kind, M0 = kron(y, x))
     or x[a, k] y[b, i] (transposed kind).  The residual e = ||C - x y^T||_F
-    = ||M - M0||_F is summed over row blocks of M, so neither a Choi matrix
-    nor an outer product is built.  The sum stops once e reaches
-    ||x||_F ||y||_F / n, the root mean square of the n^2 singular values of
-    M0, and e is then inf: M is far from M0 by any measure.
+    = ||M - M0||_F is one Frobenius norm of the outer product minus a view
+    of M, formed in place: no Choi matrix is built, and one n^4 array is
+    alive at a time.  e is inf once it reaches ||x||_F ||y||_F / n, the root
+    mean square of the n^2 singular values of M0: M is then far from M0 by
+    any measure.
     """
     size = m.shape[0]
     n = math.isqrt(size)
     row, col = divmod(int(np.argmax(np.abs(m))), size)
     pivot = m[row, col]
     if pivot == 0:
-        return
+        return ()
     (b0, a0), (k0, i0) = divmod(row, n), divmod(col, n)
-    pivot_rows = m[b0 * n : (b0 + 1) * n]
-    kinds = (
-        # x[a, i] and y[b, k]
-        (pivot_rows[:, k0 * n : (k0 + 1) * n], m[a0::n, i0::n] / pivot, False),
-        # x[a, k] and y[b, i]
-        (pivot_rows[:, i0::n], m[a0::n, k0 * n : (k0 + 1) * n] / pivot, True),
-    )
-    for x, y, transposed in kinds:
-        # x y[b], broadcast to the (a, k, i) axes of M's row block b
-        xb, yb = (x[:, :, None], y[:, None, :]) if transposed else (x[:, None, :], y[:, :, None])
+    m4 = m.reshape(n, n, n, n)
+
+    def reading(x, y, yb, xb):
+        # M0 - M in M's layout, C-ordered so that vdot reads it in place
+        residual = np.multiply(yb, xb, order="C")
+        residual -= m4
+        squares = float(np.vdot(residual, residual).real)
         limit = float(np.vdot(x, x).real * np.vdot(y, y).real) / (n * n)
-        squares = 0.0
-        for b in range(n):
-            if squares >= limit:
-                break
-            residual = m[b * n : (b + 1) * n].reshape(n, n, n) - xb * yb[b]
-            squares += float(np.vdot(residual, residual).real)
-        yield x, y, (math.sqrt(squares) if squares < limit else math.inf)
+        return x, y, (math.sqrt(squares) if squares < limit else math.inf)
+
+    x, y = m4[b0, :, k0, :], m4[:, a0, :, i0] / pivot  # x[a, i] and y[b, k]
+    conjugation = reading(x, y, y[:, None, :, None], x[:, None, :])
+    x, y = m4[b0, :, :, i0], m4[:, a0, k0, :] / pivot  # x[a, k] and y[b, i]
+    return conjugation, reading(x, y, y[:, None, None, :], x[:, :, None])
 
 
 def _choi_bounds(readings) -> tuple[float, float] | None:
-    """Weyl bounds (low, high) on the squared singular values of the
-    n^2 x n^2 matrix M of a map, from the pivot's Choi column and row
-    (``readings``, the (x, y, e) of ``_choi_pivot_reading(M)``), or None
-    when they are inconclusive.
+    """Weyl bounds (low, high) on the singular values of the n^2 x n^2
+    matrix M of a map, from the pivot's Choi column and row (``readings``,
+    the (x, y, e) of ``_choi_pivot_reading(M)``), or None when they are
+    inconclusive.
 
     The singular values of M0 = kron(y, x), or of its column permutation,
     are sigma_i(x) sigma_j(y), and the Choi reshuffle and the transpose
     only permute entries, so ||M - M0||_2 <= e and Weyl puts every singular
     value of M in [s_min(x) s_min(y) - e, s_max(x) s_max(y) + e], from two
-    n x n SVDs.  The bounds are returned, as their squares, only when the
-    upper one is at most sqrt(3) times the lower one, so that a conclusive
-    certificate means cond(M) <= sqrt(3).  No rtol enters; the residual
-    does.  s_min(x) s_min(y) is at most the root mean square at which the
-    residual sum stops, so an inf residual is inconclusive.
+    n x n SVDs.  They are returned only when the upper one is at most
+    sqrt(3) times the lower one, so that a conclusive certificate means
+    cond(M) <= sqrt(3).  No rtol enters; the residual does, and an inf
+    residual is inconclusive.
     """
     for x, y, e in readings:
         if math.isinf(e):
@@ -284,23 +280,22 @@ def _choi_bounds(readings) -> tuple[float, float] | None:
         low = float(sx[-1] * sy[-1]) - e
         high = float(sx[0] * sy[0]) + e
         if low > 0.0 and high * high <= 3.0 * low * low:
-            return low * low, high * high
+            return low, high
     return None
 
 
-def _singular_value_bounds(m: np.ndarray, readings=None) -> tuple[float, float]:
+def _singular_value_bounds(m: np.ndarray, readings) -> tuple[float, float]:
     """Bounds (low, high) around the singular values of M, the input of
     ``linalg.invertible``.
 
-    They are the Choi certificate's (``_choi_bounds``, on ``readings`` or
-    else a fresh ``_choi_pivot_reading(m)``) when it concludes: then
-    cond(M) <= sqrt(3), far above the ratio, and the rule could only agree
-    with the singular values.  Otherwise they are the exact smallest and
-    largest singular values, from one SVD.
+    They are ``_choi_bounds`` on ``readings``, the ``_choi_pivot_reading(m)``,
+    when it concludes: then cond(M) <= sqrt(3), far above the ratio, and the
+    rule could only agree with the singular values.  Otherwise they are the
+    exact smallest and largest singular values, from one SVD.
     """
-    bounds = _choi_bounds(_choi_pivot_reading(m) if readings is None else readings)
+    bounds = _choi_bounds(readings)
     if bounds is not None:
-        return math.sqrt(bounds[0]), math.sqrt(bounds[1])
+        return bounds
     sv = np.linalg.svd(m, compute_uv=False)
     return float(sv[-1]), float(sv[0])
 
@@ -359,6 +354,22 @@ def _max_column_norm(m: np.ndarray) -> float:
     """max over matrix units E_ij of the norm of column vec(E_ij) of ``m``:
     the worst Frobenius norm among the images of the matrix units."""
     return float(np.max(np.linalg.norm(m, axis=0)))
+
+
+def _star_defect(m: np.ndarray) -> float:
+    """The worst ||T(E*) - T(E)*||_F over matrix units E, zero exactly when
+    T(X*) = T(X)* for all X: the largest column norm of the matrix
+    M - conj(M)[swap][:, swap], whose column vec(E) is T(E) - T(E*)*,
+    formed with its squared moduli and their column sums in one n^4 array."""
+    n = math.isqrt(m.shape[0])
+    m4 = m.reshape(n, n, n, n)
+    # M[swap][:, swap] is m4 with both index pairs swapped
+    d = np.conjugate(m4.transpose(1, 0, 3, 2), order="C")
+    np.subtract(m4, d, out=d)
+    parts = d.view(float).reshape(n * n, n * n, 2)
+    np.square(parts, out=parts)
+    np.add(parts[..., 0], parts[..., 1], out=parts[..., 0])
+    return math.sqrt(float(np.max(np.add.reduce(parts[..., 0], axis=0))))
 
 
 def _images(t: SuperOperator) -> np.ndarray:
@@ -428,14 +439,12 @@ def jordan_check(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanCheck:
 
     cond(J) and the tolerance scale max(1, sigma_max^2) are read as
     high / low and high^2 from ``_singular_value_bounds``: the singular
-    values themselves unless the O(n^4) Choi certificate concludes.  A
-    conclusive certificate means cond(J) <= sqrt(3), so the term stays
-    within ABS_FLOOR * [1, sqrt(3)] and the map is invertible under either
-    reading.  A Jordan map s * Ad(U), or one composed with the transpose,
-    has Choi residual zero up to rounding and singular values s, so the
-    term and the scale equal the exact ones to rounding (about 1e-27 for
-    the term); on other maps the certificate concludes on, the scale may
-    rise by up to a factor 3, to high^2 <= 3 low^2 <= 3 sigma_min^2.
+    values themselves unless the Choi certificate concludes, which means
+    cond(J) <= sqrt(3), a term within ABS_FLOOR * [1, sqrt(3)] and an
+    invertible map under either reading.  On a Jordan map s * Ad(U), or
+    one composed with the transpose, the term and the scale equal the exact
+    ones to rounding; on other maps the certificate concludes on, the scale
+    may rise by up to a factor 3, to high^2 <= 3 low^2 <= 3 sigma_min^2.
     """
     n = j.dim
     i, k = np.triu_indices(n, 1)
@@ -451,10 +460,8 @@ def jordan_check(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanCheck:
             pair, skew = divmod(worst_index - n, 2)
             a, b = i[pair], k[pair]
             worst[a, b], worst[b, a] = (1j, -1j) if skew else (1.0, 1.0)
-    # column vec(E) of m[:, s] is J(E*); of m.conj()[s] it is J(E)*
-    m, s = j.matrix, swap(n)
-    star_defect = _max_column_norm(m[:, s] - m.conj()[s])
-    low, high = _singular_value_bounds(j.matrix)
+    star_defect = _star_defect(j.matrix)
+    low, high = _singular_value_bounds(j.matrix, _choi_pivot_reading(j.matrix))
     invertibility_defect = math.inf if low <= 0.0 else ABS_FLOOR * (high / low)
     defect = square_defect + star_defect + invertibility_defect
     scale = max(1.0, high**2)
@@ -523,13 +530,18 @@ def positivity_check(
 ) -> PositivityReport:
     """Sampled positivity: T(P) must stay positive semidefinite.
 
-    Samples unit-trace G G* states plus the diagonal matrix units.  This is
-    positivity only: complete positivity is strictly stronger, and maps with
-    a transposed part are positive without being completely positive.
+    A positive map preserves Hermiticity, T(X*) = T(X)*, which is decided
+    on the matrix units with no sample: the map is refused when the worst
+    ||T(E*) - T(E)*||_F exceeds the tolerance relative to max(1, the largest
+    ||T(E)||_F).  Then unit-trace G G* states plus the diagonal matrix units
+    are sampled, and ``defect`` reads the Hermitian part of each T(P).  This
+    is positivity only: complete positivity is strictly stronger, and maps
+    with a transposed part are positive without being completely positive.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = t.dim
+    hermitian = _star_defect(t.matrix) <= threshold(max(1.0, _max_column_norm(t.matrix)), tol)
     g = ginibre_stack(n, trials, seed)
     states = g @ g.conj().transpose(0, 2, 1)
     states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
@@ -538,11 +550,7 @@ def positivity_check(
     w = np.linalg.eigvalsh((out + out.conj().transpose(0, 2, 1)) / 2.0)
     scale = np.maximum(1.0, np.abs(w).max(axis=1))
     defect = float(np.max(np.maximum(-w[:, 0], 0.0) / scale))
-    return PositivityReport(
-        positive=bool(defect <= threshold(1.0, tol)),
-        defect=defect,
-        trials=trials,
-    )
+    return PositivityReport(bool(hermitian and defect <= threshold(1.0, tol)), defect, trials)
 
 
 @dataclass(frozen=True)
@@ -567,9 +575,9 @@ def isometry_check(
 
     Surjectivity is the invertibility of the n^2 x n^2 matrix M: onto when
     its singular values are ``invertible``, read through
-    ``_singular_value_bounds``.  Its O(n^4) Choi certificate concludes on
-    every map close enough to an X -> A X B or A X^T B with cond <= sqrt(3),
-    Jordan maps included, and takes no n^2 x n^2 product; other maps take
+    ``_singular_value_bounds`` on the one ``_choi_pivot_reading`` of M.  Its
+    Choi certificate concludes on every map close enough to an X -> A X B
+    or A X^T B with cond <= sqrt(3), Jordan maps included; other maps take
     one SVD.
 
     For p = 2 the isometry is also decided exactly, on top of the sampled
@@ -587,9 +595,8 @@ def isometry_check(
     value.  Otherwise (no kind reads with a finite residual, as for a zero
     map or one far from that form, or delta straddles the threshold) the
     dense Gram product of M or of its transport decides, as an n^2 x n^2
-    product.  No other p forms a Gram matrix: no finite certificate is
-    used, so the trial count and worst defect are reported alongside the
-    verdict.
+    product.  No other p forms a Gram matrix, so the trial count and worst
+    defect are reported alongside the verdict.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -604,34 +611,21 @@ def isometry_check(
     xs = ginibre_stack(n, trials, seed)
     nx = norm(xs)
     max_rel = float(np.max(np.abs(norm(_apply_to_stack(t, xs)) - nx) / nx))
-    readings = list(_choi_pivot_reading(t.matrix)) if p == 2.0 else None
+    readings = _choi_pivot_reading(t.matrix)
     onto = invertible(*_singular_value_bounds(t.matrix, readings))
     gram_defect = None
     limit = threshold(float(n), tol)
     if p == 2.0:
-        gram_defect = next(
-            (
-                d0
-                for d0, delta in _factor_gram_defects(readings, measure)
-                if d0 + delta <= limit or d0 - delta > limit
-            ),
-            None,
-        )
+        certificates = _factor_gram_defects(readings, measure)
+        gram_defect = next((d0 for d0, delta in certificates if d0 + delta <= limit or d0 - delta > limit), None)
         if gram_defect is None:
             g = t.matrix if measure is None else weighted_isometry_transport(t, measure, p).matrix
             gram = dagger(g) @ g
             # ||G - 1||_F, the diagonal shifted through a view: no identity is built
             gram.reshape(-1)[:: n * n + 1] -= 1.0
             gram_defect = float(np.linalg.norm(gram))
-    gram_ok = gram_defect is None or gram_defect <= limit
-    is_isometry = bool(max_rel <= threshold(1.0, tol) and gram_ok)
-    return IsometryCheck(
-        is_isometry=is_isometry,
-        max_rel_defect=max_rel,
-        onto=onto,
-        gram_defect=gram_defect,
-        trials=trials,
-    )
+    is_isometry = max_rel <= threshold(1.0, tol) and (gram_defect is None or gram_defect <= limit)
+    return IsometryCheck(bool(is_isometry), max_rel, onto, gram_defect, trials)
 
 
 @dataclass(frozen=True)
@@ -869,7 +863,8 @@ def change_of_representation_demo(
 ) -> ChangeRepReport:
     """Run implementability on Lam o Ad(U^t) o Lam^(-1) for t = 1..t_steps.
 
-    Lam must itself be a Jordan automorphism (NotJordanError otherwise):
+    Lam must itself be a Jordan automorphism, by ``jordan_check`` and by
+    ``jordan_classify`` (NotJordanError otherwise):
     conjugating a unitary evolution by an isomorphic change of
     representation can never escape Jordan-implemented dynamics, and this
     demo verifies the claim instance by instance.  The verdicts are with
@@ -880,11 +875,14 @@ def change_of_representation_demo(
     u = as_matrix(u)
     if t_steps < 1:
         raise ValueError("t_steps must be >= 1")
+    refusal = "change of representation is not a Jordan automorphism"
     check = jordan_check(lam, tol=tol)
     if not check.is_jordan:
-        raise NotJordanError(
-            f"change of representation is not a Jordan automorphism: defect {check.defect:.3e}"
-        )
+        raise NotJordanError(f"{refusal}: defect {check.defect:.3e}")
+    try:
+        jordan_classify(lam, tol=tol)
+    except NotClassifiableError as exc:
+        raise NotJordanError(f"{refusal}: {exc}") from exc
     lam_inv = lam.inverse()
     steps = []
     for t in range(1, t_steps + 1):

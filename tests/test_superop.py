@@ -35,6 +35,7 @@ from nclp.superop import (
     NotClassifiableError,
     NotDecomposableError,
     NotJordanError,
+    NotPositiveError,
     SuperOperator,
     _choi_bounds,
     _choi_pivot_reading,
@@ -245,16 +246,17 @@ def test_jordan_check_invertibility_matches_the_singular_values():
 
 def _assert_choi_bounds_match_the_singular_values(t):
     """The Choi certificate against the singular values: its bounds bracket
-    their squares up to rounding, it concludes only at cond <= sqrt(3), and
-    onto, is_jordan and inverse keep the singular-value verdicts.  Returns
-    whether it was conclusive."""
+    them up to rounding, it concludes only at cond <= sqrt(3), and onto,
+    is_jordan and inverse keep the singular-value verdicts.  Returns whether
+    it was conclusive."""
     sv = np.linalg.svd(t.matrix, compute_uv=False)
     bounds = _choi_bounds(_choi_pivot_reading(t.matrix))
     if bounds is not None:
         low, high = bounds
-        assert 0.0 < low and high <= 3.0 * low
-        slack = 1e-12 * high
-        assert low - slack <= sv[-1] ** 2 and sv[0] ** 2 <= high + slack
+        assert 0.0 < low and high <= math.sqrt(3.0) * low
+        # half the relative slack that the squares had
+        slack = 5e-13 * high
+        assert low - slack <= sv[-1] and sv[0] <= high + slack
         assert sv[0] <= math.sqrt(3.0) * sv[-1] * (1.0 + 1e-12)
     assert isometry_check(t, None, 1.0, trials=2, seed=0).onto == _svd_onto(t)
     reference, scale, is_singular = _svd_invertibility(t)
@@ -309,7 +311,7 @@ def test_choi_bounds_match_the_singular_values():
     for t in jordan:
         sv = np.linalg.svd(t.matrix, compute_uv=False)
         low, high = _choi_bounds(_choi_pivot_reading(t.matrix))
-        assert abs(low - sv[-1] ** 2) <= 1e-13 * high and abs(high - sv[0] ** 2) <= 1e-13 * high
+        assert abs(low - sv[-1]) <= 5e-14 * high and abs(high - sv[0]) <= 5e-14 * high
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -334,31 +336,50 @@ def test_choi_bounds_match_the_singular_values_on_random_maps(n, seed, log_cond,
     _assert_choi_bounds_match_the_singular_values(_transposed(t) if transposed else t)
 
 
-def test_isometry_check_holds_no_n2_by_n2_array():
-    rng = rng_from(47)
-    n = 16
-    m = QuantumMeasure(random_density(n, rng))
-    t = SuperOperator.ad_unitary(random_unitary(n, rng))
-    # at p = 2 the factor certificate decides with no n^2 x n^2 Gram product;
-    # a conjugation commuting with rho is an isometry with or without it
-    commuting = SuperOperator.ad_unitary(commuting_unitary(m.eigenbasis, rng))
-    cases = [(t, measure, p) for p in (1.0, 3.0) for measure in (None, m)]
-    cases += [(commuting, measure, 2.0) for measure in (None, m)]
-    for v, measure, p in cases:
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            check = isometry_check(v, measure, p, trials=50, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert check.onto
-        if p == 2.0:
-            assert check.is_isometry
-            assert check.gram_defect is not None and check.gram_defect <= 1e-12
-        else:
-            assert check.gram_defect is None
-        assert peak - base < v.matrix.nbytes
+def _dense_choi_readings(t):
+    """For the Choi matrix C of t, then of t o transpose, built explicitly:
+    C0 = C[:, q] C[p, :] / C[p, q], the rank-one matrix through C's entry of
+    largest modulus, and ||C - C0||_F."""
+    readings = []
+    for mapped in (t, _transposed(t)):
+        c = choi(mapped)
+        p, q = divmod(int(np.argmax(np.abs(c))), c.shape[0])
+        c0 = np.outer(c[:, q], c[p, :]) / c[p, q]
+        readings.append((c0, float(np.linalg.norm(c - c0))))
+    return readings
+
+
+def test_choi_pivot_reading_matches_the_dense_choi_matrix():
+    rng = rng_from(52)
+    finite = infinite = 0
+    for n in range(1, 7):
+        assert _choi_pivot_reading(np.zeros((n * n, n * n), dtype=complex)) == ()
+        rank_one = [
+            SuperOperator.sandwich(ginibre(n, rng), ginibre(n, rng)),
+            _transposed(SuperOperator.sandwich(ginibre(n, rng), ginibre(n, rng))),
+            canonical_jordan(KIND_ANTI, random_unitary(n, rng)),
+        ]
+        maps = rank_one + [t.scaled(-1.0) for t in rank_one]
+        for t, level in zip(rank_one, (1e-8, 1e-3, 0.3)):
+            noise = ginibre(n * n, rng)
+            maps.append(SuperOperator(n, t.matrix + level * np.linalg.norm(t.matrix) / np.linalg.norm(noise) * noise))
+        maps.append(SuperOperator(n, ginibre(n * n, rng)))
+        for index, t in enumerate(maps):
+            size = float(np.linalg.norm(t.matrix))
+            readings = _choi_pivot_reading(t.matrix)
+            assert len(readings) == 2
+            for (x, y, e), (c0, dense) in zip(readings, _dense_choi_readings(t)):
+                # x and y are the rank-one map whose Choi matrix is C0
+                assert np.allclose(choi(SuperOperator(n, np.kron(y, x))), c0, rtol=0.0, atol=1e-13 * size)
+                if dense**2 >= float(np.linalg.norm(c0)) ** 2 / n**2:
+                    assert math.isinf(e)
+                    infinite += 1
+                else:
+                    assert abs(e - dense) <= 1e-13 * size
+                    finite += 1
+            if index < 2 * len(rank_one):
+                assert min(e for _, _, e in readings) <= 1e-14 * size
+    assert finite and infinite
 
 
 def test_isometry_check_rejects_a_p2_conjugation_without_a_transport(monkeypatch):
@@ -387,7 +408,9 @@ def _jordan_defects_whole(j):
     ja_sq = np.concatenate([units, np.repeat(units[i] + units[k], 2, axis=0)])
     square = float(np.max(np.linalg.norm(ja_sq - ja @ ja, axis=(1, 2))))
     s = swap(n)
-    star = float(np.max(np.linalg.norm(j.matrix[:, s] - j.matrix.conj()[s], axis=0)))
+    # |z|^2 as re^2 + im^2: numpy's norm(axis=0) fuses a multiply-add into it
+    d = j.matrix[:, s] - j.matrix.conj()[s]
+    star = math.sqrt(float(np.max(np.sum(d.real**2 + d.imag**2, axis=0))))
     return square, star
 
 
@@ -416,9 +439,18 @@ def test_ginibre_stack_is_the_per_sample_draws():
 
 
 def _positivity_report_loop(t, trials, seed, tol=1e-9):
-    """positivity_check with each state drawn by its own ``ginibre`` call."""
+    """positivity_check with each state drawn by its own ``ginibre`` call,
+    and Hermiticity preservation read one matrix unit at a time."""
     rng = rng_from(seed)
     n = t.dim
+    star = scale = 0.0
+    for i in range(n):
+        for j in range(n):
+            e = np.zeros((n, n))
+            e[i, j] = 1.0
+            image = t.apply(e)
+            star = max(star, float(np.linalg.norm(t.apply(e.T) - dagger(image))))
+            scale = max(scale, float(np.linalg.norm(image)))
     samples = [np.eye(n)[:, :, None] * np.eye(n)]
     for _ in range(trials):
         g = ginibre(n, rng)
@@ -427,7 +459,8 @@ def _positivity_report_loop(t, trials, seed, tol=1e-9):
     out = superop._apply_to_stack(t, np.concatenate(samples))
     w = np.linalg.eigvalsh((out + out.conj().transpose(0, 2, 1)) / 2.0)
     defect = float(np.max(np.maximum(-w[:, 0], 0.0) / np.maximum(1.0, np.abs(w).max(axis=1))))
-    return superop.PositivityReport(bool(defect <= threshold(1.0, tol)), defect, trials)
+    positive = star <= threshold(max(1.0, scale), tol) and defect <= threshold(1.0, tol)
+    return superop.PositivityReport(positive, defect, trials)
 
 
 def _max_rel_defect_loop(t, measure, p, trials, seed):
@@ -561,6 +594,16 @@ def test_positivity_check_accepts_and_rejects():
     transpose = SuperOperator.transpose_map(2)
     assert positivity_check(transpose).positive
     assert np.linalg.eigvalsh(hermitian_part(choi(transpose)))[0] < -0.5
+    # X -> U X (U* + eps E) does not preserve Hermiticity, though the
+    # Hermitian parts of its outputs read positive: the defect stays small
+    rng = rng_from(53)
+    for n in (2, 3, 8, 16):
+        u, e = random_unitary(n, rng), ginibre(n, rng)
+        t = SuperOperator.sandwich(u, u.conj().T + 1e-6 * e / np.linalg.norm(e))
+        report = positivity_check(t)
+        assert not report.positive and report.defect < 1e-9
+        with pytest.raises(NotPositiveError, match="^map is not positivity preserving"):
+            integrability_constant(t, maximally_mixed(n))
 
 
 def test_positivity_check_refuses_fewer_than_one_trial():
@@ -575,6 +618,26 @@ def test_positivity_check_refuses_fewer_than_one_trial():
             positivity_check(t, trials=trials)
         with pytest.raises(ValueError, match="^trials must be >= 1$"):
             integrability_constant(t, maximally_mixed(n), trials=trials)
+
+
+def test_positivity_and_isometry_hold_one_n2_by_n2_array():
+    rng = rng_from(47)
+    n = 24
+    m = QuantumMeasure(random_density(n, rng))
+    v = SuperOperator.ad_unitary(commuting_unitary(m.eigenbasis, rng))
+    checks = [lambda: positivity_check(v)]
+    checks += [lambda p=p, measure=measure: isometry_check(v, measure, p) for p in (1.0, 2.0) for measure in (None, m)]
+    for check in checks:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one n^2 x n^2 complex array (the star defect's, or one kind's Choi
+        # residual) and the n^2 x n^2 real |M| of the pivot search, never both
+        assert peak - base < 1.5 * v.matrix.nbytes
 
 
 def test_isometry_check_unitary_conjugation_all_p():
@@ -1225,3 +1288,7 @@ def test_change_of_representation_rejects_non_jordan_frame():
     u = random_unitary(2, rng_from(33))
     with pytest.raises(NotJordanError):
         change_of_representation_demo(u, SuperOperator.identity(2).scaled(2.0), m, 2)
+    # it passes jordan_check, and the classification refuses it
+    assert jordan_check(pauli_mix(0.7)).is_jordan
+    with pytest.raises(NotJordanError, match="^change of representation is not a Jordan automorphism: "):
+        change_of_representation_demo(u, pauli_mix(0.7), m, 2)
