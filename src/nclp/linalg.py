@@ -10,7 +10,7 @@ being regularized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -149,11 +149,7 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL) -> HermitianEig:
 def matrix_abs(x, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Operator absolute value |X| = (X*X)^(1/2)."""
     x = as_matrix(x)
-    gram = dagger(x) @ x
-    eig = hermitian_eig(gram, tol=tol)
-    w = np.clip(eig.eigenvalues, 0.0, None)
-    v = eig.eigenvectors
-    return hermitian_part((v * np.sqrt(w)) @ dagger(v))
+    return frac_power(dagger(x) @ x, 0.5, tol)
 
 
 def frac_power(p, r: float, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -195,16 +191,17 @@ def psd_leq(a, b, tol: float = DEFAULT_TOL) -> bool:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A faithful state: Hermitian, invertible, unit-trace positive matrix."""
+    """A faithful state: Hermitian, invertible, unit-trace positive matrix,
+    with the one ``hermitian_eig`` that validated it kept as ``eig``."""
 
     matrix: np.ndarray
     tol: float = DEFAULT_TOL
+    eig: HermitianEig = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        if hermiticity_defect(m) > threshold(frobenius(m), self.tol):
-            raise NonHermitianError("density matrix must be Hermitian")
-        w = np.linalg.eigvalsh(hermitian_part(m))
+        object.__setattr__(self, "eig", hermitian_eig(m, self.tol))
+        w = self.eig.eigenvalues
         tr = float(np.sum(w))
         if abs(tr - 1.0) > threshold(1.0, self.tol):
             raise ValueError(f"density matrix must have unit trace, got {tr!r}")

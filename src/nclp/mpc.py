@@ -80,7 +80,7 @@ class SpectralFunction:
     s_min: int
     s_max: int
     values: np.ndarray
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = field(default=(), init=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -99,13 +99,11 @@ class SpectralFunction:
         if (mid < sides * (1.0 - 1e-12)).any():
             raise InvalidSpectralFunctionError("values must be log-concave")
         object.__setattr__(self, "values", v)
-        warnings = tuple(self.warnings)
         if not (steps < 0).all():
-            warnings += (
+            object.__setattr__(self, "warnings", (
                 "not strictly decreasing: the declared limit 0 at +infinity "
                 "is unreachable; accepted as a control case",
-            )
-        object.__setattr__(self, "warnings", warnings)
+            ))
 
     def value(self, s: int) -> float:
         if s < self.s_min or s > self.s_max:

@@ -34,7 +34,6 @@ from .linalg import (
     as_matrices,
     as_matrix,
     dagger,
-    hermitian_eig,
     hermitian_part,
     threshold,
 )
@@ -63,10 +62,10 @@ def tau_exponent(p: float) -> float:
 class QuantumMeasure:
     """A faithful state omega(X) = Tr(rho X), with cached powers of rho.
 
-    rho is decomposed once; each power rho^r is read from that
-    decomposition, equal to ``linalg.frac_power(rho, r)``, and cached.
-    Products of cached powers satisfy the exponent semigroup law to
-    rounding accuracy.
+    rho is decomposed once, by the ``DensityMatrix`` that validates it; each
+    power rho^r is read from that decomposition, equal to
+    ``linalg.frac_power(rho, r)``, and cached.  Products of cached powers
+    satisfy the exponent semigroup law to rounding accuracy.
     """
 
     def __init__(self, rho, tol: float = DEFAULT_TOL):
@@ -74,7 +73,6 @@ class QuantumMeasure:
             rho = DensityMatrix(rho, tol=tol)
         self.density = rho
         self.tol = tol
-        self._eig = hermitian_eig(rho.matrix, rho.tol)
         self._powers: dict[float, np.ndarray] = {}
 
     @property
@@ -88,19 +86,19 @@ class QuantumMeasure:
     @property
     def eigenbasis(self) -> np.ndarray:
         """Orthonormal eigenvectors of rho, in ascending eigenvalue order."""
-        return self._eig.eigenvectors
+        return self.density.eig.eigenvectors
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of rho, ascending, matching ``eigenbasis``."""
-        return self._eig.eigenvalues
+        return self.density.eig.eigenvalues
 
     def power(self, r: float) -> np.ndarray:
         """rho^r for any real r (rho is invertible by construction)."""
         r = float(r)
         cached = self._powers.get(r)
         if cached is None:
-            cached = self._eig.power(r, self.tol)
+            cached = self.density.eig.power(r, self.tol)
             self._powers[r] = cached
         return cached
 
@@ -184,10 +182,11 @@ def integrability_constant(
 ) -> float:
     """Least c >= 0 with T_*(rho) <= c * rho in the positive-semidefinite order.
 
-    T must be positivity preserving (verified by sampling; NotPositiveError
-    otherwise); normality is automatic in finite dimension.  The constant is
-    computed in one shot as the top eigenvalue of
-    rho^(-1/2) T_*(rho) rho^(-1/2).  With rho invertible this is always
+    T must be positivity preserving (``positivity_check``; NotPositiveError
+    otherwise, naming the star defect when T does not preserve Hermiticity
+    and the sampled defect when it does); normality is automatic in finite
+    dimension.  The constant is computed in one shot as the top eigenvalue
+    of rho^(-1/2) T_*(rho) rho^(-1/2).  With rho invertible this is always
     finite -- the unbounded alternative of the abstract criterion cannot
     occur at finite dimension, a degeneracy worth remembering when reading
     the verdicts.
@@ -196,9 +195,8 @@ def integrability_constant(
 
     report = positivity_check(t, trials=trials, seed=seed, tol=tol)
     if not report.positive:
-        raise NotPositiveError(
-            f"map is not positivity preserving: defect {report.defect:.3e}"
-        )
+        decided = f"defect {report.defect:.3e}" if report.hermitian else f"star defect {report.star_defect:.3e}"
+        raise NotPositiveError(f"map is not positivity preserving: {decided}")
     pushed = hermitian_part(t.predual().apply(measure.rho))
     inv_half = measure.power(-0.5)
     w = np.linalg.eigvalsh(hermitian_part(inv_half @ pushed @ inv_half))

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +114,10 @@ class SuperOperator:
             )
         object.__setattr__(self, "matrix", m)
 
+    @cached_property
+    def pivot_reading(self) -> tuple:
+        return _choi_pivot_reading(self.matrix)
+
     def apply(self, x) -> np.ndarray:
         x = as_matrix(x)
         if x.shape[0] != self.dim:
@@ -145,7 +150,7 @@ class SuperOperator:
         read through ``_singular_value_bounds``: the O(n^4) Choi certificate
         when it concludes, the singular values otherwise.
         """
-        if not invertible(*_singular_value_bounds(self.matrix, _choi_pivot_reading(self.matrix))):
+        if not invertible(*_singular_value_bounds(self)):
             raise SingularInputError("superoperator is not invertible")
         return SuperOperator(self.dim, np.linalg.inv(self.matrix))
 
@@ -284,19 +289,19 @@ def _choi_bounds(readings) -> tuple[float, float] | None:
     return None
 
 
-def _singular_value_bounds(m: np.ndarray, readings) -> tuple[float, float]:
-    """Bounds (low, high) around the singular values of M, the input of
-    ``linalg.invertible``.
+def _singular_value_bounds(t: SuperOperator) -> tuple[float, float]:
+    """Bounds (low, high) around the singular values of the matrix M of a
+    map, the input of ``linalg.invertible``.
 
-    They are ``_choi_bounds`` on ``readings``, the ``_choi_pivot_reading(m)``,
-    when it concludes: then cond(M) <= sqrt(3), far above the ratio, and the
-    rule could only agree with the singular values.  Otherwise they are the
-    exact smallest and largest singular values, from one SVD.
+    They are ``_choi_bounds`` on the map's ``pivot_reading`` when it
+    concludes: then cond(M) <= sqrt(3), far above the ratio, and the rule
+    could only agree with the singular values.  Otherwise they are the exact
+    smallest and largest singular values, from one SVD.
     """
-    bounds = _choi_bounds(readings)
+    bounds = _choi_bounds(t.pivot_reading)
     if bounds is not None:
         return bounds
-    sv = np.linalg.svd(m, compute_uv=False)
+    sv = np.linalg.svd(t.matrix, compute_uv=False)
     return float(sv[-1]), float(sv[0])
 
 
@@ -438,13 +443,14 @@ def jordan_check(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanCheck:
     honest automorphisms and blows up for maps that are not one-to-one.
 
     cond(J) and the tolerance scale max(1, sigma_max^2) are read as
-    high / low and high^2 from ``_singular_value_bounds``: the singular
-    values themselves unless the Choi certificate concludes, which means
-    cond(J) <= sqrt(3), a term within ABS_FLOOR * [1, sqrt(3)] and an
-    invertible map under either reading.  On a Jordan map s * Ad(U), or
-    one composed with the transpose, the term and the scale equal the exact
-    ones to rounding; on other maps the certificate concludes on, the scale
-    may rise by up to a factor 3, to high^2 <= 3 low^2 <= 3 sigma_min^2.
+    high / low and high^2 from ``_singular_value_bounds`` on J's
+    ``pivot_reading``, which ``jordan_classify`` reuses: the singular values
+    unless the Choi certificate concludes, which means cond(J) <= sqrt(3),
+    a term within ABS_FLOOR * [1, sqrt(3)] and an invertible map under
+    either reading.  On a Jordan map s * Ad(U), or one composed with the
+    transpose, the term and the scale equal the exact ones to rounding; on
+    other maps the certificate concludes on, the scale may rise by up to a
+    factor 3, to high^2 <= 3 low^2 <= 3 sigma_min^2.
     """
     n = j.dim
     i, k = np.triu_indices(n, 1)
@@ -461,7 +467,7 @@ def jordan_check(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanCheck:
             a, b = i[pair], k[pair]
             worst[a, b], worst[b, a] = (1j, -1j) if skew else (1.0, 1.0)
     star_defect = _star_defect(j.matrix)
-    low, high = _singular_value_bounds(j.matrix, _choi_pivot_reading(j.matrix))
+    low, high = _singular_value_bounds(j)
     invertibility_defect = math.inf if low <= 0.0 else ABS_FLOOR * (high / low)
     defect = square_defect + star_defect + invertibility_defect
     scale = max(1.0, high**2)
@@ -487,7 +493,7 @@ def jordan_classify(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanClassif
 
     On the full matrix algebra exactly one of choi(J), choi(J o transpose)
     has rank one: a conjugation's Choi matrix is vec(U) vec(U)*.  The rank
-    test costs O(n^4) and takes no SVD: ``_choi_pivot_reading`` gives each
+    test costs O(n^4) and takes no SVD: J's ``pivot_reading`` gives each
     kind's residual e from the rank-one Choi matrix through the pivot of M,
     and the kind reads as rank one when e <= CHOI_RANK_RTOL * ||M||_F
     (||M||_F = ||C||_F).  It agrees with ``choi_rank(C) == 1`` except for
@@ -500,7 +506,7 @@ def jordan_classify(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanClassif
     """
     n = j.dim
     cutoff = CHOI_RANK_RTOL * float(np.linalg.norm(j.matrix))
-    for kind, (_, _, e) in zip((KIND_ISO, KIND_ANTI), _choi_pivot_reading(j.matrix)):
+    for kind, (_, _, e) in zip((KIND_ISO, KIND_ANTI), j.pivot_reading):
         if e > cutoff:
             continue
         mapped = j if kind == KIND_ISO else SuperOperator(n, j.matrix[:, swap(n)])
@@ -523,6 +529,8 @@ class PositivityReport:
     positive: bool
     defect: float
     trials: int
+    star_defect: float
+    hermitian: bool
 
 
 def positivity_check(
@@ -531,17 +539,19 @@ def positivity_check(
     """Sampled positivity: T(P) must stay positive semidefinite.
 
     A positive map preserves Hermiticity, T(X*) = T(X)*, which is decided
-    on the matrix units with no sample: the map is refused when the worst
-    ||T(E*) - T(E)*||_F exceeds the tolerance relative to max(1, the largest
-    ||T(E)||_F).  Then unit-trace G G* states plus the diagonal matrix units
-    are sampled, and ``defect`` reads the Hermitian part of each T(P).  This
+    on the matrix units with no sample: ``star_defect`` is the worst
+    ||T(E*) - T(E)*||_F, and ``hermitian`` is false, refusing the map, when
+    it exceeds the tolerance relative to max(1, the largest ||T(E)||_F).
+    Then unit-trace G G* states plus the diagonal matrix units are sampled,
+    and ``defect`` reads the Hermitian part of each T(P).  This
     is positivity only: complete positivity is strictly stronger, and maps
     with a transposed part are positive without being completely positive.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = t.dim
-    hermitian = _star_defect(t.matrix) <= threshold(max(1.0, _max_column_norm(t.matrix)), tol)
+    star_defect = _star_defect(t.matrix)
+    hermitian = star_defect <= threshold(max(1.0, _max_column_norm(t.matrix)), tol)
     g = ginibre_stack(n, trials, seed)
     states = g @ g.conj().transpose(0, 2, 1)
     states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
@@ -550,7 +560,8 @@ def positivity_check(
     w = np.linalg.eigvalsh((out + out.conj().transpose(0, 2, 1)) / 2.0)
     scale = np.maximum(1.0, np.abs(w).max(axis=1))
     defect = float(np.max(np.maximum(-w[:, 0], 0.0) / scale))
-    return PositivityReport(bool(hermitian and defect <= threshold(1.0, tol)), defect, trials)
+    positive = hermitian and defect <= threshold(1.0, tol)
+    return PositivityReport(positive, defect, trials, star_defect, hermitian)
 
 
 @dataclass(frozen=True)
@@ -575,7 +586,7 @@ def isometry_check(
 
     Surjectivity is the invertibility of the n^2 x n^2 matrix M: onto when
     its singular values are ``invertible``, read through
-    ``_singular_value_bounds`` on the one ``_choi_pivot_reading`` of M.  Its
+    ``_singular_value_bounds`` on the map's own ``pivot_reading``.  Its
     Choi certificate concludes on every map close enough to an X -> A X B
     or A X^T B with cond <= sqrt(3), Jordan maps included; other maps take
     one SVD.
@@ -611,12 +622,11 @@ def isometry_check(
     xs = ginibre_stack(n, trials, seed)
     nx = norm(xs)
     max_rel = float(np.max(np.abs(norm(_apply_to_stack(t, xs)) - nx) / nx))
-    readings = _choi_pivot_reading(t.matrix)
-    onto = invertible(*_singular_value_bounds(t.matrix, readings))
+    onto = invertible(*_singular_value_bounds(t))
     gram_defect = None
     limit = threshold(float(n), tol)
     if p == 2.0:
-        certificates = _factor_gram_defects(readings, measure)
+        certificates = _factor_gram_defects(t.pivot_reading, measure)
         gram_defect = next((d0 for d0, delta in certificates if d0 + delta <= limit or d0 - delta > limit), None)
         if gram_defect is None:
             g = t.matrix if measure is None else weighted_isometry_transport(t, measure, p).matrix
@@ -747,7 +757,9 @@ class ImplementabilityReport:
     Every failure mode is an entry here, never an exception: a negative
     verdict is a successful run.  ``jordan`` carries the implementing Jordan
     automorphism when the map is implementable, in canonical form.  The
-    fields past ``failure`` are None for the stages the check did not reach.
+    fields past ``failure`` are None for the stages the check did not reach;
+    ``star_defect`` is set only when the map was refused for not preserving
+    Hermiticity (``PositivityReport.hermitian``).
     """
 
     unitality_defect: float
@@ -755,6 +767,7 @@ class ImplementabilityReport:
     jordan: SuperOperator | None = None
     kind: str | None = None
     positivity_defect: float | None = None
+    star_defect: float | None = None
     isometry: IsometryCheck | None = None
     decomposition: LampertiDecomposition | None = None
     w_phase_defect: float | None = None
@@ -770,6 +783,8 @@ class ImplementabilityReport:
         out = {"unitality": self.unitality_defect}
         if self.positivity_defect is not None:
             out["positivity"] = self.positivity_defect
+        if self.star_defect is not None:
+            out["star"] = self.star_defect
         if self.isometry is not None:
             out["isometry"] = self.isometry.max_rel_defect
         if self.w_phase_defect is not None:
@@ -804,7 +819,8 @@ def implementability_check(
         return ImplementabilityReport(unitality_defect, "unitality")
     pos = positivity_check(v, trials=trials, seed=seed, tol=tol)
     if not pos.positive:
-        return ImplementabilityReport(unitality_defect, "positivity", positivity_defect=pos.defect)
+        star = None if pos.hermitian else pos.star_defect
+        return ImplementabilityReport(unitality_defect, "positivity", positivity_defect=pos.defect, star_defect=star)
     iso = isometry_check(v, measure, p, trials=trials, seed=seed, tol=tol)
     if not iso.is_isometry or not iso.onto:
         stage = "onto" if not iso.onto else "isometry"

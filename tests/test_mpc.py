@@ -270,6 +270,9 @@ def test_spectral_function_rejects_bad_tables():
 def test_spectral_function_constant_is_flagged_but_usable():
     f = SpectralFunction.constant(2)
     assert f.warnings
+    # the flag is derived from the values, never passed in
+    with pytest.raises(TypeError):
+        SpectralFunction(f.s_min, f.s_max, f.values, warnings=())
     shift = build_shift(2)
     lam = lambda_build(shift, f)
     assert np.allclose(dense(lam), np.eye(shift.dim))

@@ -95,22 +95,29 @@ def test_weighted_norm_inf_is_operator_norm():
 
 
 def test_measure_powers_come_from_one_decomposition(monkeypatch):
-    # rho is decomposed once per measure, and each power equals frac_power's
+    # rho is decomposed once, by the DensityMatrix that validates it, and
+    # each power of the measure built on it equals frac_power's
     exponents = (-1.0, -0.5, -1 / 3, -0.25, -1 / 6, 0.0, 1 / 6, 0.25, 1 / 3, 0.5, 1.0)
-    eigh, calls = np.linalg.eigh, []
+    calls = []
 
-    def counted_eigh(m):
-        calls.append(m.shape)
-        return eigh(m)
+    def counted(name):
+        kernel = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        def call(m):
+            calls.append((name, m.shape))
+            return kernel(m)
+
+        monkeypatch.setattr(np.linalg, name, call)
+
+    counted("eigh")
+    counted("eigvalsh")
     rng = rng_from(11)
     for n in range(1, 9):
-        rho = random_density(n, rng)
         calls.clear()
+        rho = random_density(n, rng)
         measure = QuantumMeasure(rho)
         powers = [measure.power(r) for r in exponents]
-        assert calls == [(n, n)]
+        assert calls == [("eigh", (n, n))]
         for r, power in zip(exponents, powers):
             assert np.array_equal(power, frac_power(rho.matrix, r, tol=measure.tol))
 

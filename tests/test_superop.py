@@ -1,6 +1,8 @@
 """Superoperator conventions, Choi classification, isometry decomposition,
 and the implementability route."""
 
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclp import superop
+from nclp import cli, superop
+from nclp.jsonio import superop_to_json
 from nclp.linalg import (
     ABS_FLOOR,
     INVERTIBILITY_RATIO,
@@ -459,8 +462,8 @@ def _positivity_report_loop(t, trials, seed, tol=1e-9):
     out = superop._apply_to_stack(t, np.concatenate(samples))
     w = np.linalg.eigvalsh((out + out.conj().transpose(0, 2, 1)) / 2.0)
     defect = float(np.max(np.maximum(-w[:, 0], 0.0) / np.maximum(1.0, np.abs(w).max(axis=1))))
-    positive = star <= threshold(max(1.0, scale), tol) and defect <= threshold(1.0, tol)
-    return superop.PositivityReport(positive, defect, trials)
+    hermitian = star <= threshold(max(1.0, scale), tol)
+    return superop.PositivityReport(hermitian and defect <= threshold(1.0, tol), defect, trials, star, hermitian)
 
 
 def _max_rel_defect_loop(t, measure, p, trials, seed):
@@ -487,7 +490,10 @@ def test_batched_draws_give_the_per_trial_reports():
         )
         for t in maps:
             for trials in (1, 25):
-                assert positivity_check(t, trials=trials, seed=n) == _positivity_report_loop(t, trials, n)
+                report, reference = positivity_check(t, trials=trials, seed=n), _positivity_report_loop(t, trials, n)
+                # the star defect is summed in another order: equal to rounding
+                assert report.star_defect == pytest.approx(reference.star_defect, rel=1e-13, abs=1e-15)
+                assert dataclasses.replace(report, star_defect=reference.star_defect) == reference
                 for measure, p in ((None, 1.0), (m, 3.0)):
                     check = isometry_check(t, measure, p, trials=trials, seed=n)
                     assert check.max_rel_defect == _max_rel_defect_loop(t, measure, p, trials, n)
@@ -618,6 +624,42 @@ def test_positivity_check_refuses_fewer_than_one_trial():
             positivity_check(t, trials=trials)
         with pytest.raises(ValueError, match="^trials must be >= 1$"):
             integrability_constant(t, maximally_mixed(n), trials=trials)
+
+
+def test_star_refusals_name_the_star_defect():
+    # T(X) = U X (U* + eps E) and the unital T(X) = X + eps (E X - X E), E
+    # Hermitian: the Hermitian parts of their outputs read positive, so only
+    # the star rule refuses them, and each refusal names the star defect
+    rng = rng_from(55)
+    n, eps = 3, 1e-6
+    u, e = random_unitary(n, rng), hermitian_part(ginibre(n, rng))
+    e /= np.linalg.norm(e)
+    skewed = SuperOperator.sandwich(u, u.conj().T + eps * e)
+    commutator = SuperOperator.from_apply(n, lambda x: x + eps * (e @ x - x @ e))
+    for t in (skewed, commutator):
+        report, reference = positivity_check(t, trials=50, seed=0), _positivity_report_loop(t, 50, 0)
+        assert not report.positive and not report.hermitian
+        assert report.defect <= threshold(1.0) < eps / 10 < report.star_defect
+        assert report.star_defect == pytest.approx(reference.star_defect, rel=1e-12)
+        refusal = f"^map is not positivity preserving: star defect {report.star_defect:.3e}$"
+        with pytest.raises(NotPositiveError, match=refusal):
+            integrability_constant(t, maximally_mixed(n))
+    verdict = implementability_check(commutator, maximally_mixed(n), 2.0)
+    assert verdict.failure == "positivity"
+    assert verdict.defects == {
+        "unitality": verdict.unitality_defect,
+        "positivity": report.defect,
+        "star": report.star_defect,
+    }
+    # a unital map that preserves Hermiticity and is not positive: the
+    # sampled defect decides, and the report has no star entry
+    flip = SuperOperator(n, (2.0 / n) * np.outer(vec(np.eye(n)), vec(np.eye(n))) - np.eye(n * n))
+    report = positivity_check(flip)
+    assert report.hermitian and not report.positive
+    with pytest.raises(NotPositiveError, match=f"^map is not positivity preserving: defect {report.defect:.3e}$"):
+        integrability_constant(flip, maximally_mixed(n))
+    verdict = implementability_check(flip, maximally_mixed(n), 2.0)
+    assert verdict.failure == "positivity" and set(verdict.defects) == {"unitality", "positivity"}
 
 
 def test_positivity_and_isometry_hold_one_n2_by_n2_array():
@@ -1256,6 +1298,38 @@ def test_whole_matrix_defects_match_matrix_unit_loops():
         check = jordan_check(t)
         assert square_defect == check.square_defect == 0.0
         assert np.array_equal(worst, np.eye(3)) and np.array_equal(check.worst_input, np.eye(3))
+
+
+def test_each_map_reads_its_choi_pivot_once(monkeypatch):
+    # the pivot reading lives on the map: isometry_check, jordan_check,
+    # jordan_classify and inverse share one reading per distinct matrix
+    reading, seen = superop._choi_pivot_reading, []
+
+    def counted(m):
+        seen.append(m.tobytes())
+        return reading(m)
+
+    monkeypatch.setattr(superop, "_choi_pivot_reading", counted)
+    rng = rng_from(54)
+    n = 4
+    m = QuantumMeasure(random_density(n, rng))
+    v = SuperOperator.ad_unitary(commuting_unitary(m.eigenbasis, rng))
+    u, w0 = random_unitary(n, rng), random_unitary(n, rng)
+    lam = SuperOperator.ad_unitary(w0)
+    j = json.dumps({"J": superop_to_json(canonical_jordan(KIND_ANTI, w0))})
+    runs = (
+        # V and its Jordan remainder, then the remainder alone: V keeps its reading
+        (lambda: implementability_check(v, m, 1.0).implementable, 2),
+        (lambda: implementability_check(v, m, 2.0).implementable, 1),
+        (lambda: implementability_check(v, m, 3.0).implementable, 1),
+        # Lambda, then V and the Jordan remainder at each of three steps
+        (lambda: change_of_representation_demo(u, lam, maximally_mixed(n), 3).all_implementable, 7),
+        (lambda: cli.main(["jordan", "--input", j]) == 0, 1),
+    )
+    for run, readings in runs:
+        seen.clear()
+        assert run()
+        assert len(seen) == len(set(seen)) == readings
 
 
 def test_change_of_representation_identity_and_transpose():
