@@ -22,6 +22,7 @@ from nclp.superop import (
     SuperOperator,
     change_of_representation_demo,
     implementability_check,
+    vec,
 )
 
 rng = rng_from(5)
@@ -43,7 +44,8 @@ bad = implementability_check(noisy, measure, 2.0)
 print(f"  implementable = {bad.implementable}  failed stage = {bad.failure}")
 
 print("\nthe expectation onto scalars is unital and positive but not onto:")
-flat = SuperOperator.from_apply(n, lambda x: np.trace(measure.rho @ x) * np.eye(n))
+# X -> tr(rho X) 1: column vec(X) of the matrix is read against vec(rho^T)
+flat = SuperOperator(n, np.outer(vec(np.eye(n)), vec(measure.rho.T)))
 squeeze = implementability_check(flat, measure, 2.0)
 print(f"  implementable = {squeeze.implementable}  failed stage = {squeeze.failure}")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import real_value
+from .jsonio import integer_value, real_value
 from .linalg import (
     DEFAULT_TOL,
     DensityMatrix,
@@ -185,8 +185,10 @@ def integrability_constant(
     T must be positivity preserving (``positivity_check``; NotPositiveError
     otherwise, naming the star defect when T does not preserve Hermiticity
     and the sampled defect when it does); normality is automatic in finite
-    dimension.  The constant is computed in one shot as the top eigenvalue
-    of rho^(-1/2) T_*(rho) rho^(-1/2).  With rho invertible this is always
+    dimension.  ``trials`` and ``seed`` do not matter for X -> c A X A* or
+    c A X^T A*, c >= 0, which its Choi pivot factors certify unsampled.
+    The constant is computed in one shot as the top eigenvalue of
+    rho^(-1/2) T_*(rho) rho^(-1/2).  With rho invertible this is always
     finite -- the unbounded alternative of the abstract criterion cannot
     occur at finite dimension, a degeneracy worth remembering when reading
     the verdicts.
@@ -235,6 +237,7 @@ def norm_scale_report(
     measure: QuantumMeasure, trials: int, seed: int, tol: float = DEFAULT_TOL
 ) -> NormScaleReport:
     """Sample matrices and record sign(norm_p - norm_q) over the exponent grid."""
+    trials = integer_value(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     samples = ginibre_stack(measure.dim, trials, seed)

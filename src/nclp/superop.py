@@ -34,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .jsonio import integer_value
 from .linalg import (
     ABS_FLOOR,
     DEFAULT_TOL,
@@ -179,16 +180,6 @@ class SuperOperator:
     @classmethod
     def transpose_map(cls, n: int) -> "SuperOperator":
         return cls(n, np.eye(n * n, dtype=complex)[swap(n)])
-
-    @classmethod
-    def from_apply(cls, n: int, fn) -> "SuperOperator":
-        m = np.zeros((n * n, n * n), dtype=complex)
-        for j in range(n):
-            for i in range(n):
-                e = np.zeros((n, n), dtype=complex)
-                e[i, j] = 1.0
-                m[:, j * n + i] = vec(as_matrix(fn(e)))
-        return cls(n, m)
 
 
 def canonical_jordan(kind: str, u) -> SuperOperator:
@@ -486,6 +477,7 @@ class JordanClassification:
     kind: str
     unitary: np.ndarray
     residual: float
+    canonical: SuperOperator  # canonical_jordan(kind, unitary)
 
 
 def jordan_classify(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanClassification:
@@ -514,10 +506,11 @@ def jordan_classify(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanClassif
         top = int(np.argmax(np.abs(w)))
         u = unvec(v[:, top], n) * math.sqrt(n)
         u = fix_global_phase(u)
-        residual = _max_column_norm(j.matrix - canonical_jordan(kind, u).matrix)
+        canonical = canonical_jordan(kind, u)
+        residual = _max_column_norm(j.matrix - canonical.matrix)
         unitarity = float(np.linalg.norm(dagger(u) @ u - np.eye(n)))
         if residual <= threshold(1.0, max(tol, 1e-6)) and unitarity <= threshold(1.0, max(tol, 1e-6)):
-            return JordanClassification(kind=kind, unitary=u, residual=residual)
+            return JordanClassification(kind=kind, unitary=u, residual=residual, canonical=canonical)
         raise NotClassifiableError(
             f"rank-one Choi spectrum but recovered map mismatches: residual {residual:.3e}"
         )
@@ -526,6 +519,10 @@ def jordan_classify(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanClassif
 
 @dataclass(frozen=True)
 class PositivityReport:
+    """Outcome of ``positivity_check``.  ``trials`` is 0 when the Choi pivot
+    factors certified the map and no state was sampled; ``defect`` and
+    ``star_defect`` are then the certificate's bounds delta and 2 delta."""
+
     positive: bool
     defect: float
     trials: int
@@ -533,22 +530,58 @@ class PositivityReport:
     hermitian: bool
 
 
+def _factor_positivity_defect(readings) -> float | None:
+    """The least bound delta over the kinds of ``readings`` (the (x, y, e) of
+    ``_choi_pivot_reading(M)``) that read M as X -> A X B or X -> A X^T B,
+    A = x and B = y^T, with c = Re tr(A B) / ||A||_F^2 >= 0; None if none
+    does.  For a unit-trace P >= 0, A P B = c A P A* + A P (B - c A*) and
+    the residual moves T(P) by at most e, so lambda_min(Herm T(P)) >= -delta
+    with delta = e + ||A||_F ||B - c A*||_F, and ||T(E*) - T(E)*||_F <=
+    2 delta on every matrix unit E.  8 eps ||A||_F ||B||_F is added to delta
+    for the rounding of the two norms.
+    """
+    deltas = []
+    for x, y, e in readings:
+        norm_x, norm_y = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+        c = float(np.sum(x * y).real) / norm_x**2  # tr(A B) = sum(x * y)
+        if c >= 0.0 and not math.isinf(e):
+            # ||B - c A*||_F = ||y - c conj(x)||_F
+            gap = float(np.linalg.norm(y - c * x.conj()))
+            deltas.append(e + norm_x * gap + 8.0 * math.ulp(1.0) * norm_x * norm_y)
+    return min(deltas, default=None)
+
+
 def positivity_check(
     t: SuperOperator, trials: int = 50, seed=0, tol: float = DEFAULT_TOL
 ) -> PositivityReport:
-    """Sampled positivity: T(P) must stay positive semidefinite.
+    """Positivity: T(P) must stay positive semidefinite.
 
-    A positive map preserves Hermiticity, T(X*) = T(X)*, which is decided
-    on the matrix units with no sample: ``star_defect`` is the worst
-    ||T(E*) - T(E)*||_F, and ``hermitian`` is false, refusing the map, when
-    it exceeds the tolerance relative to max(1, the largest ||T(E)||_F).
-    Then unit-trace G G* states plus the diagonal matrix units are sampled,
-    and ``defect`` reads the Hermitian part of each T(P).  This
-    is positivity only: complete positivity is strictly stronger, and maps
+    A map whose cached ``pivot_reading`` gives a bound delta
+    (``_factor_positivity_defect``) with 2 delta <= threshold(1, tol) is
+    positive with ``defect`` delta, ``star_defect`` 2 delta and ``trials``
+    0, and no sample: ``_sampled_positivity`` would accept it too.  Every
+    other map is sampled.  On S_p, p != 2, every isometry is X -> A X B or
+    A X^T B (Arazy), positive exactly when B = c A*, c >= 0.  This is
+    positivity only: complete positivity is strictly stronger, and maps
     with a transposed part are positive without being completely positive.
     """
+    trials = integer_value(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    delta = _factor_positivity_defect(t.pivot_reading)
+    if delta is not None and 2.0 * delta <= threshold(1.0, tol):
+        return PositivityReport(True, delta, 0, 2.0 * delta, True)
+    return _sampled_positivity(t, trials, seed, tol)
+
+
+def _sampled_positivity(t: SuperOperator, trials: int, seed, tol: float) -> PositivityReport:
+    """Sampled positivity.  A positive map preserves Hermiticity, decided on
+    the matrix units: ``star_defect`` is the worst ||T(E*) - T(E)*||_F, and
+    ``hermitian`` is false, refusing the map, when it exceeds the tolerance
+    relative to max(1, the largest ||T(E)||_F).  Then ``defect`` reads the
+    Hermitian part of T(P) for the diagonal matrix units and ``trials``
+    unit-trace G G* states.
+    """
     n = t.dim
     star_defect = _star_defect(t.matrix)
     hermitian = star_defect <= threshold(max(1.0, _max_column_norm(t.matrix)), tol)
@@ -609,6 +642,7 @@ def isometry_check(
     product.  No other p forms a Gram matrix, so the trial count and worst
     defect are reported alongside the verdict.
     """
+    trials = integer_value(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = check_p(p)
@@ -657,6 +691,7 @@ class LampertiDecomposition:
     residual: float
     centrality_defect: float
     scale_defect: float
+    canonical: SuperOperator  # canonical_jordan(kind, implementing_unitary)
 
 
 def lamperti_decompose(t: SuperOperator, p, tol: float = DEFAULT_TOL) -> LampertiDecomposition:
@@ -707,7 +742,7 @@ def lamperti_decompose(t: SuperOperator, p, tol: float = DEFAULT_TOL) -> Lampert
         classification = jordan_classify(jordan, tol=tol)
     except NotClassifiableError as exc:
         raise NotDecomposableError(str(exc)) from exc
-    canonical = canonical_jordan(classification.kind, classification.unitary)
+    canonical = classification.canonical
     rebuilt = (scale * w_factor @ canonical.matrix.reshape(n, n, -1)).reshape(n * n, n * n)
     residual = _max_column_norm(t.matrix - rebuilt)
     if residual > threshold(1.0, tol):
@@ -725,6 +760,7 @@ def lamperti_decompose(t: SuperOperator, p, tol: float = DEFAULT_TOL) -> Lampert
         residual=residual,
         centrality_defect=centrality_defect,
         scale_defect=scale_defect,
+        canonical=canonical,
     )
 
 
@@ -838,8 +874,7 @@ def implementability_check(
     phase = tr / abs(tr) if abs(tr) > 0 else 1.0
     w_phase_defect = float(np.linalg.norm(dec.w - phase * np.eye(n)))
     scale_defect = abs(dec.scale - 1.0)
-    canonical = canonical_jordan(dec.kind, dec.implementing_unitary)
-    match_defect = _max_column_norm(v.matrix - canonical.matrix)
+    match_defect = _max_column_norm(v.matrix - dec.canonical.matrix)
     common = dict(
         positivity_defect=pos.defect,
         isometry=iso,
@@ -852,7 +887,7 @@ def implementability_check(
         return ImplementabilityReport(unitality_defect, "w_not_phase", **common)
     if match_defect > threshold(1.0, tol):
         return ImplementabilityReport(unitality_defect, "jordan_match", **common)
-    return ImplementabilityReport(unitality_defect, None, jordan=canonical, kind=dec.kind, **common)
+    return ImplementabilityReport(unitality_defect, None, jordan=dec.canonical, kind=dec.kind, **common)
 
 
 @dataclass(frozen=True)
@@ -889,6 +924,7 @@ def change_of_representation_demo(
     that state, which holds automatically at the uniform state.
     """
     u = as_matrix(u)
+    t_steps = integer_value(t_steps, "t_steps")
     if t_steps < 1:
         raise ValueError("t_steps must be >= 1")
     refusal = "change of representation is not a Jordan automorphism"

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclp import cli, superop
-from nclp.jsonio import superop_to_json
+from nclp.jsonio import SchemaError, superop_to_json
 from nclp.linalg import (
     ABS_FLOOR,
     INVERTIBILITY_RATIO,
@@ -28,6 +28,7 @@ from nclp.spaces import (
     QuantumMeasure,
     integrability_constant,
     maximally_mixed,
+    norm_scale_report,
     schatten_norm,
     weighted_norm,
 )
@@ -60,6 +61,17 @@ from nclp.superop import (
     vec,
     weighted_isometry_transport,
 )
+
+
+def _from_apply(n, fn):
+    """The map X -> fn(X) on n x n matrices, one matrix unit at a time."""
+    m = np.zeros((n * n, n * n), dtype=complex)
+    for j in range(n):
+        for i in range(n):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = 1.0
+            m[:, j * n + i] = vec(fn(e))
+    return SuperOperator(n, m)
 
 
 def test_vec_is_column_stacking():
@@ -163,7 +175,7 @@ def test_jordan_check_rejects_trace_bump():
         out[0, 0] += np.trace(x)
         return out
 
-    check = jordan_check(SuperOperator.from_apply(n, bump))
+    check = jordan_check(_from_apply(n, bump))
     assert not check.is_jordan
     assert check.defect > 0.1
 
@@ -208,7 +220,7 @@ def test_jordan_check_invertibility_matches_the_singular_values():
             a = random_unitary(n, rng) * np.geomspace(1.0, ratio, n)
             fallback.append(SuperOperator.sandwich(a, random_unitary(n, rng)))
     e = np.diag([1.0, 0.0]).astype(complex)
-    fallback.append(SuperOperator.from_apply(2, lambda x: e @ x @ e))
+    fallback.append(_from_apply(2, lambda x: e @ x @ e))
     fallback.append(SuperOperator(3, np.zeros((9, 9))))
     fallback += [SuperOperator(n, ginibre(n * n, rng)) for n in (2, 3, 4)]
     # a unitary times singular values spread over [1/1.2, 1]: cond(M) = 1.2,
@@ -306,7 +318,7 @@ def test_choi_bounds_match_the_singular_values():
         tight = SuperOperator(n, np.diag(np.r_[np.ones(n * n - 1), 0.9]).astype(complex))
         conclusive += [tight, _transposed(tight)]
     e = np.diag([1.0, 0.0]).astype(complex)
-    inconclusive.append(SuperOperator.from_apply(2, lambda x: e @ x @ e))
+    inconclusive.append(_from_apply(2, lambda x: e @ x @ e))
     inconclusive.append(SuperOperator(3, np.zeros((9, 9))))
     assert all(_assert_choi_bounds_match_the_singular_values(t) for t in conclusive)
     assert not any(_assert_choi_bounds_match_the_singular_values(t) for t in inconclusive)
@@ -490,7 +502,8 @@ def test_batched_draws_give_the_per_trial_reports():
         )
         for t in maps:
             for trials in (1, 25):
-                report, reference = positivity_check(t, trials=trials, seed=n), _positivity_report_loop(t, trials, n)
+                report = superop._sampled_positivity(t, trials, n, 1e-9)
+                reference = _positivity_report_loop(t, trials, n)
                 # the star defect is summed in another order: equal to rounding
                 assert report.star_defect == pytest.approx(reference.star_defect, rel=1e-13, abs=1e-15)
                 assert dataclasses.replace(report, star_defect=reference.star_defect) == reference
@@ -626,6 +639,93 @@ def test_positivity_check_refuses_fewer_than_one_trial():
             integrability_constant(t, maximally_mixed(n), trials=trials)
 
 
+def test_trials_and_t_steps_must_be_integers():
+    # a fraction or a boolean is refused by name, never cast to a count
+    n = 2
+    u = random_unitary(n, rng_from(57))
+    t, m = SuperOperator.ad_unitary(u), maximally_mixed(n)
+    calls = {
+        "trials": (
+            lambda k: positivity_check(t, trials=k),
+            lambda k: integrability_constant(t, m, trials=k),
+            lambda k: isometry_check(t, m, 2.0, trials=k),
+            lambda k: norm_scale_report(m, trials=k, seed=0),
+        ),
+        "t_steps": (lambda k: change_of_representation_demo(u, SuperOperator.identity(n), m, t_steps=k),),
+    }
+    for name, checks in calls.items():
+        for check in checks:
+            with pytest.raises(SchemaError, match=f"^field '{name}': must be an integer, got 2.5$"):
+                check(2.5)
+            with pytest.raises(SchemaError, match=f"^field '{name}': must be a real number, got True$"):
+                check(True)
+            with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+                check(0)
+            check(2.0)
+    assert positivity_check(SuperOperator.identity(n).scaled(-1.0), trials=np.int64(3)).trials == 3
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    c=st.sampled_from((-1.0, 0.0, 0.5, 2.0)),
+    log_eps=st.one_of(st.none(), st.floats(-16.0, -6.0)),
+    transposed=st.booleans(),
+    log_near=st.one_of(st.none(), st.floats(-1.0, 1.0)),
+)
+def test_positivity_certificate_agrees_with_the_sampled_check(n, seed, c, log_eps, transposed, log_near):
+    # X -> A X B (or A X^T B) with B = c A* + eps G, ||A||_F = ||G||_F = 1,
+    # then optionally M plus Ginibre noise of Frobenius norm 10^log_near
+    # times the threshold, which puts the certificate's delta near it
+    rng = rng_from(seed)
+    a, g = ginibre(n, rng), ginibre(n, rng)
+    a, g = a / np.linalg.norm(a), g / np.linalg.norm(g)
+    eps = 0.0 if log_eps is None else 10.0**log_eps
+    t = SuperOperator.sandwich(a, c * dagger(a) + eps * g)
+    t = _transposed(t) if transposed else t
+    if log_near is not None:
+        noise = ginibre(n * n, rng)
+        t = SuperOperator(n, t.matrix + 10.0**log_near * threshold(1.0) / np.linalg.norm(noise) * noise)
+    report, sampled = positivity_check(t), superop._sampled_positivity(t, 50, 0, 1e-9)
+    assert report.positive == sampled.positive
+    if report.trials == 0:
+        # the certificate bounds what the sample reads
+        assert sampled.defect <= report.defect and sampled.star_defect <= report.star_defect
+        assert report.star_defect == 2.0 * report.defect <= threshold(1.0)
+    else:
+        assert report == sampled
+
+
+def test_positivity_certificate_draws_no_sample(monkeypatch):
+    def no_sample(*args):
+        raise AssertionError("a state was sampled")
+
+    monkeypatch.setattr(superop, "ginibre_stack", no_sample)
+    rng = rng_from(58)
+    for n in (1, 2, 3, 8):
+        u, a = random_unitary(n, rng), ginibre(n, rng)
+        conjugation = SuperOperator.ad_unitary(u)
+        for t in (conjugation, conjugation.scaled(3.0), SuperOperator.sandwich(a, dagger(a)), _transposed(conjugation)):
+            report = positivity_check(t)
+            assert report.positive and report.hermitian and report.trials == 0
+            assert report.defect <= 1e-13 * max(1.0, np.linalg.norm(t.matrix)) and report.star_defect == 2.0 * report.defect
+        # a state-preserving Ad(u): T_*(rho) = rho, so the constant is 1
+        m = QuantumMeasure(random_density(n, rng))
+        v = SuperOperator.ad_unitary(commuting_unitary(m.eigenbasis, rng))
+        assert abs(integrability_constant(v, m) - 1.0) < 1e-12
+    # X -> X^T at n = 2 is positive and not completely positive: its
+    # normalized Choi matrix, the partial transpose of the Bell state, has
+    # eigenvalue -1/2, and its factors certify it exactly
+    transpose = SuperOperator.transpose_map(2)
+    assert np.linalg.eigvalsh(choi(transpose) / 2.0)[0] == -0.5
+    report = positivity_check(transpose)
+    assert report.positive and report.trials == 0 and report.defect <= 1e-14
+    # a "no" still samples
+    with pytest.raises(AssertionError, match="^a state was sampled$"):
+        positivity_check(conjugation.scaled(-1.0))
+
+
 def test_star_refusals_name_the_star_defect():
     # T(X) = U X (U* + eps E) and the unital T(X) = X + eps (E X - X E), E
     # Hermitian: the Hermitian parts of their outputs read positive, so only
@@ -635,7 +735,7 @@ def test_star_refusals_name_the_star_defect():
     u, e = random_unitary(n, rng), hermitian_part(ginibre(n, rng))
     e /= np.linalg.norm(e)
     skewed = SuperOperator.sandwich(u, u.conj().T + eps * e)
-    commutator = SuperOperator.from_apply(n, lambda x: x + eps * (e @ x - x @ e))
+    commutator = _from_apply(n, lambda x: x + eps * (e @ x - x @ e))
     for t in (skewed, commutator):
         report, reference = positivity_check(t, trials=50, seed=0), _positivity_report_loop(t, 50, 0)
         assert not report.positive and not report.hermitian
@@ -709,7 +809,7 @@ def test_invertibility_boundary_of_inverse_and_onto():
 def test_isometry_check_projection_is_not_onto():
     n = 2
     e = np.diag([1.0, 0.0]).astype(complex)
-    t = SuperOperator.from_apply(n, lambda x: e @ x @ e)
+    t = _from_apply(n, lambda x: e @ x @ e)
     check = isometry_check(t, None, 2.0, trials=10, seed=2)
     assert not check.onto
 
@@ -776,7 +876,7 @@ def test_gram_onto_matches_the_singular_values():
         # ||M||_F^2 / n^2 = s^2, away from 1
         maps += [conjugation.scaled(s) for s in (1e-3, 1.0, 1e3)]
     e = np.diag([1.0, 0.0]).astype(complex)
-    maps.append(SuperOperator.from_apply(2, lambda x: e @ x @ e))
+    maps.append(_from_apply(2, lambda x: e @ x @ e))
     # X -> A X B with unitary B has singular values sigma(A), each n times;
     # the ratios straddle INVERTIBILITY_RATIO = 1e-12
     for n in (2, 3):
@@ -972,7 +1072,7 @@ def pauli_mix(theta):
         c = [np.trace(s @ x) / 2.0 for s in (np.eye(2), sx, sy, sz)]
         return c[0] * np.eye(2) + c[1] * sx + c[2] * (math.cos(theta) * sy + math.sin(theta) * sx) + c[3] * sz
 
-    return SuperOperator.from_apply(2, fn)
+    return _from_apply(2, fn)
 
 
 def test_lamperti_refuses_a_map_that_passes_jordan_check():
@@ -995,7 +1095,7 @@ def test_lamperti_refuses_a_unital_remainder_that_fails_jordan_check():
     # T = (1 - eps) id + eps (X -> tr(X)/n 1) is unital, so W = 1, scale = 1
     # and the remainder is T itself, which squares E_01 + E_10 wrongly
     n, eps = 3, 1e-3
-    t = SuperOperator.from_apply(n, lambda x: (1 - eps) * x + eps * np.trace(x) / n * np.eye(n))
+    t = _from_apply(n, lambda x: (1 - eps) * x + eps * np.trace(x) / n * np.eye(n))
     check = jordan_check(t)
     assert not check.is_jordan
     for p in (1.0, 2.0, 3.0, math.inf):
@@ -1109,7 +1209,7 @@ def test_implementability_transpose_at_uniform_state():
 def test_implementability_scalar_expectation_not_onto():
     rng = rng_from(29)
     rho = random_density(3, rng).matrix
-    v = SuperOperator.from_apply(3, lambda x: np.trace(rho @ x) * np.eye(3))
+    v = _from_apply(3, lambda x: np.trace(rho @ x) * np.eye(3))
     report = implementability_check(v, QuantumMeasure(rho), 2.0)
     assert not report.implementable
     assert report.failure == "onto"

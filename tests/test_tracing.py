@@ -64,6 +64,11 @@ def coverage_violations() -> list[str]:
     measure = QuantumMeasure(random_density(4, rng))
     u = commuting_unitary(measure.eigenbasis, rng)
     v = superop.SuperOperator(4, np.kron(u.conj(), u))
+    # the workload's not-positive map X -> (2 tr X / n) 1 - X: the Choi
+    # certificate accepts v with no sample, so this keeps the sampled
+    # positivity stage, and its eigvalsh, on the traced path
+    e = np.eye(4).reshape(-1, 1)
+    flip = superop.SuperOperator(4, 0.5 * (e @ e.T) - np.eye(16))
 
     tracer = run.tracing.Tracer()
     run.tracing.install(tracer)
@@ -78,9 +83,13 @@ def coverage_violations() -> list[str]:
 
     windows = [{"N": 2, "f": f, "t": 1} for f in ({"kind": "logistic"}, {"kind": "step", "s0": 0})]
     _, mpc_calls = call_counts(lambda: [mpc.run_experiment(desc) for desc in windows])
-    report, impl_calls = call_counts(lambda: superop.implementability_check(v, measure, 1.0))
+    (report, refusal), impl_calls = call_counts(
+        lambda: [superop.implementability_check(v, measure, 1.0), superop.implementability_check(flip, measure, 2.0)]
+    )
 
     violations = [] if report.implementable else ["the commuting Ad(u) case was not accepted"]
+    if refusal.failure != "positivity":
+        violations.append(f"the not-positive case failed at {refusal.failure!r}")
     for workload, calls in ((run.MPC, mpc_calls), (run.IMPL, impl_calls)):
         for name, (span, _, exercised, bypass) in run.LAYER_METRICS.items():
             if span is None:
