@@ -17,11 +17,12 @@ checker, step after step.
 import numpy as np
 
 from nclp.sampling import commuting_unitary, ginibre, random_density, random_unitary, rng_from
-from nclp.spaces import QuantumMeasure, integrability_constant, maximally_mixed
+from nclp.spaces import QuantumMeasure, maximally_mixed
 from nclp.superop import (
     SuperOperator,
     change_of_representation_demo,
     implementability_check,
+    integrability_constant,
     vec,
 )
 

@@ -19,7 +19,6 @@ from .linalg import DensityMatrix, frobenius
 from .sampling import commuting_unitary, ginibre, random_density, random_unitary, rng_from
 from .spaces import (
     QuantumMeasure,
-    integrability_constant,
     maximally_mixed,
     norm_scale_report,
     schatten_norm,
@@ -34,6 +33,7 @@ from .superop import (
     canonical_jordan,
     change_of_representation_demo,
     implementability_check,
+    integrability_constant,
     lamperti_decompose,
     phase_distance,
 )

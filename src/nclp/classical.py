@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import real_value
+from .jsonio import integer_value, real_value
 from .linalg import ABS_FLOOR, DEFAULT_TOL, threshold
 from .spaces import check_p
 
@@ -24,8 +24,8 @@ SUPPORT_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class FiniteMeasureSpace:
-    """n points with strictly positive masses; normalization is recorded,
-    never required."""
+    """n points with strictly positive masses; normalization is never
+    required."""
 
     weights: np.ndarray
 
@@ -41,13 +41,6 @@ class FiniteMeasureSpace:
     def n(self) -> int:
         return self.weights.size
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
-    def is_normalized(self, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.total_mass - 1.0) <= threshold(1.0, tol)
-
 
 @dataclass(frozen=True)
 class PointMap:
@@ -56,9 +49,9 @@ class PointMap:
     images: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.images, dtype=int)
-        if s.ndim != 1 or s.size == 0:
+        if np.ndim(self.images) != 1 or len(self.images) == 0:
             raise ValueError("images must be a nonempty 1-d integer array")
+        s = np.array([integer_value(i, "images") for i in self.images], dtype=int)
         if np.any(s < 0) or np.any(s >= s.size):
             raise ValueError("images must lie in [0, n)")
         object.__setattr__(self, "images", s)

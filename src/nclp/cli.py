@@ -28,7 +28,7 @@ from pathlib import Path
 # here, their bodies run only when a handler first uses them
 from . import acceptance, classical, jsonio, mpc, spaces, superop
 from .jsonio import SchemaError
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, DensityMatrix
 from .spaces import QuantumMeasure
 
 OK, NEGATIVE, USAGE = 0, 1, 2
@@ -57,7 +57,8 @@ def _load_payload(raw: str | None) -> dict | None:
 
 
 def _measure(payload: dict, tol: float, field: str = "rho") -> QuantumMeasure:
-    return QuantumMeasure(jsonio.matrix_from_json(jsonio.require(payload, field), field), tol=tol)
+    rho = jsonio.matrix_from_json(jsonio.require(payload, field), field)
+    return QuantumMeasure(DensityMatrix(rho, tol=tol))
 
 
 def _optional_measure(payload: dict, tol: float, field: str = "rho") -> QuantumMeasure | None:
@@ -153,7 +154,7 @@ def _cmd_integrability(cfg: RunConfig):
     t = jsonio.superop_from_json(jsonio.require(payload, "T"), "T")
     measure = _measure(payload, cfg.tol)
     try:
-        c = spaces.integrability_constant(t, measure, tol=cfg.tol, trials=cfg.trials, seed=cfg.seed)
+        c = superop.integrability_constant(t, measure, tol=cfg.tol, trials=cfg.trials, seed=cfg.seed)
     except superop.NotPositiveError as exc:
         return NEGATIVE, {"positive": False, "error": str(exc)}
     return OK, {"constant": c, "positive": True}

@@ -34,7 +34,6 @@ from .linalg import (
     as_matrices,
     as_matrix,
     dagger,
-    hermitian_part,
     threshold,
 )
 from .sampling import ginibre_stack
@@ -64,16 +63,20 @@ class QuantumMeasure:
 
     rho is decomposed once, by the ``DensityMatrix`` that validates it; each
     power rho^r is read from that decomposition, equal to
-    ``linalg.frac_power(rho, r)``, and cached.  Products of cached powers
-    satisfy the exponent semigroup law to rounding accuracy.
+    ``linalg.frac_power(rho, r, tol=self.tol)``, and cached.  Products of
+    cached powers satisfy the exponent semigroup law to rounding accuracy.
+    A plain matrix is validated as ``DensityMatrix(rho)``, at the default
+    tolerance; pass a ``DensityMatrix`` to choose another.
     """
 
-    def __init__(self, rho, tol: float = DEFAULT_TOL):
-        if not isinstance(rho, DensityMatrix):
-            rho = DensityMatrix(rho, tol=tol)
-        self.density = rho
-        self.tol = tol
+    def __init__(self, rho):
+        self.density = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
         self._powers: dict[float, np.ndarray] = {}
+
+    @property
+    def tol(self) -> float:
+        """The tolerance of ``density``, which validated rho and takes its powers."""
+        return self.density.tol
 
     @property
     def rho(self) -> np.ndarray:
@@ -175,34 +178,6 @@ def tau_conjugate(x, measure: QuantumMeasure, p, direction: str = "forward") -> 
     r = tau_exponent(p)
     root = measure.power(-r if direction == "inverse" else r)
     return root @ x @ root
-
-
-def integrability_constant(
-    t, measure: QuantumMeasure, tol: float = DEFAULT_TOL, trials: int = 50, seed=0
-) -> float:
-    """Least c >= 0 with T_*(rho) <= c * rho in the positive-semidefinite order.
-
-    T must be positivity preserving (``positivity_check``; NotPositiveError
-    otherwise, naming the star defect when T does not preserve Hermiticity
-    and the sampled defect when it does); normality is automatic in finite
-    dimension.  ``trials`` and ``seed`` do not matter for X -> c A X A* or
-    c A X^T A*, c >= 0, which its Choi pivot factors certify unsampled.
-    The constant is computed in one shot as the top eigenvalue of
-    rho^(-1/2) T_*(rho) rho^(-1/2).  With rho invertible this is always
-    finite -- the unbounded alternative of the abstract criterion cannot
-    occur at finite dimension, a degeneracy worth remembering when reading
-    the verdicts.
-    """
-    from .superop import NotPositiveError, positivity_check
-
-    report = positivity_check(t, trials=trials, seed=seed, tol=tol)
-    if not report.positive:
-        decided = f"defect {report.defect:.3e}" if report.hermitian else f"star defect {report.star_defect:.3e}"
-        raise NotPositiveError(f"map is not positivity preserving: {decided}")
-    pushed = hermitian_part(t.predual().apply(measure.rho))
-    inv_half = measure.power(-0.5)
-    w = np.linalg.eigvalsh(hermitian_part(inv_half @ pushed @ inv_half))
-    return float(w[-1])
 
 
 @dataclass(frozen=True)

@@ -135,10 +135,6 @@ class SuperOperator:
     def __matmul__(self, other: "SuperOperator") -> "SuperOperator":
         return self.compose(other)
 
-    def adjoint(self) -> "SuperOperator":
-        """Adjoint for the Hilbert-Schmidt pairing Tr(T(X)* Y) = Tr(X* adj(Y))."""
-        return SuperOperator(self.dim, dagger(self.matrix))
-
     def predual(self) -> "SuperOperator":
         """Action on states: Tr(predual(rho) A) = Tr(rho T(A)) for all A."""
         s = swap(self.dim)
@@ -597,6 +593,32 @@ def _sampled_positivity(t: SuperOperator, trials: int, seed, tol: float) -> Posi
     return PositivityReport(positive, defect, trials, star_defect, hermitian)
 
 
+def integrability_constant(
+    t: SuperOperator, measure: QuantumMeasure, tol: float = DEFAULT_TOL, trials: int = 50, seed=0
+) -> float:
+    """Least c >= 0 with T_*(rho) <= c * rho in the positive-semidefinite order.
+
+    T must be positivity preserving (``positivity_check``; NotPositiveError
+    otherwise, naming the star defect when T does not preserve Hermiticity
+    and the sampled defect when it does); normality is automatic in finite
+    dimension.  ``trials`` and ``seed`` do not matter for X -> c A X A* or
+    c A X^T A*, c >= 0, which its Choi pivot factors certify unsampled.
+    The constant is computed in one shot as the top eigenvalue of
+    rho^(-1/2) T_*(rho) rho^(-1/2).  With rho invertible this is always
+    finite -- the unbounded alternative of the abstract criterion cannot
+    occur at finite dimension, a degeneracy worth remembering when reading
+    the verdicts.
+    """
+    report = positivity_check(t, trials=trials, seed=seed, tol=tol)
+    if not report.positive:
+        decided = f"defect {report.defect:.3e}" if report.hermitian else f"star defect {report.star_defect:.3e}"
+        raise NotPositiveError(f"map is not positivity preserving: {decided}")
+    pushed = hermitian_part(t.predual().apply(measure.rho))
+    inv_half = measure.power(-0.5)
+    w = np.linalg.eigvalsh(hermitian_part(inv_half @ pushed @ inv_half))
+    return float(w[-1])
+
+
 @dataclass(frozen=True)
 class IsometryCheck:
     is_isometry: bool
@@ -849,6 +871,9 @@ def implementability_check(
     verified, none assumed.
     """
     p = check_p(p)
+    trials = integer_value(trials, "trials")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     n = v.dim
     unitality_defect = float(np.linalg.norm(v.apply(np.eye(n)) - np.eye(n)))
     if unitality_defect > threshold(math.sqrt(n), tol):

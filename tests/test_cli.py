@@ -1,6 +1,5 @@
 """Command line surface: schemas, exit codes, and byte-identical reports."""
 
-import importlib
 import json
 import math
 import os
@@ -12,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import nclp
 from nclp import superop
 from nclp.cli import COMMANDS, main
 from nclp.jsonio import dumps, matrix_to_json, superop_to_json
@@ -383,45 +381,6 @@ def test_a_subcommand_runs_only_the_modules_it_uses(argv, unloaded):
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=SRC_ENV)
     assert result.returncode == 0, result.stderr
     assert result.stderr.strip() == f"0 {sorted(unloaded)}"
-
-
-#: the names importable from the package itself, by their submodule
-PACKAGE_NAMES = {
-    "classical": (
-        "FiniteMeasureSpace PointMap doubly_stochastic_check frobenius_perron_of koopman_of "
-        "multiplicativity_check weighted_permutation_decompose"
-    ),
-    "linalg": (
-        "DEFAULT_TOL DensityMatrix HermitianEig frac_power hermitian_eig matrix_abs polar_decompose "
-        "psd_leq"
-    ),
-    "mpc": (
-        "SpectralFunction TruncatedKShift WalshOperator build_shift conditional_expectation lambda_build "
-        "mpc_implementability stochasticity_suite time_operator wt_build"
-    ),
-    "spaces": (
-        "P_GRID QuantumMeasure integrability_constant maximally_mixed norm_scale_report schatten_norm "
-        "tau_conjugate weighted_inner weighted_norm"
-    ),
-    "superop": (
-        "LampertiDecomposition SuperOperator change_of_representation_demo choi implementability_check "
-        "isometry_check jordan_check jordan_classify lamperti_decompose positivity_check "
-        "weighted_isometry_transport"
-    ),
-}
-
-
-def test_package_names_import_as_their_submodule_objects():
-    listed = []
-    for module, names in PACKAGE_NAMES.items():
-        home = importlib.import_module(f"nclp.{module}")
-        for name in names.split():
-            namespace = {}
-            exec(f"from nclp import {name}", namespace)
-            assert namespace[name] is getattr(home, name)
-            listed.append(name)
-    assert len(listed) == 45 and sorted(nclp.__all__) == sorted(listed)
-    assert not hasattr(nclp, "no_such_name")
 
 
 def test_bad_json_is_usage_error(capsys):

@@ -1,4 +1,5 @@
-"""The package depends on the standard library and numpy alone."""
+"""The package depends on the standard library and numpy alone, and its base
+modules import nothing above them."""
 
 import ast
 import sys
@@ -9,14 +10,42 @@ import nclp
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
 
-def _imported_roots(tree):
-    """(line, top-level module) of every absolute import, at any depth."""
+#: the modules every subcommand imports, and the modules above them
+BASE = ("linalg", "sampling", "spaces")
+UPPER = {"superop", "mpc", "classical", "acceptance", "cli"}
+
+
+def _imports(tree):
+    """(line, level, dotted name) of every import, at any depth: the module of
+    ``import m`` and each ``m.name`` of ``from m import name``, with ``level``
+    the number of leading dots (0 for an absolute import)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                yield node.lineno, alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.lineno, node.module.split(".")[0]
+                yield node.lineno, 0, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield node.lineno, node.level, ".".join(filter(None, (node.module, alias.name)))
+
+
+def _imported_roots(tree):
+    """(line, top-level module) of every absolute import, at any depth."""
+    for line, level, name in _imports(tree):
+        if level == 0:
+            yield line, name.split(".")[0]
+
+
+def _package_modules(tree):
+    """(line, nclp submodule) of every import of one, relative or by
+    ``nclp.``, at any depth."""
+    for line, level, name in _imports(tree):
+        parts = name.split(".")
+        if level == 0 and parts[0] == "nclp":
+            parts = parts[1:]
+        elif level != 1:
+            continue
+        if parts:
+            yield line, parts[0]
 
 
 def test_only_stdlib_and_numpy_are_imported():
@@ -32,5 +61,26 @@ def test_only_stdlib_and_numpy_are_imported():
 
 
 def test_the_scan_sees_imports_inside_functions():
-    tree = ast.parse("def f():\n    import scipy.linalg\n    from .x import y\n    from os import path\n")
-    assert [root for _, root in _imported_roots(tree)] == ["scipy", "os"]
+    tree = ast.parse(
+        "from . import linalg, mpc\n"
+        "def f():\n"
+        "    import scipy.linalg\n"
+        "    from .superop import y\n"
+        "    from os import path\n"
+        "    import nclp.cli\n"
+        "    from nclp import classical\n"
+    )
+    assert [root for _, root in _imported_roots(tree)] == ["scipy", "os", "nclp", "nclp"]
+    assert [module for _, module in _package_modules(tree)] == ["linalg", "mpc", "superop", "cli", "classical"]
+
+
+def test_the_base_modules_import_nothing_above_them():
+    root = Path(nclp.__file__).parent
+    upward = [
+        f"{name}.py:{line} imports {module}"
+        for name in BASE
+        for line, module in _package_modules(ast.parse((root / f"{name}.py").read_text(encoding="utf-8")))
+        if module in UPPER
+    ]
+    assert not upward, upward
+

@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from nclp.linalg import DEFAULT_TOL, frac_power, psd_leq, threshold
+from nclp.linalg import DEFAULT_TOL, DensityMatrix, frac_power, psd_leq, threshold
 from nclp.sampling import ginibre, random_density, random_unitary, rng_from
 from nclp.spaces import (
     P_GRID,
     NormScaleRow,
     QuantumMeasure,
     check_p,
-    integrability_constant,
     maximally_mixed,
     norm_scale_report,
     schatten_norm,
@@ -21,7 +20,7 @@ from nclp.spaces import (
     weighted_inner,
     weighted_norm,
 )
-from nclp.superop import NotPositiveError, SuperOperator
+from nclp.superop import NotPositiveError, SuperOperator, integrability_constant
 
 
 def test_check_p_rejects_small_exponents():
@@ -120,6 +119,23 @@ def test_measure_powers_come_from_one_decomposition(monkeypatch):
         assert calls == [("eigh", (n, n))]
         for r, power in zip(exponents, powers):
             assert np.array_equal(power, frac_power(rho.matrix, r, tol=measure.tol))
+
+
+def test_a_measure_has_the_one_tolerance_of_its_density():
+    rho = random_density(3, rng_from(12)).matrix
+    for t in (1e-3, DEFAULT_TOL, 1e-14):
+        measure = QuantumMeasure(DensityMatrix(rho, tol=t))
+        assert measure.tol == t
+        for r in (-0.5, 0.25, 1 / 3):
+            assert np.array_equal(measure.power(r), frac_power(rho, r, tol=t))
+    assert QuantumMeasure(rho).tol == DEFAULT_TOL
+    # the density's tolerance also decided its validation: a trace 1e-6 off
+    # passes at 1e-3 and fails at the default
+    assert QuantumMeasure(DensityMatrix(rho * (1 + 1e-6), tol=1e-3)).tol == 1e-3
+    with pytest.raises(ValueError, match="unit trace"):
+        QuantumMeasure(rho * (1 + 1e-6))
+    with pytest.raises(TypeError):
+        QuantumMeasure(rho, tol=1e-3)
 
 
 def test_weighted_inner_unit():

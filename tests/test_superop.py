@@ -26,7 +26,6 @@ from nclp.sampling import commuting_unitary, ginibre, ginibre_stack, random_dens
 from nclp.spaces import (
     P_GRID,
     QuantumMeasure,
-    integrability_constant,
     maximally_mixed,
     norm_scale_report,
     schatten_norm,
@@ -50,6 +49,7 @@ from nclp.superop import (
     choi_rank,
     fix_global_phase,
     implementability_check,
+    integrability_constant,
     isometry_check,
     jordan_check,
     jordan_classify,
@@ -99,17 +99,6 @@ def test_transpose_map_and_swap():
     assert np.allclose(t.apply(x), x.T)
     s = SuperOperator.transpose_map(3).matrix
     assert np.allclose(s @ s, np.eye(9))
-
-
-def test_adjoint_pairs_with_trace():
-    rng = rng_from(3)
-    t = SuperOperator(3, ginibre(9, rng))
-    adj = t.adjoint()
-    for _ in range(10):
-        x, y = ginibre(3, rng), ginibre(3, rng)
-        lhs = np.trace(t.apply(x).conj().T @ y)
-        rhs = np.trace(x.conj().T @ adj.apply(y))
-        assert abs(lhs - rhs) < 1e-10
 
 
 def test_predual_pairs_with_states():
@@ -650,6 +639,8 @@ def test_trials_and_t_steps_must_be_integers():
             lambda k: integrability_constant(t, m, trials=k),
             lambda k: isometry_check(t, m, 2.0, trials=k),
             lambda k: norm_scale_report(m, trials=k, seed=0),
+            # refused for unitality, before any stage reads trials
+            lambda k: implementability_check(SuperOperator.identity(n).scaled(2.0), m, 2.0, trials=k),
         ),
         "t_steps": (lambda k: change_of_representation_demo(u, SuperOperator.identity(n), m, t_steps=k),),
     }
