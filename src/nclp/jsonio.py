@@ -30,6 +30,7 @@ class SchemaError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"field {field!r}: {message}")
         self.field = field
+        self.message = message
 
 
 def require(obj: dict, field: str):
@@ -128,9 +129,12 @@ def point_map_from_json(obj, field: str = "map") -> PointMap:
         raise SchemaError(field, "map must be a nonempty list of indices")
     if isinstance(obj, dict) and "n" in obj and integer_value(obj["n"], "n") != len(images):
         raise SchemaError(field, "declared n does not match the map length")
-    images = [integer_value(i, field) for i in images]
+    # PointMap reads each image once, by ``integer_value``; its refusals are
+    # renamed to this field
     try:
-        return PointMap(np.asarray(images, dtype=int))
+        return PointMap(images)
+    except SchemaError as exc:
+        raise SchemaError(field, exc.message) from exc
     except ValueError as exc:
         raise SchemaError(field, str(exc)) from exc
 

@@ -192,14 +192,17 @@ def psd_leq(a, b, tol: float = DEFAULT_TOL) -> bool:
 @dataclass(frozen=True)
 class DensityMatrix:
     """A faithful state: Hermitian, invertible, unit-trace positive matrix,
-    with the one ``hermitian_eig`` that validated it kept as ``eig``."""
+    with the one ``hermitian_eig`` that validated it kept as ``eig``.
+    ``matrix`` is a read-only copy of the caller's matrix, so a later write
+    to the caller's array cannot change the state behind ``eig``."""
 
     matrix: np.ndarray
     tol: float = DEFAULT_TOL
     eig: HermitianEig = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
+        m = as_matrix(np.array(self.matrix, dtype=complex))
+        m.setflags(write=False)
         object.__setattr__(self, "eig", hermitian_eig(m, self.tol))
         w = self.eig.eigenvalues
         tr = float(np.sum(w))

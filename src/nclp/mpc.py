@@ -67,6 +67,11 @@ class DomainEmptyError(ValueError):
     """No nonconstant basis element survives the requested shift."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class SpectralFunction:
     """Positive, non-increasing, log-concave values on [-N-1, N+1].
@@ -74,7 +79,11 @@ class SpectralFunction:
     The declared limits are 1 at -infinity and 0 at +infinity; a finite
     window cannot exhibit them, so they are stated here as intent.  Functions
     that are not strictly decreasing (the constant one used as a control)
-    are accepted but flagged in ``warnings``.
+    are accepted but flagged in ``warnings``.  ``values`` is a read-only
+    copy of the caller's values, validated once: a later write to the
+    caller's array cannot reach it.  ``logistic`` and ``constant`` are
+    tables like the operators', one shared object per window size;
+    ``from_table`` builds a new one on each call.
     """
 
     s_min: int
@@ -83,7 +92,7 @@ class SpectralFunction:
     warnings: tuple[str, ...] = field(default=(), init=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.ndim != 1 or v.size != self.s_max - self.s_min + 1:
             raise InvalidSpectralFunctionError(
                 f"need one value per integer in [{self.s_min}, {self.s_max}]"
@@ -98,7 +107,7 @@ class SpectralFunction:
         sides = v[:-2] * v[2:]
         if (mid < sides * (1.0 - 1e-12)).any():
             raise InvalidSpectralFunctionError("values must be log-concave")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _read_only(v))
         if not (steps < 0).all():
             object.__setattr__(self, "warnings", (
                 "not strictly decreasing: the declared limit 0 at +infinity "
@@ -116,27 +125,32 @@ class SpectralFunction:
     @classmethod
     def logistic(cls, half_width: int) -> "SpectralFunction":
         """The default 1 / (1 + e^s): strictly decreasing with concave log."""
-        n = integer_value(half_width, "half_width")
-        s = np.arange(-n - 1, n + 2)
-        return cls(-n - 1, n + 1, 1.0 / (1.0 + np.exp(s)))
+        return _logistic(integer_value(half_width, "half_width"))
 
     @classmethod
     def constant(cls, half_width: int) -> "SpectralFunction":
         """f = 1, the control: every step f(s + t) / f(s) is the plain shift."""
-        n = integer_value(half_width, "half_width")
-        return cls(-n - 1, n + 1, np.ones(2 * n + 3))
+        return _constant(integer_value(half_width, "half_width"))
 
     @classmethod
     def from_table(cls, half_width: int, values) -> "SpectralFunction":
         """f on [-N-1, N+1] from one real number per age, each read by
         ``real_value``."""
         n = integer_value(half_width, "half_width")
-        return cls(-n - 1, n + 1, np.array([real_value(v, "values") for v in values]))
+        return cls(-n - 1, n + 1, [real_value(v, "values") for v in values])
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+@lru_cache(maxsize=None)
+def _logistic(n: int) -> SpectralFunction:
+    """``SpectralFunction.logistic(n)``, one per window size."""
+    s = np.arange(-n - 1, n + 2)
+    return SpectralFunction(-n - 1, n + 1, 1.0 / (1.0 + np.exp(s)))
+
+
+@lru_cache(maxsize=None)
+def _constant(n: int) -> SpectralFunction:
+    """``SpectralFunction.constant(n)``, one per window size."""
+    return SpectralFunction(-n - 1, n + 1, np.ones(2 * n + 3))
 
 
 @lru_cache(maxsize=None)
@@ -480,20 +494,48 @@ def fwht(values: np.ndarray) -> np.ndarray:
     Self-inverse up to the factor 2^m; with +-1 Walsh functions this is both
     the coefficients-to-grid evaluation and (after dividing by the length)
     the grid-to-coefficients analysis.
+
+    The Walsh matrix on 2^L points is the Kronecker power of the 2-point
+    one, so each group of at most four index bits, lowest bits first, is
+    transformed by one product with the +-1 matrix ``_hadamard`` of its
+    size: ceil(L / 4) products in all.  Any trailing shape, float or
+    complex; the result is a new C-ordered array, exact where every
+    partial sum is an integer below 2^53.  ValueError unless the length is
+    a power of two.
     """
-    # a C-ordered copy, the layout the transform returns
-    a = np.array(values, dtype=complex if np.iscomplexobj(values) else float, order="C")
+    a = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
     n = a.shape[0]
     if n & (n - 1):
         raise ValueError("length must be a power of two")
-    h = 1
-    while h < n:
-        # each stage butterflies a view of the copy: sums over the first
-        # halves, differences over the second
-        v = a.reshape(n // (2 * h), 2, h, *a.shape[1:])
-        v[:, 0], v[:, 1] = v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]
-        h *= 2
-    return a
+    if n <= 1:
+        return np.array(a, order="C")
+    shape, rest = a.shape, a.size // n
+    low = 1
+    while low < n:
+        # axis 0 as (high bits, this group's bits, low bits and trailing
+        # axes); the product runs over the middle axis, as one matrix
+        # product wherever the outer axes allow it
+        m = min(16, n // low)
+        high, inner = n // (low * m), low * rest
+        h = _hadamard(m)
+        if inner == 1:
+            a = a.reshape(high, m) @ h
+        elif high == 1:
+            a = h @ a.reshape(m, inner)
+        else:
+            a = np.matmul(h, a.reshape(high, m, inner))
+        low *= m
+    return a.reshape(shape)
+
+
+@lru_cache(maxsize=None)
+def _hadamard(m: int) -> np.ndarray:
+    """The symmetric +-1 Walsh matrix on m = 2^k points, entry (x, y) =
+    (-1)^popcount(x & y), built by Kronecker doubling; read-only."""
+    h = np.ones((1, 1))
+    while h.shape[0] < m:
+        h = np.block([[h, h], [h, -h]])
+    return _read_only(h)
 
 
 @dataclass(frozen=True)
@@ -698,7 +740,10 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
     experiment, and its verdict is recorded, not asserted.
 
     Each operator is built once per experiment and handed to every row that
-    reads it.  Tables are read-only and cached by window size.
+    reads it: at t = 1 the verdict's step is also the semigroup row's W_1,
+    and the verdict's kernel, the one ``fwht`` of the experiment, also
+    decides positivity.  Tables, the built-in spectral functions among
+    them, are read-only and cached by window size.
     """
     shift = build_shift(integer_field(descriptor, "N"))
     t = integer_field(descriptor, "t")
@@ -723,7 +768,8 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
         add("intertwining_defect", intertwining_defect(step, lambda_build(shift, f), u), u.domain_fraction)
         if t + 1 <= 2 * shift.half_width:
             after = wt_build(shift, f, 1 + t)
-            add("semigroup_defect", semigroup_defect(wt_build(shift, f, 1), step, after), after.domain_fraction)
+            first = step if t == 1 else wt_build(shift, f, 1)
+            add("semigroup_defect", semigroup_defect(first, step, after), after.domain_fraction)
         add("contraction_violation", contraction_violation(step), u.domain_fraction)
         bound = multiplicativity_lower_bound(step)
     suite = _stochasticity_of(verdict.step, verdict.convolution.kernel)

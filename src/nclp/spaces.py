@@ -63,8 +63,9 @@ class QuantumMeasure:
 
     rho is decomposed once, by the ``DensityMatrix`` that validates it; each
     power rho^r is read from that decomposition, equal to
-    ``linalg.frac_power(rho, r, tol=self.tol)``, and cached.  Products of
-    cached powers satisfy the exponent semigroup law to rounding accuracy.
+    ``linalg.frac_power(rho, r, tol=self.tol)``, and cached read-only, since
+    every caller shares it.  Products of cached powers satisfy the exponent
+    semigroup law to rounding accuracy.
     A plain matrix is validated as ``DensityMatrix(rho)``, at the default
     tolerance; pass a ``DensityMatrix`` to choose another.
     """
@@ -102,6 +103,7 @@ class QuantumMeasure:
         cached = self._powers.get(r)
         if cached is None:
             cached = self.density.eig.power(r, self.tol)
+            cached.setflags(write=False)
             self._powers[r] = cached
         return cached
 

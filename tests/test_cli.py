@@ -461,6 +461,36 @@ def test_usage_errors_exit_two_with_one_error_line(capsys, tmp_path, monkeypatch
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("images, message", [([0.5, 1], "must be an integer, got 0.5"), ([True, 0], "must be a real number, got True")])
+def test_a_point_map_reads_each_image_once(monkeypatch, images, message):
+    # the images were read by integer_value in jsonio and then again in
+    # PointMap; a refusal names field 'map' once
+    from nclp import classical, jsonio
+
+    reads = {"jsonio": 0, "classical": 0}
+
+    def counted(module):
+        original = module.integer_value
+
+        def read(value, name):
+            reads[module.__name__.rsplit(".", 1)[1]] += 1
+            return original(value, name)
+
+        monkeypatch.setattr(module, "integer_value", read)
+
+    # classical first: the first read of its attribute may load it, and it
+    # must bind jsonio's own reader, not the counted one
+    counted(classical)
+    counted(jsonio)
+    assert jsonio.point_map_from_json({"n": 2, "map": [1, 0]}).images.tolist() == [1, 0]
+    # the declared n in jsonio, each image once in PointMap
+    assert reads == {"jsonio": 1, "classical": 2}
+    with pytest.raises(jsonio.SchemaError) as refused:
+        jsonio.point_map_from_json({"n": 2, "map": images})
+    assert refused.value.field == "map"
+    assert str(refused.value) == f"field 'map': {message}"
+
+
 @pytest.mark.parametrize("field", ["N", "f", "t"])
 def test_a_missing_mpc_field_is_named(capsys, field):
     # a missing f printed "error: 'f'", the repr of a KeyError

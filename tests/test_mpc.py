@@ -283,6 +283,30 @@ def test_spectral_function_geometric_table_allowed():
     SpectralFunction.from_table(1, [2.0**-s for s in range(-2, 3)])
 
 
+def test_a_spectral_function_keeps_its_own_values():
+    # the caller's array was kept: a write after validation reached the
+    # step, which then read weight 6.25 and contraction violation 5.25
+    v = np.array([1.0, 0.8, 0.5, 0.3, 0.1])
+    f = SpectralFunction(-2, 2, v)
+    v[2] = 5.0
+    assert f.values.tolist() == [1.0, 0.8, 0.5, 0.3, 0.1]
+    step = wt_build(build_shift(1), f, 1)
+    assert mpc.contraction_violation(step) == 0.0 and step.slot_weights.max() <= 1.0
+    with pytest.raises(InvalidSpectralFunctionError, match="non-increasing"):
+        SpectralFunction(-2, 2, v)
+    for table in (f, SpectralFunction.logistic(1), SpectralFunction.constant(1), SpectralFunction.from_table(1, np.ones(5))):
+        with pytest.raises(ValueError, match="read-only"):
+            table.values[0] = -1.0
+
+
+def test_built_in_spectral_functions_are_window_tables():
+    for build in (SpectralFunction.logistic, SpectralFunction.constant):
+        assert build(3) is build(3) is build(3.0) is build(np.int64(3))
+        assert build(3) is not build(4)
+    values = np.ones(7)
+    assert SpectralFunction.from_table(2, values) is not SpectralFunction.from_table(2, values)
+
+
 def test_lambda_build_logistic_fixture():
     shift = build_shift(1)
     diag = np.diag(dense(lambda_build(shift, SpectralFunction.logistic(1))))
@@ -472,7 +496,7 @@ def test_grid_round_trip_and_parseval():
 
 def _fwht_concatenate(values):
     """The butterfly stages as two half-size temporaries and one concatenate,
-    the oracle for the in-place ``fwht``."""
+    the oracle for ``fwht``."""
     a = np.array(values, dtype=complex if np.iscomplexobj(values) else float)
     n = a.shape[0]
     rest = a.shape[1:]
@@ -484,29 +508,59 @@ def _fwht_concatenate(values):
     return a.reshape(n, *rest)
 
 
+def _transform_inputs(real, imag, rng):
+    """Every layout ``fwht`` must take: 1-d, 2-d, complex, a Fortran-ordered
+    copy, a strided view and an integer array with two trailing axes."""
+    n = real.shape[0]
+    return (
+        real[:, 0],
+        real,
+        real + 1j * imag,
+        real[:, 0] + 1j * real[:, 1],
+        np.asfortranarray(real),
+        real[:, ::2],
+        rng.integers(-3, 4, size=(n, 2, 3)),
+    )
+
+
 def test_in_place_fwht_matches_the_concatenating_stages():
+    # the radix-16 products add in another order than the butterfly: equal
+    # bit for bit wherever every partial sum is an integer, and otherwise
+    # within the two summation bounds, (15/4 + 1) L u ||x||_1 per real part
+    # with u = eps / 2, times sqrt(2) for complex values: below 4 L eps ||x||_1
     rng = rng_from(43)
-    for n in (1, 2, 8, 64):
+    eps = np.finfo(float).eps
+    # lengths with one, two and four bit groups, a short top group among them
+    for n in (1, 2, 8, 32, 64, 512, 8192):
+        levels = max(1, n.bit_length() - 1)
+        integer = rng.integers(-3, 4, size=(n, 5)).astype(float)
         real = rng.standard_normal((n, 5))
-        inputs = (
-            real[:, 0],
-            real,
-            real + 1j * rng.standard_normal((n, 5)),
-            (real[:, 0] + 1j * real[:, 1]),
-            # a Fortran-ordered copy and a strided view
-            np.asfortranarray(real),
-            real[:, ::2],
-            rng.integers(-3, 4, size=(n, 2, 3)),
-        )
-        for values in inputs:
+        exact = _transform_inputs(integer, integer[::-1], rng)
+        rounded = _transform_inputs(real, rng.standard_normal((n, 5)), rng)[:-1]
+        for values, is_exact in [(v, True) for v in exact] + [(v, False) for v in rounded]:
             before = np.array(values, copy=True)
-            out = mpc.fwht(values)
-            assert np.array_equal(out, _fwht_concatenate(values))
-            assert out.dtype == _fwht_concatenate(values).dtype
+            out, oracle = mpc.fwht(values), _fwht_concatenate(values)
+            assert out.dtype == oracle.dtype and out.shape == oracle.shape
             assert out.flags.c_contiguous
             assert np.array_equal(values, before)
+            if is_exact:
+                assert np.array_equal(out, oracle)
+            else:
+                bound = 4 * levels * eps * np.abs(values).sum(axis=0)
+                assert np.all(np.abs(out - oracle) <= bound)
     with pytest.raises(ValueError):
         mpc.fwht(np.ones(6))
+
+
+def test_hadamard_blocks_are_symmetric_sign_matrices():
+    for m in (1, 2, 4, 8, 16):
+        h = mpc._hadamard(m)
+        assert h.shape == (m, m) and np.array_equal(h, h.T)
+        assert set(np.unique(h)) <= {-1.0, 1.0}
+        assert np.array_equal(h @ h, m * np.eye(m))
+        assert mpc._hadamard(m) is h
+        with pytest.raises(ValueError, match="read-only"):
+            h[0, 0] = -1.0
 
 
 def test_walsh_products_are_symmetric_differences():
@@ -1118,6 +1172,8 @@ def test_an_experiment_transforms_once_and_projects_once_per_time(monkeypatch):
         "slot_ages",
         "filtration",
         "age_operator",
+        "logistic",
+        "constant",
         "shift_operator",
         "conditional_expectation",
         "wt_build",
@@ -1137,7 +1193,7 @@ def test_an_experiment_transforms_once_and_projects_once_per_time(monkeypatch):
     monkeypatch.setattr(mpc.TruncatedKShift, "shift_operator", counted("shift_operator", mpc.TruncatedKShift.shift_operator))
     # the size-keyed tables, each counted where it is built and cached
     tables = {}
-    for name in ("slot_ages", "filtration", "age_operator"):
+    for name in ("slot_ages", "filtration", "age_operator", "logistic", "constant"):
         tables[name] = lru_cache(counted(name, getattr(mpc, f"_{name}").__wrapped__))
         monkeypatch.setattr(mpc, f"_{name}", tables[name])
     for n in (1, 3, 6):
@@ -1155,24 +1211,49 @@ def test_an_experiment_transforms_once_and_projects_once_per_time(monkeypatch):
                 # and time-consistency rows; one U_t, read by the
                 # commutation and intertwining rows (a coarse step builds
                 # its own); each step built once: the verdict's W_t (or its
-                # coarse step), and W_1 and W_{1+t} for the semigroup row
-                # where a step by 1 + t exists
-                steps = 0 if coarse else 3 if t + 1 <= 2 * n else 1
+                # coarse step), and W_{1+t} for the semigroup row where a
+                # step by 1 + t exists; at t = 1 that row's W_1 is the
+                # verdict's step
+                steps = 0 if coarse else 2 if t + 1 <= 2 * n else 1
                 expected = {
                     "fwht": 1,
                     "slot_ages": 1,
                     "filtration": 1,
                     "age_operator": 1,
+                    "logistic": int(f["kind"] == "logistic"),
+                    "constant": int(f["kind"] == "constant"),
                     "shift_operator": 1 + coarse,
                     "conditional_expectation": coarse,
                     "wt_build": steps,
                     "coarse_grained_wt": coarse,
                 }
                 assert calls == expected
-                # a second experiment at the same N builds no table
+                # a second experiment at the same N and f builds no table,
+                # the spectral function's included
                 calls.update(dict.fromkeys(names, 0))
-                mpc.run_experiment({"N": n, "f": {"kind": "logistic"}, "t": 1})
-                assert calls["slot_ages"] == calls["filtration"] == calls["age_operator"] == 0
+                mpc.run_experiment({"N": n, "f": f, "t": 1})
+                assert [calls[name] for name in tables] == [0] * len(tables)
+
+
+def test_experiments_read_the_same_from_the_butterfly_transform(monkeypatch):
+    # the radix-16 transform against the butterfly stages on the whole
+    # decision path: the same verdict, and every row within 1e-13 relative
+    def spectral(n):
+        tail = [math.exp(-((s + n + 2) ** 2) / (4 * n)) for s in range(-n - 1, n + 2)]
+        return ({"kind": "logistic"}, {"kind": "constant"}, {"kind": "table", "values": tail}, {"kind": "step", "s0": 0})
+
+    descriptors = [
+        {"N": n, "f": f, "t": t} for n in range(1, mpc.MAX_WINDOW + 1) for t in sorted({1, 2, 2 * n}) for f in spectral(n)
+    ]
+    fast = [mpc.run_experiment(d) for d in descriptors]
+    monkeypatch.setattr(mpc, "fwht", _fwht_concatenate)
+    for descriptor, result in zip(descriptors, fast):
+        slow = mpc.run_experiment(descriptor)
+        assert (result.implementable, result.asserted) == (slow.implementable, slow.asserted)
+        assert [row.defect_name for row in result.rows] == [row.defect_name for row in slow.rows]
+        for row, reference in zip(result.rows, slow.rows):
+            assert abs(row.value - reference.value) <= 1e-13 * abs(reference.value), (descriptor, row, reference)
+            assert row.domain_fraction == reference.domain_fraction
 
 
 def test_windows_past_six_pass_every_check():

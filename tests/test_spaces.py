@@ -121,6 +121,21 @@ def test_measure_powers_come_from_one_decomposition(monkeypatch):
             assert np.array_equal(power, frac_power(rho.matrix, r, tol=measure.tol))
 
 
+def test_a_state_keeps_its_own_matrix():
+    # a complex rho was kept as passed: after the caller swapped its
+    # diagonal in place, rho read diag(.25, .75) and power(1) diag(.75, .25)
+    rho = np.diag([0.75, 0.25]).astype(complex)
+    measure = QuantumMeasure(rho)
+    rho[[0, 1], [0, 1]] = rho[[1, 0], [1, 0]]
+    assert np.array_equal(measure.rho, np.diag([0.75, 0.25]))
+    assert np.allclose(measure.power(1.0), measure.rho, atol=1e-15)
+    # the kept matrix and the cached powers are shared, so they are read-only
+    for shared in (measure.rho, measure.power(1.0), measure.power(-0.5)):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 1.0
+    assert measure.power(-0.5) is measure.power(-0.5)
+
+
 def test_a_measure_has_the_one_tolerance_of_its_density():
     rho = random_density(3, rng_from(12)).matrix
     for t in (1e-3, DEFAULT_TOL, 1e-14):
