@@ -72,6 +72,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integer(value, name: str) -> int:
+    """``value`` by ``integer_value``'s rule; an int passes as it is, so a
+    value read once, as ``run_experiment`` reads N, t and s0, is not read
+    again in each layer below."""
+    return value if type(value) is int else integer_value(value, name)
+
+
 @dataclass(frozen=True)
 class SpectralFunction:
     """Positive, non-increasing, log-concave values on [-N-1, N+1].
@@ -125,18 +132,18 @@ class SpectralFunction:
     @classmethod
     def logistic(cls, half_width: int) -> "SpectralFunction":
         """The default 1 / (1 + e^s): strictly decreasing with concave log."""
-        return _logistic(integer_value(half_width, "half_width"))
+        return _logistic(_integer(half_width, "half_width"))
 
     @classmethod
     def constant(cls, half_width: int) -> "SpectralFunction":
         """f = 1, the control: every step f(s + t) / f(s) is the plain shift."""
-        return _constant(integer_value(half_width, "half_width"))
+        return _constant(_integer(half_width, "half_width"))
 
     @classmethod
     def from_table(cls, half_width: int, values) -> "SpectralFunction":
         """f on [-N-1, N+1] from one real number per age, each read by
         ``real_value``."""
-        n = integer_value(half_width, "half_width")
+        n = _integer(half_width, "half_width")
         return cls(-n - 1, n + 1, [real_value(v, "values") for v in values])
 
 
@@ -222,7 +229,9 @@ class WalshOperator:
     ``weights``, ``domain`` and ``apply`` are the per-mask views.  The domain
     is a 1-d boolean array, matched in shape by the float weights, and an
     in-domain slot s >= 1 must stay in the window, s + shift <= sites; else
-    ValueError.
+    ValueError.  ``shift`` is read by ``integer_value``'s rule.  These
+    checks run once, where an operator is built: a product is valid by
+    construction and skips them.
     """
 
     shift: int
@@ -230,6 +239,7 @@ class WalshOperator:
     slot_domain: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "shift", _integer(self.shift, "shift"))
         if self.shift < 0:
             raise ValueError("a Walsh operator shifts by t >= 0")
         if not isinstance(self.slot_domain, np.ndarray) or self.slot_domain.dtype != bool or self.slot_domain.ndim != 1:
@@ -277,7 +287,18 @@ class WalshOperator:
         moved = _moved_slots(size, min(other.shift, size))
         domain = other.slot_domain & self.slot_domain[moved]
         weights = np.where(domain, self.slot_weights[moved] * other.slot_weights, 0.0)
-        return WalshOperator(self.shift + other.shift, weights, domain)
+        # valid by construction: an in-domain slot s has s + other.shift in
+        # self's domain, so s + other.shift + self.shift <= sites
+        product = object.__new__(WalshOperator)
+        product.__dict__.update(shift=self.shift + other.shift, slot_weights=weights, slot_domain=domain)
+        return product
+
+    @cached_property
+    def _age_commutator(self) -> float:
+        """``commutation_check(self)``, computed once per operator."""
+        time = _age_operator(self.slot_weights.size - 1)
+        residual = time.compose(self).slot_weights - self.compose(time).slot_weights - self.shift * self.slot_weights
+        return _masked_max(residual[1:], self.slot_domain[1:])
 
 
 def _slot_count(a: WalshOperator, b: WalshOperator) -> int:
@@ -305,7 +326,7 @@ class TruncatedKShift:
     half_width: int
 
     def __post_init__(self):
-        n = integer_value(self.half_width, "half_width")
+        n = _integer(self.half_width, "half_width")
         if n < 1 or n > MAX_WINDOW:
             raise WindowTooLargeError(f"half-width must lie in [1, {MAX_WINDOW}], got {n}")
         object.__setattr__(self, "half_width", n)
@@ -347,12 +368,19 @@ class TruncatedKShift:
 
     def shift_operator(self, t: int) -> WalshOperator:
         """U_t for t >= 0: subset S -> S + t where the image stays inside the
-        window; the constant function is fixed."""
-        t = integer_value(t, "t")
+        window; the constant function is fixed.  One read-only operator per
+        window size and t (``_shift_operator``)."""
+        t = _integer(t, "t")
         if t < 0:
             raise ValueError("shift operators need t >= 0")
-        in_dom = _step_domain(self.sites, min(t, self.sites + 1))
-        return WalshOperator(t, in_dom.astype(float), in_dom)
+        return _shift_operator(self.sites, t)
+
+
+@lru_cache(maxsize=None)
+def _shift_operator(sites: int, t: int) -> WalshOperator:
+    """U_t of a ``sites``-site window; ``shift_operator`` returns it."""
+    in_dom = _step_domain(sites, min(t, sites + 1))
+    return WalshOperator(t, _read_only(in_dom.astype(float)), in_dom)
 
 
 def build_shift(half_width: int) -> TruncatedKShift:
@@ -364,7 +392,7 @@ def conditional_expectation(shift: TruncatedKShift, t: int) -> WalshOperator:
     """The projector onto ages <= t, row t of the shift's filtration table;
     t = -N-1 keeps only the constants."""
     n = shift.half_width
-    t = integer_value(t, "t")
+    t = _integer(t, "t")
     if t < -n - 1 or t > n:
         raise ValueError(f"filtration time {t} outside [{-n - 1}, {n}]")
     return WalshOperator(0, _filtration(shift.sites)[t + n + 1], np.ones(shift.sites + 1, dtype=bool))
@@ -379,10 +407,9 @@ def time_operator(shift: TruncatedKShift) -> WalshOperator:
 def commutation_check(u: WalshOperator) -> float:
     """max over in-domain nonconstant basis vectors of
     ||(T U_t - U_t T - t U_t) w|| for the shift U_t = ``u`` and the age
-    operator T of its window; exactly zero, since ages shift by t."""
-    time = _age_operator(u.slot_weights.size - 1)
-    residual = time.compose(u).slot_weights - u.compose(time).slot_weights - u.shift * u.slot_weights
-    return _masked_max(residual[1:], u.slot_domain[1:])
+    operator T of its window; exactly zero, since ages shift by t.  Computed
+    once per operator, so once per window and t for the shared U_t."""
+    return u._age_commutator
 
 
 def lambda_build(shift: TruncatedKShift, f: SpectralFunction) -> WalshOperator:
@@ -414,7 +441,7 @@ def wt_build(shift: TruncatedKShift, f: SpectralFunction, t: int) -> WalshOperat
 
 def _check_step(shift: TruncatedKShift, t: int) -> int:
     """``t`` as an int, if a step by it keeps a nonconstant subset."""
-    t = integer_value(t, "t")
+    t = _integer(t, "t")
     if t < 1:
         raise ValueError("semigroup steps require t >= 1")
     if t > 2 * shift.half_width:
@@ -441,7 +468,7 @@ def coarse_grained_wt(shift: TruncatedKShift, s0: int, t: int) -> WalshOperator:
     experiment; no theorem is asserted for it.
     """
     u = shift.shift_operator(_check_step(shift, t))
-    e = conditional_expectation(shift, integer_value(s0, "s0"))
+    e = conditional_expectation(shift, _integer(s0, "s0"))
     return e.compose(u)
 
 
@@ -462,17 +489,20 @@ def semigroup_defect(ws: WalshOperator, wt: WalshOperator, wst: WalshOperator) -
     return _masked_max(residual, wst.slot_domain)
 
 
+@lru_cache(maxsize=None)
 def filtration_defect(shift: TruncatedKShift) -> float:
-    """Projector algebra: E_s E_t = E_t E_s = E_min(s,t), exactly."""
+    """Projector algebra: E_s E_t = E_t E_s = E_min(s,t), exactly.  A table:
+    one value per window size."""
     per_age = _filtration(shift.sites)
     earlier = _slot_pairs(per_age.shape[0])[0]
     products = per_age[:, None] * per_age[None] - per_age[earlier]
     return float(np.abs(products).max())
 
 
+@lru_cache(maxsize=None)
 def time_consistency_defect(shift: TruncatedKShift) -> float:
     """The telescoping sum sum_t t (E_t - E_{t-1}) must reproduce the age
-    operator on its domain."""
+    operator on its domain.  A table: one value per window size."""
     total = shift.slot_ages[1:] @ np.diff(_filtration(shift.sites), axis=0)
     reference = time_operator(shift)
     mask = reference.slot_domain
@@ -743,7 +773,11 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
     reads it: at t = 1 the verdict's step is also the semigroup row's W_1,
     and the verdict's kernel, the one ``fwht`` of the experiment, also
     decides positivity.  Tables, the built-in spectral functions among
-    them, are read-only and cached by window size.
+    them, are read-only and cached by window size.  So are the facts of the
+    window: the filtration and time-consistency defects, U_t and its
+    commutation defect, each computed once per window (and t) and validated
+    once, where built; what depends on f is computed for each experiment.
+    N, t and s0 are read once, here.
     """
     shift = build_shift(integer_field(descriptor, "N"))
     t = integer_field(descriptor, "t")

@@ -3,11 +3,16 @@ twice: through the float weighted bit shifts and through an independent
 rational-arithmetic oracle over explicit coordinate sets), stochasticity,
 and the implementability verdicts."""
 
+import ast
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,18 +448,29 @@ def test_filtration_and_time_consistency_exact(monkeypatch):
         table[-1, halved_slot] = 0.5
         return table
 
+    def clear_defects():
+        # the defects are cached by window size: each patched rule needs
+        # empty caches, and the last one must not outlive this test
+        mpc.filtration_defect.cache_clear()
+        mpc.time_consistency_defect.cache_clear()
+
     monkeypatch.setattr(mpc, "_filtration", halved)
-    for n in range(1, 7):
-        shift = build_shift(n)
-        # slot 1 holds mask 1 = {-N} alone
-        assert mpc.filtration_defect(shift) == _filtration_defect_loop(shift) == 0.5
-        assert mpc.time_consistency_defect(shift) == _time_consistency_defect_loop(shift) == n / 2
-    halved_slot = 2
-    for n in range(1, 7):
-        shift = build_shift(n)
-        # slot 2 holds masks 2 and 3, {-N + 1} and {-N, -N + 1}
-        assert mpc.filtration_defect(shift) > 0.0 and _filtration_defect_loop(shift) > 0.0
-        assert mpc.time_consistency_defect(shift) > 0.0 and _time_consistency_defect_loop(shift) > 0.0
+    try:
+        clear_defects()
+        for n in range(1, 7):
+            shift = build_shift(n)
+            # slot 1 holds mask 1 = {-N} alone
+            assert mpc.filtration_defect(shift) == _filtration_defect_loop(shift) == 0.5
+            assert mpc.time_consistency_defect(shift) == _time_consistency_defect_loop(shift) == n / 2
+        halved_slot = 2
+        clear_defects()
+        for n in range(1, 7):
+            shift = build_shift(n)
+            # slot 2 holds masks 2 and 3, {-N + 1} and {-N, -N + 1}
+            assert mpc.filtration_defect(shift) > 0.0 and _filtration_defect_loop(shift) > 0.0
+            assert mpc.time_consistency_defect(shift) > 0.0 and _time_consistency_defect_loop(shift) > 0.0
+    finally:
+        clear_defects()
 
 
 def test_contraction_multipliers_in_unit_interval():
@@ -962,7 +978,8 @@ def test_shared_tables_are_read_only():
 
 
 def test_every_builder_and_product_constructs():
-    for n in range(1, 4):
+    # a product skips the constructor's checks, so each must pass them
+    for n in range(1, 5):
         ops = [op for op, _, _ in slot_forms_and_mask_references(n)]
         for a in ops:
             for b in ops:
@@ -970,6 +987,72 @@ def test_every_builder_and_product_constructs():
                 sites = product.slot_domain.size - 1
                 slots = np.flatnonzero(product.slot_domain[1:]) + 1
                 assert np.all(slots + product.shift <= sites)
+                assert type(product.shift) is int and product.shift == a.shift + b.shift
+                WalshOperator(product.shift, product.slot_weights, product.slot_domain)
+
+
+def test_walsh_operator_shifts_are_integers():
+    # 1.5 raised numpy's "slice indices must be integers" TypeError, True
+    # was a shift of 1, and np.int64(1) was kept unconverted
+    for bad in (1.5, True, "1"):
+        with pytest.raises(SchemaError, match="'shift'"):
+            WalshOperator(bad, np.ones(4), np.arange(4) <= 2)
+    for shift in (np.int64(1), 1.0, 1):
+        op = WalshOperator(shift, np.ones(4), np.arange(4) <= 2)
+        assert type(op.shift) is int and op.shift == 1
+
+
+def test_window_facts_are_read_only_tables_equal_to_a_fresh_computation():
+    for n in range(1, 5):
+        shift = build_shift(n)
+        assert mpc.filtration_defect(shift) is mpc.filtration_defect(build_shift(n))
+        assert mpc.filtration_defect(shift) == _filtration_defect_loop(shift) == 0.0
+        assert mpc.time_consistency_defect(shift) == _time_consistency_defect_loop(shift) == 0.0
+        for t in range(0, 2 * n + 3):
+            u = shift.shift_operator(t)
+            assert u is build_shift(n).shift_operator(t)
+            fits = np.array([m << t < shift.dim for m in range(shift.dim)])
+            assert np.array_equal(u.weights, fits.astype(float)) and np.array_equal(u.domain, fits)
+            for table in (u.slot_weights, u.slot_domain):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = 1
+            with pytest.raises(AttributeError):
+                u.shift = t + 1
+            fresh = WalshOperator(t, u.slot_weights.copy(), u.slot_domain.copy())
+            assert commutation_check(u) == commutation_check(fresh) == 0.0
+
+
+def test_rows_from_cold_caches_equal_rows_from_warm_caches():
+    def rows(descriptor):
+        return [(r.defect_name, r.value.hex(), r.domain_fraction.hex()) for r in mpc.run_experiment(descriptor).rows]
+
+    tables = [table for table in vars(mpc).values() if hasattr(table, "cache_clear")]
+
+    for n in range(1, mpc.MAX_WINDOW + 1):
+        tail = [math.exp(-((s + n + 2) ** 2) / (4 * n)) for s in range(-n - 1, n + 2)]
+        kinds = ({"kind": "logistic"}, {"kind": "constant"}, {"kind": "table", "values": tail}, {"kind": "step", "s0": 0})
+        for t in sorted({1, 2, 2 * n}):
+            for f in kinds:
+                descriptor = {"N": n, "f": f, "t": t}
+                # every table empty; the facts cached on shared operators go with them
+                for table in tables:
+                    table.cache_clear()
+                cold = rows(descriptor)
+                assert rows(descriptor) == cold, descriptor
+
+
+def test_importing_mpc_builds_no_table():
+    # nothing is built at import: every cache starts empty
+    probe = (
+        "import nclp.mpc as m; "
+        "print(sorted((k, v.cache_info().currsize) for k, v in vars(m).items() if hasattr(v, 'cache_info')))"
+    )
+    src = Path(mpc.__file__).resolve().parent.parent
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.returncode == 0, result.stderr
+    sizes = dict(ast.literal_eval(result.stdout))
+    assert {"filtration_defect", "time_consistency_defect", "_shift_operator", "_filtration"} <= set(sizes)
+    assert set(sizes.values()) == {0}, sizes
 
 
 def test_spectral_function_half_widths_are_integers():
@@ -1178,6 +1261,10 @@ def test_an_experiment_transforms_once_and_projects_once_per_time(monkeypatch):
         "conditional_expectation",
         "wt_build",
         "coarse_grained_wt",
+        "filtration_defect",
+        "time_consistency_defect",
+        "shift_table",
+        "age_commutator",
     )
     calls = dict.fromkeys(names, 0)
 
@@ -1196,12 +1283,26 @@ def test_an_experiment_transforms_once_and_projects_once_per_time(monkeypatch):
     for name in ("slot_ages", "filtration", "age_operator", "logistic", "constant"):
         tables[name] = lru_cache(counted(name, getattr(mpc, f"_{name}").__wrapped__))
         monkeypatch.setattr(mpc, f"_{name}", tables[name])
+    # the facts of the window, each counted where it is computed: the two
+    # defect tables, the U_t table, and U_t's commutation defect, which is
+    # cached on the shared operator
+    facts = {}
+    for name, attr in (
+        ("filtration_defect", "filtration_defect"),
+        ("time_consistency_defect", "time_consistency_defect"),
+        ("shift_table", "_shift_operator"),
+    ):
+        facts[name] = lru_cache(counted(name, getattr(mpc, attr).__wrapped__))
+        monkeypatch.setattr(mpc, attr, facts[name])
+    commutator = cached_property(counted("age_commutator", mpc.WalshOperator._age_commutator.func))
+    commutator.__set_name__(mpc.WalshOperator, "_age_commutator")
+    monkeypatch.setattr(mpc.WalshOperator, "_age_commutator", commutator)
     for n in (1, 3, 6):
         for f in ({"kind": "logistic"}, {"kind": "constant"}, {"kind": "step", "s0": 0}):
             coarse = int(f["kind"] == "step")
             for t in (1, 2 * n):
                 # empty caches, so that each table is built by this experiment
-                for table in tables.values():
+                for table in (*tables.values(), *facts.values()):
                     table.cache_clear()
                 calls.update(dict.fromkeys(names, 0))
                 mpc.run_experiment({"N": n, "f": f, "t": t})
@@ -1226,6 +1327,12 @@ def test_an_experiment_transforms_once_and_projects_once_per_time(monkeypatch):
                     "conditional_expectation": coarse,
                     "wt_build": steps,
                     "coarse_grained_wt": coarse,
+                    # each fact of the window once: a coarse step reads the
+                    # same U_t from the table
+                    "filtration_defect": 1,
+                    "time_consistency_defect": 1,
+                    "shift_table": 1,
+                    "age_commutator": 1,
                 }
                 assert calls == expected
                 # a second experiment at the same N and f builds no table,
@@ -1233,6 +1340,13 @@ def test_an_experiment_transforms_once_and_projects_once_per_time(monkeypatch):
                 calls.update(dict.fromkeys(names, 0))
                 mpc.run_experiment({"N": n, "f": f, "t": 1})
                 assert [calls[name] for name in tables] == [0] * len(tables)
+                # a second experiment at the same N and t computes no window
+                # fact, and still builds its steps and its one kernel: nothing
+                # that depends on f is cached
+                calls.update(dict.fromkeys(names, 0))
+                mpc.run_experiment({"N": n, "f": f, "t": t})
+                assert [calls[name] for name in (*tables, *facts, "age_commutator")] == [0] * (len(tables) + len(facts) + 1)
+                assert (calls["fwht"], calls["wt_build"], calls["coarse_grained_wt"]) == (1, steps, coarse)
 
 
 def test_experiments_read_the_same_from_the_butterfly_transform(monkeypatch):
