@@ -215,33 +215,39 @@ def multiplicativity_check(k, tol: float = DEFAULT_TOL) -> MultiplicativityCheck
     set to -1.  A maximum that occurs twice in a row is found again by the
     second pass, so it is paired with itself, as a sort would pair it.
 
-    Or K is an ``XorConvolution``, read as its one row, the kernel: every
-    row of K is a permutation of it, so that row gives every row's maxima,
-    in O(d) time and memory.  The product defect is bit-identical to the
-    array path's on the gathered grid; the unitality defect, row 0's sum,
-    may differ from the worst row sum by rounding.
+    Or K is an ``XorConvolution``, read as its one row, the 1-d kernel, by
+    the same expressions: every row of K is a permutation of it, so that
+    row gives every row's maxima, in O(d) time and memory.  The product
+    defect is bit-identical to the array path's on the gathered grid; the
+    unitality defect, row 0's sum, may differ from the worst row sum by
+    rounding.
     """
     if isinstance(k, XorConvolution):
-        k = k.kernel[None]
+        k = k.kernel
     else:
         k = np.asarray(k, dtype=complex if np.iscomplexobj(k) else float)
         if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] == 0:
             raise ValueError("operator must be a nonempty square matrix")
-    m, n = k.shape
-    # k @ ones, not k.sum(axis=1): the two add a row in different orders
+    n = k.shape[-1]
+    # k @ ones, not k.sum(axis=-1): the two add a row in different orders
     row_sums = k @ np.ones(n)
     # i = j: K(e_i) must be pointwise idempotent
     product_defect = float(np.abs(k - k * k).max())
     # i != j: images of disjoint indicators need disjoint support
     magnitudes = np.abs(k)
-    at = (np.arange(m), magnitudes.argmax(axis=1))
+    at = magnitudes.argmax(axis=-1)
+    if k.ndim == 2:
+        at = (np.arange(n), at)
     largest = magnitudes[at]
     magnitudes[at] = -1.0
-    second = magnitudes.max(axis=1)
-    top = float(largest.max())
+    # by row: the largest modulus, the worst disjoint pair, |row sum - 1|;
+    # a kernel's one row gives scalars, which need no reduction
+    worst = (largest, largest * magnitudes.max(axis=-1), np.abs(row_sums - 1.0))
+    if k.ndim == 2:
+        worst = [w.max() for w in worst]
+    top, pair, unitality_defect = map(float, worst)
     if n > 1:
-        product_defect = max(product_defect, float((largest * second).max()))
-    unitality_defect = float(np.abs(row_sums - 1.0).max())
+        product_defect = max(product_defect, pair)
     defect = product_defect + unitality_defect
     scale = max(1.0, top**2)
     return MultiplicativityCheck(

@@ -79,6 +79,14 @@ def _integer(value, name: str) -> int:
     return value if type(value) is int else integer_value(value, name)
 
 
+def _half_width(value) -> int:
+    """``value`` as a window half-width in [1, MAX_WINDOW]; else WindowTooLargeError."""
+    n = _integer(value, "half_width")
+    if n < 1 or n > MAX_WINDOW:
+        raise WindowTooLargeError(f"half-width must lie in [1, {MAX_WINDOW}], got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class SpectralFunction:
     """Positive, non-increasing, log-concave values on [-N-1, N+1].
@@ -90,7 +98,9 @@ class SpectralFunction:
     copy of the caller's values, validated once: a later write to the
     caller's array cannot reach it.  ``logistic`` and ``constant`` are
     tables like the operators', one shared object per window size;
-    ``from_table`` builds a new one on each call.
+    ``from_table`` builds a new one on each call.  These three take a
+    half-width in [1, MAX_WINDOW], the constructor any range; ages are
+    integers, read by ``integer_value``'s rule.
     """
 
     s_min: int
@@ -122,6 +132,7 @@ class SpectralFunction:
             ))
 
     def value(self, s: int) -> float:
+        s = _integer(s, "age")
         if s < self.s_min or s > self.s_max:
             raise ValueError(f"age {s} outside the tabulated range [{self.s_min}, {self.s_max}]")
         return float(self.values[s - self.s_min])
@@ -132,18 +143,18 @@ class SpectralFunction:
     @classmethod
     def logistic(cls, half_width: int) -> "SpectralFunction":
         """The default 1 / (1 + e^s): strictly decreasing with concave log."""
-        return _logistic(_integer(half_width, "half_width"))
+        return _logistic(_half_width(half_width))
 
     @classmethod
     def constant(cls, half_width: int) -> "SpectralFunction":
         """f = 1, the control: every step f(s + t) / f(s) is the plain shift."""
-        return _constant(_integer(half_width, "half_width"))
+        return _constant(_half_width(half_width))
 
     @classmethod
     def from_table(cls, half_width: int, values) -> "SpectralFunction":
         """f on [-N-1, N+1] from one real number per age, each read by
         ``real_value``."""
-        n = _integer(half_width, "half_width")
+        n = _half_width(half_width)
         return cls(-n - 1, n + 1, [real_value(v, "values") for v in values])
 
 
@@ -164,8 +175,13 @@ def _constant(n: int) -> SpectralFunction:
 def _slot_index(sites: int) -> np.ndarray:
     """slot[mask] for the 2^sites masks: 0 for the empty mask, 1 + b for the
     2^b masks in [2^b, 2^(b+1)), whose top bit is b."""
-    bits = np.arange(sites)
-    return _read_only(np.concatenate(([0], np.repeat(bits + 1, 1 << bits))))
+    return _read_only(np.repeat(np.arange(sites + 1), _slot_sizes(sites + 1)))
+
+
+@lru_cache(maxsize=None)
+def _slot_sizes(size: int) -> np.ndarray:
+    """The masks in each of ``size`` slots: 1 in slot 0 and 2^b in slot 1 + b."""
+    return _read_only(np.concatenate(([1], 1 << np.arange(size - 1))))
 
 
 @lru_cache(maxsize=None)
@@ -185,12 +201,14 @@ def _moved_slots(size: int, shift: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _slot_pairs(size: int) -> tuple[np.ndarray, ...]:
-    """Over the slot pairs (i, j), row by row: the table min(i, j), then
-    (i, j, max(i, j)) where i != j or i = j = 0, and (i, j) where j < i."""
+    """Over the slot pairs (i, j), row by row: the table min(i, j), then the
+    triples (a, b, r) that are (i, j, max(i, j)) where i != j or i = j = 0,
+    followed by (i, i, j) where j < i."""
     i, j = np.indices((size, size))
     pairs, within = (i != j) | (i + j == 0), j < i
-    tables = (np.minimum(i, j), i[pairs], j[pairs], np.maximum(i, j)[pairs], i[within], j[within])
-    return tuple(map(_read_only, tables))
+    a, b = np.concatenate((i[pairs], i[within])), np.concatenate((j[pairs], i[within]))
+    r = np.concatenate((np.maximum(i, j)[pairs], j[within]))
+    return tuple(map(_read_only, (np.minimum(i, j), a, b, r)))
 
 
 @lru_cache(maxsize=None)
@@ -212,7 +230,7 @@ def _filtration(sites: int) -> np.ndarray:
 def _age_operator(sites: int) -> WalshOperator:
     """The age operator of a ``sites``-site window; ``time_operator`` returns it."""
     domain = _read_only(np.arange(sites + 1) > 0)
-    return WalshOperator(0, _read_only(np.where(domain, _slot_ages(sites), 0.0)), domain)
+    return _built(0, _read_only(np.where(domain, _slot_ages(sites), 0.0)), domain)
 
 
 @dataclass(frozen=True)
@@ -230,8 +248,9 @@ class WalshOperator:
     is a 1-d boolean array, matched in shape by the float weights, and an
     in-domain slot s >= 1 must stay in the window, s + shift <= sites; else
     ValueError.  ``shift`` is read by ``integer_value``'s rule.  These
-    checks run once, where an operator is built: a product is valid by
-    construction and skips them.
+    checks guard the public constructor.  The builders below (U_t, the age
+    operator, E_t, Lambda, W_t and ``compose``) make operators valid by
+    construction from nclp's own tables, and skip them.
     """
 
     shift: int
@@ -266,9 +285,8 @@ class WalshOperator:
 
     @cached_property
     def domain_fraction(self) -> float:
-        # slot 0 holds one mask and slot 1 + b holds 2^b
-        kept = self.slot_domain.tolist()
-        return (kept[0] + sum(1 << b for b, k in enumerate(kept[1:]) if k)) / self.dim
+        # the kept masks, an exact integer count, over all of them
+        return int(_slot_sizes(self.slot_domain.size).dot(self.slot_domain)) / self.dim
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Map a coefficient vector, or each column of a (dim, k) array."""
@@ -284,14 +302,15 @@ class WalshOperator:
         first, moving slot i > 0 to slot i + other.shift (``_moved_slots``).
         ValueError unless both have the same number of slots."""
         size = _slot_count(self, other)
-        moved = _moved_slots(size, min(other.shift, size))
-        domain = other.slot_domain & self.slot_domain[moved]
-        weights = np.where(domain, self.slot_weights[moved] * other.slot_weights, 0.0)
-        # valid by construction: an in-domain slot s has s + other.shift in
-        # self's domain, so s + other.shift + self.shift <= sites
-        product = object.__new__(WalshOperator)
-        product.__dict__.update(shift=self.shift + other.shift, slot_weights=weights, slot_domain=domain)
-        return product
+        after, kept = self.slot_weights, self.slot_domain
+        if other.shift:
+            moved = _moved_slots(size, min(other.shift, size))
+            after, kept = after[moved], kept[moved]
+        domain = other.slot_domain & kept
+        weights = np.where(domain, after * other.slot_weights, 0.0)
+        # an in-domain slot s has s + other.shift in self's domain, so
+        # s + other.shift + self.shift <= sites
+        return _built(self.shift + other.shift, weights, domain)
 
     @cached_property
     def _age_commutator(self) -> float:
@@ -299,6 +318,14 @@ class WalshOperator:
         time = _age_operator(self.slot_weights.size - 1)
         residual = time.compose(self).slot_weights - self.compose(time).slot_weights - self.shift * self.slot_weights
         return _masked_max(residual[1:], self.slot_domain[1:])
+
+
+def _built(shift: int, weights: np.ndarray, domain: np.ndarray) -> WalshOperator:
+    """A ``WalshOperator`` valid by construction (an int shift, float weights
+    and a boolean domain kept in the window), without the constructor's checks."""
+    op = object.__new__(WalshOperator)
+    op.__dict__.update(shift=shift, slot_weights=weights, slot_domain=domain)
+    return op
 
 
 def _slot_count(a: WalshOperator, b: WalshOperator) -> int:
@@ -326,10 +353,7 @@ class TruncatedKShift:
     half_width: int
 
     def __post_init__(self):
-        n = _integer(self.half_width, "half_width")
-        if n < 1 or n > MAX_WINDOW:
-            raise WindowTooLargeError(f"half-width must lie in [1, {MAX_WINDOW}], got {n}")
-        object.__setattr__(self, "half_width", n)
+        object.__setattr__(self, "half_width", _half_width(self.half_width))
 
     @property
     def sites(self) -> int:
@@ -380,7 +404,7 @@ class TruncatedKShift:
 def _shift_operator(sites: int, t: int) -> WalshOperator:
     """U_t of a ``sites``-site window; ``shift_operator`` returns it."""
     in_dom = _step_domain(sites, min(t, sites + 1))
-    return WalshOperator(t, _read_only(in_dom.astype(float)), in_dom)
+    return _built(t, _read_only(in_dom.astype(float)), in_dom)
 
 
 def build_shift(half_width: int) -> TruncatedKShift:
@@ -395,7 +419,7 @@ def conditional_expectation(shift: TruncatedKShift, t: int) -> WalshOperator:
     t = _integer(t, "t")
     if t < -n - 1 or t > n:
         raise ValueError(f"filtration time {t} outside [{-n - 1}, {n}]")
-    return WalshOperator(0, _filtration(shift.sites)[t + n + 1], np.ones(shift.sites + 1, dtype=bool))
+    return _built(0, _filtration(shift.sites)[t + n + 1], np.ones(shift.sites + 1, dtype=bool))
 
 
 def time_operator(shift: TruncatedKShift) -> WalshOperator:
@@ -418,7 +442,7 @@ def lambda_build(shift: TruncatedKShift, f: SpectralFunction) -> WalshOperator:
     _check_range(shift, f)
     diag = f.values[shift.slot_ages - f.s_min]
     diag[0] = 1.0
-    return WalshOperator(0, diag, np.ones(diag.size, dtype=bool))
+    return _built(0, diag, np.ones(diag.size, dtype=bool))
 
 
 def wt_build(shift: TruncatedKShift, f: SpectralFunction, t: int) -> WalshOperator:
@@ -432,11 +456,19 @@ def wt_build(shift: TruncatedKShift, f: SpectralFunction, t: int) -> WalshOperat
     """
     t = _check_step(shift, t)
     _check_range(shift, f)
-    ages = shift.slot_ages[1 : shift.sites + 1 - t] - f.s_min
+    before, after = _step_ages(shift.sites, t, f.s_min)
     weights = np.zeros(shift.sites + 1)
     weights[0] = 1.0
-    weights[1 : ages.size + 1] = f.values[ages + t] / f.values[ages]
-    return WalshOperator(t, weights, _step_domain(shift.sites, t))
+    weights[1 : before.size + 1] = f.values[after] / f.values[before]
+    return _built(t, weights, _step_domain(shift.sites, t))
+
+
+@lru_cache(maxsize=None)
+def _step_ages(sites: int, t: int, s_min: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where a step by t reads f, as indices into values tabulated from
+    s_min: the age s of each slot that stays in the window, then s + t."""
+    before = _slot_ages(sites)[1 : sites + 1 - t] - s_min
+    return _read_only(before), _read_only(before + t)
 
 
 def _check_step(shift: TruncatedKShift, t: int) -> int:
@@ -707,16 +739,15 @@ def multiplicativity_lower_bound(step: WalshOperator) -> float:
     weights gs, L = 2N+1-t, by slot pairs: R in slot i and Q in slot j give
     R xor Q in slot max(i, j) when i != j or i = j = 0, and in every slot
     r < i when i = j > 0.  The worst discrepancy is thus the max of
-    |gs[max(i, j)] - gs[i] gs[j]| over those pairs and of |gs[r] - gs[i]^2|
-    over r < i: the same floats as the scan over every (R, Q), so the same
+    |gs[r] - gs[a] gs[b]| over the triples (a, b, r) of ``_slot_pairs``,
+    (i, j, max(i, j)) for those pairs and (i, i, r) for r < i: the same
+    floats as the scan over every (R, Q), so the same
     maximum bit for bit, in O(N^2) time, where pairing one subset per slot
     with every subset takes (L + 1) 2^L.
     """
     gs = _step_slots(step)
-    _, i, j, top, above, below = _slot_pairs(gs.size)
-    pairs = np.abs(gs[top] - gs[i] * gs[j])
-    within = np.abs(gs[below] - gs[above] * gs[above])
-    worst = float(max(pairs.max(), within.max()))
+    _, a, b, r = _slot_pairs(gs.size)
+    worst = float(np.abs(gs[r] - gs[a] * gs[b]).max())
     return worst / float(1 << (gs.size - 1)) ** 2
 
 
@@ -775,9 +806,10 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
     decides positivity.  Tables, the built-in spectral functions among
     them, are read-only and cached by window size.  So are the facts of the
     window: the filtration and time-consistency defects, U_t and its
-    commutation defect, each computed once per window (and t) and validated
-    once, where built; what depends on f is computed for each experiment.
-    N, t and s0 are read once, here.
+    commutation defect, each computed once per window (and t); what depends
+    on f is computed for each experiment.  Every operator is built from
+    those tables, valid by construction, so none runs the public
+    constructor's checks.  N, t and s0 are read once, here.
     """
     shift = build_shift(integer_field(descriptor, "N"))
     t = integer_field(descriptor, "t")

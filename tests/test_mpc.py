@@ -971,16 +971,39 @@ def test_shared_tables_are_read_only():
     assert row.base is conditional_expectation(again, 0).slot_weights.base is mpc._filtration(5)
     shared = [shift.slot_ages, mpc._filtration(5), time_operator(shift).slot_weights, time_operator(shift).slot_domain]
     shared += [row, shift.shift_operator(1).slot_domain, wt_build(shift, f, 2).slot_domain, mpc._moved_slots(6, 1)]
-    shared += [mpc._slot_index(5), *mpc._slot_pairs(6)]
+    shared += [mpc._slot_index(5), *mpc._slot_pairs(6), mpc._slot_sizes(6), *mpc._step_ages(5, 1, f.s_min)]
     for table in shared:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
 
 
+def built_operators(n):
+    """Every operator a builder returns at half-width n: the age operator,
+    each E_s, Lambda, and U_t, W_t and the coarse step of every t and s0."""
+    shift = build_shift(n)
+    tail = [math.exp(-((s + n + 2) ** 2) / (4 * n)) for s in range(-n - 1, n + 2)]
+    spectral = (SpectralFunction.logistic(n), SpectralFunction.constant(n), SpectralFunction.from_table(n, tail))
+    yield time_operator(shift)
+    for s in range(-n - 1, n + 1):
+        yield conditional_expectation(shift, s)
+    for f in spectral:
+        yield lambda_build(shift, f)
+    for t in range(0, 2 * n + 3):
+        yield shift.shift_operator(t)
+        if 1 <= t <= 2 * n:
+            yield from (wt_build(shift, f, t) for f in spectral)
+            yield from (mpc.coarse_grained_wt(shift, s0, t) for s0 in range(-n - 1, n + 1))
+
+
 def test_every_builder_and_product_constructs():
-    # a product skips the constructor's checks, so each must pass them
+    # builders and products skip the constructor's checks, so each must pass them
+    for n in range(1, mpc.MAX_WINDOW + 1):
+        for op in built_operators(n):
+            assert type(op.shift) is int
+            public = WalshOperator(op.shift, op.slot_weights, op.slot_domain)
+            assert op.domain_fraction == public.domain_fraction == float(np.mean(op.domain))
     for n in range(1, 5):
-        ops = [op for op, _, _ in slot_forms_and_mask_references(n)]
+        ops = list(built_operators(n))
         for a in ops:
             for b in ops:
                 product = a.compose(b)
@@ -988,7 +1011,8 @@ def test_every_builder_and_product_constructs():
                 slots = np.flatnonzero(product.slot_domain[1:]) + 1
                 assert np.all(slots + product.shift <= sites)
                 assert type(product.shift) is int and product.shift == a.shift + b.shift
-                WalshOperator(product.shift, product.slot_weights, product.slot_domain)
+                public = WalshOperator(product.shift, product.slot_weights, product.slot_domain)
+                assert product.domain_fraction == public.domain_fraction == float(np.mean(product.domain))
 
 
 def test_walsh_operator_shifts_are_integers():
@@ -1066,6 +1090,33 @@ def test_spectral_function_half_widths_are_integers():
     assert repr(SpectralFunction.logistic(np.int64(2))) == repr(SpectralFunction.logistic(2))
     table = SpectralFunction.from_table(2.0, np.ones(7))
     assert (table.s_min, table.s_max) == (-3, 3)
+
+
+def test_spectral_function_half_widths_lie_in_the_window_range():
+    # logistic(-1) was a one-point function on [0, 0], logistic(-2) failed
+    # with "need one value per integer in [1, -1]", and logistic(10**7)
+    # built a 160 MB table that its cache kept
+    for bad in (-2, -1, 0, mpc.MAX_WINDOW + 1, 10**7):
+        for build in (SpectralFunction.logistic, SpectralFunction.constant):
+            with pytest.raises(WindowTooLargeError, match=f"got {bad}"):
+                build(bad)
+        with pytest.raises(WindowTooLargeError, match=f"got {bad}"):
+            SpectralFunction.from_table(bad, [1.0] * 5)
+    # the constructor itself takes any range
+    wide = SpectralFunction(-20, 20, np.ones(41))
+    assert wide.value(20) == 1.0
+
+
+def test_spectral_function_ages_are_integers():
+    # value(1.5) raised numpy's IndexError and value(True) returned f(1)
+    f = SpectralFunction.logistic(2)
+    for bad in (1.5, True, "1"):
+        with pytest.raises(SchemaError, match="'age'"):
+            f.value(bad)
+        with pytest.raises(SchemaError, match="'age'"):
+            f.ratio(2, bad)
+    assert f.value(np.int64(1)) == f.value(1.0) == f.value(1) == float(f.values[4])
+    assert f.ratio(np.int64(2), np.int64(1)) == f.value(2) / f.value(1)
 
 
 def test_spectral_function_table_values_are_real_numbers():
