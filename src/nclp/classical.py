@@ -220,7 +220,9 @@ def multiplicativity_check(k, tol: float = DEFAULT_TOL) -> MultiplicativityCheck
     row gives every row's maxima, in O(d) time and memory.  The product
     defect is bit-identical to the array path's on the gathered grid; the
     unitality defect, row 0's sum, may differ from the worst row sum by
-    rounding.
+    rounding.  Rows are summed in numpy's own pairwise order: a BLAS
+    product with a ones vector adds them in an order, and so with a
+    rounding, that may change with the thread count.
     """
     if isinstance(k, XorConvolution):
         k = k.kernel
@@ -229,8 +231,7 @@ def multiplicativity_check(k, tol: float = DEFAULT_TOL) -> MultiplicativityCheck
         if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] == 0:
             raise ValueError("operator must be a nonempty square matrix")
     n = k.shape[-1]
-    # k @ ones, not k.sum(axis=-1): the two add a row in different orders
-    row_sums = k @ np.ones(n)
+    row_sums = k.sum(axis=-1)
     # i = j: K(e_i) must be pointwise idempotent
     product_defect = float(np.abs(k - k * k).max())
     # i != j: images of disjoint indicators need disjoint support

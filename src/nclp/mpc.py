@@ -99,8 +99,8 @@ class SpectralFunction:
     caller's array cannot reach it.  ``logistic`` and ``constant`` are
     tables like the operators', one shared object per window size;
     ``from_table`` builds a new one on each call.  These three take a
-    half-width in [1, MAX_WINDOW], the constructor any range; ages are
-    integers, read by ``integer_value``'s rule.
+    half-width in [1, MAX_WINDOW], the constructor any range; its limits
+    and every age are integers, read by ``integer_value``'s rule.
     """
 
     s_min: int
@@ -109,6 +109,8 @@ class SpectralFunction:
     warnings: tuple[str, ...] = field(default=(), init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "s_min", _integer(self.s_min, "s_min"))
+        object.__setattr__(self, "s_max", _integer(self.s_max, "s_max"))
         v = np.array(self.values, dtype=float)
         if v.ndim != 1 or v.size != self.s_max - self.s_min + 1:
             raise InvalidSpectralFunctionError(

@@ -137,8 +137,9 @@ def schatten_norm(a, p):
 def weighted_norm(a, measure: QuantumMeasure, p):
     """State-weighted p-norm (Tr |rho^(1/2p) A rho^(1/2p)|^p)^(1/p).
 
-    For p = inf returns the operator norm of A itself (L^inf as the algebra).
-    Stacks are normed as in ``schatten_norm``.
+    For p = inf returns the operator norm of A itself (L^inf as the algebra);
+    otherwise the Schatten p-norm of ``tau_conjugate``'s sandwich.  Stacks
+    are normed as in ``schatten_norm``.
     """
     a = as_matrices(a)
     p = check_p(p)
@@ -148,9 +149,7 @@ def weighted_norm(a, measure: QuantumMeasure, p):
         )
     if math.isinf(p):
         return schatten_norm(a, math.inf)
-    root = measure.power(tau_exponent(p))
-    norms = schatten_norm(root @ a.reshape(-1, *a.shape[-2:]) @ root, p)
-    return norms if a.ndim == 3 else float(norms[0])
+    return schatten_norm(tau_conjugate(a, measure, p), p)
 
 
 def weighted_inner(a, b, measure: QuantumMeasure) -> complex:
@@ -171,9 +170,10 @@ def tau_conjugate(x, measure: QuantumMeasure, p, direction: str = "forward") -> 
     """Sandwich X -> rho^(1/2p) X rho^(1/2p), or its inverse.
 
     The forward map carries the weighted p-norm isometrically onto the
-    Schatten p-norm; forward followed by inverse is the identity.
+    Schatten p-norm; forward followed by inverse is the identity.  A
+    (k, n, n) stack is sandwiched matrix by matrix, as one product.
     """
-    x = as_matrix(x)
+    x = as_matrices(x)
     p = check_p(p)
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")

@@ -723,9 +723,12 @@ def lamperti_decompose(t: SuperOperator, p, tol: float = DEFAULT_TOL) -> Lampert
     identity (the central factor of a factor algebra) and |scale^p - 1| is
     within tolerance; (3) peel W and the scale off and (4) check and
     classify the Jordan remainder; (5) require T to equal scale * W @ J for
-    the canonical J of that class.  No sampling is involved: W unitary,
-    scale = 1 and J a conjugation or a transposed one make T an onto
-    Schatten-p isometry (Yeadon), so the factors are the certificate.
+    the canonical J of that class, by the residual ``jordan_classify``
+    measured: T - scale * W @ J = scale * kron(1, W) (remainder - J), and
+    the unitary kron(1, W) keeps each column norm.  No sampling is
+    involved: W unitary, scale = 1 and J a conjugation or a transposed one
+    make T an onto Schatten-p isometry (Yeadon), so the factors are the
+    certificate.
     Raises NotDecomposableError, carrying the worst witness, whenever a
     defect exceeds tolerance.
     """
@@ -765,8 +768,7 @@ def lamperti_decompose(t: SuperOperator, p, tol: float = DEFAULT_TOL) -> Lampert
     except NotClassifiableError as exc:
         raise NotDecomposableError(str(exc)) from exc
     canonical = classification.canonical
-    rebuilt = (scale * w_factor @ canonical.matrix.reshape(n, n, -1)).reshape(n * n, n * n)
-    residual = _max_column_norm(t.matrix - rebuilt)
+    residual = scale * classification.residual
     if residual > threshold(1.0, tol):
         raise NotDecomposableError(
             f"not an onto Schatten-{p:g} isometry: residual {residual:.3e} "

@@ -276,7 +276,7 @@ def _multiplicativity_defects(k):
     if n > 1:
         top_two = np.partition(np.abs(k), n - 2, axis=1)[:, n - 2 :]
         product_defect = max(product_defect, float(np.max(top_two[:, 0] * top_two[:, 1])))
-    return product_defect, float(np.max(np.abs(k @ np.ones(n) - 1.0)))
+    return product_defect, float(np.max(np.abs(k.sum(axis=1) - 1.0)))
 
 
 def test_multiplicativity_work_buffer_leaves_input_and_defects_alone():

@@ -1119,6 +1119,20 @@ def test_spectral_function_ages_are_integers():
     assert f.ratio(np.int64(2), np.int64(1)) == f.value(2) / f.value(1)
 
 
+def test_spectral_function_limits_are_integers():
+    # float limits were stored as given: wt_build then raised IndexError and
+    # cached float step indices under a key equal to (3, 1, -2), so every
+    # later N = 1 experiment in the process raised IndexError too
+    f = SpectralFunction(-2.0, 2.0, [1.0] * 5)
+    assert (f.s_min, f.s_max) == (-2, 2) and type(f.s_min) is type(f.s_max) is int
+    assert wt_build(build_shift(1), f, 1).shift == 1
+    assert mpc.run_experiment({"N": 1, "t": 1, "f": {"kind": "logistic"}}).implementable is False
+    # bools, fractions and strings are refused, never cast
+    for s_min, s_max in ((True, 5), (-1.5, 2), (-2, 2.5), (-2, "2")):
+        with pytest.raises(SchemaError):
+            SpectralFunction(s_min, s_max, [1.0] * 5)
+
+
 def test_spectral_function_table_values_are_real_numbers():
     good = [1.0, 0.9, 0.5, 0.2, 0.05]
     table = SpectralFunction.from_table(1, [1, 0.9, np.float32(0.5), *good[3:]])
