@@ -115,11 +115,11 @@ def criterion_2_tau_isometry() -> AcceptanceResult:
         m = _random_state(rng, n)
         x = ginibre(n, rng)
         p = exponents[trial % len(exponents)]
-        forward = tau_conjugate(x, m, p, "forward")
+        forward = tau_conjugate(x, m, p)
         iso_gap = abs(schatten_norm(forward, p) - weighted_norm(x, m, p))
         if iso_gap > 1e-9 * weighted_norm(x, m, p):
             failures.append(f"isometry trial={trial} p={p} gap={iso_gap:.2e}")
-        back = tau_conjugate(forward, m, p, "inverse")
+        back = tau_conjugate(forward, m, p, inverse=True)
         if frobenius(back - x) > 1e-9 * frobenius(x):
             failures.append(f"round-trip trial={trial} p={p}")
     return _result(2, "tau conjugation isometry", failures, "100 trials, dims 2-6")
@@ -182,8 +182,8 @@ def criterion_4_isometry_collapse() -> AcceptanceResult:
         report = implementability_check(v, m, p, trials=25, seed=11)
         if not report.implementable:
             failures.append(f"accept trial={trial} failure={report.failure}")
-        elif report.match_defect > 1e-8:
-            failures.append(f"match trial={trial} defect={report.match_defect:.2e}")
+        elif report.defects["jordan_match"] > 1e-8:
+            failures.append(f"match trial={trial} defect={report.defects['jordan_match']:.2e}")
         noise = ginibre(n * n, rng)
         perturbed = SuperOperator(n, v.matrix + 1e-3 * noise)
         bad = implementability_check(perturbed, m, p, trials=25, seed=11)

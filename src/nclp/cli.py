@@ -364,8 +364,7 @@ def main(argv=None) -> int:
             raise SchemaError("input", "this subcommand requires --input")
         if not 0 < args.tol < math.inf:
             raise SchemaError("tol", "tolerance must be finite and positive")
-        if args.trials < 1:
-            raise SchemaError("trials", "trials must be >= 1")
+        jsonio.count_value(args.trials, "trials")
         cfg = RunConfig(command, payload, args.tol, args.seed, args.trials, args.fmt)
         code, text = dispatch(cfg)
         if args.out:

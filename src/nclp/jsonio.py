@@ -19,6 +19,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .linalg import as_matrix
+
 if TYPE_CHECKING:
     from .classical import FiniteMeasureSpace, PointMap
     from .superop import LampertiDecomposition, SuperOperator
@@ -55,10 +57,24 @@ def real_value(value, name: str) -> float:
 
 
 def integer_value(value, name: str) -> int:
-    """``value`` as an int, refusing fractions as well as what ``real_value`` refuses."""
+    """``value`` as an int, refusing fractions as well as what ``real_value``
+    refuses.  A value whose type is ``int`` passes through unchanged, so a
+    value read once, as ``mpc.run_experiment`` reads N, t and s0, costs no
+    second reading in each layer below."""
+    if type(value) is int:
+        return value
     if real_value(value, name) % 1:
         raise SchemaError(name, f"must be an integer, got {value!r}")
     return int(value)
+
+
+def count_value(value, name: str) -> int:
+    """``value`` as a count, an int >= 1 by ``integer_value``'s rule; a
+    smaller one raises ValueError("<name> must be >= 1")."""
+    count = integer_value(value, name)
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return count
 
 
 def complex_pair(z) -> list[float]:
@@ -83,19 +99,17 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj, field: str) -> np.ndarray:
+    """The square matrix of ``obj``, checked by ``linalg.as_matrix``, whose
+    refusals, like a ragged or non-finite matrix, are renamed to ``field``."""
     rows = require(obj, "matrix") if isinstance(obj, dict) else obj
     if not isinstance(rows, list) or not rows:
         raise SchemaError(field, "matrix must be a nonempty list of rows")
     try:
-        out = np.array(
-            [[_entry_to_complex(entry, field) for entry in row] for row in rows]
-        )
-    except TypeError as exc:
+        out = as_matrix([[_entry_to_complex(entry, field) for entry in row] for row in rows])
+    except SchemaError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise SchemaError(field, str(exc)) from exc
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise SchemaError(field, f"matrix must be square, got shape {out.shape}")
-    if not np.isfinite(out).all():
-        raise SchemaError(field, "matrix entries must be finite")
     if isinstance(obj, dict) and "dim" in obj and integer_value(obj["dim"], "dim") != out.shape[0]:
         raise SchemaError(field, "declared dim does not match the matrix shape")
     return out
@@ -149,8 +163,12 @@ def measure_space_from_json(obj, field: str = "mu") -> FiniteMeasureSpace:
     mu = require(obj, "mu") if isinstance(obj, dict) else obj
     if not isinstance(mu, list) or not mu:
         raise SchemaError(field, "mu must be a nonempty list of positive masses")
+    # FiniteMeasureSpace reads each mass once, by ``real_value``; its
+    # refusals are renamed to this field
     try:
-        return FiniteMeasureSpace(np.array([real_value(m, field) for m in mu]))
+        return FiniteMeasureSpace(mu)
+    except SchemaError as exc:
+        raise SchemaError(field, exc.message) from exc
     except ValueError as exc:
         raise SchemaError(field, str(exc)) from exc
 

@@ -72,16 +72,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _integer(value, name: str) -> int:
-    """``value`` by ``integer_value``'s rule; an int passes as it is, so a
-    value read once, as ``run_experiment`` reads N, t and s0, is not read
-    again in each layer below."""
-    return value if type(value) is int else integer_value(value, name)
-
-
 def _half_width(value) -> int:
     """``value`` as a window half-width in [1, MAX_WINDOW]; else WindowTooLargeError."""
-    n = _integer(value, "half_width")
+    n = integer_value(value, "half_width")
     if n < 1 or n > MAX_WINDOW:
         raise WindowTooLargeError(f"half-width must lie in [1, {MAX_WINDOW}], got {n}")
     return n
@@ -109,8 +102,8 @@ class SpectralFunction:
     warnings: tuple[str, ...] = field(default=(), init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "s_min", _integer(self.s_min, "s_min"))
-        object.__setattr__(self, "s_max", _integer(self.s_max, "s_max"))
+        object.__setattr__(self, "s_min", integer_value(self.s_min, "s_min"))
+        object.__setattr__(self, "s_max", integer_value(self.s_max, "s_max"))
         v = np.array(self.values, dtype=float)
         if v.ndim != 1 or v.size != self.s_max - self.s_min + 1:
             raise InvalidSpectralFunctionError(
@@ -134,7 +127,7 @@ class SpectralFunction:
             ))
 
     def value(self, s: int) -> float:
-        s = _integer(s, "age")
+        s = integer_value(s, "age")
         if s < self.s_min or s > self.s_max:
             raise ValueError(f"age {s} outside the tabulated range [{self.s_min}, {self.s_max}]")
         return float(self.values[s - self.s_min])
@@ -260,7 +253,7 @@ class WalshOperator:
     slot_domain: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "shift", _integer(self.shift, "shift"))
+        object.__setattr__(self, "shift", integer_value(self.shift, "shift"))
         if self.shift < 0:
             raise ValueError("a Walsh operator shifts by t >= 0")
         if not isinstance(self.slot_domain, np.ndarray) or self.slot_domain.dtype != bool or self.slot_domain.ndim != 1:
@@ -396,7 +389,7 @@ class TruncatedKShift:
         """U_t for t >= 0: subset S -> S + t where the image stays inside the
         window; the constant function is fixed.  One read-only operator per
         window size and t (``_shift_operator``)."""
-        t = _integer(t, "t")
+        t = integer_value(t, "t")
         if t < 0:
             raise ValueError("shift operators need t >= 0")
         return _shift_operator(self.sites, t)
@@ -418,7 +411,7 @@ def conditional_expectation(shift: TruncatedKShift, t: int) -> WalshOperator:
     """The projector onto ages <= t, row t of the shift's filtration table;
     t = -N-1 keeps only the constants."""
     n = shift.half_width
-    t = _integer(t, "t")
+    t = integer_value(t, "t")
     if t < -n - 1 or t > n:
         raise ValueError(f"filtration time {t} outside [{-n - 1}, {n}]")
     return _built(0, _filtration(shift.sites)[t + n + 1], np.ones(shift.sites + 1, dtype=bool))
@@ -475,7 +468,7 @@ def _step_ages(sites: int, t: int, s_min: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_step(shift: TruncatedKShift, t: int) -> int:
     """``t`` as an int, if a step by it keeps a nonconstant subset."""
-    t = _integer(t, "t")
+    t = integer_value(t, "t")
     if t < 1:
         raise ValueError("semigroup steps require t >= 1")
     if t > 2 * shift.half_width:
@@ -502,7 +495,7 @@ def coarse_grained_wt(shift: TruncatedKShift, s0: int, t: int) -> WalshOperator:
     experiment; no theorem is asserted for it.
     """
     u = shift.shift_operator(_check_step(shift, t))
-    e = conditional_expectation(shift, _integer(s0, "s0"))
+    e = conditional_expectation(shift, integer_value(s0, "s0"))
     return e.compose(u)
 
 
@@ -769,7 +762,6 @@ class MpcExperiment:
     rows: tuple[ExperimentRow, ...]
     implementable: bool | None
     asserted: bool
-    tol: float
 
     @property
     def negative_verdict(self) -> bool:
@@ -848,4 +840,4 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
     if bound is not None:
         add("multiplicativity_lower_bound", bound, verdict.domain_fraction)
     add("implementable", float(verdict.implementable), verdict.domain_fraction)
-    return MpcExperiment(tuple(rows), verdict.implementable, asserted=f is not None, tol=tol)
+    return MpcExperiment(tuple(rows), verdict.implementable, asserted=f is not None)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import integer_value, real_value
+from .jsonio import count_value, real_value
 from .linalg import (
     DEFAULT_TOL,
     DensityMatrix,
@@ -50,6 +50,13 @@ def check_p(p) -> float:
     if math.isnan(p) or p < 1.0:
         raise ValueError("p must be >= 1")
     return p
+
+
+def check_dim(n: int, measure: QuantumMeasure) -> None:
+    """Refuse, with DimensionMismatchError, a matrix or a map on n x n
+    matrices that does not act on the state's n x n matrices."""
+    if n != measure.dim:
+        raise DimensionMismatchError(f"matrix dim {n} does not match state dim {measure.dim}")
 
 
 def tau_exponent(p: float) -> float:
@@ -143,11 +150,8 @@ def weighted_norm(a, measure: QuantumMeasure, p):
     """
     a = as_matrices(a)
     p = check_p(p)
-    if a.shape[-1] != measure.dim:
-        raise DimensionMismatchError(
-            f"matrix dim {a.shape[-1]} does not match state dim {measure.dim}"
-        )
     if math.isinf(p):
+        check_dim(a.shape[-1], measure)
         return schatten_norm(a, math.inf)
     return schatten_norm(tau_conjugate(a, measure, p), p)
 
@@ -160,14 +164,15 @@ def weighted_inner(a, b, measure: QuantumMeasure) -> complex:
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != measure.dim:
-        raise DimensionMismatchError("operands must match the state dimension")
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"operands of shapes {a.shape} and {b.shape} differ")
+    check_dim(a.shape[0], measure)
     half = measure.power(0.5)
     return complex(np.trace(half @ dagger(a) @ half @ b))
 
 
-def tau_conjugate(x, measure: QuantumMeasure, p, direction: str = "forward") -> np.ndarray:
-    """Sandwich X -> rho^(1/2p) X rho^(1/2p), or its inverse.
+def tau_conjugate(x, measure: QuantumMeasure, p, inverse: bool = False) -> np.ndarray:
+    """Sandwich X -> rho^(1/2p) X rho^(1/2p), or with inverse=True its inverse.
 
     The forward map carries the weighted p-norm isometrically onto the
     Schatten p-norm; forward followed by inverse is the identity.  A
@@ -175,10 +180,9 @@ def tau_conjugate(x, measure: QuantumMeasure, p, direction: str = "forward") -> 
     """
     x = as_matrices(x)
     p = check_p(p)
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    check_dim(x.shape[-1], measure)
     r = tau_exponent(p)
-    root = measure.power(-r if direction == "inverse" else r)
+    root = measure.power(-r if inverse else r)
     return root @ x @ root
 
 
@@ -214,9 +218,7 @@ def norm_scale_report(
     measure: QuantumMeasure, trials: int, seed: int, tol: float = DEFAULT_TOL
 ) -> NormScaleReport:
     """Sample matrices and record sign(norm_p - norm_q) over the exponent grid."""
-    trials = integer_value(trials, "trials")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = count_value(trials, "trials")
     samples = ginibre_stack(measure.dim, trials, seed)
     # one stack norm per exponent, one row per sample
     norms = {p: weighted_norm(samples, measure, p).tolist() for p in P_GRID}

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jsonio import integer_value
+from .jsonio import count_value
 from .linalg import (
     ABS_FLOOR,
     DEFAULT_TOL,
@@ -48,7 +48,7 @@ from .linalg import (
     threshold,
 )
 from .sampling import ginibre_stack
-from .spaces import QuantumMeasure, check_p, schatten_norm, tau_exponent, weighted_norm
+from .spaces import QuantumMeasure, check_dim, check_p, schatten_norm, tau_exponent, weighted_norm
 
 #: Relative cutoff for Choi-rank decisions: on the singular values in
 #: ``choi_rank``, on the pivot reading's Frobenius residual in
@@ -561,9 +561,7 @@ def positivity_check(
     positivity only: complete positivity is strictly stronger, and maps
     with a transposed part are positive without being completely positive.
     """
-    trials = integer_value(trials, "trials")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = count_value(trials, "trials")
     delta = _factor_positivity_defect(t.pivot_reading)
     if delta is not None and 2.0 * delta <= threshold(1.0, tol):
         return PositivityReport(True, delta, 0, 2.0 * delta, True)
@@ -609,6 +607,7 @@ def integrability_constant(
     occur at finite dimension, a degeneracy worth remembering when reading
     the verdicts.
     """
+    check_dim(t.dim, measure)
     report = positivity_check(t, trials=trials, seed=seed, tol=tol)
     if not report.positive:
         decided = f"defect {report.defect:.3e}" if report.hermitian else f"star defect {report.star_defect:.3e}"
@@ -664,9 +663,7 @@ def isometry_check(
     product.  No other p forms a Gram matrix, so the trial count and worst
     defect are reported alongside the verdict.
     """
-    trials = integer_value(trials, "trials")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = count_value(trials, "trials")
     p = check_p(p)
     n = t.dim
 
@@ -799,8 +796,7 @@ def weighted_isometry_transport(
     isometry.
     """
     p = check_p(p)
-    if v.dim != measure.dim:
-        raise DimensionMismatchError("map and state dimensions differ")
+    check_dim(v.dim, measure)
     r = tau_exponent(p)
     left, right = measure.power(r), measure.power(-r)
     if inverse:
@@ -815,45 +811,26 @@ class ImplementabilityReport:
     """Outcome of the unital + positive + onto-isometry route.
 
     Every failure mode is an entry here, never an exception: a negative
-    verdict is a successful run.  ``jordan`` carries the implementing Jordan
-    automorphism when the map is implementable, in canonical form.  The
-    fields past ``failure`` are None for the stages the check did not reach;
-    ``star_defect`` is set only when the map was refused for not preserving
-    Hermiticity (``PositivityReport.hermitian``).
+    verdict is a successful run.  ``defects`` holds each reached stage's
+    defect once, in stage order: ``unitality``, ``positivity``, ``star``
+    (only when the map was refused for not preserving Hermiticity,
+    ``PositivityReport.hermitian``), ``isometry`` (the sampled relative
+    defect), then ``w_phase``, ``scale`` and ``jordan_match`` once the
+    transport decomposes.  ``isometry`` and ``decomposition`` are None for
+    the stages the check did not reach; ``jordan`` carries the implementing
+    Jordan automorphism when the map is implementable, in canonical form.
     """
 
-    unitality_defect: float
     failure: str | None
+    defects: dict[str, float]
     jordan: SuperOperator | None = None
     kind: str | None = None
-    positivity_defect: float | None = None
-    star_defect: float | None = None
     isometry: IsometryCheck | None = None
     decomposition: LampertiDecomposition | None = None
-    w_phase_defect: float | None = None
-    scale_defect: float | None = None
-    match_defect: float | None = None
 
     @property
     def implementable(self) -> bool:
         return self.failure is None
-
-    @property
-    def defects(self) -> dict[str, float]:
-        out = {"unitality": self.unitality_defect}
-        if self.positivity_defect is not None:
-            out["positivity"] = self.positivity_defect
-        if self.star_defect is not None:
-            out["star"] = self.star_defect
-        if self.isometry is not None:
-            out["isometry"] = self.isometry.max_rel_defect
-        if self.w_phase_defect is not None:
-            out["w_phase"] = self.w_phase_defect
-        if self.scale_defect is not None:
-            out["scale"] = self.scale_defect
-        if self.match_defect is not None:
-            out["jordan_match"] = self.match_defect
-        return out
 
 
 def implementability_check(
@@ -870,51 +847,43 @@ def implementability_check(
     onto-isometry for the weighted p-norm; then transports to the tracial
     space, decomposes (which demands scale = 1), and demands
     W = phase * identity and V = J on a spanning set.  All hypotheses are
-    verified, none assumed.
+    verified, none assumed; a map of another size than the state is
+    refused (DimensionMismatchError) before any stage.
     """
     p = check_p(p)
-    trials = integer_value(trials, "trials")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = count_value(trials, "trials")
+    check_dim(v.dim, measure)
     n = v.dim
-    unitality_defect = float(np.linalg.norm(v.apply(np.eye(n)) - np.eye(n)))
-    if unitality_defect > threshold(math.sqrt(n), tol):
-        return ImplementabilityReport(unitality_defect, "unitality")
+    defects = {"unitality": float(np.linalg.norm(v.apply(np.eye(n)) - np.eye(n)))}
+    if defects["unitality"] > threshold(math.sqrt(n), tol):
+        return ImplementabilityReport("unitality", defects)
     pos = positivity_check(v, trials=trials, seed=seed, tol=tol)
+    defects["positivity"] = pos.defect
     if not pos.positive:
-        star = None if pos.hermitian else pos.star_defect
-        return ImplementabilityReport(unitality_defect, "positivity", positivity_defect=pos.defect, star_defect=star)
+        if not pos.hermitian:
+            defects["star"] = pos.star_defect
+        return ImplementabilityReport("positivity", defects)
     iso = isometry_check(v, measure, p, trials=trials, seed=seed, tol=tol)
+    defects["isometry"] = iso.max_rel_defect
     if not iso.is_isometry or not iso.onto:
-        stage = "onto" if not iso.onto else "isometry"
-        return ImplementabilityReport(
-            unitality_defect, stage, positivity_defect=pos.defect, isometry=iso
-        )
+        return ImplementabilityReport("onto" if not iso.onto else "isometry", defects, isometry=iso)
     transported = weighted_isometry_transport(v, measure, p)
     try:
         dec = lamperti_decompose(transported, p, tol=tol)
     except NotDecomposableError as exc:
-        return ImplementabilityReport(
-            unitality_defect, f"decomposition: {exc.reason}", positivity_defect=pos.defect, isometry=iso
-        )
+        return ImplementabilityReport(f"decomposition: {exc.reason}", defects, isometry=iso)
     tr = complex(np.trace(dec.w))
     phase = tr / abs(tr) if abs(tr) > 0 else 1.0
-    w_phase_defect = float(np.linalg.norm(dec.w - phase * np.eye(n)))
-    scale_defect = abs(dec.scale - 1.0)
-    match_defect = _max_column_norm(v.matrix - dec.canonical.matrix)
-    common = dict(
-        positivity_defect=pos.defect,
-        isometry=iso,
-        decomposition=dec,
-        w_phase_defect=w_phase_defect,
-        scale_defect=scale_defect,
-        match_defect=match_defect,
+    defects["w_phase"] = float(np.linalg.norm(dec.w - phase * np.eye(n)))
+    defects["scale"] = abs(dec.scale - 1.0)
+    defects["jordan_match"] = _max_column_norm(v.matrix - dec.canonical.matrix)
+    if defects["w_phase"] > threshold(math.sqrt(n), tol):
+        return ImplementabilityReport("w_not_phase", defects, isometry=iso, decomposition=dec)
+    if defects["jordan_match"] > threshold(1.0, tol):
+        return ImplementabilityReport("jordan_match", defects, isometry=iso, decomposition=dec)
+    return ImplementabilityReport(
+        None, defects, jordan=dec.canonical, kind=dec.kind, isometry=iso, decomposition=dec
     )
-    if w_phase_defect > threshold(math.sqrt(n), tol):
-        return ImplementabilityReport(unitality_defect, "w_not_phase", **common)
-    if match_defect > threshold(1.0, tol):
-        return ImplementabilityReport(unitality_defect, "jordan_match", **common)
-    return ImplementabilityReport(unitality_defect, None, jordan=dec.canonical, kind=dec.kind, **common)
 
 
 @dataclass(frozen=True)
@@ -951,9 +920,9 @@ def change_of_representation_demo(
     that state, which holds automatically at the uniform state.
     """
     u = as_matrix(u)
-    t_steps = integer_value(t_steps, "t_steps")
-    if t_steps < 1:
-        raise ValueError("t_steps must be >= 1")
+    t_steps = count_value(t_steps, "t_steps")
+    check_dim(u.shape[0], measure)
+    check_dim(lam.dim, measure)
     refusal = "change of representation is not a Jordan automorphism"
     check = jordan_check(lam, tol=tol)
     if not check.is_jordan:

@@ -13,7 +13,7 @@ import pytest
 
 from nclp import superop
 from nclp.cli import COMMANDS, main
-from nclp.jsonio import dumps, matrix_to_json, superop_to_json
+from nclp.jsonio import SchemaError, count_value, dumps, integer_value, matrix_to_json, real_value, superop_to_json
 from nclp.sampling import random_density, random_unitary, rng_from
 from nclp.spaces import QuantumMeasure
 from nclp.superop import SuperOperator
@@ -404,6 +404,11 @@ NOT_UNITAL = payload({
     "p": 2,
 })
 
+#: the negated identity on 3 x 3 matrices, with a 2 x 2 state: not
+#: positive, not unital and not Jordan, so three subcommands answered "no"
+NEGATED_3 = superop_to_json(SuperOperator(3, -np.eye(9)))
+RHO_2 = {"matrix": [[0.5, 0], [0, 0.5]]}
+
 #: inputs that must exit 2 with empty stdout and one error line on stderr
 USAGE_ERRORS = {
     "p-null": ["norm", "--input", payload({"A": {"matrix": [[1]]}, "p": None})],
@@ -449,6 +454,12 @@ USAGE_ERRORS = {
     # the write to an --out path in a missing directory printed a traceback
     # and exited 1, the code of a genuine "no"
     "out-unwritable": ["norm", "--input", payload({"A": {"matrix": [[1, 0], [0, 1]]}, "p": 2}), "--out", "missing/x.json"],
+    # a map of another size than rho exited 1, a genuine "no", here
+    "size-integrability": ["integrability", "--input", payload({"T": NEGATED_3, "rho": RHO_2})],
+    "size-implementable": ["implementable", "--input", payload({"V": NEGATED_3, "rho": RHO_2, "p": 2})],
+    "size-change-rep": ["change-rep", "--input", payload({
+        "U": {"matrix": np.eye(3).tolist()}, "Lambda": NEGATED_3, "rho": RHO_2, "t_steps": 1,
+    })],
 }
 
 
@@ -489,6 +500,71 @@ def test_a_point_map_reads_each_image_once(monkeypatch, images, message):
         jsonio.point_map_from_json({"n": 2, "map": images})
     assert refused.value.field == "map"
     assert str(refused.value) == f"field 'map': {message}"
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2], [3]], [[1, 2]], [[1, math.nan], [0, 1]]], ids=["ragged", "not-square", "nan"])
+def test_a_malformed_matrix_is_refused_by_its_field(capsys, matrix):
+    # a ragged matrix exited 2 with numpy's message, which named no field
+    code, out, err = run_cli(capsys, "norm", "--input", payload({"A": matrix, "p": 1}))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: field 'A': ") and len(err.splitlines()) == 1
+
+
+def _integer_rule_before_its_int_fast_path(value, name):
+    # every value went through real_value, an int included
+    if real_value(value, name) % 1:
+        raise SchemaError(name, f"must be an integer, got {value!r}")
+    return int(value)
+
+
+@pytest.mark.parametrize("value", [3, -2, 2**60 + 1, True, np.int64(3), 3.0, 2.5, "3", None], ids=repr)
+def test_integer_value_keeps_its_rule(value):
+    try:
+        expected = _integer_rule_before_its_int_fast_path(value, "k")
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as refused:
+            integer_value(value, "k")
+        assert str(refused.value) == str(exc)
+    else:
+        read = integer_value(value, "k")
+        assert type(read) is int and read == expected
+
+
+def test_count_value_refuses_counts_below_one():
+    assert count_value(1, "trials") == 1 and count_value(2.0, "trials") == 2
+    for bad in (0, -1, 0.0):
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            count_value(bad, "trials")
+    with pytest.raises(SchemaError, match="must be an integer"):
+        count_value(1.5, "trials")
+
+
+def test_a_measure_space_reads_each_mass_once(monkeypatch):
+    # the masses were read by real_value in jsonio and then again in
+    # FiniteMeasureSpace; a refusal names field 'mu' once
+    from nclp import classical, jsonio
+
+    reads = {"jsonio": 0, "classical": 0}
+
+    def counted(module):
+        original = module.real_value
+
+        def read(value, name):
+            reads[module.__name__.rsplit(".", 1)[1]] += 1
+            return original(value, name)
+
+        monkeypatch.setattr(module, "real_value", read)
+
+    # classical first: the first read of its attribute may load it, and it
+    # must bind jsonio's own reader, not the counted one
+    counted(classical)
+    counted(jsonio)
+    assert jsonio.measure_space_from_json({"mu": [0.5, 2]}).weights.tolist() == [0.5, 2.0]
+    assert reads == {"jsonio": 0, "classical": 2}
+    with pytest.raises(jsonio.SchemaError) as refused:
+        jsonio.measure_space_from_json({"mu": [True, 1.0]})
+    assert refused.value.field == "mu"
+    assert str(refused.value) == "field 'mu': must be a real number, got True"
 
 
 @pytest.mark.parametrize("field", ["N", "f", "t"])

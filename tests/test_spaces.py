@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nclp.linalg import DEFAULT_TOL, DensityMatrix, frac_power, psd_leq, threshold
+from nclp.linalg import DEFAULT_TOL, DensityMatrix, DimensionMismatchError, frac_power, psd_leq, threshold
 from nclp.sampling import ginibre, random_density, random_unitary, rng_from
 from nclp.spaces import (
     P_GRID,
@@ -200,17 +200,28 @@ def test_tau_round_trip_and_isometry():
         m = QuantumMeasure(random_density(n, rng))
         x = ginibre(n, rng)
         p = (1.0, 2.0, 3.0)[trial % 3]
-        forward = tau_conjugate(x, m, p, "forward")
-        back = tau_conjugate(forward, m, p, "inverse")
+        forward = tau_conjugate(x, m, p)
+        back = tau_conjugate(forward, m, p, inverse=True)
         assert np.linalg.norm(back - x) <= 1e-9 * np.linalg.norm(x)
         wn = weighted_norm(x, m, p)
         assert abs(schatten_norm(forward, p) - wn) <= 1e-9 * wn
 
 
-def test_tau_direction_validation():
+def test_a_matrix_of_another_dimension_is_refused_by_every_weighted_reader():
+    # tau_conjugate raised numpy's matmul error here, where weighted_norm
+    # named both dimensions
     m = maximally_mixed(2)
-    with pytest.raises(ValueError, match="direction"):
-        tau_conjugate(np.eye(2), m, 2.0, "sideways")
+    refusal = "^matrix dim 3 does not match state dim 2$"
+    for p in (2.0, math.inf):
+        for inverse in (False, True):
+            with pytest.raises(DimensionMismatchError, match=refusal):
+                tau_conjugate(np.eye(3), m, p, inverse=inverse)
+        with pytest.raises(DimensionMismatchError, match=refusal):
+            weighted_norm(np.eye(3), m, p)
+    with pytest.raises(DimensionMismatchError, match=refusal):
+        weighted_inner(np.eye(3), np.eye(3), m)
+    with pytest.raises(DimensionMismatchError, match="differ"):
+        weighted_inner(np.eye(2), np.eye(3), m)
 
 
 def test_integrability_identity():

@@ -738,7 +738,7 @@ def test_star_refusals_name_the_star_defect():
     verdict = implementability_check(commutator, maximally_mixed(n), 2.0)
     assert verdict.failure == "positivity"
     assert verdict.defects == {
-        "unitality": verdict.unitality_defect,
+        "unitality": verdict.defects["unitality"],
         "positivity": report.defect,
         "star": report.star_defect,
     }
@@ -1120,6 +1120,25 @@ def test_lamperti_trace_condition_on_positive_samples():
             assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
 
 
+def test_a_map_of_another_size_than_the_state_is_refused_before_any_stage():
+    # integrability_constant, implementability_check and the change of
+    # representation answered "no" for the negated identity on 3 x 3
+    # matrices against a 2 x 2 state
+    negated, m = SuperOperator(3, -np.eye(9)), maximally_mixed(2)
+    refusal = "^matrix dim 3 does not match state dim 2$"
+    calls = (
+        lambda: integrability_constant(negated, m),
+        lambda: implementability_check(negated, m, 2.0),
+        lambda: weighted_isometry_transport(negated, m, 2.0),
+        lambda: change_of_representation_demo(np.eye(3), negated, m, 1),
+        lambda: change_of_representation_demo(np.eye(3), SuperOperator.identity(2), m, 1),
+        lambda: change_of_representation_demo(np.eye(2), negated, m, 1),
+    )
+    for call in calls:
+        with pytest.raises(DimensionMismatchError, match=refusal):
+            call()
+
+
 def test_transport_is_identity_for_uniform_state():
     m = maximally_mixed(3)
     v = SuperOperator(3, ginibre(9, rng_from(24)))
@@ -1187,7 +1206,7 @@ def test_implementability_commuting_conjugation():
     report = implementability_check(SuperOperator.ad_unitary(u), m, 2.0)
     assert report.implementable
     assert report.kind == KIND_ISO
-    assert report.match_defect < 1e-8
+    assert report.defects["jordan_match"] < 1e-8
     assert report.jordan is not None
 
 
@@ -1206,9 +1225,9 @@ def test_implementability_scalar_expectation_not_onto():
     assert report.failure == "onto"
 
 
-def test_implementability_fails_the_jordan_match_within_its_window():
-    # V = tau^-1 o Ad(U) o tau for a rotation U of two nearly equal
-    # eigenvectors of rho: unital within tolerance, yet V is not Ad(U)
+def _jordan_match_fixture():
+    """V = tau^-1 o Ad(U) o tau at p = 1 for a rotation U of two nearly equal
+    eigenvectors of rho: unital within tolerance, yet V is not Ad(U)."""
     n = 16
     u = np.eye(n, dtype=complex)
     c, s = math.cos(0.7), math.sin(0.7)
@@ -1216,13 +1235,43 @@ def test_implementability_fails_the_jordan_match_within_its_window():
     lam = np.linspace(1.0, 2.0, n)
     lam[1] = lam[0] * (1.0 + 10.0**-8.6)
     m = QuantumMeasure(np.diag(lam / lam.sum()).astype(complex))
-    v = weighted_isometry_transport(SuperOperator.ad_unitary(u), m, 1.0, inverse=True)
+    return weighted_isometry_transport(SuperOperator.ad_unitary(u), m, 1.0, inverse=True), m, 1.0
+
+
+def _stage_fixture(stage):
+    """(map, state, p) of a map whose implementability check ends at ``stage``."""
+    if stage == "jordan_match":
+        return _jordan_match_fixture()
+    n, eps = 3, 1e-6
+    rng = rng_from(58)
+    m = maximally_mixed(n)
+    e = hermitian_part(ginibre(n, rng))
+    e /= np.linalg.norm(e)
+    h = np.triu(rng.standard_normal((n, n)), 1)
+    fixtures = {
+        None: lambda: SuperOperator.ad_unitary(random_unitary(n, rng)),
+        "unitality": lambda: SuperOperator.ad_unitary(random_unitary(n, rng)).scaled(2.0),
+        # X -> (2 tr X / n) 1 - X preserves Hermiticity; X -> X + eps [E, X] does not
+        "positivity": lambda: _from_apply(n, lambda x: 2.0 * np.trace(x) / n * np.eye(n) - x),
+        "positivity-star": lambda: _from_apply(n, lambda x: x + eps * (e @ x - x @ e)),
+        "onto": lambda: _from_apply(n, lambda x: np.trace(x) / n * np.eye(n)),
+        "isometry": lambda: _from_apply(n, lambda x: (x + np.trace(x) / n * np.eye(n)) / 2.0),
+        # the Schur multiplier by 1 + i eps (h - h^T): positive and an L^2
+        # isometry to within eps^2, yet eps away from every Jordan map
+        "decomposition": lambda: SuperOperator(n, np.diag(vec(np.ones((n, n)) + 1j * eps * (h - h.T)))),
+    }
+    return fixtures[stage](), m, 2.0
+
+
+def test_implementability_fails_the_jordan_match_within_its_window():
+    v, m, p = _jordan_match_fixture()
+    n = v.dim
     for seed in range(3):
-        report = implementability_check(v, m, 1.0, seed=seed)
+        report = implementability_check(v, m, p, seed=seed)
         assert report.failure == "jordan_match"
         assert report.decomposition is not None and report.jordan is None
-        assert 2e-9 < report.unitality_defect <= threshold(math.sqrt(n))
-        assert threshold(1.0) < report.match_defect < 2e-9
+        assert 2e-9 < report.defects["unitality"] <= threshold(math.sqrt(n))
+        assert threshold(1.0) < report.defects["jordan_match"] < 2e-9
 
 
 def test_implementability_defect_report_is_structured():
@@ -1233,6 +1282,40 @@ def test_implementability_defect_report_is_structured():
     defects = report.defects
     assert set(defects) >= {"unitality", "positivity", "isometry"}
     assert all(isinstance(value, float) for value in defects.values())
+
+
+#: (fixture, failure, defects reached) of each way the check ends
+STAGE_CASES = [
+    (None, None, "unitality positivity isometry w_phase scale jordan_match"),
+    ("unitality", "unitality", "unitality"),
+    ("positivity", "positivity", "unitality positivity"),
+    ("positivity-star", "positivity", "unitality positivity star"),
+    ("onto", "onto", "unitality positivity isometry"),
+    ("isometry", "isometry", "unitality positivity isometry"),
+    ("decomposition", "decomposition: ", "unitality positivity isometry"),
+    ("jordan_match", "jordan_match", "unitality positivity isometry w_phase scale jordan_match"),
+]
+
+
+@pytest.mark.parametrize("stage, failure, reached", STAGE_CASES, ids=[c[0] or "implementable" for c in STAGE_CASES])
+def test_the_defects_table_holds_each_reached_stage_once_in_order(stage, failure, reached):
+    v, m, p = _stage_fixture(stage)
+    report = implementability_check(v, m, p)
+    if failure is None or not failure.endswith(": "):
+        assert report.failure == failure
+    else:
+        assert report.failure.startswith(failure)
+    assert list(report.defects) == reached.split()
+    assert all(type(value) is float for value in report.defects.values())
+    assert (report.jordan is None, report.kind is None) == (failure is not None,) * 2
+    if report.isometry is None:
+        assert "isometry" not in report.defects
+    else:
+        assert report.defects["isometry"] == report.isometry.max_rel_defect
+    if report.decomposition is None:
+        assert "scale" not in report.defects
+    else:
+        assert report.defects["scale"] == abs(report.decomposition.scale - 1.0)
 
 
 def test_implementability_accept_path_takes_no_n2_svd_and_one_transport(monkeypatch):
@@ -1358,7 +1441,7 @@ def test_whole_matrix_defects_match_matrix_unit_loops():
     canonical = canonical_jordan(dec.kind, dec.implementing_unitary)
     t = weighted_isometry_transport(v, m, 2.0)
     expected = (
-        (report.match_defect, lambda e: v.apply(e) - canonical.apply(e)),
+        (report.defects["jordan_match"], lambda e: v.apply(e) - canonical.apply(e)),
         (dec.residual, lambda e: t.apply(e) - dec.scale * dec.w @ canonical.apply(e)),
         (jordan_classify(dec.jordan).residual, lambda e: dec.jordan.apply(e) - canonical.apply(e)),
     )
