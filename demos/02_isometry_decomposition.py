@@ -18,8 +18,6 @@ from nclp.superop import (
     NotDecomposableError,
     SuperOperator,
     canonical_jordan,
-    choi,
-    choi_rank,
     isometry_check,
     lamperti_decompose,
     phase_distance,
@@ -32,12 +30,12 @@ u0 = random_unitary(n, rng)
 
 print("Choi-rank fingerprints: a conjugation has a rank-one Choi matrix,")
 print("a transposed conjugation acquires rank one only after composing with")
-print("the transpose:")
+print("the transpose (the distance of each Choi matrix from its rank-one")
+print("reading through the pivot, relative to its norm; inf when far):")
 for kind in (KIND_ISO, KIND_ANTI):
     j = canonical_jordan(kind, u0)
-    plain = choi_rank(choi(j))
-    flipped = choi_rank(choi(j @ SuperOperator.transpose_map(n)))
-    print(f"  {kind:<22} rank(choi) = {plain:<3} rank(choi o transpose) = {flipped}")
+    plain, flipped = (e / np.linalg.norm(j.matrix) for _, _, e in j.pivot_reading)
+    print(f"  {kind:<22} choi: {plain:.1e}  choi o transpose: {flipped:.1e}")
 
 print("\nhide each Jordan kind behind a unitary left factor and decompose:")
 for kind in (KIND_ISO, KIND_ANTI):

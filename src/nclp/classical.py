@@ -51,25 +51,16 @@ class PointMap:
     def __post_init__(self):
         if np.ndim(self.images) != 1 or len(self.images) == 0:
             raise ValueError("images must be a nonempty 1-d integer array")
-        s = np.array([integer_value(i, "images") for i in self.images], dtype=int)
-        if np.any(s < 0) or np.any(s >= s.size):
+        # the range is checked on the ints as read, so that an image beyond
+        # int64 is refused like any other out-of-range one
+        s = [integer_value(i, "images") for i in self.images]
+        if min(s) < 0 or max(s) >= len(s):
             raise ValueError("images must lie in [0, n)")
-        object.__setattr__(self, "images", s)
+        object.__setattr__(self, "images", np.array(s, dtype=int))
 
     @property
     def n(self) -> int:
         return self.images.size
-
-    def preservation_defect(self, space: FiniteMeasureSpace) -> float:
-        """max_j |pushforward mass of j - mu_j|; zero iff measure preserving."""
-        if space.n != self.n:
-            raise ValueError("point map and measure space sizes differ")
-        pushed = np.zeros(self.n)
-        np.add.at(pushed, self.images, space.weights)
-        return float(np.max(np.abs(pushed - space.weights)))
-
-    def is_measure_preserving(self, space: FiniteMeasureSpace, tol: float = DEFAULT_TOL) -> bool:
-        return self.preservation_defect(space) <= threshold(float(np.max(space.weights)), tol)
 
 
 def koopman_of(s: PointMap) -> np.ndarray:

@@ -25,6 +25,11 @@ if TYPE_CHECKING:
     from .classical import FiniteMeasureSpace, PointMap
     from .superop import LampertiDecomposition, SuperOperator
 
+#: The largest count ``count_value`` accepts: sampled checks and change-rep
+#: steps run once per unit, and at this bound a sample of n = 32 states
+#: takes about 164 MB.
+MAX_COUNT = 10_000
+
 
 class SchemaError(ValueError):
     """Input does not match the expected schema; ``field`` names the culprit."""
@@ -50,18 +55,23 @@ def integer_field(obj: dict, field: str) -> int:
 
 def real_value(value, name: str) -> float:
     """``value`` as a float, refusing bools, strings and anything else that is
-    not a real number rather than casting."""
+    not a real number rather than casting, and an integer beyond the float
+    range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise SchemaError(name, f"must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(name, "must be a real number within the float range") from None
 
 
 def integer_value(value, name: str) -> int:
     """``value`` as an int, refusing fractions as well as what ``real_value``
-    refuses.  A value whose type is ``int`` passes through unchanged, so a
-    value read once, as ``mpc.run_experiment`` reads N, t and s0, costs no
-    second reading in each layer below."""
-    if type(value) is int:
+    refuses.  A value whose type is ``int`` and that fits in int64 passes
+    through unchanged, so a value read once, as ``mpc.run_experiment`` reads
+    N, t and s0, costs no second reading in each layer below; a larger int
+    takes ``real_value``'s path, which refuses one beyond the float range."""
+    if type(value) is int and -(2**63) <= value < 2**63:
         return value
     if real_value(value, name) % 1:
         raise SchemaError(name, f"must be an integer, got {value!r}")
@@ -69,11 +79,14 @@ def integer_value(value, name: str) -> int:
 
 
 def count_value(value, name: str) -> int:
-    """``value`` as a count, an int >= 1 by ``integer_value``'s rule; a
-    smaller one raises ValueError("<name> must be >= 1")."""
+    """``value`` as a count, an int in [1, MAX_COUNT] by ``integer_value``'s
+    rule; one outside raises ValueError("<name> must be >= 1") or
+    ValueError("<name> must be <= 10000")."""
     count = integer_value(value, name)
     if count < 1:
         raise ValueError(f"{name} must be >= 1")
+    if count > MAX_COUNT:
+        raise ValueError(f"{name} must be <= {MAX_COUNT}")
     return count
 
 

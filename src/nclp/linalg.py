@@ -103,9 +103,6 @@ class HermitianEig:
     eigenvectors: np.ndarray
     defect: float
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ dagger(self.eigenvectors)
-
     def power(self, r: float, tol: float = DEFAULT_TOL) -> np.ndarray:
         """P^r for the positive semidefinite P this decomposes.
 
@@ -146,18 +143,6 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL) -> HermitianEig:
     return HermitianEig(eigenvalues=w, eigenvectors=v, defect=defect)
 
 
-def matrix_abs(x, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Operator absolute value |X| = (X*X)^(1/2)."""
-    x = as_matrix(x)
-    return frac_power(dagger(x) @ x, 0.5, tol)
-
-
-def frac_power(p, r: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Fractional power P^r of a positive semidefinite matrix; see
-    ``HermitianEig.power``."""
-    return hermitian_eig(p, tol=tol).power(r, tol)
-
-
 def polar_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition A = U P with U unitary and P = |A| positive definite.
 
@@ -173,20 +158,6 @@ def polar_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     unitary = u @ vh
     positive = hermitian_part(dagger(vh) @ (s[:, None] * vh))
     return unitary, positive
-
-
-def psd_leq(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """Positive-semidefinite order: True iff B - A has no eigenvalue below -tol."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    for m in (a, b):
-        if hermiticity_defect(m) > threshold(frobenius(m), tol):
-            raise NonHermitianError("psd_leq requires Hermitian operands")
-    w = np.linalg.eigvalsh(hermitian_part(b - a))
-    scale = max(frobenius(a), frobenius(b))
-    return bool(w[0] >= -threshold(scale, tol))
 
 
 @dataclass(frozen=True)

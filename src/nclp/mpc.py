@@ -132,9 +132,6 @@ class SpectralFunction:
             raise ValueError(f"age {s} outside the tabulated range [{self.s_min}, {self.s_max}]")
         return float(self.values[s - self.s_min])
 
-    def ratio(self, numerator_age: int, denominator_age: int) -> float:
-        return self.value(numerator_age) / self.value(denominator_age)
-
     @classmethod
     def logistic(cls, half_width: int) -> "SpectralFunction":
         """The default 1 / (1 + e^s): strictly decreasing with concave log."""
@@ -379,11 +376,6 @@ class TruncatedKShift:
     def slot_ages(self) -> np.ndarray:
         """The age of each slot, -N-1..N (``_slot_ages``)."""
         return _slot_ages(self.sites)
-
-    @property
-    def ages(self) -> np.ndarray:
-        """age[mask] = max coordinate of the subset, -N-1 for the empty mask."""
-        return self.slot_ages[_slot_index(self.sites)]
 
     def shift_operator(self, t: int) -> WalshOperator:
         """U_t for t >= 0: subset S -> S + t where the image stays inside the

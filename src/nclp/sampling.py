@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, dagger, hermitian_part
+from .linalg import DensityMatrix, dagger
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -28,10 +28,6 @@ def ginibre_stack(n: int, k: int, rng) -> np.ndarray:
     order of k ``ginibre`` calls, so the stack equals theirs bit for bit."""
     x = rng_from(rng).standard_normal((k, 2, n, n))
     return x[:, 0] + 1j * x[:, 1]
-
-
-def random_hermitian(n: int, rng) -> np.ndarray:
-    return hermitian_part(ginibre(n, rng))
 
 
 def random_unitary(n: int, rng) -> np.ndarray:

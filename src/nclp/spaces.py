@@ -69,10 +69,10 @@ class QuantumMeasure:
     """A faithful state omega(X) = Tr(rho X), with cached powers of rho.
 
     rho is decomposed once, by the ``DensityMatrix`` that validates it; each
-    power rho^r is read from that decomposition, equal to
-    ``linalg.frac_power(rho, r, tol=self.tol)``, and cached read-only, since
-    every caller shares it.  Products of cached powers satisfy the exponent
-    semigroup law to rounding accuracy.
+    power rho^r is read from that decomposition by ``HermitianEig.power`` at
+    ``self.tol``, and cached read-only, since every caller shares it.
+    Products of cached powers satisfy the exponent semigroup law to rounding
+    accuracy.
     A plain matrix is validated as ``DensityMatrix(rho)``, at the default
     tolerance; pass a ``DensityMatrix`` to choose another.
     """

@@ -50,11 +50,10 @@ from .linalg import (
 from .sampling import ginibre_stack
 from .spaces import QuantumMeasure, check_dim, check_p, schatten_norm, tau_exponent, weighted_norm
 
-#: Relative cutoff for Choi-rank decisions: on the singular values in
-#: ``choi_rank``, on the pivot reading's Frobenius residual in
-#: ``jordan_classify``.  The invertibility rule takes no cutoff: the Choi
-#: certificate's residual enters the bounds it returns, and otherwise the
-#: singular values decide.
+#: Relative cutoff for Choi-rank decisions, on the pivot reading's
+#: Frobenius residual in ``jordan_classify``.  The invertibility rule takes
+#: no cutoff: the Choi certificate's residual enters the bounds it returns,
+#: and otherwise the singular values decide.
 CHOI_RANK_RTOL = 1e-8
 
 KIND_ISO = "star_isomorphism"
@@ -383,13 +382,6 @@ def choi(t: SuperOperator) -> np.ndarray:
     return _images(t).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
 
-def choi_rank(c: np.ndarray) -> int:
-    s = np.linalg.svd(np.asarray(c, dtype=complex), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > CHOI_RANK_RTOL * s[0]))
-
-
 def _square_defects(j: SuperOperator, i: np.ndarray, k: np.ndarray) -> np.ndarray:
     """||J(A^2) - J(A)^2||_F over the Hermitian spanning set, in order: E_ii,
     then for each pair (i, k) of ``np.triu_indices`` the symmetric
@@ -484,9 +476,10 @@ def jordan_classify(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanClassif
     test costs O(n^4) and takes no SVD: J's ``pivot_reading`` gives each
     kind's residual e from the rank-one Choi matrix through the pivot of M,
     and the kind reads as rank one when e <= CHOI_RANK_RTOL * ||M||_F
-    (||M||_F = ||C||_F).  It agrees with ``choi_rank(C) == 1`` except for
-    spectra within a small factor of the cutoff.  Only for that kind is
-    the Choi matrix built, and the implementing unitary is read off its top
+    (||M||_F = ||C||_F).  It agrees with the SVD rank test (one singular
+    value of C above CHOI_RANK_RTOL times the largest) except for spectra
+    within a small factor of the cutoff.  Only for that kind is the Choi
+    matrix built, and the implementing unitary is read off its top
     eigenvector, rescaled to unitarity and phase-fixed.  Raises
     NotClassifiableError when neither kind reads as rank one, which signals
     a map that is not Jordan (or a center that is not trivial, out of scope
@@ -704,7 +697,6 @@ class LampertiDecomposition:
 
     w: np.ndarray
     scale: float
-    jordan: SuperOperator
     kind: str
     implementing_unitary: np.ndarray
     residual: float
@@ -775,7 +767,6 @@ def lamperti_decompose(t: SuperOperator, p, tol: float = DEFAULT_TOL) -> Lampert
     return LampertiDecomposition(
         w=w_factor,
         scale=scale,
-        jordan=jordan,
         kind=classification.kind,
         implementing_unitary=classification.unitary,
         residual=residual,

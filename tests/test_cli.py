@@ -13,7 +13,7 @@ import pytest
 
 from nclp import superop
 from nclp.cli import COMMANDS, main
-from nclp.jsonio import SchemaError, count_value, dumps, integer_value, matrix_to_json, real_value, superop_to_json
+from nclp.jsonio import MAX_COUNT, SchemaError, count_value, dumps, integer_value, matrix_to_json, real_value, superop_to_json
 from nclp.sampling import random_density, random_unitary, rng_from
 from nclp.spaces import QuantumMeasure
 from nclp.superop import SuperOperator
@@ -409,6 +409,9 @@ NOT_UNITAL = payload({
 NEGATED_3 = superop_to_json(SuperOperator(3, -np.eye(9)))
 RHO_2 = {"matrix": [[0.5, 0], [0, 0.5]]}
 
+#: an integer beyond int64 and the float range
+HUGE = 10**400
+
 #: inputs that must exit 2 with empty stdout and one error line on stderr
 USAGE_ERRORS = {
     "p-null": ["norm", "--input", payload({"A": {"matrix": [[1]]}, "p": None})],
@@ -460,6 +463,17 @@ USAGE_ERRORS = {
     "size-change-rep": ["change-rep", "--input", payload({
         "U": {"matrix": np.eye(3).tolist()}, "Lambda": NEGATED_3, "rho": RHO_2, "t_steps": 1,
     })],
+    # an integer beyond the float or int64 range printed an OverflowError
+    # traceback and exited 1, the code of a genuine "no"
+    "map-overflow": ["classical", "koopman", "--input", payload({"map": [HUGE, 0]})],
+    "entry-overflow": ["norm", "--input", payload({"A": {"matrix": [[HUGE]]}, "p": 1})],
+    "p-overflow": ["norm", "--input", payload({"A": {"matrix": [[1]]}, "p": HUGE})],
+    "mass-overflow": ["classical", "fp", "--input", payload({"map": [1, 0], "mu": [HUGE, 1]})],
+    "t-overflow": ["mpc", "run", "--input", payload({"N": 2, "f": {"kind": "logistic"}, "t": HUGE})],
+    # a count had no upper bound: one implementability check per step ran
+    # for 10^9 steps, and 10^13 trials asked numpy for 582 TiB
+    "t_steps-above-bound": ["change-rep", "--input", change_rep_payload(10**9)],
+    "trials-above-bound": ["isometry", "--input", payload({"T": superop_to_json(SuperOperator.identity(2)), "p": 2}), "--trials", "10000000000000"],
 }
 
 
@@ -517,7 +531,11 @@ def _integer_rule_before_its_int_fast_path(value, name):
     return int(value)
 
 
-@pytest.mark.parametrize("value", [3, -2, 2**60 + 1, True, np.int64(3), 3.0, 2.5, "3", None], ids=repr)
+@pytest.mark.parametrize(
+    "value",
+    [3, -2, 2**60 + 1, 2**63, -(2**63) - 1, HUGE, True, np.int64(3), 3.0, 2.5, "3", None],
+    ids=lambda value: "10**400" if value is HUGE else repr(value),
+)
 def test_integer_value_keeps_its_rule(value):
     try:
         expected = _integer_rule_before_its_int_fast_path(value, "k")
@@ -534,6 +552,10 @@ def test_count_value_refuses_counts_below_one():
     assert count_value(1, "trials") == 1 and count_value(2.0, "trials") == 2
     for bad in (0, -1, 0.0):
         with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            count_value(bad, "trials")
+    assert count_value(MAX_COUNT, "trials") == MAX_COUNT == 10_000
+    for bad in (MAX_COUNT + 1, 10**13, 1e13):
+        with pytest.raises(ValueError, match="^trials must be <= 10000$"):
             count_value(bad, "trials")
     with pytest.raises(SchemaError, match="must be an integer"):
         count_value(1.5, "trials")

@@ -1,7 +1,9 @@
-"""The package depends on the standard library and numpy alone, and its base
-modules import nothing above them."""
+"""The package depends on the standard library and numpy alone, its base
+modules import nothing above them, and each of its public names has a
+reader outside the tests."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -84,3 +86,38 @@ def test_the_base_modules_import_nothing_above_them():
     ]
     assert not upward, upward
 
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _read_names(tree):
+    """Every name a module reads: its ``Name`` and ``Attribute`` nodes and
+    each part of the names it imports; strings, docstrings among them, are
+    not read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield from alias.name.split(".")
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    # a public def or class that only the tests run leaves the package
+    package = sorted((ROOT / "src" / "nclp").glob("*.py"))
+    readers = package + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    read = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    for path in readers:
+        read.update(_read_names(ast.parse(path.read_text(encoding="utf-8"))))
+    unread = [
+        f"{path.stem}.{node.name}"
+        for path in package
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+    assert not unread, unread

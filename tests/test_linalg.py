@@ -10,14 +10,13 @@ from nclp.linalg import (
     NonHermitianError,
     SingularInputError,
     SingularPowerError,
-    frac_power,
+    dagger,
     hermitian_eig,
+    hermitian_part,
     invertible,
-    matrix_abs,
     polar_decompose,
-    psd_leq,
 )
-from nclp.sampling import ginibre, random_hermitian, random_unitary, rng_from
+from nclp.sampling import ginibre, random_unitary, rng_from
 
 
 def test_hermitian_eig_identity():
@@ -35,10 +34,10 @@ def test_hermitian_eig_sorts_ascending():
 def test_hermitian_eig_reconstruction(n):
     rng = rng_from(10 + n)
     for _ in range(20):
-        m = random_hermitian(n, rng)
+        m = hermitian_part(ginibre(n, rng))
         eig = hermitian_eig(m)
-        assert np.linalg.norm(eig.reconstruct() - m) <= 1e-10 * np.linalg.norm(m)
         v = eig.eigenvectors
+        assert np.linalg.norm((v * eig.eigenvalues) @ dagger(v) - m) <= 1e-10 * np.linalg.norm(m)
         assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-12
 
 
@@ -53,65 +52,70 @@ def test_hermitian_eig_reports_defect():
     assert 0 < eig.defect < 1e-10
 
 
+# P^r and |X| = (X*X)^(1/2), both taken by HermitianEig.power, the one rule
+# for every power of a state
+
+
 def test_matrix_abs_strips_signs():
-    assert np.allclose(matrix_abs(np.diag([-1.0, 2.0])), np.diag([1.0, 2.0]))
+    x = np.diag([-1.0, 2.0])
+    assert np.allclose(hermitian_eig(dagger(x) @ x).power(0.5), np.diag([1.0, 2.0]))
 
 
 def test_matrix_abs_of_unitary_is_identity():
     u = random_unitary(4, rng_from(3))
-    assert np.allclose(matrix_abs(u), np.eye(4), atol=1e-12)
+    assert np.allclose(hermitian_eig(dagger(u) @ u).power(0.5), np.eye(4), atol=1e-12)
 
 
 def test_matrix_abs_nilpotent():
     x = np.array([[0.0, 3.0], [0.0, 0.0]])
     # X*X = diag(0, 9), so |X| = diag(0, 3)
-    assert np.allclose(matrix_abs(x), np.diag([0.0, 3.0]), atol=1e-12)
+    assert np.allclose(hermitian_eig(dagger(x) @ x).power(0.5), np.diag([0.0, 3.0]), atol=1e-12)
 
 
 def test_matrix_abs_idempotent_on_positives():
     rng = rng_from(4)
     g = ginibre(5, rng)
     p = g @ g.conj().T
-    assert np.allclose(matrix_abs(p), p, atol=1e-9 * np.linalg.norm(p))
+    assert np.allclose(hermitian_eig(dagger(p) @ p).power(0.5), p, atol=1e-9 * np.linalg.norm(p))
 
 
 def test_matrix_abs_squares_to_gram():
     rng = rng_from(5)
     x = ginibre(4, rng)
-    a = matrix_abs(x)
+    a = hermitian_eig(dagger(x) @ x).power(0.5)
     assert np.allclose(a @ a, x.conj().T @ x, atol=1e-9 * np.linalg.norm(x) ** 2)
 
 
 def test_frac_power_identity():
     for r in (-1.0, -0.5, 0.0, 0.25, 2.0):
-        assert np.allclose(frac_power(np.eye(3), r), np.eye(3))
+        assert np.allclose(hermitian_eig(np.eye(3)).power(r), np.eye(3))
 
 
 def test_frac_power_scalar_cases():
-    assert np.allclose(frac_power(np.diag([4.0, 9.0]), 0.5), np.diag([2.0, 3.0]))
-    assert np.allclose(frac_power(np.diag([0.5, 0.5]), -1.0), np.diag([2.0, 2.0]))
+    assert np.allclose(hermitian_eig(np.diag([4.0, 9.0])).power(0.5), np.diag([2.0, 3.0]))
+    assert np.allclose(hermitian_eig(np.diag([0.5, 0.5])).power(-1.0), np.diag([2.0, 2.0]))
 
 
 def test_frac_power_semigroup_law():
     rng = rng_from(6)
     g = ginibre(4, rng)
-    p = g @ g.conj().T + 0.5 * np.eye(4)
+    eig = hermitian_eig(g @ g.conj().T + 0.5 * np.eye(4))
     grid = (-1.0, -0.5, 0.25, 0.5, 1.0)
     for r in grid:
         for s in grid:
-            lhs = frac_power(p, r) @ frac_power(p, s)
-            rhs = frac_power(p, r + s)
+            lhs = eig.power(r) @ eig.power(s)
+            rhs = eig.power(r + s)
             assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
 
 def test_frac_power_rejects_negative_eigenvalues():
     with pytest.raises(NegativeEigenvalueError):
-        frac_power(np.diag([1.0, -0.5]), 0.5)
+        hermitian_eig(np.diag([1.0, -0.5])).power(0.5)
 
 
 def test_frac_power_rejects_singular_inverse():
     with pytest.raises(SingularPowerError):
-        frac_power(np.diag([1.0, 0.0]), -1.0)
+        hermitian_eig(np.diag([1.0, 0.0])).power(-1.0)
 
 
 def test_polar_of_unitary():
@@ -138,7 +142,7 @@ def test_polar_consistency_with_abs():
     a = ginibre(4, rng) + 2 * np.eye(4)
     w, p = polar_decompose(a)
     assert np.linalg.norm(w @ p - a) <= 1e-10 * np.linalg.norm(a)
-    assert np.allclose(p, matrix_abs(a), atol=1e-9 * np.linalg.norm(a))
+    assert np.allclose(p, hermitian_eig(dagger(a) @ a).power(0.5), atol=1e-9 * np.linalg.norm(a))
     assert np.allclose(w.conj().T @ w, np.eye(4), atol=1e-12)
 
 
@@ -185,37 +189,6 @@ def test_invertibility_boundary_in_every_consumer():
         else:
             with pytest.raises(SingularInputError):
                 DensityMatrix(rho)
-
-
-def test_psd_leq_basic():
-    z = np.zeros((2, 2))
-    assert psd_leq(z, np.eye(2))
-    assert not psd_leq(np.eye(2), z)
-    assert not psd_leq(np.diag([1.0, 3.0]), np.diag([2.0, 2.0]))
-
-
-def test_psd_leq_rejects_non_hermitian():
-    with pytest.raises(NonHermitianError):
-        psd_leq(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
-
-
-def test_psd_leq_partial_order_sampled():
-    rng = rng_from(11)
-    mats = []
-    for _ in range(6):
-        g = ginibre(3, rng)
-        mats.append(g @ g.conj().T)
-    for a in mats:
-        assert psd_leq(a, a)  # reflexive
-    for a in mats:
-        for b in mats:
-            if psd_leq(a, b) and psd_leq(b, a):
-                # antisymmetry up to tolerance
-                scale = max(np.linalg.norm(a), np.linalg.norm(b))
-                assert np.linalg.norm(a - b) <= 2e-8 * scale
-            for c in mats:
-                if psd_leq(a, b) and psd_leq(b, c):
-                    assert psd_leq(a, c, tol=1e-8)  # transitive with slack
 
 
 def test_density_matrix_validation():
