@@ -10,46 +10,29 @@ and the intertwined semigroup step W_t with W_t Lam = Lam U_t.
 The semigroup is doubly stochastic (decided exactly: the step is an XOR
 convolution, positive exactly when its kernel is nonnegative), but it is
 *not* the density evolution of any point transformation: its adjoint
-fails multiplicativity by a margin that a pair scan bounds from below; the
-scan pairs one subset per age with every subset, which meets every age
-triple that all pairs meet.  Only the degenerate choices -- constant f (no
-damping at all) or a coarse-graining projection -- restore or approach
-point-map form, and the coarse-grained variant is reported as an
-experiment, not asserted.
+fails multiplicativity by a margin that a pair scan bounds from below.
+Only the degenerate choices -- constant f (no damping at all) or a
+coarse-graining projection -- restore or approach point-map form, and the
+coarse-grained variant is reported as an experiment, not asserted.
+
+Each experiment below is one ``mpc.run_experiment``, the driver behind
+``nclp mpc run`` and acceptance criteria 7 and 8, at N = 3, t = 1; the
+test suite repeats the exact identities in rational arithmetic.
 """
 
 from nclp import mpc
 
-N, t = 3, 1
-shift = mpc.build_shift(N)
-f = mpc.SpectralFunction.logistic(N)
-u = shift.shift_operator(t)
-w, w1, w1t = (mpc.wt_build(shift, f, s) for s in (t, 1, 1 + t))
-print(f"window half-width {N}: {shift.dim} Walsh basis elements")
+EXPERIMENTS = (
+    ("logistic f", {"kind": "logistic"}),
+    ("control: constant f, no damping", {"kind": "constant"}),
+    ("coarse-graining experiment, s0 = 0", {"kind": "step", "s0": 0}),
+)
 
-print("\nexact operator identities (float route; the test suite repeats them")
-print("in exact rational arithmetic):")
-print(f"  age commutation defect      {mpc.commutation_check(u)}")
-print(f"  filtration projector defect {mpc.filtration_defect(shift)}")
-print(f"  intertwining defect         {mpc.intertwining_defect(w, mpc.lambda_build(shift, f), u)}")
-print(f"  semigroup law defect        {mpc.semigroup_defect(w1, w, w1t)}")
-print(f"  contraction violation       {mpc.contraction_violation(w)}")
-
-suite = mpc.stochasticity_suite(shift, f, t)
-print(f"\ndoubly stochastic on every density (domain fraction {suite.domain_fraction}):")
-print(f"  positivity {suite.positivity_defect}  mass {suite.mass_defect}  "
-      f"unitality {suite.unitality_defect}")
-
-verdict = mpc.mpc_implementability(shift, f, t)
-bound = mpc.multiplicativity_lower_bound(verdict.step)
-print(f"\nis the semigroup step induced by a point map?")
-print(f"  implementable = {verdict.implementable}")
-print(f"  multiplicativity defect {verdict.defect:.6f} >= pair-scan bound {bound:.6f}")
-
-plain = mpc.mpc_implementability(shift, mpc.SpectralFunction.constant(N), t)
-print(f"\ncontrol (constant f, no damping): implementable = {plain.implementable}, "
-      f"defect = {plain.defect}")
-
-coarse = mpc.coarse_grained_implementability(shift, s0=0, t=t)
-print(f"coarse-graining experiment (s0 = 0): defect = {coarse.defect:.6f} "
-      f"(reported, not asserted)")
+for i, (title, f) in enumerate(EXPERIMENTS):
+    if i:
+        print()
+    experiment = mpc.run_experiment({"N": 3, "t": 1, "f": f})
+    status = "asserted" if experiment.asserted else "reported, not asserted"
+    print(f"{title}: implementable = {experiment.implementable} ({status})")
+    for row in experiment.rows:
+        print(f"  {row.defect_name:32} {row.value:<12.6g} domain fraction {row.domain_fraction}")

@@ -3,12 +3,14 @@ tolerance, runnable from the test suite or from ``nclp selftest``.
 
 Every criterion is property-based at desk scale and fully seeded, so reruns
 are bit-reproducible.  A criterion returns a result object instead of
-raising, and ``run_all`` prints one pass/fail line per criterion.
+raising, and ``run_all`` prints one pass/fail line per criterion to stderr,
+so that the stdout of ``nclp selftest`` is its JSON report alone.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -378,5 +380,5 @@ def run_all() -> list[AcceptanceResult]:
         result = fn()
         results.append(result)
         tag = "PASS" if result.passed else "FAIL"
-        print(f"[{tag}] criterion {result.criterion} ({result.name}): {result.details}")
+        print(f"[{tag}] criterion {result.criterion} ({result.name}): {result.details}", file=sys.stderr)
     return results

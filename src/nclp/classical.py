@@ -25,7 +25,8 @@ SUPPORT_RTOL = 1e-10
 @dataclass(frozen=True)
 class FiniteMeasureSpace:
     """n points with strictly positive masses; normalization is never
-    required."""
+    required.  Every ratio of two masses lies within the float range, since
+    the transfer operator divides one mass by another."""
 
     weights: np.ndarray
 
@@ -35,6 +36,8 @@ class FiniteMeasureSpace:
         w = np.array([real_value(m, "weights") for m in self.weights])
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ValueError("weights must be finite and strictly positive")
+        if not math.isfinite(float(w.max()) / float(w.min())):
+            raise ValueError("the ratio of the largest to the smallest mass must lie within the float range")
         object.__setattr__(self, "weights", w)
 
     @property

@@ -71,9 +71,16 @@ def _exponent(payload: dict) -> float:
     return spaces.check_p(jsonio.require(payload, "p"))
 
 
+def _finite_or_text(value):
+    """A report value as strict JSON allows it: a float that is not finite,
+    such as the invertibility defect of a singular map or p = inf, is
+    written as the text that CSV writes for it, "inf", "-inf" or "nan"."""
+    return repr(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _fields(result, *skip: str) -> dict:
     """A result dataclass as a report: its fields by name, less ``skip``."""
-    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if f.name not in skip}
+    return {f.name: _finite_or_text(getattr(result, f.name)) for f in dataclasses.fields(result) if f.name not in skip}
 
 
 def _table(row_type, rows) -> tuple[list[str], list[list]]:
@@ -110,7 +117,7 @@ def _cmd_norm(cfg: RunConfig):
     else:
         value = spaces.weighted_norm(a, measure, p)
         kind = "weighted"
-    return OK, {"norm": value, "p": p, "kind": kind}
+    return OK, {"norm": value, "p": _finite_or_text(p), "kind": kind}
 
 
 def _cmd_norm_scale(cfg: RunConfig):
@@ -193,7 +200,7 @@ def _cmd_decompose(cfg: RunConfig):
     try:
         dec = superop.lamperti_decompose(t, p, tol=cfg.tol)
     except superop.NotDecomposableError as exc:
-        return NEGATIVE, {"decomposable": False, "reason": exc.reason, "defect": exc.defect}
+        return NEGATIVE, {"decomposable": False, "reason": exc.reason, "defect": _finite_or_text(exc.defect)}
     obj = jsonio.decomposition_to_json(dec)
     obj["decomposable"] = True
     return OK, obj
@@ -362,8 +369,10 @@ def main(argv=None) -> int:
         payload = _load_payload(args.input)
         if payload is None and command != "selftest":
             raise SchemaError("input", "this subcommand requires --input")
-        if not 0 < args.tol < math.inf:
-            raise SchemaError("tol", "tolerance must be finite and positive")
+        # every check accepts a defect up to tol times the size of what it
+        # measures; from tol = 1 on, that admits the defect of the zero answer
+        if not 0 < args.tol < 1:
+            raise SchemaError("tol", "tolerance must be positive and below 1")
         jsonio.count_value(args.trials, "trials")
         cfg = RunConfig(command, payload, args.tol, args.seed, args.trials, args.fmt)
         code, text = dispatch(cfg)

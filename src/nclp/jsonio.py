@@ -4,7 +4,8 @@ Complex numbers serialize as [re, im] pairs everywhere; matrices as
 {"dim": n, "matrix": [[pair, ...], ...]} in row-major order; superoperators
 use the same layout with an n^2 x n^2 matrix.  Floats are rendered through
 repr, which round-trips exactly, so identical inputs produce byte-identical
-output.  The map classes are imported where a decoder builds them, so that
+output, and a number that is not finite is refused, so that every report is
+strict JSON.  The map classes are imported where a decoder builds them, so that
 decoding plain matrices runs neither :mod:`nclp.superop` nor
 :mod:`nclp.classical`.
 """
@@ -111,21 +112,38 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def _decode(obj, key: str, field: str, nonempty: str, build, declared=None):
+    """The one rule of the four payload decoders.  The payload is
+    ``obj[key]`` when ``obj`` is an object, else ``obj`` itself, and must be
+    a nonempty list (refused with the message ``nonempty``).  ``build``
+    makes the value from it, and any refusal it raises is renamed to
+    ``field``.  ``declared`` is (name, what, size): an object may declare
+    the value's ``size`` under ``name``, an integer that must match."""
+    payload = require(obj, key) if isinstance(obj, dict) else obj
+    if not isinstance(payload, list) or not payload:
+        raise SchemaError(field, nonempty)
+    try:
+        value = build(payload)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(field, exc.message if isinstance(exc, SchemaError) else str(exc)) from exc
+    if declared is not None and isinstance(obj, dict) and declared[0] in obj:
+        name, what, size = declared
+        if integer_value(obj[name], name) != size(value):
+            raise SchemaError(field, f"declared {name} does not match the {what}")
+    return value
+
+
+_ROWS = "matrix must be a nonempty list of rows"
+
+
 def matrix_from_json(obj, field: str) -> np.ndarray:
     """The square matrix of ``obj``, checked by ``linalg.as_matrix``, whose
     refusals, like a ragged or non-finite matrix, are renamed to ``field``."""
-    rows = require(obj, "matrix") if isinstance(obj, dict) else obj
-    if not isinstance(rows, list) or not rows:
-        raise SchemaError(field, "matrix must be a nonempty list of rows")
-    try:
-        out = as_matrix([[_entry_to_complex(entry, field) for entry in row] for row in rows])
-    except SchemaError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(field, str(exc)) from exc
-    if isinstance(obj, dict) and "dim" in obj and integer_value(obj["dim"], "dim") != out.shape[0]:
-        raise SchemaError(field, "declared dim does not match the matrix shape")
-    return out
+
+    def build(rows):
+        return as_matrix([[_entry_to_complex(entry, field) for entry in row] for row in rows])
+
+    return _decode(obj, "matrix", field, _ROWS, build, ("dim", "matrix shape", len))
 
 
 def superop_to_json(t: SuperOperator) -> dict:
@@ -133,37 +151,27 @@ def superop_to_json(t: SuperOperator) -> dict:
 
 
 def superop_from_json(obj, field: str) -> SuperOperator:
+    """The map of ``obj``: an n^2 x n^2 matrix, read by ``matrix_from_json``
+    from the raw rows, since its declared dim is the algebra dimension n."""
     from .superop import SuperOperator
 
-    # the declared dim is the algebra dimension n; the matrix side is n^2,
-    # so the generic matrix check must only see the raw rows
-    rows = require(obj, "matrix") if isinstance(obj, dict) else obj
-    m = matrix_from_json(rows, field)
-    side = m.shape[0]
-    dim = int(round(side**0.5))
-    if dim * dim != side:
-        raise SchemaError(field, f"superoperator side {side} is not a perfect square")
-    if isinstance(obj, dict) and "dim" in obj and integer_value(obj["dim"], "dim") != dim:
-        raise SchemaError(field, "declared dim does not match the matrix shape")
-    return SuperOperator(dim, m)
+    def build(rows):
+        m = matrix_from_json(rows, field)
+        dim = int(round(m.shape[0] ** 0.5))
+        if dim * dim != m.shape[0]:
+            raise SchemaError(field, f"superoperator side {m.shape[0]} is not a perfect square")
+        return SuperOperator(dim, m)
+
+    return _decode(obj, "matrix", field, _ROWS, build, ("dim", "matrix shape", lambda t: t.dim))
 
 
 def point_map_from_json(obj, field: str = "map") -> PointMap:
+    """The point map of ``obj``; ``PointMap`` reads each image once, by
+    ``integer_value``."""
     from .classical import PointMap
 
-    images = require(obj, "map") if isinstance(obj, dict) else obj
-    if not isinstance(images, list) or not images:
-        raise SchemaError(field, "map must be a nonempty list of indices")
-    if isinstance(obj, dict) and "n" in obj and integer_value(obj["n"], "n") != len(images):
-        raise SchemaError(field, "declared n does not match the map length")
-    # PointMap reads each image once, by ``integer_value``; its refusals are
-    # renamed to this field
-    try:
-        return PointMap(images)
-    except SchemaError as exc:
-        raise SchemaError(field, exc.message) from exc
-    except ValueError as exc:
-        raise SchemaError(field, str(exc)) from exc
+    nonempty = "map must be a nonempty list of indices"
+    return _decode(obj, "map", field, nonempty, PointMap, ("n", "map length", lambda s: s.n))
 
 
 def point_map_to_json(s: PointMap) -> dict:
@@ -171,19 +179,12 @@ def point_map_to_json(s: PointMap) -> dict:
 
 
 def measure_space_from_json(obj, field: str = "mu") -> FiniteMeasureSpace:
+    """The measure space of ``obj``; ``FiniteMeasureSpace`` reads each mass
+    once, by ``real_value``."""
     from .classical import FiniteMeasureSpace
 
-    mu = require(obj, "mu") if isinstance(obj, dict) else obj
-    if not isinstance(mu, list) or not mu:
-        raise SchemaError(field, "mu must be a nonempty list of positive masses")
-    # FiniteMeasureSpace reads each mass once, by ``real_value``; its
-    # refusals are renamed to this field
-    try:
-        return FiniteMeasureSpace(mu)
-    except SchemaError as exc:
-        raise SchemaError(field, exc.message) from exc
-    except ValueError as exc:
-        raise SchemaError(field, str(exc)) from exc
+    nonempty = "mu must be a nonempty list of positive masses"
+    return _decode(obj, "mu", field, nonempty, FiniteMeasureSpace)
 
 
 def decomposition_to_json(dec: LampertiDecomposition) -> dict:
@@ -199,15 +200,8 @@ def decomposition_to_json(dec: LampertiDecomposition) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
-
-
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)!r}")
+    """``obj`` as strict JSON: a number that is not finite raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _render_cell(value) -> str:

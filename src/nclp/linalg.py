@@ -95,13 +95,11 @@ class HermitianEig:
     """Eigendecomposition of a (symmetrized) Hermitian matrix.
 
     ``eigenvalues`` are ascending; columns of ``eigenvectors`` are the
-    matching orthonormal eigenvectors; ``defect`` is the Frobenius distance
-    of the raw input from its Hermitian part, measured before symmetrizing.
+    matching orthonormal eigenvectors.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    defect: float
 
     def power(self, r: float, tol: float = DEFAULT_TOL) -> np.ndarray:
         """P^r for the positive semidefinite P this decomposes.
@@ -140,7 +138,7 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL) -> HermitianEig:
         w, v = np.linalg.eigh(hermitian_part(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
-    return HermitianEig(eigenvalues=w, eigenvectors=v, defect=defect)
+    return HermitianEig(eigenvalues=w, eigenvectors=v)
 
 
 def polar_decompose(a) -> tuple[np.ndarray, np.ndarray]:

@@ -87,19 +87,18 @@ class SpectralFunction:
     The declared limits are 1 at -infinity and 0 at +infinity; a finite
     window cannot exhibit them, so they are stated here as intent.  Functions
     that are not strictly decreasing (the constant one used as a control)
-    are accepted but flagged in ``warnings``.  ``values`` is a read-only
-    copy of the caller's values, validated once: a later write to the
-    caller's array cannot reach it.  ``logistic`` and ``constant`` are
-    tables like the operators', one shared object per window size;
-    ``from_table`` builds a new one on each call.  These three take a
-    half-width in [1, MAX_WINDOW], the constructor any range; its limits
-    and every age are integers, read by ``integer_value``'s rule.
+    are accepted.  ``values`` is a read-only copy of the caller's values,
+    validated once: a later write to the caller's array cannot reach it.
+    ``logistic`` and ``constant`` are tables like the operators', one
+    shared object per window size; ``from_table`` builds a new one on each
+    call.  These three take a half-width in [1, MAX_WINDOW], the
+    constructor any range; its limits and every age are integers, read by
+    ``integer_value``'s rule.
     """
 
     s_min: int
     s_max: int
     values: np.ndarray
-    warnings: tuple[str, ...] = field(default=(), init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "s_min", integer_value(self.s_min, "s_min"))
@@ -111,8 +110,7 @@ class SpectralFunction:
             )
         if not np.isfinite(v).all() or (v <= 0).any():
             raise InvalidSpectralFunctionError("values must be finite and positive")
-        steps = v[1:] - v[:-1]
-        if (steps > 0).any():
+        if (v[1:] > v[:-1]).any():
             raise InvalidSpectralFunctionError("values must be non-increasing")
         # log-concavity f(s)^2 >= f(s-1) f(s+1), with relative float slack
         mid = v[1:-1] ** 2
@@ -120,11 +118,6 @@ class SpectralFunction:
         if (mid < sides * (1.0 - 1e-12)).any():
             raise InvalidSpectralFunctionError("values must be log-concave")
         object.__setattr__(self, "values", _read_only(v))
-        if not (steps < 0).all():
-            object.__setattr__(self, "warnings", (
-                "not strictly decreasing: the declared limit 0 at +infinity "
-                "is unreachable; accepted as a control case",
-            ))
 
     def value(self, s: int) -> float:
         s = integer_value(s, "age")
@@ -646,14 +639,6 @@ def _stochasticity_of(op: WalshOperator, kernel: np.ndarray) -> StochasticitySui
     )
 
 
-def stochasticity_suite(shift: TruncatedKShift, f: SpectralFunction, t: int) -> StochasticitySuite:
-    """Positivity, mass preservation, and unitality of the semigroup step,
-    all decided exactly (``_stochasticity_of``); log-concavity of f is the
-    hypothesis that should make the step's kernel nonnegative."""
-    step = wt_build(shift, f, t)
-    return _stochasticity_of(step, _step_kernel(_step_weights(step)))
-
-
 # --- implementability ---------------------------------------------------------
 
 
@@ -664,10 +649,6 @@ class MpcImplementability:
     # the step judged and the kernel the check read: arrays would make == ambiguous
     step: WalshOperator = field(compare=False, repr=False)
     convolution: XorConvolution = field(compare=False, repr=False)
-
-    @property
-    def restricted_dim(self) -> int:
-        return self.convolution.kernel.size
 
     @property
     def implementable(self) -> bool:

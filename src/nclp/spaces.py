@@ -34,6 +34,7 @@ from .linalg import (
     as_matrices,
     as_matrix,
     dagger,
+    hermitian_part,
     threshold,
 )
 from .sampling import ginibre_stack
@@ -68,27 +69,27 @@ def tau_exponent(p: float) -> float:
 class QuantumMeasure:
     """A faithful state omega(X) = Tr(rho X), with cached powers of rho.
 
-    rho is decomposed once, by the ``DensityMatrix`` that validates it; each
+    rho is decomposed once, by the ``DensityMatrix`` that validates it, and
+    ``rho`` is the matrix that decomposition reads, the Hermitian part of the
+    given one, so that the predual and every power read one state.  Each
     power rho^r is read from that decomposition by ``HermitianEig.power`` at
-    ``self.tol``, and cached read-only, since every caller shares it.
-    Products of cached powers satisfy the exponent semigroup law to rounding
-    accuracy.
+    ``self.tol``.  ``rho`` and the cached powers are read-only, since every
+    caller shares them.  Products of cached powers satisfy the exponent
+    semigroup law to rounding accuracy.
     A plain matrix is validated as ``DensityMatrix(rho)``, at the default
     tolerance; pass a ``DensityMatrix`` to choose another.
     """
 
     def __init__(self, rho):
         self.density = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
+        self.rho = hermitian_part(self.density.matrix)
+        self.rho.setflags(write=False)
         self._powers: dict[float, np.ndarray] = {}
 
     @property
     def tol(self) -> float:
         """The tolerance of ``density``, which validated rho and takes its powers."""
         return self.density.tol
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.density.matrix
 
     @property
     def dim(self) -> int:

@@ -23,7 +23,7 @@ central factor collapses to a scalar on a factor, with any sign absorbed
 into W), and J a Jordan automorphism: J(X) = U X U* or J(X) = U X^T U*.
 ``lamperti_decompose`` recovers the factors and ``implementability_check``
 runs the full unital + positive + onto-isometry route that forces
-W = phase, scale = 1, and the map itself to equal J.
+W = 1, scale = 1, and the map itself to equal J.
 """
 
 from __future__ import annotations
@@ -807,9 +807,11 @@ class ImplementabilityReport:
     (only when the map was refused for not preserving Hermiticity,
     ``PositivityReport.hermitian``), ``isometry`` (the sampled relative
     defect), then ``w_phase``, ``scale`` and ``jordan_match`` once the
-    transport decomposes.  ``isometry`` and ``decomposition`` are None for
-    the stages the check did not reach; ``jordan`` carries the implementing
-    Jordan automorphism when the map is implementable, in canonical form.
+    transport decomposes; ``w_phase`` is reported, never decided on (see
+    ``implementability_check``).  ``isometry`` and ``decomposition`` are
+    None for the stages the check did not reach; ``jordan`` carries the
+    implementing Jordan automorphism when the map is implementable, in
+    canonical form.
     """
 
     failure: str | None
@@ -836,10 +838,13 @@ def implementability_check(
 
     Checks, in order: unitality V(1) = 1; positivity on sampled states;
     onto-isometry for the weighted p-norm; then transports to the tracial
-    space, decomposes (which demands scale = 1), and demands
-    W = phase * identity and V = J on a spanning set.  All hypotheses are
-    verified, none assumed; a map of another size than the state is
-    refused (DimensionMismatchError) before any stage.
+    space, decomposes (which demands scale = 1), and demands V = J on a
+    spanning set.  W = phase * identity needs no stage of its own: W is the
+    polar factor of T(1) = rho^r V(rho^-2r) rho^r, which is positive
+    definite when V is unital and positive, so W = 1, and the report's
+    ``w_phase`` shows only rounding.  All hypotheses are verified, none
+    assumed; a map of another size than the state is refused
+    (DimensionMismatchError) before any stage.
     """
     p = check_p(p)
     trials = count_value(trials, "trials")
@@ -868,8 +873,6 @@ def implementability_check(
     defects["w_phase"] = float(np.linalg.norm(dec.w - phase * np.eye(n)))
     defects["scale"] = abs(dec.scale - 1.0)
     defects["jordan_match"] = _max_column_norm(v.matrix - dec.canonical.matrix)
-    if defects["w_phase"] > threshold(math.sqrt(n), tol):
-        return ImplementabilityReport("w_not_phase", defects, isometry=iso, decomposition=dec)
     if defects["jordan_match"] > threshold(1.0, tol):
         return ImplementabilityReport("jordan_match", defects, isometry=iso, decomposition=dec)
     return ImplementabilityReport(

@@ -22,9 +22,21 @@ from nclp.superop import SuperOperator
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def strict_loads(text: str):
+    """A report parsed as strict JSON: NaN, Infinity and -Infinity are refused."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def run_cli(capsys, *argv):
+    """Run the CLI in process; every JSON report it prints must be strict JSON."""
     code = main(list(argv))
     captured = capsys.readouterr()
+    if captured.out.startswith("{"):
+        strict_loads(captured.out)
     return code, captured.out, captured.err
 
 
@@ -37,7 +49,7 @@ def test_norm_schatten(capsys):
         capsys, "norm", "--input", payload({"A": {"matrix": [[3, 0], [0, 4]]}, "p": 1})
     )
     assert code == 0
-    report = json.loads(out)
+    report = strict_loads(out)
     assert abs(report["norm"] - 7.0) < 1e-12
     assert report["kind"] == "schatten"
 
@@ -50,7 +62,7 @@ def test_norm_weighted(capsys):
     }
     code, out, _ = run_cli(capsys, "norm", "--input", payload(obj))
     assert code == 0
-    assert abs(json.loads(out)["norm"] - 2 / 3) < 1e-12
+    assert abs(strict_loads(out)["norm"] - 2 / 3) < 1e-12
 
 
 def test_norm_rejects_small_p(capsys):
@@ -75,7 +87,7 @@ def test_inner_fixture(capsys):
     }
     code, out, _ = run_cli(capsys, "inner", "--input", payload(obj))
     assert code == 0
-    assert np.allclose(json.loads(out)["inner"], [0.5, 0.0])
+    assert np.allclose(strict_loads(out)["inner"], [0.5, 0.0])
 
 
 def test_decompose_conjugation(capsys):
@@ -83,7 +95,7 @@ def test_decompose_conjugation(capsys):
     obj = {"T": superop_to_json(SuperOperator.ad_unitary(u0)), "p": 2}
     code, out, _ = run_cli(capsys, "decompose", "--input", payload(obj))
     assert code == 0
-    report = json.loads(out)
+    report = strict_loads(out)
     assert report["kind"] == "star_isomorphism"
     assert abs(report["lambda"] - 1.0) < 1e-9
 
@@ -92,7 +104,7 @@ def test_decompose_negative_verdict(capsys):
     t = SuperOperator.identity(2).scaled(2.0)
     code, out, _ = run_cli(capsys, "decompose", "--input", payload({"T": superop_to_json(t), "p": 2}))
     assert code == 1
-    assert not json.loads(out)["decomposable"]
+    assert not strict_loads(out)["decomposable"]
 
 
 def test_decompose_ignores_seed_and_trials(capsys):
@@ -117,7 +129,7 @@ def test_jordan_unclassifiable_map_is_a_negative_verdict(capsys):
     matrix = sum(np.outer(im.reshape(-1, order="F"), s.conj().reshape(-1, order="F")) for im, s in zip(images, paulis)) / 2
     code, out, _ = run_cli(capsys, "jordan", "--input", payload({"J": superop_to_json(SuperOperator(2, matrix))}))
     assert code == 1
-    report = json.loads(out)
+    report = strict_loads(out)
     assert report["is_jordan"] and "rank one" in report["error"]
     assert "kind" not in report
 
@@ -126,14 +138,14 @@ def test_jordan_classify_transpose(capsys):
     t = SuperOperator.transpose_map(2)
     code, out, _ = run_cli(capsys, "jordan", "--input", payload({"J": superop_to_json(t)}))
     assert code == 0
-    assert json.loads(out)["kind"] == "star_anti_isomorphism"
+    assert strict_loads(out)["kind"] == "star_anti_isomorphism"
 
 
 def test_jordan_negative(capsys):
     t = SuperOperator.identity(2).scaled(3.0)
     code, out, _ = run_cli(capsys, "jordan", "--input", payload({"J": superop_to_json(t)}))
     assert code == 1
-    assert not json.loads(out)["is_jordan"]
+    assert not strict_loads(out)["is_jordan"]
 
 
 def test_isometry_exit_codes(capsys):
@@ -153,7 +165,7 @@ def test_implementable_subcommand(capsys):
     }
     code, out, _ = run_cli(capsys, "implementable", "--input", payload(obj))
     assert code == 0
-    report = json.loads(out)
+    report = strict_loads(out)
     assert report["implementable"] and report["kind"] == "star_anti_isomorphism"
 
 
@@ -167,7 +179,7 @@ def test_change_rep_subcommand(capsys):
     }
     code, out, _ = run_cli(capsys, "change-rep", "--input", payload(obj))
     assert code == 0
-    assert json.loads(out)["all_implementable"]
+    assert strict_loads(out)["all_implementable"]
 
 
 def test_transport_subcommand(capsys):
@@ -179,7 +191,7 @@ def test_transport_subcommand(capsys):
     }
     code, out, _ = run_cli(capsys, "transport", "--input", payload(obj))
     assert code == 0
-    assert json.loads(out)["verdicts_agree"]
+    assert strict_loads(out)["verdicts_agree"]
 
 
 @pytest.mark.parametrize("p, inverse, builds", [(1, False, 1), (2, False, 1), (2, True, 1)])
@@ -216,7 +228,7 @@ def test_integrability_subcommand(capsys):
     }
     code, out, _ = run_cli(capsys, "integrability", "--input", payload(obj))
     assert code == 0
-    assert abs(json.loads(out)["constant"] - 1.0) < 1e-12
+    assert abs(strict_loads(out)["constant"] - 1.0) < 1e-12
 
 
 def test_classical_subcommands(capsys):
@@ -224,7 +236,7 @@ def test_classical_subcommands(capsys):
         capsys, "classical", "koopman", "--input", payload({"n": 3, "map": [1, 2, 0]})
     )
     assert code == 0
-    v = json.loads(out)["koopman"]["matrix"]
+    v = strict_loads(out)["koopman"]["matrix"]
     assert v[0][1] == [1.0, 0.0]
 
     code, out, _ = run_cli(
@@ -235,7 +247,7 @@ def test_classical_subcommands(capsys):
         payload({"n": 3, "map": [1, 2, 0], "mu": [1 / 3, 1 / 3, 1 / 3]}),
     )
     assert code == 0
-    u = json.loads(out)["frobenius_perron"]["matrix"]
+    u = strict_loads(out)["frobenius_perron"]["matrix"]
     assert u[1][0] == [1.0, 0.0]  # densities move opposite to observables
 
     code, _, _ = run_cli(
@@ -263,7 +275,7 @@ def test_classical_subcommands(capsys):
         payload({"W": {"matrix": [[1, 0], [1, 0]]}, "mu": [0.5, 0.5]}),
     )
     assert code == 1
-    assert abs(json.loads(out)["mass_defect"] - 0.5) < 1e-12
+    assert abs(strict_loads(out)["mass_defect"] - 0.5) < 1e-12
 
     code, out, _ = run_cli(
         capsys,
@@ -273,14 +285,14 @@ def test_classical_subcommands(capsys):
         payload({"V": {"matrix": [[0, 1], [1, 0]]}, "mu": [0.5, 0.5], "p": 3}),
     )
     assert code == 0
-    assert json.loads(out)["map"]["map"] == [1, 0]
+    assert strict_loads(out)["map"]["map"] == [1, 0]
 
 
 def test_mpc_run_negative_verdict_is_exit_one(capsys):
     descriptor = {"N": 2, "f": {"kind": "logistic"}, "t": 1, "seed": 7}
     code, out, _ = run_cli(capsys, "mpc", "run", "--input", payload(descriptor))
     assert code == 1
-    report = json.loads(out)
+    report = strict_loads(out)
     assert report["implementable"] is False
     assert "expected" in report["note"]
 
@@ -289,7 +301,7 @@ def test_mpc_run_constant_f_is_exit_zero(capsys):
     descriptor = {"N": 2, "f": {"kind": "constant"}, "t": 1, "seed": 7}
     code, out, _ = run_cli(capsys, "mpc", "run", "--input", payload(descriptor))
     assert code == 0
-    assert json.loads(out)["implementable"] is True
+    assert strict_loads(out)["implementable"] is True
 
 
 def test_mpc_csv_is_deterministic(capsys, tmp_path):
@@ -324,7 +336,7 @@ def test_file_input_and_out(tmp_path, capsys):
     target = tmp_path / "out.json"
     code = main(["norm", "--input", str(source), "--out", str(target)])
     assert code == 0
-    assert abs(json.loads(target.read_text())["norm"] - 2 ** 0.5) < 1e-12
+    assert abs(strict_loads(target.read_text())["norm"] - 2 ** 0.5) < 1e-12
 
 
 def test_console_script_entry_point():
@@ -335,7 +347,7 @@ def test_console_script_entry_point():
         env=SRC_ENV,
     )
     assert result.returncode == 0
-    assert abs(json.loads(result.stdout)["norm"] - 2.0) < 1e-12
+    assert abs(strict_loads(result.stdout)["norm"] - 2.0) < 1e-12
 
 
 def test_import_needs_only_numpy_and_the_standard_library():
@@ -440,6 +452,11 @@ USAGE_ERRORS = {
     # a nan one let it through the unitality stage
     "tol-inf": ["implementable", "--input", NOT_UNITAL, "--tol", "inf"],
     "tol-nan": ["implementable", "--input", NOT_UNITAL, "--tol", "nan"],
+    # from tol = 1 on a threshold admits the defect of the zero answer: at 10
+    # and 1e300, 2·id was "implementable" (exit 0)
+    "tol-one": ["implementable", "--input", NOT_UNITAL, "--tol", "1"],
+    "tol-ten": ["implementable", "--input", NOT_UNITAL, "--tol", "10"],
+    "tol-1e300": ["implementable", "--input", NOT_UNITAL, "--tol", "1e300"],
     "t_steps-fraction": ["change-rep", "--input", change_rep_payload(2.5)],
     "t_steps-bool": ["change-rep", "--input", change_rep_payload(True)],
     # p = 1.0 and p = 3.0 were read from true and "3"
@@ -469,6 +486,9 @@ USAGE_ERRORS = {
     "entry-overflow": ["norm", "--input", payload({"A": {"matrix": [[HUGE]]}, "p": 1})],
     "p-overflow": ["norm", "--input", payload({"A": {"matrix": [[1]]}, "p": HUGE})],
     "mass-overflow": ["classical", "fp", "--input", payload({"map": [1, 0], "mu": [HUGE, 1]})],
+    # a mass ratio beyond the float range printed a RuntimeWarning and a
+    # matrix with Infinity, which is not JSON, and exited 0
+    "mass-ratio-overflow": ["classical", "fp", "--input", payload({"map": [1, 0], "mu": [1e308, 1e-308]})],
     "t-overflow": ["mpc", "run", "--input", payload({"N": 2, "f": {"kind": "logistic"}, "t": HUGE})],
     # a count had no upper bound: one implementability check per step ran
     # for 10^9 steps, and 10^13 trials asked numpy for 582 TiB
@@ -484,6 +504,52 @@ def test_usage_errors_exit_two_with_one_error_line(capsys, tmp_path, monkeypatch
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_a_tolerance_below_one_still_decides(capsys):
+    # 2·id is not unital: "no" at every tolerance that main accepts
+    assert run_cli(capsys, "implementable", "--input", NOT_UNITAL, "--tol", "0.5")[0] == 1
+
+
+def test_a_mass_ratio_beyond_the_float_range_names_mu(capsys):
+    code, out, err = run_cli(capsys, "classical", "fp", "--input", payload({"map": [1, 0], "mu": [1e308, 1e-308]}))
+    assert (code, out) == (2, "")
+    assert err == "error: field 'mu': the ratio of the largest to the smallest mass must lie within the float range\n"
+
+
+def test_dumps_refuses_numbers_that_are_not_finite():
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            dumps({"x": value})
+
+
+def test_an_infinite_exponent_is_written_as_inf(capsys):
+    obj = payload({"A": {"matrix": [[3, 0], [0, 4]]}, "p": math.inf})
+    code, out, _ = run_cli(capsys, "norm", "--input", obj)
+    assert code == 0 and strict_loads(out) == {"kind": "schatten", "norm": 4.0, "p": "inf"}
+    # CSV renders the float inf as "inf" too
+    code, out, _ = run_cli(capsys, "norm", "--input", obj, "--format", "csv")
+    assert code == 0 and "p,inf\n" in out
+
+
+def test_a_singular_map_writes_its_infinite_defect_as_text(capsys):
+    # Infinity and NaN, which are not JSON, were written for these "no" answers
+    zero = superop_to_json(SuperOperator(2, np.zeros((4, 4))))
+    code, out, _ = run_cli(capsys, "jordan", "--input", payload({"J": zero}))
+    report = strict_loads(out)
+    assert code == 1 and not report["is_jordan"]
+    assert report["defect"] == report["invertibility_defect"] == "inf"
+    code, out, _ = run_cli(capsys, "decompose", "--input", payload({"T": zero, "p": 2}))
+    report = strict_loads(out)
+    assert code == 1 and report["reason"].startswith("T(1) is singular") and report["defect"] == "nan"
+
+
+def test_selftest_stdout_is_one_json_document(capsys):
+    code, out, err = run_cli(capsys, "selftest")
+    report = strict_loads(out)
+    assert code == 0 and report["passed"] and len(report["criteria"]) == 10
+    lines = err.splitlines()
+    assert len(lines) == 10 and all(line.startswith("[PASS] criterion ") for line in lines)
 
 
 @pytest.mark.parametrize("images, message", [([0.5, 1], "must be an integer, got 0.5"), ([True, 0], "must be a real number, got True")])

@@ -13,6 +13,7 @@ from nclp.linalg import (
     dagger,
     hermitian_eig,
     hermitian_part,
+    hermiticity_defect,
     invertible,
     polar_decompose,
 )
@@ -47,9 +48,14 @@ def test_hermitian_eig_rejects_non_hermitian():
 
 
 def test_hermitian_eig_reports_defect():
+    # the defect is hermiticity_defect's, the rule hermitian_eig accepts by;
+    # the accepted matrix is decomposed as its Hermitian part
     m = np.eye(2) + 1e-11 * np.array([[0.0, 1.0], [0.0, 0.0]])
     eig = hermitian_eig(m)
-    assert 0 < eig.defect < 1e-10
+    assert 0 < hermiticity_defect(m) < 1e-10
+    v = eig.eigenvectors
+    assert np.array_equal(eig.eigenvalues, np.linalg.eigh(hermitian_part(m))[0])
+    assert np.linalg.norm((v * eig.eigenvalues) @ dagger(v) - hermitian_part(m)) <= 1e-14
 
 
 # P^r and |X| = (X*X)^(1/2), both taken by HermitianEig.power, the one rule

@@ -258,7 +258,7 @@ def test_commutation_oracle_set_logic():
 
 def test_spectral_function_logistic_is_valid():
     f = SpectralFunction.logistic(3)
-    assert f.warnings == ()
+    assert (f.values[1:] < f.values[:-1]).all()
     assert abs(f.value(0) - 0.5) < 1e-15
 
 
@@ -274,10 +274,8 @@ def test_spectral_function_rejects_bad_tables():
 
 def test_spectral_function_constant_is_flagged_but_usable():
     f = SpectralFunction.constant(2)
-    assert f.warnings
-    # the flag is derived from the values, never passed in
-    with pytest.raises(TypeError):
-        SpectralFunction(f.s_min, f.s_max, f.values, warnings=())
+    # not strictly decreasing, as its values show
+    assert not (f.values[1:] < f.values[:-1]).all()
     shift = build_shift(2)
     lam = lambda_build(shift, f)
     assert np.allclose(dense(lam), np.eye(shift.dim))
@@ -606,7 +604,7 @@ def stochasticity_of(op):
 
 def test_stochasticity_logistic():
     shift = build_shift(3)
-    suite = mpc.stochasticity_suite(shift, SpectralFunction.logistic(3), 1)
+    suite = stochasticity_of(wt_build(shift, SpectralFunction.logistic(3), 1))
     assert suite.positivity_defect <= 1e-10
     assert suite.mass_defect == 0.0
     assert suite.unitality_defect == 0.0
@@ -744,7 +742,7 @@ def test_exact_positivity_defect_is_zero_on_every_valid_case():
     for n in range(1, 7):
         shift = build_shift(n)
         for t in range(1, 2 * n + 1):
-            suites = [mpc.stochasticity_suite(shift, f, t) for f in
+            suites = [stochasticity_of(wt_build(shift, f, t)) for f in
                       (SpectralFunction.logistic(n), SpectralFunction.constant(n))]
             suites += [stochasticity_of(mpc.coarse_grained_wt(shift, s0, t)) for s0 in range(-n - 1, n + 1)]
             for suite in suites:
@@ -784,7 +782,7 @@ def test_implementability_logistic_negative_with_oracle_bound():
     f = SpectralFunction.logistic(3)
     verdict = mpc.mpc_implementability(shift, f, 1)
     bound = mpc.multiplicativity_lower_bound(verdict.step)
-    assert mpc.mpc_implementability(shift, f, 1) == verdict and verdict.restricted_dim == 64
+    assert mpc.mpc_implementability(shift, f, 1) == verdict and verdict.convolution.kernel.size == 64
     assert not verdict.implementable
     assert bound > 0.0
     assert verdict.defect >= bound
@@ -1205,9 +1203,9 @@ def test_implementability_never_holds_the_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert verdict.restricted_dim == 4096 and not verdict.implementable
+    assert verdict.convolution.kernel.size == 4096 and not verdict.implementable
     # the 4096 x 4096 grid would be 134 MB; the kernel is 32 KB
-    assert peak - base < 16 * verdict.restricted_dim * 8
+    assert peak - base < 16 * verdict.convolution.kernel.size * 8
 
 
 def _lower_bound_loop(shift, f, t):

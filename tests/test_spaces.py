@@ -323,3 +323,19 @@ def test_norm_scale_direction_matches_committed_fixture():
     report = norm_scale_report(m, trials=40, seed=12)
     assert report.consistent
     assert report.direction == "nondecreasing_in_p"
+
+
+def test_rho_is_the_matrix_its_decomposition_reads():
+    # rho kept a 1e-17 imaginary part on its diagonal, which eigh drops: rho,
+    # read by the predual, and eig, read by every power, were two states
+    raw = np.array([[0.25 + 1e-17j, 0.1 - 0.2j], [0.1 + 0.2j, 0.75]])
+    measure = QuantumMeasure(raw)
+    rho = measure.rho
+    assert np.array_equal(rho, rho.conj().T) and not np.diagonal(rho).imag.any()
+    # the decomposition is bit for bit the one of the given matrix
+    eig = hermitian_eig(raw)
+    assert np.array_equal(measure.eigenvalues, eig.eigenvalues)
+    assert np.array_equal(measure.eigenbasis, eig.eigenvectors)
+    v = measure.eigenbasis
+    assert np.linalg.norm((v * measure.eigenvalues) @ v.conj().T - rho) <= 1e-15
+    assert np.linalg.norm(measure.power(1.0) - rho) <= 1e-15
