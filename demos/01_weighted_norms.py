@@ -17,7 +17,6 @@ import numpy as np
 from nclp.sampling import ginibre, random_density, rng_from
 from nclp.spaces import (
     P_GRID,
-    QuantumMeasure,
     norm_scale_report,
     schatten_norm,
     tau_conjugate,
@@ -27,7 +26,7 @@ from nclp.spaces import (
 
 rng = rng_from(42)
 n = 3
-measure = QuantumMeasure(random_density(n, rng))
+measure = random_density(n, rng)
 
 print("state rho =")
 print(np.round(measure.rho, 4))

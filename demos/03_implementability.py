@@ -17,7 +17,7 @@ checker, step after step.
 import numpy as np
 
 from nclp.sampling import commuting_unitary, ginibre, random_density, random_unitary, rng_from
-from nclp.spaces import QuantumMeasure, maximally_mixed
+from nclp.spaces import maximally_mixed
 from nclp.superop import (
     SuperOperator,
     change_of_representation_demo,
@@ -29,7 +29,7 @@ from nclp.superop import (
 rng = rng_from(5)
 n = 3
 
-measure = QuantumMeasure(random_density(n, rng))
+measure = random_density(n, rng)
 u = commuting_unitary(measure.eigenbasis, rng)
 v = SuperOperator.ad_unitary(u)
 

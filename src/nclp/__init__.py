@@ -1,10 +1,13 @@
 """Numerical toolkit for finite-dimensional non-commutative L^p spaces.
 
-Submodules: :mod:`nclp.linalg` for the matrix primitives, :mod:`nclp.spaces`
-for weighted norms, :mod:`nclp.superop` for maps on matrix algebras, their
-isometry structure theory and the integrability criterion,
-:mod:`nclp.classical` for finite point dynamics, and :mod:`nclp.mpc` for the
-truncated shift model with its intertwined Markov semigroup.  Each public
+Submodules: :mod:`nclp.linalg` for the matrix primitives,
+:mod:`nclp.sampling` for seeded random fixtures, :mod:`nclp.spaces` for
+the one faithful state ``QuantumMeasure`` (which validates rho, decomposes
+it once and caches its powers) and the weighted norms, :mod:`nclp.superop`
+for maps on matrix algebras, their isometry structure theory and the
+integrability criterion, :mod:`nclp.classical` for finite point dynamics,
+and :mod:`nclp.mpc` for the truncated shift model with its intertwined
+Markov semigroup.  Each public
 name has one import path, through its submodule:
 ``from nclp.superop import SuperOperator``.
 

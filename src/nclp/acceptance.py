@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, mpc
-from .linalg import DensityMatrix, frobenius
+from .linalg import frobenius
 from .sampling import commuting_unitary, ginibre, random_density, random_unitary, rng_from
 from .spaces import (
     QuantumMeasure,
@@ -63,10 +63,6 @@ def _result(criterion, name, failures, details):
     return AcceptanceResult(criterion, name, passed, details)
 
 
-def _random_state(rng, n) -> QuantumMeasure:
-    return QuantumMeasure(random_density(n, rng))
-
-
 def criterion_1_norm_suite() -> AcceptanceResult:
     start = time.perf_counter()
     rng = rng_from(101)
@@ -75,7 +71,7 @@ def criterion_1_norm_suite() -> AcceptanceResult:
     rtol = 1e-9
     for trial in range(200):
         n = 2 + trial % 5
-        m = _random_state(rng, n)
+        m = random_density(n, rng)
         a = ginibre(n, rng)
         b = ginibre(n, rng)
         lam = complex(rng.standard_normal(), rng.standard_normal())
@@ -93,7 +89,7 @@ def criterion_1_norm_suite() -> AcceptanceResult:
             if frobenius(a) > bound * na * (1 + rtol):
                 failures.append(f"faithfulness trial={trial} p={p}")
     for k in range(20):
-        m = _random_state(rng, 2 + k % 5)
+        m = random_density(2 + k % 5, rng)
         for p in exponents:
             if abs(weighted_norm(np.eye(m.dim), m, p) - 1.0) > 1e-12:
                 failures.append(f"unit-norm state={k} p={p}")
@@ -114,7 +110,7 @@ def criterion_2_tau_isometry() -> AcceptanceResult:
     exponents = (1.0, 1.5, 2.0, 3.0, 4.0)
     for trial in range(100):
         n = 2 + trial % 5
-        m = _random_state(rng, n)
+        m = random_density(n, rng)
         x = ginibre(n, rng)
         p = exponents[trial % len(exponents)]
         forward = tau_conjugate(x, m, p)
@@ -163,12 +159,12 @@ def criterion_3_lamperti_round_trip() -> AcceptanceResult:
 def _commuting_jordan_fixture(rng, n, kind):
     """A state and a Jordan automorphism preserving it."""
     if kind == KIND_ISO:
-        m = _random_state(rng, n)
+        m = random_density(n, rng)
         u = commuting_unitary(m.eigenbasis, rng)
     else:
         # the transposed kind needs a transpose-invariant state: diagonal, real
         w = rng.random(n) + 0.25
-        m = QuantumMeasure(DensityMatrix(np.diag(w / w.sum()).astype(complex)))
+        m = QuantumMeasure(np.diag(w / w.sum()).astype(complex))
         u = np.diag(np.exp(2j * np.pi * rng.random(n)))
     return m, u, canonical_jordan(kind, u)
 
@@ -198,7 +194,7 @@ def criterion_5_integrability() -> AcceptanceResult:
     rng = rng_from(505)
     failures = []
     for n in (2, 3, 4):
-        m = _random_state(rng, n)
+        m = random_density(n, rng)
         c = integrability_constant(SuperOperator.identity(n), m)
         if abs(c - 1.0) > 1e-12:
             failures.append(f"identity n={n} c={c!r}")
@@ -315,7 +311,7 @@ def criterion_9_change_of_representation() -> AcceptanceResult:
         n = 2 + trial % 2
         if trial % 5 == 4:
             # structured case: a general state with everything commuting
-            m = _random_state(rng, n)
+            m = random_density(n, rng)
             u = commuting_unitary(m.eigenbasis, rng)
             lam = SuperOperator.ad_unitary(commuting_unitary(m.eigenbasis, rng))
         else:
@@ -343,7 +339,7 @@ def criterion_10_norm_scale_direction() -> AcceptanceResult:
     directions = set()
     for k in range(10):
         n = 2 + k % 3
-        m = _random_state(rng, n)
+        m = random_density(n, rng)
         report = norm_scale_report(m, trials=50, seed=1000 + k)
         total += len(report.rows) // 10  # 10 pairs per trial
         if not report.consistent:

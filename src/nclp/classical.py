@@ -114,11 +114,13 @@ def doubly_stochastic_check(
     w = np.asarray(w, dtype=complex)
     if w.shape != (space.n, space.n):
         raise ValueError("operator shape does not match the measure space")
-    positivity_defect = float(max(0.0, -np.min(w.real)) + np.max(np.abs(w.imag)))
     mu = space.weights
-    mass_defect = float(np.max(np.abs(mu @ w - mu)))
-    unitality_defect = float(np.max(np.abs(w @ np.ones(space.n) - 1.0)))
-    scale = max(1.0, float(np.max(np.abs(w))))
+    # a defect beyond the float range reads inf or nan, and fails its test
+    with np.errstate(over="ignore", invalid="ignore"):
+        positivity_defect = float(max(0.0, -np.min(w.real)) + np.max(np.abs(w.imag)))
+        mass_defect = float(np.max(np.abs(mu @ w - mu)))
+        unitality_defect = float(np.max(np.abs(w @ np.ones(space.n) - 1.0)))
+        scale = max(1.0, float(np.max(np.abs(w))))
     ok = (
         positivity_defect <= threshold(scale, tol)
         and mass_defect <= threshold(float(np.max(mu)), tol)

@@ -24,11 +24,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 # acceptance, classical, mpc and superop are the package's lazy modules: bound
 # here, their bodies run only when a handler first uses them
 from . import acceptance, classical, jsonio, mpc, spaces, superop
 from .jsonio import SchemaError
-from .linalg import DEFAULT_TOL, DensityMatrix
+from .linalg import DEFAULT_TOL
 from .spaces import QuantumMeasure
 
 OK, NEGATIVE, USAGE = 0, 1, 2
@@ -58,7 +60,7 @@ def _load_payload(raw: str | None) -> dict | None:
 
 def _measure(payload: dict, tol: float, field: str = "rho") -> QuantumMeasure:
     rho = jsonio.matrix_from_json(jsonio.require(payload, field), field)
-    return QuantumMeasure(DensityMatrix(rho, tol=tol))
+    return QuantumMeasure(rho, tol)
 
 
 def _optional_measure(payload: dict, tol: float, field: str = "rho") -> QuantumMeasure | None:
@@ -111,12 +113,12 @@ def _cmd_norm(cfg: RunConfig):
     a = jsonio.matrix_from_json(jsonio.require(payload, "A"), "A")
     p = _exponent(payload)
     measure = _optional_measure(payload, cfg.tol)
-    if measure is None:
-        value = spaces.schatten_norm(a, p)
-        kind = "schatten"
-    else:
-        value = spaces.weighted_norm(a, measure, p)
-        kind = "weighted"
+    kind = "schatten" if measure is None else "weighted"
+    # a norm beyond the float range is refused below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = spaces.schatten_norm(a, p) if measure is None else spaces.weighted_norm(a, measure, p)
+    if not math.isfinite(value):
+        raise SchemaError("A", "its norm lies beyond the float range")
     return OK, {"norm": value, "p": _finite_or_text(p), "kind": kind}
 
 
@@ -133,7 +135,10 @@ def _cmd_inner(cfg: RunConfig):
     a = jsonio.matrix_from_json(jsonio.require(payload, "A"), "A")
     b = jsonio.matrix_from_json(jsonio.require(payload, "B"), "B")
     measure = _measure(payload, cfg.tol)
-    value = spaces.weighted_inner(a, b, measure)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = spaces.weighted_inner(a, b, measure)
+    if not np.isfinite(value):
+        raise SchemaError("A", "its inner product with 'B' lies beyond the float range")
     return OK, {"inner": jsonio.complex_pair(value)}
 
 

@@ -10,8 +10,6 @@ being regularized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -25,14 +23,6 @@ class NonHermitianError(ValueError):
 
 class NoConvergenceError(RuntimeError):
     """The underlying eigenvalue iteration failed to converge."""
-
-
-class NegativeEigenvalueError(ValueError):
-    """Input required to be positive semidefinite has a negative eigenvalue."""
-
-
-class SingularPowerError(ValueError):
-    """A negative matrix power was requested for a numerically singular input."""
 
 
 class SingularInputError(ValueError):
@@ -90,40 +80,10 @@ def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigendecomposition of a (symmetrized) Hermitian matrix.
-
-    ``eigenvalues`` are ascending; columns of ``eigenvectors`` are the
-    matching orthonormal eigenvectors.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def power(self, r: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """P^r for the positive semidefinite P this decomposes.
-
-        Negative exponents additionally require P to be ``invertible``.
-        """
-        w = self.eigenvalues
-        top = float(max(w[-1], 0.0))
-        if w[0] < -threshold(top if top > 0 else 1.0, tol):
-            raise NegativeEigenvalueError(
-                f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
-            )
-        w = np.clip(w, 0.0, None)
-        if r < 0 and not invertible(w[0], top):
-            raise SingularPowerError(
-                f"negative power {r} of a numerically singular matrix "
-                f"(min eigenvalue {w[0]:.3e}, max {top:.3e})"
-            )
-        v = self.eigenvectors
-        return hermitian_part((v * np.power(w, r)) @ dagger(v))
-
-
-def hermitian_eig(m, tol: float = DEFAULT_TOL) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, symmetrizing first.
+def hermitian_eig(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of a Hermitian matrix, symmetrizing first:
+    ascending eigenvalues w and the matching orthonormal eigenvectors as the
+    columns of v.
 
     Raises NonHermitianError when the anti-Hermitian part exceeds tolerance,
     NoConvergenceError when the iteration fails.
@@ -135,10 +95,9 @@ def hermitian_eig(m, tol: float = DEFAULT_TOL) -> HermitianEig:
             f"matrix is not Hermitian: defect {defect:.3e} exceeds tolerance"
         )
     try:
-        w, v = np.linalg.eigh(hermitian_part(m))
+        return np.linalg.eigh(hermitian_part(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
-    return HermitianEig(eigenvalues=w, eigenvectors=v)
 
 
 def polar_decompose(a) -> tuple[np.ndarray, np.ndarray]:
@@ -156,33 +115,3 @@ def polar_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     unitary = u @ vh
     positive = hermitian_part(dagger(vh) @ (s[:, None] * vh))
     return unitary, positive
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A faithful state: Hermitian, invertible, unit-trace positive matrix,
-    with the one ``hermitian_eig`` that validated it kept as ``eig``.
-    ``matrix`` is a read-only copy of the caller's matrix, so a later write
-    to the caller's array cannot change the state behind ``eig``."""
-
-    matrix: np.ndarray
-    tol: float = DEFAULT_TOL
-    eig: HermitianEig = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        m = as_matrix(np.array(self.matrix, dtype=complex))
-        m.setflags(write=False)
-        object.__setattr__(self, "eig", hermitian_eig(m, self.tol))
-        w = self.eig.eigenvalues
-        tr = float(np.sum(w))
-        if abs(tr - 1.0) > threshold(1.0, self.tol):
-            raise ValueError(f"density matrix must have unit trace, got {tr!r}")
-        if not invertible(w[0], w[-1]):
-            raise SingularInputError(
-                f"density matrix is numerically singular: min eigenvalue {w[0]:.3e}"
-            )
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, dagger
+from .linalg import dagger
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -37,10 +37,13 @@ def random_unitary(n: int, rng) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_density(n: int, rng) -> DensityMatrix:
+def random_density(n: int, rng):
+    """A random faithful state, as a ``spaces.QuantumMeasure``."""
+    from .spaces import QuantumMeasure  # spaces imports this module
+
     g = ginibre(n, rng_from(rng))
     m = g @ dagger(g)
-    return DensityMatrix(m / np.trace(m).real)
+    return QuantumMeasure(m / np.trace(m).real)
 
 
 def commuting_unitary(eigenvectors: np.ndarray, rng) -> np.ndarray:

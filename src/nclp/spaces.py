@@ -29,12 +29,14 @@ import numpy as np
 from .jsonio import count_value, real_value
 from .linalg import (
     DEFAULT_TOL,
-    DensityMatrix,
     DimensionMismatchError,
+    SingularInputError,
     as_matrices,
     as_matrix,
     dagger,
+    hermitian_eig,
     hermitian_part,
+    invertible,
     threshold,
 )
 from .sampling import ginibre_stack
@@ -67,50 +69,50 @@ def tau_exponent(p: float) -> float:
 
 
 class QuantumMeasure:
-    """A faithful state omega(X) = Tr(rho X), with cached powers of rho.
+    """A faithful state omega(X) = Tr(rho X), validated and decomposed once,
+    with cached powers of rho.
 
-    rho is decomposed once, by the ``DensityMatrix`` that validates it, and
-    ``rho`` is the matrix that decomposition reads, the Hermitian part of the
-    given one, so that the predual and every power read one state.  Each
-    power rho^r is read from that decomposition by ``HermitianEig.power`` at
-    ``self.tol``.  ``rho`` and the cached powers are read-only, since every
-    caller shares them.  Products of cached powers satisfy the exponent
-    semigroup law to rounding accuracy.
-    A plain matrix is validated as ``DensityMatrix(rho)``, at the default
-    tolerance; pass a ``DensityMatrix`` to choose another.
+    The given matrix is kept as ``matrix``, a read-only copy.  It must be
+    Hermitian within ``tol`` (``hermitian_eig``, whose decomposition of the
+    Hermitian part is kept as ``eigenvalues`` and ``eigenbasis``), have unit
+    trace, and be positive definite and ``invertible``.  ``rho`` is that
+    Hermitian part, so that the predual and every power read one state.
+    Each power rho^r is read from the one decomposition and cached.
+    Everything a measure holds is read-only, since every caller shares it;
+    products of cached powers satisfy the exponent semigroup law to rounding
+    accuracy.  A ``QuantumMeasure`` passed as ``rho`` is shared as it
+    stands, with its own tolerance, decomposition and cached powers.
     """
 
-    def __init__(self, rho):
-        self.density = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
-        self.rho = hermitian_part(self.density.matrix)
-        self.rho.setflags(write=False)
+    def __init__(self, rho, tol: float = DEFAULT_TOL):
+        if isinstance(rho, QuantumMeasure):
+            vars(self).update(vars(rho))
+            return
+        self.matrix = as_matrix(np.array(rho, dtype=complex))
+        self.matrix.setflags(write=False)
+        w, v = hermitian_eig(self.matrix, tol)
+        tr = float(np.sum(w))
+        if abs(tr - 1.0) > threshold(1.0, tol):
+            raise ValueError(f"density matrix must have unit trace, got {tr!r}")
+        if w[0] <= 0.0:
+            raise ValueError(f"density matrix is not positive definite: min eigenvalue {w[0]:.3e}")
+        if not invertible(w[0], w[-1]):
+            raise SingularInputError(f"density matrix is numerically singular: min eigenvalue {w[0]:.3e}")
+        self.rho = hermitian_part(self.matrix)
+        for shared in (self.rho, w, v):
+            shared.setflags(write=False)
+        self.eigenvalues, self.eigenbasis = w, v
+        self.tol = tol
+        self.dim = self.matrix.shape[0]
         self._powers: dict[float, np.ndarray] = {}
 
-    @property
-    def tol(self) -> float:
-        """The tolerance of ``density``, which validated rho and takes its powers."""
-        return self.density.tol
-
-    @property
-    def dim(self) -> int:
-        return self.density.dim
-
-    @property
-    def eigenbasis(self) -> np.ndarray:
-        """Orthonormal eigenvectors of rho, in ascending eigenvalue order."""
-        return self.density.eig.eigenvectors
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of rho, ascending, matching ``eigenbasis``."""
-        return self.density.eig.eigenvalues
-
     def power(self, r: float) -> np.ndarray:
-        """rho^r for any real r (rho is invertible by construction)."""
+        """rho^r for any real r (rho is positive definite by construction)."""
         r = float(r)
         cached = self._powers.get(r)
         if cached is None:
-            cached = self.density.eig.power(r, self.tol)
+            v = self.eigenbasis
+            cached = hermitian_part((v * np.power(self.eigenvalues, r)) @ dagger(v))
             cached.setflags(write=False)
             self._powers[r] = cached
         return cached

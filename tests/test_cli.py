@@ -423,6 +423,10 @@ RHO_2 = {"matrix": [[0.5, 0], [0, 0.5]]}
 
 #: an integer beyond int64 and the float range
 HUGE = 10**400
+#: float entries whose norms and products lie beyond the float range
+HUGE_ENTRIES = [[1e308, 1e308], [1e308, 1e308]]
+
+IDENTITY_2 = superop_to_json(SuperOperator.identity(2))
 
 #: inputs that must exit 2 with empty stdout and one error line on stderr
 USAGE_ERRORS = {
@@ -435,6 +439,10 @@ USAGE_ERRORS = {
         "B": {"matrix": [[1, 0], [0, 1]]},
         "rho": {"matrix": [[1, 0], [0, 0]]},
     })],
+    # not positive definite
+    "not-positive-rho": ["implementable", "--input", payload({"V": IDENTITY_2, "rho": {"matrix": [[1.5, 0], [0, -0.5]]}, "p": 2})],
+    # positive, but below the invertibility ratio
+    "numerically-singular-rho": ["implementable", "--input", payload({"V": IDENTITY_2, "rho": {"matrix": [[1 - 1e-13, 0], [0, 1e-13]]}, "p": 2})],
     "no-input": ["norm"],
     "missing-file": ["norm", "--input", "no-such-input.json"],
     "tol-zero": ["norm", "--input", payload({"A": {"matrix": [[1]]}, "p": 1}), "--tol", "0"],
@@ -515,6 +523,23 @@ def test_a_mass_ratio_beyond_the_float_range_names_mu(capsys):
     code, out, err = run_cli(capsys, "classical", "fp", "--input", payload({"map": [1, 0], "mu": [1e308, 1e-308]}))
     assert (code, out) == (2, "")
     assert err == "error: field 'mu': the ratio of the largest to the smallest mass must lie within the float range\n"
+
+
+def test_a_value_beyond_the_float_range_names_its_field(capsys):
+    for a, p in ((HUGE_ENTRIES, 2), (HUGE_ENTRIES, 3), ([[1e308, 0], [0, 1e308]], 1)):
+        code, out, err = run_cli(capsys, "norm", "--input", payload({"A": {"matrix": a}, "p": p}))
+        assert (code, out, err) == (2, "", "error: field 'A': its norm lies beyond the float range\n")
+    both = payload({"A": {"matrix": HUGE_ENTRIES}, "B": {"matrix": HUGE_ENTRIES}, "rho": RHO_2})
+    code, out, err = run_cli(capsys, "inner", "--input", both)
+    assert (code, out, err) == (2, "", "error: field 'A': its inner product with 'B' lies beyond the float range\n")
+
+
+def test_ds_check_reports_an_overflowing_defect_without_a_warning(capsys):
+    # the defects overflow to inf, a "no", with no RuntimeWarning on the way:
+    # this suite's warning filters would turn one into an error
+    code, out, err = run_cli(capsys, "classical", "ds-check", "--input", payload({"W": {"matrix": HUGE_ENTRIES}, "mu": [1, 1]}))
+    assert (code, err) == (1, "")
+    assert strict_loads(out) == {"mass_defect": "inf", "ok": False, "positivity_defect": 0.0, "unitality_defect": "inf"}
 
 
 def test_dumps_refuses_numbers_that_are_not_finite():
@@ -664,7 +689,6 @@ def test_a_missing_mpc_field_is_named(capsys, field):
     assert (code, out, err) == (2, "", f"error: field '{field}': missing\n")
 
 
-IDENTITY_2 = superop_to_json(SuperOperator.identity(2))
 HALF = {"matrix": [[0.5, 0], [0, 0.5]]}
 
 

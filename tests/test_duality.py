@@ -6,7 +6,10 @@ the Banach adjoint of V on L^p(rho) is, on L^q(rho) with 1/p + 1/q = 1,
     V#(Y) = rho^(-1/2) V_*(rho^(1/2) Y rho^(1/2)) rho^(-1/2),
 
 V_* the predual, and V is an onto isometry exactly when V# is.  The
-verdicts are also invariant under V -> Ad W o V o Ad W*, rho -> W rho W*.
+verdicts are also invariant under V -> Ad W o V o Ad W*, rho -> W rho W*,
+and under V -> T o V o T, rho -> rho^T, T the transpose map: T carries
+L^p(rho) isometrically, unitally and positively onto L^p(rho^T), and
+T o Ad(u) o T = Ad(conj u), so the kind of a Jordan factor is kept too.
 """
 
 import math
@@ -15,7 +18,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclp.linalg import DensityMatrix
 from nclp.sampling import commuting_unitary, ginibre, random_unitary, rng_from
 from nclp.spaces import QuantumMeasure
 from nclp.superop import SuperOperator, implementability_check, isometry_check
@@ -30,7 +32,7 @@ def state(n: int, log_cond: float, rng) -> QuantumMeasure:
     spread = np.concatenate([[0.0, 1.0], rng.random(n - 2)])
     weights = 10.0 ** (-log_cond * spread)
     q = random_unitary(n, rng)
-    return QuantumMeasure(DensityMatrix((q * (weights / weights.sum())) @ q.conj().T))
+    return QuantumMeasure((q * (weights / weights.sum())) @ q.conj().T)
 
 
 def family(kind: str, measure: QuantumMeasure, rng) -> SuperOperator:
@@ -90,7 +92,7 @@ def test_an_implementability_verdict_is_invariant_under_a_unitary_change_of_basi
     measure = state(n, log_cond, rng)
     v = family(kind, measure, rng)
     w = random_unitary(n, rng)
-    moved = QuantumMeasure(DensityMatrix(w @ measure.rho @ w.conj().T))
+    moved = QuantumMeasure(w @ measure.rho @ w.conj().T)
     conjugated = SuperOperator.ad_unitary(w) @ v @ SuperOperator.ad_unitary(w.conj().T)
     before = implementability_check(v, measure, p, seed=seed)
     after = implementability_check(conjugated, moved, p, seed=seed)
@@ -98,3 +100,26 @@ def test_an_implementability_verdict_is_invariant_under_a_unitary_change_of_basi
     if kind != "generic":
         # a generic Ad(u) is implementable only where it preserves rho
         assert before.implementable == (kind == "commuting")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 4),
+    log_cond=st.floats(0.0, 6.0),
+    kind=st.sampled_from(FAMILIES),
+    p=st.sampled_from(EXPONENTS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_an_implementability_verdict_is_invariant_under_transposition(n, log_cond, kind, p, seed):
+    rng = rng_from(seed)
+    measure = state(n, log_cond, rng)
+    v = family(kind, measure, rng)
+    # T permutes the column-stacked entries (i, j) -> (j, i), so T o V o T
+    # permutes V's rows and columns alike
+    swap = np.arange(n * n).reshape(n, n).T.ravel()
+    transposed = SuperOperator(n, v.matrix[swap][:, swap])
+    before = implementability_check(v, measure, p, seed=seed)
+    after = implementability_check(transposed, QuantumMeasure(measure.rho.T), p, seed=seed)
+    assert (before.implementable, before.failure) == (after.implementable, after.failure)
+    if before.implementable:
+        assert before.kind == after.kind

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nclp.linalg import DEFAULT_TOL, DensityMatrix, DimensionMismatchError, hermitian_eig, threshold
+from nclp.linalg import DEFAULT_TOL, DimensionMismatchError, dagger, hermitian_eig, hermitian_part, threshold
 from nclp.sampling import ginibre, random_density, random_unitary, rng_from
 from nclp.spaces import (
     P_GRID,
@@ -93,9 +93,16 @@ def test_weighted_norm_inf_is_operator_norm():
     assert abs(weighted_norm(a, m, math.inf) - 3.0) < 1e-12
 
 
+def fresh_power(matrix, r: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """matrix^r read from a fresh decomposition, as a measure reads its powers."""
+    w, v = hermitian_eig(matrix, tol)
+    return hermitian_part((v * np.power(w, r)) @ dagger(v))
+
+
 def test_measure_powers_come_from_one_decomposition(monkeypatch):
-    # rho is decomposed once, by the DensityMatrix that validates it, and
-    # each power of the measure built on it equals a fresh decomposition's
+    # rho is decomposed once, by the measure that validates it; a measure
+    # built on that measure shares it, and each power equals a fresh
+    # decomposition's
     exponents = (-1.0, -0.5, -1 / 3, -0.25, -1 / 6, 0.0, 1 / 6, 0.25, 1 / 3, 0.5, 1.0)
     calls = []
 
@@ -118,7 +125,7 @@ def test_measure_powers_come_from_one_decomposition(monkeypatch):
         powers = [measure.power(r) for r in exponents]
         assert calls == [("eigh", (n, n))]
         for r, power in zip(exponents, powers):
-            assert np.array_equal(power, hermitian_eig(rho.matrix, measure.tol).power(r, measure.tol))
+            assert np.array_equal(power, fresh_power(rho.matrix, r, measure.tol))
 
 
 def test_a_state_keeps_its_own_matrix():
@@ -129,28 +136,30 @@ def test_a_state_keeps_its_own_matrix():
     rho[[0, 1], [0, 1]] = rho[[1, 0], [1, 0]]
     assert np.array_equal(measure.rho, np.diag([0.75, 0.25]))
     assert np.allclose(measure.power(1.0), measure.rho, atol=1e-15)
-    # the kept matrix and the cached powers are shared, so they are read-only
-    for shared in (measure.rho, measure.power(1.0), measure.power(-0.5)):
+    # everything a measure holds is shared, so it is read-only
+    held = (measure.matrix, measure.rho, measure.eigenvalues, measure.eigenbasis, measure.power(1.0), measure.power(-0.5))
+    for shared in held:
         with pytest.raises(ValueError, match="read-only"):
-            shared[0, 0] = 1.0
+            shared[..., 0] = 1.0
     assert measure.power(-0.5) is measure.power(-0.5)
 
 
 def test_a_measure_has_the_one_tolerance_of_its_density():
     rho = random_density(3, rng_from(12)).matrix
     for t in (1e-3, DEFAULT_TOL, 1e-14):
-        measure = QuantumMeasure(DensityMatrix(rho, tol=t))
+        measure = QuantumMeasure(rho, tol=t)
         assert measure.tol == t
         for r in (-0.5, 0.25, 1 / 3):
-            assert np.array_equal(measure.power(r), hermitian_eig(rho, t).power(r, t))
+            assert np.array_equal(measure.power(r), fresh_power(rho, r, t))
     assert QuantumMeasure(rho).tol == DEFAULT_TOL
-    # the density's tolerance also decided its validation: a trace 1e-6 off
-    # passes at 1e-3 and fails at the default
-    assert QuantumMeasure(DensityMatrix(rho * (1 + 1e-6), tol=1e-3)).tol == 1e-3
+    # the tolerance also decided the validation: a trace 1e-6 off passes at
+    # 1e-3 and fails at the default
+    loose = QuantumMeasure(rho * (1 + 1e-6), tol=1e-3)
     with pytest.raises(ValueError, match="unit trace"):
         QuantumMeasure(rho * (1 + 1e-6))
-    with pytest.raises(TypeError):
-        QuantumMeasure(rho, tol=1e-3)
+    # a measure given as rho is shared with its own tolerance
+    assert QuantumMeasure(loose).tol == 1e-3
+    assert QuantumMeasure(loose).eigenbasis is loose.eigenbasis
 
 
 def test_weighted_inner_unit():
@@ -333,9 +342,9 @@ def test_rho_is_the_matrix_its_decomposition_reads():
     rho = measure.rho
     assert np.array_equal(rho, rho.conj().T) and not np.diagonal(rho).imag.any()
     # the decomposition is bit for bit the one of the given matrix
-    eig = hermitian_eig(raw)
-    assert np.array_equal(measure.eigenvalues, eig.eigenvalues)
-    assert np.array_equal(measure.eigenbasis, eig.eigenvectors)
+    w, v = hermitian_eig(raw)
+    assert np.array_equal(measure.eigenvalues, w)
+    assert np.array_equal(measure.eigenbasis, v)
     v = measure.eigenbasis
     assert np.linalg.norm((v * measure.eigenvalues) @ v.conj().T - rho) <= 1e-15
     assert np.linalg.norm(measure.power(1.0) - rho) <= 1e-15
