@@ -17,6 +17,7 @@ their output does not depend on them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -73,6 +74,19 @@ def _exponent(payload: dict) -> float:
     return spaces.check_p(jsonio.require(payload, "p"))
 
 
+@contextlib.contextmanager
+def _within_float_range(field: str, message: str = "its entries take the check beyond the float range"):
+    """Run a computation on finite input whose arithmetic must stay within
+    the float range.  An overflow, or a value made invalid by one, decides
+    nothing: the input is refused, naming ``field``, with no numpy warning
+    and no traceback."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:
+        raise SchemaError(field, message) from exc
+
+
 def _finite_or_text(value):
     """A report value as strict JSON allows it: a float that is not finite,
     such as the invertibility defect of a singular map or p = inf, is
@@ -114,11 +128,8 @@ def _cmd_norm(cfg: RunConfig):
     p = _exponent(payload)
     measure = _optional_measure(payload, cfg.tol)
     kind = "schatten" if measure is None else "weighted"
-    # a norm beyond the float range is refused below, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _within_float_range("A", "its norm lies beyond the float range"):
         value = spaces.schatten_norm(a, p) if measure is None else spaces.weighted_norm(a, measure, p)
-    if not math.isfinite(value):
-        raise SchemaError("A", "its norm lies beyond the float range")
     return OK, {"norm": value, "p": _finite_or_text(p), "kind": kind}
 
 
@@ -135,10 +146,8 @@ def _cmd_inner(cfg: RunConfig):
     a = jsonio.matrix_from_json(jsonio.require(payload, "A"), "A")
     b = jsonio.matrix_from_json(jsonio.require(payload, "B"), "B")
     measure = _measure(payload, cfg.tol)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _within_float_range("A", "its inner product with 'B' lies beyond the float range"):
         value = spaces.weighted_inner(a, b, measure)
-    if not np.isfinite(value):
-        raise SchemaError("A", "its inner product with 'B' lies beyond the float range")
     return OK, {"inner": jsonio.complex_pair(value)}
 
 
@@ -150,9 +159,10 @@ def _cmd_transport(cfg: RunConfig):
     inverse = payload.get("inverse", False)
     if not isinstance(inverse, bool):
         raise SchemaError("inverse", f"must be a JSON boolean, got {inverse!r}")
-    iso_weighted = superop.isometry_check(v, measure, p, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol)
-    t = superop.weighted_isometry_transport(v, measure, p, inverse=inverse)
-    iso_tracial = superop.isometry_check(t, None, p, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol)
+    with _within_float_range("V"):
+        iso_weighted = superop.isometry_check(v, measure, p, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol)
+        t = superop.weighted_isometry_transport(v, measure, p, inverse=inverse)
+        iso_tracial = superop.isometry_check(t, None, p, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol)
     return OK, {
         "transport": jsonio.superop_to_json(t),
         "isometry_weighted": _fields(iso_weighted),
@@ -166,7 +176,8 @@ def _cmd_integrability(cfg: RunConfig):
     t = jsonio.superop_from_json(jsonio.require(payload, "T"), "T")
     measure = _measure(payload, cfg.tol)
     try:
-        c = superop.integrability_constant(t, measure, tol=cfg.tol, trials=cfg.trials, seed=cfg.seed)
+        with _within_float_range("T"):
+            c = superop.integrability_constant(t, measure, tol=cfg.tol, trials=cfg.trials, seed=cfg.seed)
     except superop.NotPositiveError as exc:
         return NEGATIVE, {"positive": False, "error": str(exc)}
     return OK, {"constant": c, "positive": True}
@@ -174,15 +185,16 @@ def _cmd_integrability(cfg: RunConfig):
 
 def _cmd_jordan(cfg: RunConfig):
     j = jsonio.superop_from_json(jsonio.require(cfg.payload, "J"), "J")
-    check = superop.jordan_check(j, tol=cfg.tol)
-    obj = _fields(check, "worst_input")
-    if not check.is_jordan:
-        return NEGATIVE, obj
-    try:
-        classification = superop.jordan_classify(j, tol=cfg.tol)
-    except superop.NotClassifiableError as exc:
-        obj["error"] = str(exc)
-        return NEGATIVE, obj
+    with _within_float_range("J"):
+        check = superop.jordan_check(j, tol=cfg.tol)
+        obj = _fields(check, "worst_input")
+        if not check.is_jordan:
+            return NEGATIVE, obj
+        try:
+            classification = superop.jordan_classify(j, tol=cfg.tol)
+        except superop.NotClassifiableError as exc:
+            obj["error"] = str(exc)
+            return NEGATIVE, obj
     obj["kind"] = classification.kind
     obj["unitary"] = jsonio.matrix_to_json(classification.unitary)
     obj["classification_residual"] = classification.residual
@@ -194,7 +206,8 @@ def _cmd_isometry(cfg: RunConfig):
     t = jsonio.superop_from_json(jsonio.require(payload, "T"), "T")
     p = _exponent(payload)
     measure = _optional_measure(payload, cfg.tol)
-    check = superop.isometry_check(t, measure, p, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol)
+    with _within_float_range("T"):
+        check = superop.isometry_check(t, measure, p, trials=cfg.trials, seed=cfg.seed, tol=cfg.tol)
     return (OK if check.is_isometry else NEGATIVE), _fields(check)
 
 
@@ -203,7 +216,8 @@ def _cmd_decompose(cfg: RunConfig):
     t = jsonio.superop_from_json(jsonio.require(payload, "T"), "T")
     p = _exponent(payload)
     try:
-        dec = superop.lamperti_decompose(t, p, tol=cfg.tol)
+        with _within_float_range("T"):
+            dec = superop.lamperti_decompose(t, p, tol=cfg.tol)
     except superop.NotDecomposableError as exc:
         return NEGATIVE, {"decomposable": False, "reason": exc.reason, "defect": _finite_or_text(exc.defect)}
     obj = jsonio.decomposition_to_json(dec)
@@ -216,7 +230,8 @@ def _cmd_implementable(cfg: RunConfig):
     v = jsonio.superop_from_json(jsonio.require(payload, "V"), "V")
     measure = _measure(payload, cfg.tol)
     p = _exponent(payload)
-    report = superop.implementability_check(v, measure, p, tol=cfg.tol, trials=cfg.trials, seed=cfg.seed)
+    with _within_float_range("V"):
+        report = superop.implementability_check(v, measure, p, tol=cfg.tol, trials=cfg.trials, seed=cfg.seed)
     return (OK if report.implementable else NEGATIVE), _implementability_json(report)
 
 
@@ -228,11 +243,19 @@ def _cmd_change_rep(cfg: RunConfig):
     t_steps = jsonio.integer_field(payload, "t_steps")
     p = _exponent(payload) if "p" in payload else 2.0
     try:
-        report = superop.change_of_representation_demo(
-            u, lam, measure, t_steps, p=p, tol=cfg.tol, trials=cfg.trials, seed=cfg.seed
-        )
+        with _within_float_range("U"):
+            report = superop.change_of_representation_demo(
+                u, lam, measure, t_steps, p=p, tol=cfg.tol, trials=cfg.trials, seed=cfg.seed
+            )
     except superop.NotJordanError as exc:
         return NEGATIVE, {"all_implementable": False, "error": str(exc)}
+    except SchemaError as exc:
+        if exc.field == "U":
+            # Lambda is checked before any step uses U: it is the culprit
+            # when its own check leaves the float range
+            with _within_float_range("Lambda"):
+                superop.jordan_check(lam, tol=cfg.tol)
+        raise
     obj = {
         "all_implementable": report.all_implementable,
         "steps": [
@@ -265,7 +288,8 @@ def _cmd_classical_lamperti(cfg: RunConfig):
     v = jsonio.matrix_from_json(jsonio.require(payload, "V"), "V")
     space = jsonio.measure_space_from_json(payload)
     p = _exponent(payload)
-    dec = classical.weighted_permutation_decompose(v, space, p)
+    with _within_float_range("V"):
+        dec = classical.weighted_permutation_decompose(v, space, p)
     obj = {"ok": dec.ok}
     if dec.ok:
         obj["map"] = jsonio.point_map_to_json(dec.point_map)
@@ -276,7 +300,8 @@ def _cmd_classical_lamperti(cfg: RunConfig):
 
 def _cmd_multiplicative(cfg: RunConfig):
     k = jsonio.matrix_from_json(jsonio.require(cfg.payload, "K"), "K")
-    check = classical.multiplicativity_check(k, tol=cfg.tol)
+    with _within_float_range("K"):
+        check = classical.multiplicativity_check(k, tol=cfg.tol)
     return (OK if check.multiplicative else NEGATIVE), _fields(check)
 
 

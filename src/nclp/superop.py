@@ -386,15 +386,28 @@ def _square_defects(j: SuperOperator, i: np.ndarray, k: np.ndarray) -> np.ndarra
     """||J(A^2) - J(A)^2||_F over the Hermitian spanning set, in order: E_ii,
     then for each pair (i, k) of ``np.triu_indices`` the symmetric
     E_ik + E_ki and the skew i E_ik - i E_ki, both squaring to E_ii + E_kk.
+
+    The n^2 images J(A) are written into one stack, their squares into a
+    second, and each square is subtracted from its target in place, so at
+    most two n^4 arrays beside J are alive at a time.
     """
     n = j.dim
     images = _images(j)
     units = images[np.arange(n), np.arange(n)]
+    ja = np.empty((n * n, n, n), dtype=complex)
+    ja[:n] = units
+    pairs = ja[n:].reshape(-1, 2, n, n)
     upper, lower = images[i, k], images[k, i]
-    pairs = np.stack([upper + lower, 1j * (upper - lower)], axis=1).reshape(-1, n, n)
-    ja = np.concatenate([units, pairs])
-    targets = np.concatenate([units, np.repeat(units[i] + units[k], 2, axis=0)])
-    return np.linalg.norm(targets - ja @ ja, axis=(1, 2))
+    np.add(upper, lower, out=pairs[:, 0])
+    np.subtract(upper, lower, out=pairs[:, 1])
+    del upper, lower
+    np.multiply(1j, pairs[:, 1], out=pairs[:, 1])
+    squares = np.matmul(ja, ja)
+    del ja, pairs
+    np.subtract(units, squares[:n], out=squares[:n])
+    square_pairs = squares[n:].reshape(-1, 2, n, n)
+    np.subtract((units[i] + units[k])[:, None], square_pairs, out=square_pairs)
+    return np.linalg.norm(squares, axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -460,6 +473,20 @@ def jordan_check(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanCheck:
     )
 
 
+def _hermitian_choi(j: SuperOperator, kind: str) -> np.ndarray:
+    """``hermitian_part`` of choi(J) (conjugation kind) or of
+    choi(J o transpose) (transposed kind), formed in place in one n^4 array;
+    the latter is read off J's matrix by one index permutation."""
+    n = j.dim
+    if kind == KIND_ISO:
+        c = choi(j)
+    else:
+        c = j.matrix.T.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
+    np.add(c, dagger(c), out=c)
+    c /= 2.0
+    return c
+
+
 @dataclass(frozen=True)
 class JordanClassification:
     kind: str
@@ -490,8 +517,7 @@ def jordan_classify(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanClassif
     for kind, (_, _, e) in zip((KIND_ISO, KIND_ANTI), j.pivot_reading):
         if e > cutoff:
             continue
-        mapped = j if kind == KIND_ISO else SuperOperator(n, j.matrix[:, swap(n)])
-        w, v = np.linalg.eigh(hermitian_part(choi(mapped)))
+        w, v = np.linalg.eigh(_hermitian_choi(j, kind))
         top = int(np.argmax(np.abs(w)))
         u = unvec(v[:, top], n) * math.sqrt(n)
         u = fix_global_phase(u)
@@ -743,8 +769,12 @@ def lamperti_decompose(t: SuperOperator, p, tol: float = DEFAULT_TOL) -> Lampert
             defect=scale_defect,
         )
     # kron(eye(n), A) @ M multiplies each n-row block of M by A
-    blocks = t.matrix.reshape(n, n, -1)
-    jordan = SuperOperator(n, (dagger(w_factor) @ blocks).reshape(n * n, n * n) / scale)
+    remainder = dagger(w_factor) @ t.matrix.reshape(n, n, -1)
+    # from here on only the remainder is needed: a caller that holds no
+    # other reference to T (``implementability_check``) frees it now
+    del t
+    remainder /= scale
+    jordan = SuperOperator(n, remainder.reshape(n * n, n * n))
     check = jordan_check(jordan, tol=tol)
     if not check.is_jordan:
         raise NotDecomposableError(
@@ -863,9 +893,10 @@ def implementability_check(
     defects["isometry"] = iso.max_rel_defect
     if not iso.is_isometry or not iso.onto:
         return ImplementabilityReport("onto" if not iso.onto else "isometry", defects, isometry=iso)
-    transported = weighted_isometry_transport(v, measure, p)
     try:
-        dec = lamperti_decompose(transported, p, tol=tol)
+        # the transported map is passed unnamed, so that it is freed once
+        # lamperti_decompose has peeled W and the scale off it
+        dec = lamperti_decompose(weighted_isometry_transport(v, measure, p), p, tol=tol)
     except NotDecomposableError as exc:
         return ImplementabilityReport(f"decomposition: {exc.reason}", defects, isometry=iso)
     tr = complex(np.trace(dec.w))

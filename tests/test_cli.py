@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -428,6 +429,10 @@ HUGE_ENTRIES = [[1e308, 1e308], [1e308, 1e308]]
 
 IDENTITY_2 = superop_to_json(SuperOperator.identity(2))
 
+#: 1e308 times the identity map on 2 x 2 matrices: finite, but every check of
+#: it leaves the float range
+HUGE_MAP = superop_to_json(SuperOperator(2, 1e308 * np.eye(4)))
+
 #: inputs that must exit 2 with empty stdout and one error line on stderr
 USAGE_ERRORS = {
     "p-null": ["norm", "--input", payload({"A": {"matrix": [[1]]}, "p": None})],
@@ -498,6 +503,13 @@ USAGE_ERRORS = {
     # matrix with Infinity, which is not JSON, and exited 0
     "mass-ratio-overflow": ["classical", "fp", "--input", payload({"map": [1, 0], "mu": [1e308, 1e-308]})],
     "t-overflow": ["mpc", "run", "--input", payload({"N": 2, "f": {"kind": "logistic"}, "t": HUGE})],
+    # a map near the float maximum ended in an OverflowError traceback and
+    # exit 1, the code of a genuine "no"
+    "jordan-overflow": ["jordan", "--input", payload({"J": HUGE_MAP})],
+    "change-rep-overflow": ["change-rep", "--input", payload({
+        "U": {"matrix": [[1, 0], [0, 1]]}, "Lambda": HUGE_MAP, "rho": RHO_2, "t_steps": 1,
+    })],
+    "multiplicative-overflow": ["classical", "multiplicative", "--input", payload({"K": {"matrix": HUGE_ENTRIES}})],
     # a count had no upper bound: one implementability check per step ran
     # for 10^9 steps, and 10^13 trials asked numpy for 582 TiB
     "t_steps-above-bound": ["change-rep", "--input", change_rep_payload(10**9)],
@@ -532,6 +544,30 @@ def test_a_value_beyond_the_float_range_names_its_field(capsys):
     both = payload({"A": {"matrix": HUGE_ENTRIES}, "B": {"matrix": HUGE_ENTRIES}, "rho": RHO_2})
     code, out, err = run_cli(capsys, "inner", "--input", both)
     assert (code, out, err) == (2, "", "error: field 'A': its inner product with 'B' lies beyond the float range\n")
+
+
+def test_a_map_that_takes_its_check_beyond_the_float_range_names_its_field(capsys):
+    # transport and isometry warned and refused with a message that named no
+    # field, implementable named none, and decompose and integrability
+    # answered "no" off inf and nan defects, after warnings
+    cases = (
+        (["jordan"], {"J": HUGE_MAP}, "J"),
+        (["change-rep"], {"U": {"matrix": [[1, 0], [0, 1]]}, "Lambda": HUGE_MAP, "rho": RHO_2, "t_steps": 1}, "Lambda"),
+        (["change-rep"], {"U": {"matrix": [[1e200, 0], [0, 1]]}, "Lambda": IDENTITY_2, "rho": RHO_2, "t_steps": 1}, "U"),
+        (["classical", "multiplicative"], {"K": {"matrix": HUGE_ENTRIES}}, "K"),
+        (["classical", "lamperti"], {"V": {"matrix": [[1e308, 0], [0, 1e308]]}, "mu": [1, 1], "p": 2}, "V"),
+        (["transport"], {"V": HUGE_MAP, "rho": RHO_2, "p": 2}, "V"),
+        (["isometry"], {"T": HUGE_MAP, "rho": RHO_2, "p": 2}, "T"),
+        (["implementable"], {"V": HUGE_MAP, "rho": RHO_2, "p": 2}, "V"),
+        (["decompose"], {"T": HUGE_MAP, "p": 2}, "T"),
+        (["integrability"], {"T": HUGE_MAP, "rho": RHO_2}, "T"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for words, obj, field in cases:
+            code, out, err = run_cli(capsys, *words, "--input", payload(obj))
+            assert (code, out) == (2, ""), (words, err)
+            assert err == f"error: field '{field}': its entries take the check beyond the float range\n"
 
 
 def test_ds_check_reports_an_overflowing_defect_without_a_warning(capsys):

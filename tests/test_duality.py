@@ -10,17 +10,22 @@ verdicts are also invariant under V -> Ad W o V o Ad W*, rho -> W rho W*,
 and under V -> T o V o T, rho -> rho^T, T the transpose map: T carries
 L^p(rho) isometrically, unitally and positively onto L^p(rho^T), and
 T o Ad(u) o T = Ad(conj u), so the kind of a Jordan factor is kept too.
+On exactly stored data the verdict does not depend on p < oo: J(U) is
+implementable exactly when U commutes with rho (or with rho^T), and at
+p = oo every Jordan map is.
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclp.sampling import commuting_unitary, ginibre, random_unitary, rng_from
-from nclp.spaces import QuantumMeasure
-from nclp.superop import SuperOperator, implementability_check, isometry_check
+from nclp.spaces import P_GRID, QuantumMeasure
+from nclp.superop import KIND_ANTI, KIND_ISO, SuperOperator, canonical_jordan, implementability_check, isometry_check
 
 #: generic Ad(u), Ad(u) with u commuting with rho, X -> A X B, 1.1 Ad(u)
 FAMILIES = ("generic", "commuting", "sandwich", "scaled")
@@ -123,3 +128,59 @@ def test_an_implementability_verdict_is_invariant_under_transposition(n, log_con
     assert (before.implementable, before.failure) == (after.implementable, after.failure)
     if before.implementable:
         assert before.kind == after.kind
+
+
+#: Q = H/2 for the 4 x 4 Sylvester Hadamard matrix H: real, orthogonal and
+#: symmetric, with every entry +-1/2
+HADAMARD_Q = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]) / 2.0
+#: dyadic spectra with distinct entries and an exact unit trace, cond 8 and 2048
+HADAMARD_SPECTRA = ((1 / 2, 1 / 4, 3 / 16, 1 / 16), (1 / 2, 1 / 4, 1 / 4 - 2.0**-12, 2.0**-12))
+
+
+def exact(a) -> np.ndarray:
+    """A real float array as an object array of Fractions."""
+    return np.vectorize(Fraction, otypes=[object])(a)
+
+
+def exactly_stored(d, phases) -> tuple[np.ndarray, np.ndarray]:
+    """rho = Q D Q^T and U = Q Phi Q^T, Phi a monomial matrix with entries
+    +-1, +-i, both asserted to equal their exact rational values, so that
+    the truth is decided on the stored data."""
+    q = exact(HADAMARD_Q)
+    rho = HADAMARD_Q @ np.diag(d) @ HADAMARD_Q.T
+    u = HADAMARD_Q @ phases @ HADAMARD_Q.T
+    assert (exact(rho) == q @ exact(np.diag(d)) @ q.T).all()
+    for stored, part in ((u.real, phases.real), (u.imag, phases.imag)):
+        assert (exact(stored) == q @ exact(part) @ q.T).all()
+    return rho, u
+
+
+def test_on_exactly_stored_data_the_verdict_does_not_depend_on_p():
+    # for p < oo a Jordan map J(U) is implementable exactly when U commutes
+    # with rho (rho^T = rho here, so for both kinds), whatever p; at p = oo
+    # the weight drops out and every Jordan map is implementable
+    rng = rng_from(21)
+    exponents = (*P_GRID, math.inf)
+    kinds = (KIND_ISO, KIND_ANTI)
+    for d in HADAMARD_SPECTRA:
+        for _ in range(12):
+            phases = np.diag(rng.choice(np.array([1, -1, 1j, -1j]), 4))
+            rho, u = exactly_stored(d, phases)
+            measure = QuantumMeasure(rho)
+            for kind in kinds:
+                v = canonical_jordan(kind, u)
+                for p in exponents:
+                    report = implementability_check(v, measure, p)
+                    assert report.implementable and report.kind == kind, (d, kind, p, report.failure)
+    # every permutation but the identity mixes the distinct eigenvalues
+    rho, _ = exactly_stored(HADAMARD_SPECTRA[1], np.eye(4))
+    measure = QuantumMeasure(rho)
+    for order in itertools.permutations(range(4)):
+        if order == (0, 1, 2, 3):
+            continue
+        _, u = exactly_stored(HADAMARD_SPECTRA[1], np.eye(4)[list(order)])
+        for kind in kinds:
+            v = canonical_jordan(kind, u)
+            for p in P_GRID:
+                assert implementability_check(v, measure, p).failure == "isometry", (order, kind, p)
+            assert implementability_check(v, measure, math.inf).implementable, (order, kind)

@@ -409,8 +409,9 @@ def test_isometry_check_rejects_a_p2_conjugation_without_a_transport(monkeypatch
     assert builds == []
 
 
-def _jordan_defects_whole(j):
-    """The square and star defects from whole stacked and permuted copies."""
+def _square_defects_whole(j):
+    """||J(A^2) - J(A)^2||_F over the Hermitian spanning set, from whole
+    stacked and concatenated copies: the reference for ``_square_defects``."""
     n = j.dim
     images = superop._images(j)
     units = images[np.arange(n), np.arange(n)]
@@ -418,12 +419,28 @@ def _jordan_defects_whole(j):
     pairs = np.stack([images[i, k] + images[k, i], 1j * (images[i, k] - images[k, i])], axis=1)
     ja = np.concatenate([units, pairs.reshape(-1, n, n)])
     ja_sq = np.concatenate([units, np.repeat(units[i] + units[k], 2, axis=0)])
-    square = float(np.max(np.linalg.norm(ja_sq - ja @ ja, axis=(1, 2))))
-    s = swap(n)
+    return np.linalg.norm(ja_sq - ja @ ja, axis=(1, 2))
+
+
+def _jordan_defects_whole(j):
+    """The square and star defects from whole stacked and permuted copies."""
+    square = float(np.max(_square_defects_whole(j)))
+    s = swap(j.dim)
     # |z|^2 as re^2 + im^2: numpy's norm(axis=0) fuses a multiply-add into it
     d = j.matrix[:, s] - j.matrix.conj()[s]
     star = math.sqrt(float(np.max(np.sum(d.real**2 + d.imag**2, axis=0))))
     return square, star
+
+
+def test_square_defects_equal_the_whole_array_formula():
+    rng = rng_from(50)
+    for n in range(2, 13):
+        i, k = np.triu_indices(n, 1)
+        for kind in (KIND_ISO, KIND_ANTI):
+            jordan = canonical_jordan(kind, random_unitary(n, rng)).matrix
+            for m in (jordan, jordan + 1e-6 * ginibre(n * n, rng), ginibre(n * n, rng)):
+                j = SuperOperator(n, m)
+                assert np.array_equal(superop._square_defects(j, i, k), _square_defects_whole(j))
 
 
 def test_jordan_check_defects_equal_the_whole_array_formulas():
@@ -1181,6 +1198,32 @@ def test_transport_holds_one_kron_factor_at_a_time():
         assert np.array_equal(t.matrix, reference)
         # the result, one product and one kron factor; never both factors
         assert peak - base <= 3.5 * v.matrix.nbytes
+
+
+def test_a_positive_implementability_check_holds_about_five_n2_by_n2_arrays():
+    rng = rng_from(51)
+    n = 16
+    m = QuantumMeasure(random_density(n, rng))
+    w = rng.random(n) + 0.25
+    diagonal = QuantumMeasure(np.diag(w / w.sum()).astype(complex))
+    phases = np.diag(np.exp(2j * np.pi * rng.random(n)))
+    cases = (
+        (SuperOperator.ad_unitary(commuting_unitary(m.eigenbasis, rng)), m, KIND_ISO),
+        (canonical_jordan(KIND_ANTI, phases), diagonal, KIND_ANTI),
+    )
+    for v, measure, kind in cases:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = implementability_check(v, measure, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.implementable and report.kind == kind
+        # J, the eigenvectors of its Choi matrix, the canonical map, their
+        # difference and its squared moduli; the transported map is freed
+        # once J exists, and no square defect or Choi copy is alive then
+        assert peak - base <= 5.5 * v.matrix.nbytes
 
 
 def test_transport_round_trip():
