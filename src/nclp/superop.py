@@ -377,9 +377,13 @@ def _apply_to_stack(t: SuperOperator, xs: np.ndarray) -> np.ndarray:
 
 
 def choi(t: SuperOperator) -> np.ndarray:
-    """Choi matrix C = sum_ij E_ij kron T(E_ij)."""
+    """Choi matrix C = sum_ij E_ij kron T(E_ij), in a new array.
+
+    np.array copies even at n = 1, where a reshape of T's matrix is a view
+    of it, so a caller may write into C without touching T.
+    """
     n = t.dim
-    return _images(t).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    return np.array(_images(t).transpose(0, 2, 1, 3), order="C").reshape(n * n, n * n)
 
 
 def _square_defects(j: SuperOperator, i: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -475,13 +479,15 @@ def jordan_check(j: SuperOperator, tol: float = DEFAULT_TOL) -> JordanCheck:
 
 def _hermitian_choi(j: SuperOperator, kind: str) -> np.ndarray:
     """``hermitian_part`` of choi(J) (conjugation kind) or of
-    choi(J o transpose) (transposed kind), formed in place in one n^4 array;
-    the latter is read off J's matrix by one index permutation."""
+    choi(J o transpose) (transposed kind), formed in place in one new n^4
+    array; the latter is read off J's matrix by one index permutation."""
     n = j.dim
     if kind == KIND_ISO:
         c = choi(j)
     else:
-        c = j.matrix.T.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
+        # a new array, as ``choi`` returns one, so the sum below writes
+        # into no part of J's matrix
+        c = np.array(j.matrix.T.reshape(n, n, n, n).transpose(0, 3, 1, 2), order="C").reshape(n * n, n * n)
     np.add(c, dagger(c), out=c)
     c /= 2.0
     return c

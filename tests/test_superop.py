@@ -552,6 +552,20 @@ def test_jordan_classify_rejects_non_jordan():
         jordan_classify(SuperOperator(2, ginibre(4, rng_from(13))))
 
 
+def test_jordan_classify_leaves_the_map_it_reads_unchanged():
+    # at n = 1 a reshape of J's matrix is a view of it: the Hermitian Choi
+    # matrix, formed in place, must not overwrite the caller's map, whose
+    # residual is then read off the map as given
+    rng = rng_from(52)
+    for n in (1, 2, 3):
+        for kind in (KIND_ISO, KIND_ANTI):
+            m = canonical_jordan(kind, random_unitary(n, rng)).matrix + 1e-9 * ginibre(n * n, rng)
+            j = SuperOperator(n, m.copy())
+            cls = jordan_classify(j)
+            assert np.array_equal(j.matrix, m)
+            assert cls.residual == superop._max_column_norm(m - cls.canonical.matrix) > 0.0
+
+
 def test_choi_rank_dichotomy():
     rng = rng_from(14)
     for n in (2, 3, 4, 5):
