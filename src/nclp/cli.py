@@ -128,8 +128,13 @@ def _cmd_norm(cfg: RunConfig):
     p = _exponent(payload)
     measure = _optional_measure(payload, cfg.tol)
     kind = "schatten" if measure is None else "weighted"
-    with _within_float_range("A", "its norm lies beyond the float range"):
+    beyond = "its norm lies beyond the float range"
+    with _within_float_range("A", beyond):
         value = spaces.schatten_norm(a, p) if measure is None else spaces.weighted_norm(a, measure, p)
+    # numpy's svd rescales under its own errstate: an infinite singular
+    # value, and the max or sum of one, raises no flag
+    if not math.isfinite(value):
+        raise SchemaError("A", beyond)
     return OK, {"norm": value, "p": _finite_or_text(p), "kind": kind}
 
 
@@ -146,8 +151,11 @@ def _cmd_inner(cfg: RunConfig):
     a = jsonio.matrix_from_json(jsonio.require(payload, "A"), "A")
     b = jsonio.matrix_from_json(jsonio.require(payload, "B"), "B")
     measure = _measure(payload, cfg.tol)
-    with _within_float_range("A", "its inner product with 'B' lies beyond the float range"):
+    beyond = "its inner product with 'B' lies beyond the float range"
+    with _within_float_range("A", beyond):
         value = spaces.weighted_inner(a, b, measure)
+    if not np.isfinite(value):
+        raise SchemaError("A", beyond)
     return OK, {"inner": jsonio.complex_pair(value)}
 
 
