@@ -321,12 +321,12 @@ def _cmd_mpc_run(cfg: RunConfig):
         "asserted": experiment.asserted,
         "rows": rows,
     }
-    if experiment.negative_verdict:
+    if not experiment.implementable:
         obj["note"] = (
             "negative implementability verdict; for a strictly decreasing "
             "spectral function this is the expected answer"
         )
-    return (NEGATIVE if experiment.negative_verdict else OK), obj, header, rows
+    return (OK if experiment.implementable else NEGATIVE), obj, header, rows
 
 
 def _cmd_selftest(cfg: RunConfig):

@@ -387,11 +387,6 @@ def _shift_operator(sites: int, t: int) -> WalshOperator:
     return _built(t, _read_only(in_dom.astype(float)), in_dom)
 
 
-def build_shift(half_width: int) -> TruncatedKShift:
-    """Enumerate the truncated shift model; dimension 2^(2N+1)."""
-    return TruncatedKShift(half_width)
-
-
 def conditional_expectation(shift: TruncatedKShift, t: int) -> WalshOperator:
     """The projector onto ages <= t, row t of the shift's filtration table;
     t = -N-1 keeps only the constants."""
@@ -580,18 +575,6 @@ def _hadamard(m: int) -> np.ndarray:
     return _read_only(h)
 
 
-@dataclass(frozen=True)
-class StochasticitySuite:
-    positivity_defect: float
-    mass_defect: float
-    domain_fraction: float
-
-    @property
-    def unitality_defect(self) -> float:
-        """Equal to ``mass_defect``: both read the weight on the empty set."""
-        return self.mass_defect
-
-
 def _step_kernel(multipliers: np.ndarray) -> np.ndarray:
     """The kernel k of scaling Walsh coefficient m by multipliers[m]: on grid
     values that is XOR convolution by k, as H[x, m] H[y, m] = H[x ^ y, m]."""
@@ -619,24 +602,21 @@ def _step_weights(op: WalshOperator) -> np.ndarray:
     return slots[_slot_index(slots.size - 1)]
 
 
-def _stochasticity_of(op: WalshOperator, kernel: np.ndarray) -> StochasticitySuite:
-    """Unitality, mass and positivity of a step, all exact, given its kernel
-    ``_step_kernel(_step_weights(op))``.
+def _stochasticity_of(op: WalshOperator, kernel: np.ndarray) -> tuple[float, float]:
+    """The positivity and mass defects of a step, both exact, given its
+    kernel ``_step_kernel(_step_weights(op))``.
 
-    Unitality and mass both read the weight on the empty set, the only mask
-    that a step sends there.  Positivity is decided on densities of the low
-    2N+1-t coordinates, all that a step by t reads: their masks lie
-    below block = 2^(2N+1-t), which the step scales by m while relabelling
-    grid points, so it acts as XOR convolution by k = fwht(m) / block and is
-    positive exactly when k >= 0.  Over densities with values in [0, 1] its
-    lowest value is -sum max(0, -k), reached by the indicator of
-    {y : k[x ^ y] < 0}; that sum is the positivity defect.
+    Mass reads the weight on the empty set, the only mask that a step sends
+    there, and so does unitality: one defect serves both.  Positivity is
+    decided on densities of the low 2N+1-t coordinates, all that a step by t
+    reads: their masks lie below block = 2^(2N+1-t), which the step scales
+    by m while relabelling grid points, so it acts as XOR convolution by
+    k = fwht(m) / block and is positive exactly when k >= 0.  Over densities
+    with values in [0, 1] its lowest value is -sum max(0, -k), reached by
+    the indicator of {y : k[x ^ y] < 0}; that sum is the positivity defect.
     """
-    return StochasticitySuite(
-        positivity_defect=0.0 - float(kernel[kernel < 0].sum()),  # +0.0 when k >= 0
-        mass_defect=abs(float(op.slot_weights[0] if op.slot_domain[0] else 0.0) - 1.0),
-        domain_fraction=op.domain_fraction,
-    )
+    positivity = 0.0 - float(kernel[kernel < 0].sum())  # +0.0 when k >= 0
+    return positivity, abs(float(op.slot_weights[0] if op.slot_domain[0] else 0.0) - 1.0)
 
 
 # --- implementability ---------------------------------------------------------
@@ -644,8 +624,12 @@ def _stochasticity_of(op: WalshOperator, kernel: np.ndarray) -> StochasticitySui
 
 @dataclass(frozen=True)
 class MpcImplementability:
+    """A step's verdict and its positivity and mass defects, from one kernel."""
+
     check: MultiplicativityCheck
     domain_fraction: float
+    positivity_defect: float
+    mass_defect: float
     # the step judged and the kernel the check read: arrays would make == ambiguous
     step: WalshOperator = field(compare=False, repr=False)
     convolution: XorConvolution = field(compare=False, repr=False)
@@ -661,10 +645,11 @@ class MpcImplementability:
 
 def _implementability_of(op: WalshOperator, tol: float) -> MpcImplementability:
     """The verdict on the grid of the adjoint of the step ``op`` by t, an
-    XOR convolution that the check reads by its kernel, never as a grid."""
+    XOR convolution that the check reads by its kernel, never as a grid;
+    the same kernel decides the step's positivity."""
     convolution = XorConvolution(_step_kernel(_step_weights(op)))
     check = multiplicativity_check(convolution, tol=tol)
-    return MpcImplementability(check, op.domain_fraction, op, convolution)
+    return MpcImplementability(check, op.domain_fraction, *_stochasticity_of(op, convolution.kernel), op, convolution)
 
 
 def mpc_implementability(
@@ -733,12 +718,8 @@ class ExperimentRow:
 @dataclass(frozen=True)
 class MpcExperiment:
     rows: tuple[ExperimentRow, ...]
-    implementable: bool | None
+    implementable: bool
     asserted: bool
-
-    @property
-    def negative_verdict(self) -> bool:
-        return self.implementable is False
 
 
 def spectral_function_from_descriptor(descriptor: dict, half_width: int) -> SpectralFunction | None:
@@ -778,7 +759,7 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
     those tables, valid by construction, so none runs the public
     constructor's checks.  N, t and s0 are read once, here.
     """
-    shift = build_shift(integer_field(descriptor, "N"))
+    shift = TruncatedKShift(integer_field(descriptor, "N"))
     t = integer_field(descriptor, "t")
     f_spec = require(descriptor, "f")
     f = spectral_function_from_descriptor(f_spec, shift.half_width)
@@ -805,10 +786,9 @@ def run_experiment(descriptor: dict, tol: float = DEFAULT_TOL) -> MpcExperiment:
             add("semigroup_defect", semigroup_defect(first, step, after), after.domain_fraction)
         add("contraction_violation", contraction_violation(step), u.domain_fraction)
         bound = multiplicativity_lower_bound(step)
-    suite = _stochasticity_of(verdict.step, verdict.convolution.kernel)
-    add("stochasticity_positivity_defect", suite.positivity_defect, suite.domain_fraction)
-    add("stochasticity_mass_defect", suite.mass_defect, suite.domain_fraction)
-    add("stochasticity_unitality_defect", suite.unitality_defect, suite.domain_fraction)
+    add("stochasticity_positivity_defect", verdict.positivity_defect, verdict.domain_fraction)
+    add("stochasticity_mass_defect", verdict.mass_defect, verdict.domain_fraction)
+    add("stochasticity_unitality_defect", verdict.mass_defect, verdict.domain_fraction)
     add("multiplicativity_defect", verdict.defect, verdict.domain_fraction)
     if bound is not None:
         add("multiplicativity_lower_bound", bound, verdict.domain_fraction)

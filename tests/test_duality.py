@@ -23,9 +23,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nclp.linalg import threshold
 from nclp.sampling import commuting_unitary, ginibre, random_unitary, rng_from
 from nclp.spaces import P_GRID, QuantumMeasure
-from nclp.superop import KIND_ANTI, KIND_ISO, SuperOperator, canonical_jordan, implementability_check, isometry_check
+from nclp.superop import (
+    KIND_ANTI,
+    KIND_ISO,
+    SuperOperator,
+    canonical_jordan,
+    implementability_check,
+    isometry_check,
+    positivity_check,
+)
 
 #: generic Ad(u), Ad(u) with u commuting with rho, X -> A X B, 1.1 Ad(u)
 FAMILIES = ("generic", "commuting", "sandwich", "scaled")
@@ -184,3 +193,147 @@ def test_on_exactly_stored_data_the_verdict_does_not_depend_on_p():
             for p in P_GRID:
                 assert implementability_check(v, measure, p).failure == "isometry", (order, kind, p)
             assert implementability_check(v, measure, math.inf).implementable, (order, kind)
+
+
+def hadamard_family():
+    """(D, rho, U, U commutes with rho) over the exactly stored n = 4 data
+    above: the 24 phase choices Phi of the test above (12 draws per
+    spectrum), then the 23 eigenvalue-mixing permutations of the cond 2048
+    spectrum."""
+    rng = rng_from(21)
+    for d in HADAMARD_SPECTRA:
+        for _ in range(12):
+            rho, u = exactly_stored(d, np.diag(rng.choice(np.array([1, -1, 1j, -1j]), 4)))
+            yield d, rho, u, True
+    for order in itertools.permutations(range(4)):
+        if order != (0, 1, 2, 3):
+            rho, u = exactly_stored(HADAMARD_SPECTRA[1], np.eye(4)[list(order)])
+            yield HADAMARD_SPECTRA[1], rho, u, False
+
+
+def gaussian_product(*factors):
+    """The product of complex matrices given as (real, imaginary) pairs of
+    Fraction arrays, exactly."""
+    re, im = factors[0]
+    for r, i in factors[1:]:
+        re, im = re @ r - im @ i, re @ i + im @ r
+    return re, im
+
+
+def exact_p1_defect_squared(d, rho, u) -> Fraction:
+    """||A'* A' - 1||_F^2 for a Jordan map J(U) at p = 1, exactly.
+
+    A' = rho^(1/2) U S^(-1/2) with S = rho, or rho^T for the transposed
+    kind, which is the same real symmetric matrix here; the square is
+    tr(S^-1 E S^-1 E) with E = U* rho U - S, in Gaussian rationals, and
+    S^-1 = Q D^-1 Q^T exactly.
+    """
+    q, s, zero = exact(HADAMARD_Q), exact(rho), exact(np.zeros((4, 4)))
+    s_inv = q @ np.diag([1 / Fraction(x) for x in d]) @ q.T
+    assert (s_inv @ s == np.eye(4, dtype=int)).all()
+    ur, ui = exact(u.real), exact(u.imag)
+    er, ei = gaussian_product((ur.T, -ui.T), (s, zero), (ur, ui))
+    m = gaussian_product((s_inv, zero), (er - s, ei))
+    square_re, square_im = gaussian_product(m, m)
+    assert np.trace(square_im) == 0
+    return np.trace(square_re)
+
+
+def test_the_exact_p1_defect_decides_the_stored_hadamard_family():
+    # U commuting with rho leaves E = 0 exactly; a permutation that mixes
+    # distinct eigenvalues leaves a defect far above the threshold
+    limit = Fraction(threshold(1.0)) ** 2
+    commuting = mixing = 0
+    for d, rho, u, commutes in hadamard_family():
+        square = exact_p1_defect_squared(d, rho, u)
+        if commutes:
+            assert square == 0
+            commuting += 1
+        else:
+            assert square > limit
+            mixing += 1
+        measure = QuantumMeasure(rho)
+        for kind in (KIND_ISO, KIND_ANTI):
+            report = implementability_check(canonical_jordan(kind, u), measure, 1.0)
+            assert report.implementable == (square <= limit), (d, kind, report.failure)
+    assert (commuting, mixing) == (24, 23)
+
+
+def kosaki_transport(v: SuperOperator, measure: QuantumMeasure, p: float, eta: float, out_eta: float) -> SuperOperator:
+    """tau_out o V o tau_eta^-1, tau_eta(X) = rho^(eta/p) X rho^((1-eta)/p):
+    V read from Kosaki's L^p_eta(rho) into L^p_out(rho) as a map of S_p."""
+    def tau(e, sign):
+        return SuperOperator.sandwich(measure.power(sign * e / p), measure.power(sign * (1.0 - e) / p))
+
+    return tau(out_eta, 1.0) @ v @ tau(eta, -1.0)
+
+
+def unital_and_positive(v: SuperOperator) -> bool:
+    """The first two stages of ``implementability_check``, by its rules."""
+    n = v.dim
+    unital = float(np.linalg.norm(v.apply(np.eye(n)) - np.eye(n))) <= threshold(math.sqrt(n))
+    return unital and positivity_check(v).positive
+
+
+def onto_isometry(v: SuperOperator, measure: QuantumMeasure, p: float, eta: float, out_eta: float) -> bool:
+    """Is V an onto isometry of L^p_eta(rho) onto L^p_out(rho)?  Ten samples:
+    every map here that is no isometry misses by far more than the tolerance."""
+    iso = isometry_check(kosaki_transport(v, measure, p, eta, out_eta), None, p, trials=10)
+    return iso.is_isometry and iso.onto
+
+
+KOSAKI_ETAS = (0.0, 0.25, 0.5, 1.0)
+
+
+def random_kosaki_maps():
+    """(kind, V, measure) at n = 2..4 and cond 10 to 1e4: the four families
+    above, and X -> U X^T U* with U = Q Phi Q^T (implementable: U rho^T U* =
+    rho) or U Haar-random."""
+    rng = rng_from(25)
+    for n in (2, 3, 4):
+        for log_cond in (1.0, 2.5, 4.0):
+            measure = state(n, log_cond, rng)
+            for kind in FAMILIES:
+                yield KIND_ISO, family(kind, measure, rng), measure
+            q = measure.eigenbasis
+            preserving = (q * np.exp(2j * np.pi * rng.random(n))) @ q.T
+            for u in (preserving, random_unitary(n, rng)):
+                yield KIND_ANTI, canonical_jordan(KIND_ANTI, u), measure
+
+
+def test_every_kosaki_embedding_gives_the_same_verdict():
+    # a *-isomorphism is implementable exactly when it is a unital positive
+    # isometry of L^p_eta(rho) for any one eta; a *-anti-isomorphism swaps
+    # left and right multiplication, so it carries L^p_eta(rho) onto
+    # L^p_(1-eta)(rho^T), and rho^T = rho on the exact family
+    # every third exact map: 8 commuting ones and 8 permutations
+    cases = [(kind, canonical_jordan(kind, u), QuantumMeasure(rho))
+             for _, rho, u, _ in list(hadamard_family())[::3] for kind in (KIND_ISO, KIND_ANTI)]
+    cases += list(random_kosaki_maps())
+    answers = {True: 0, False: 0}
+    for kind, v, measure in cases:
+        gate = unital_and_positive(v)
+        for p in P_GRID:
+            today = implementability_check(v, measure, p).implementable
+            answers[today] += 1
+            for eta in KOSAKI_ETAS:
+                out_eta = eta if kind == KIND_ISO else 1.0 - eta
+                assert (gate and onto_isometry(v, measure, p, eta, out_eta)) == today, (kind, p, eta)
+                if kind == KIND_ANTI and eta != 0.5 and today:
+                    # read into the same L^p_eta, it is no isometry
+                    assert not onto_isometry(v, measure, p, eta, eta), (p, eta)
+    assert min(answers.values()) > 100
+
+
+def test_right_multiplication_is_an_isometry_only_where_the_weight_sits_left():
+    # X -> X W keeps ||rho^(1/p) X||_p for every unitary W, but not
+    # ||rho^(1/2p) X rho^(1/2p)||_p when W does not commute with rho
+    rng = rng_from(26)
+    measure = state(3, 2.0, rng)
+    w = random_unitary(3, rng)
+    assert np.linalg.norm(w @ measure.rho - measure.rho @ w) > 0.1
+    v = SuperOperator.sandwich(np.eye(3), w)
+    for p in P_GRID:
+        at_one = isometry_check(kosaki_transport(v, measure, p, 1.0, 1.0), None, p)
+        assert at_one.is_isometry and at_one.onto
+        assert not isometry_check(kosaki_transport(v, measure, p, 0.5, 0.5), None, p).is_isometry

@@ -26,9 +26,9 @@ from nclp.mpc import (
     DomainEmptyError,
     InvalidSpectralFunctionError,
     SpectralFunction,
+    TruncatedKShift,
     WalshOperator,
     WindowTooLargeError,
-    build_shift,
     commutation_check,
     conditional_expectation,
     lambda_build,
@@ -117,7 +117,7 @@ def xor_gather(k):
 
 
 def test_build_shift_small_window():
-    shift = build_shift(1)
+    shift = TruncatedKShift(1)
     assert shift.dim == 8
     ages = [loop_ages(1)[shift.index_of(s)] for s in all_subsets(1) if s]
     assert sorted(set(ages)) == [-1, 0, 1]
@@ -125,15 +125,15 @@ def test_build_shift_small_window():
 
 def test_build_shift_rejects_large_windows():
     with pytest.raises(WindowTooLargeError):
-        build_shift(10)
+        TruncatedKShift(10)
     with pytest.raises(WindowTooLargeError):
-        build_shift(0)
+        TruncatedKShift(0)
 
 
 @pytest.mark.parametrize("coordinate", [0.5, -1.9, True], ids=["half", "negative-fraction", "bool"])
 def test_index_of_refuses_coordinates_that_are_not_integers(coordinate):
     # int() cast them: {0.5} named {0}, {-1.9} named {-1} and {True} named {1}
-    shift = build_shift(1)
+    shift = TruncatedKShift(1)
     with pytest.raises(ValueError):
         shift.index_of({coordinate})
     assert shift.index_of({np.int64(1), 0.0}) == shift.index_of({1, 0}) == 6
@@ -143,14 +143,14 @@ def test_index_of_refuses_coordinates_that_are_not_integers(coordinate):
 def test_coords_of_refuses_an_index_outside_the_window(index):
     # bits above the window were ignored: 9 read as 1, 8 as the empty set,
     # and -1 as the whole window
-    shift = build_shift(1)
+    shift = TruncatedKShift(1)
     with pytest.raises(ValueError):
         shift.coords_of(index)
     assert shift.coords_of(np.int64(7)) == shift.coords_of(7.0) == (-1, 0, 1)
 
 
 def test_shift_moves_singletons():
-    shift = build_shift(2)
+    shift = TruncatedKShift(2)
     u = shift.shift_operator(1)
     src = shift.index_of({0})
     dst = shift.index_of({1})
@@ -160,7 +160,7 @@ def test_shift_moves_singletons():
 
 
 def test_shift_flags_off_window_images():
-    shift = build_shift(2)
+    shift = TruncatedKShift(2)
     u = shift.shift_operator(1)
     edge = shift.index_of({shift.half_width})
     assert not u.domain[edge]
@@ -170,7 +170,7 @@ def test_shift_flags_off_window_images():
 
 def test_shift_domain_matches_set_logic():
     n = 2
-    shift = build_shift(n)
+    shift = TruncatedKShift(n)
     for t in (1, 2):
         u = shift.shift_operator(t)
         for subset in all_subsets(n):
@@ -182,7 +182,7 @@ def test_shift_domain_matches_set_logic():
 
 
 def test_compose_is_the_matrix_product():
-    shift = build_shift(2)
+    shift = TruncatedKShift(2)
     f = SpectralFunction.logistic(2)
     u, u2, u3 = (shift.shift_operator(t) for t in (1, 2, 3))
     pairs = (
@@ -203,7 +203,7 @@ def test_compose_is_the_matrix_product():
 
 
 def test_conditional_expectation_extremes():
-    shift = build_shift(2)
+    shift = TruncatedKShift(2)
     top = conditional_expectation(shift, shift.half_width)
     assert np.allclose(dense(top), np.eye(shift.dim))
     bottom = conditional_expectation(shift, -shift.half_width - 1)
@@ -212,20 +212,20 @@ def test_conditional_expectation_extremes():
 
 
 def test_conditional_expectation_age_zero_fixture():
-    shift = build_shift(1)
+    shift = TruncatedKShift(1)
     diag = np.diag(dense(conditional_expectation(shift, 0)))
     kept = {shift.coords_of(i) for i in range(shift.dim) if diag[i] == 1.0}
     assert kept == {(), (-1,), (0,), (-1, 0)}
 
 
 def test_conditional_expectation_range_validation():
-    shift = build_shift(1)
+    shift = TruncatedKShift(1)
     with pytest.raises(ValueError):
         conditional_expectation(shift, 2)
 
 
 def test_time_operator_max_rule():
-    shift = build_shift(1)
+    shift = TruncatedKShift(1)
     t = time_operator(shift)
     diag = np.diag(dense(t))
     assert diag[shift.index_of({-1, 1})] == 1.0
@@ -239,7 +239,7 @@ def test_time_operator_max_rule():
 
 def test_commutation_identity_exact():
     for n, t in ((1, 1), (2, 1), (2, 2), (3, 2), (2, 0)):
-        shift = build_shift(n)
+        shift = TruncatedKShift(n)
         assert commutation_check(shift.shift_operator(t)) == 0.0
 
 
@@ -276,7 +276,7 @@ def test_spectral_function_constant_is_flagged_but_usable():
     f = SpectralFunction.constant(2)
     # not strictly decreasing, as its values show
     assert not (f.values[1:] < f.values[:-1]).all()
-    shift = build_shift(2)
+    shift = TruncatedKShift(2)
     lam = lambda_build(shift, f)
     assert np.allclose(dense(lam), np.eye(shift.dim))
 
@@ -293,7 +293,7 @@ def test_a_spectral_function_keeps_its_own_values():
     f = SpectralFunction(-2, 2, v)
     v[2] = 5.0
     assert f.values.tolist() == [1.0, 0.8, 0.5, 0.3, 0.1]
-    step = wt_build(build_shift(1), f, 1)
+    step = wt_build(TruncatedKShift(1), f, 1)
     assert mpc.contraction_violation(step) == 0.0 and step.slot_weights.max() <= 1.0
     with pytest.raises(InvalidSpectralFunctionError, match="non-increasing"):
         SpectralFunction(-2, 2, v)
@@ -311,14 +311,14 @@ def test_built_in_spectral_functions_are_window_tables():
 
 
 def test_lambda_build_logistic_fixture():
-    shift = build_shift(1)
+    shift = TruncatedKShift(1)
     diag = np.diag(dense(lambda_build(shift, SpectralFunction.logistic(1))))
     assert diag[shift.index_of({0})] == 0.5
     assert diag[0] == 1.0
 
 
 def test_lambda_fixes_constants_for_every_f():
-    shift = build_shift(2)
+    shift = TruncatedKShift(2)
     for f in (SpectralFunction.logistic(2), SpectralFunction.constant(2)):
         assert np.diag(dense(lambda_build(shift, f)))[0] == 1.0
 
@@ -327,7 +327,7 @@ def test_lambda_fixes_constants_for_every_f():
 
 
 def test_wt_multiplier_fixture():
-    shift = build_shift(1)
+    shift = TruncatedKShift(1)
     f = SpectralFunction.logistic(1)
     w = wt_build(shift, f, 1)
     src = shift.index_of({0})
@@ -336,14 +336,14 @@ def test_wt_multiplier_fixture():
 
 
 def test_wt_constant_f_is_plain_shift():
-    shift = build_shift(2)
+    shift = TruncatedKShift(2)
     w = wt_build(shift, SpectralFunction.constant(2), 1)
     u = shift.shift_operator(1)
     assert np.count_nonzero(dense(w) - dense(u)) == 0
 
 
 def test_wt_validation():
-    shift = build_shift(1)
+    shift = TruncatedKShift(1)
     f = SpectralFunction.logistic(1)
     with pytest.raises(ValueError):
         wt_build(shift, f, 0)
@@ -351,7 +351,7 @@ def test_wt_validation():
         wt_build(shift, f, 3)
     # the coarse step checks t by the same rule, with the same errors
     for n in (1, 2, 3):
-        shift = build_shift(n)
+        shift = TruncatedKShift(n)
         f = SpectralFunction.logistic(n)
         for t, error in ((0, ValueError), (2 * n + 1, DomainEmptyError)):
             with pytest.raises(error) as semigroup:
@@ -364,7 +364,7 @@ def test_wt_validation():
 
 def test_intertwining_float_and_exact_oracle():
     for n, t in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)):
-        shift = build_shift(n)
+        shift = TruncatedKShift(n)
         f = SpectralFunction.logistic(n)
         w = wt_build(shift, f, t)
         assert mpc.intertwining_defect(w, lambda_build(shift, f), shift.shift_operator(t)) <= 1e-12
@@ -389,7 +389,7 @@ def test_intertwining_float_and_exact_oracle():
 
 def test_semigroup_float_and_exact_oracle():
     for n, s, t in ((2, 1, 1), (3, 1, 1), (3, 1, 2), (3, 2, 2)):
-        shift = build_shift(n)
+        shift = TruncatedKShift(n)
         f = SpectralFunction.logistic(n)
         assert mpc.semigroup_defect(wt_build(shift, f, s), wt_build(shift, f, t), wt_build(shift, f, s + t)) <= 1e-12
         for subset in all_subsets(n):
@@ -434,7 +434,7 @@ def _time_consistency_defect_loop(shift):
 
 def test_filtration_and_time_consistency_exact(monkeypatch):
     for n in range(1, 7):
-        shift = build_shift(n)
+        shift = TruncatedKShift(n)
         assert mpc.filtration_defect(shift) == _filtration_defect_loop(shift) == 0.0
         assert mpc.time_consistency_defect(shift) == _time_consistency_defect_loop(shift) == 0.0
     original = mpc._filtration
@@ -456,14 +456,14 @@ def test_filtration_and_time_consistency_exact(monkeypatch):
     try:
         clear_defects()
         for n in range(1, 7):
-            shift = build_shift(n)
+            shift = TruncatedKShift(n)
             # slot 1 holds mask 1 = {-N} alone
             assert mpc.filtration_defect(shift) == _filtration_defect_loop(shift) == 0.5
             assert mpc.time_consistency_defect(shift) == _time_consistency_defect_loop(shift) == n / 2
         halved_slot = 2
         clear_defects()
         for n in range(1, 7):
-            shift = build_shift(n)
+            shift = TruncatedKShift(n)
             # slot 2 holds masks 2 and 3, {-N + 1} and {-N, -N + 1}
             assert mpc.filtration_defect(shift) > 0.0 and _filtration_defect_loop(shift) > 0.0
             assert mpc.time_consistency_defect(shift) > 0.0 and _time_consistency_defect_loop(shift) > 0.0
@@ -472,7 +472,7 @@ def test_filtration_and_time_consistency_exact(monkeypatch):
 
 
 def test_contraction_multipliers_in_unit_interval():
-    shift = build_shift(3)
+    shift = TruncatedKShift(3)
     f = SpectralFunction.logistic(3)
     for t in (1, 2, 3):
         w = wt_build(shift, f, t)
@@ -485,7 +485,7 @@ def test_contraction_multipliers_in_unit_interval():
 
 
 def test_walsh_to_grid_constants_and_single_site():
-    shift = build_shift(1)
+    shift = TruncatedKShift(1)
     e_empty = np.zeros(shift.dim)
     e_empty[0] = 1.0
     assert np.array_equal(mpc.fwht(e_empty), np.ones(shift.dim))
@@ -499,7 +499,7 @@ def test_walsh_to_grid_constants_and_single_site():
 
 
 def test_grid_round_trip_and_parseval():
-    shift = build_shift(3)
+    shift = TruncatedKShift(3)
     rng = rng_from(0)
     grid = rng.standard_normal(shift.dim)
     coeffs = mpc.fwht(grid) / shift.dim
@@ -578,7 +578,7 @@ def test_hadamard_blocks_are_symmetric_sign_matrices():
 
 
 def test_walsh_products_are_symmetric_differences():
-    shift = build_shift(2)
+    shift = TruncatedKShift(2)
     rng = rng_from(1)
     subsets = all_subsets(2)
     for _ in range(20):
@@ -597,17 +597,19 @@ def test_walsh_products_are_symmetric_differences():
 
 
 def stochasticity_of(op):
-    """``mpc._stochasticity_of`` of the step ``op``, given the kernel that its
-    verdict reads."""
-    return mpc._stochasticity_of(op, mpc._step_kernel(mpc._step_weights(op)))
+    """The verdict on the step ``op``, which carries its positivity and mass
+    defects from the kernel that the verdict reads."""
+    return mpc._implementability_of(op, mpc.DEFAULT_TOL)
 
 
 def test_stochasticity_logistic():
-    shift = build_shift(3)
+    shift = TruncatedKShift(3)
     suite = stochasticity_of(wt_build(shift, SpectralFunction.logistic(3), 1))
     assert suite.positivity_defect <= 1e-10
     assert suite.mass_defect == 0.0
-    assert suite.unitality_defect == 0.0
+    # the unitality row reads the same empty-set weight as the mass row
+    rows = {r.defect_name: r.value for r in mpc.run_experiment({"N": 3, "f": {"kind": "logistic"}, "t": 1}).rows}
+    assert rows["stochasticity_unitality_defect"] == rows["stochasticity_mass_defect"] == suite.mass_defect
     assert suite.domain_fraction == 0.5
 
 
@@ -632,20 +634,20 @@ EXPLORATORY = {-3: 1.0, -2: 0.9, -1: 0.5, 0: 0.05, 1: 0.045, 2: 0.044, 3: 0.0439
 def test_stochasticity_exploratory_non_log_concave():
     # the table cannot be a SpectralFunction, so its step is built by hand;
     # without log-concavity the step is not positive
-    shift = build_shift(2)
+    shift = TruncatedKShift(2)
     suite = stochasticity_of(hand_built_step(shift, EXPLORATORY, 1))
     print(f"exploratory non-log-concave positivity defect: {suite.positivity_defect:.3e}")
     assert suite.positivity_defect > 0.0
-    assert suite.mass_defect == 0.0 and suite.unitality_defect == 0.0
+    assert suite.mass_defect == 0.0
 
 
 def test_stochasticity_reports_lost_mass():
-    shift = build_shift(1)
+    shift = TruncatedKShift(1)
     weights = np.ones(shift.sites + 1)
     weights[0] = 0.5
     op = WalshOperator(0, weights, np.ones(shift.sites + 1, dtype=bool))
     suite = stochasticity_of(op)
-    assert suite.mass_defect == 0.5 and suite.unitality_defect == 0.5
+    assert suite.mass_defect == 0.5
 
 
 def _positivity_defect_loop(op, shift, t, samples, seed):
@@ -673,7 +675,7 @@ def dense_kernel(op, shift, t):
 def stochasticity_operators():
     """(shift, t, op): a step, a coarse-graining, and two that go negative."""
     for n in (1, 2, 3, 4):
-        shift = build_shift(n)
+        shift = TruncatedKShift(n)
         slots = np.arange(shift.sites + 1)
         for t in (1, 2):
             # 11 * mean - 10 * U_t f: negative wherever a density exceeds 1.1
@@ -716,14 +718,14 @@ def test_sampled_defect_never_exceeds_the_exact_one():
 @given(case=non_log_concave_tables(), seed=st.integers(0, 2**32 - 1))
 def test_sampled_defect_never_exceeds_the_exact_one_without_log_concavity(case, seed):
     n, t, raw = case
-    shift = build_shift(n)
+    shift = TruncatedKShift(n)
     assert_sample_below_exact_defect(shift, t, hand_built_step(shift, raw, t), seed)
 
 
 def test_exact_positivity_defect_is_reached():
     # the indicator of {y : k[x ^ y] < 0} reaches -sum max(0, -k) at x; the
     # d-length round trip relabels x, so the minimum over the grid is it
-    cases = [*stochasticity_operators(), (build_shift(2), 1, hand_built_step(build_shift(2), EXPLORATORY, 1))]
+    cases = [*stochasticity_operators(), (TruncatedKShift(2), 1, hand_built_step(TruncatedKShift(2), EXPLORATORY, 1))]
     reached = 0
     for shift, t, op in cases:
         d = shift.dim
@@ -740,7 +742,7 @@ def test_exact_positivity_defect_is_reached():
 
 def test_exact_positivity_defect_is_zero_on_every_valid_case():
     for n in range(1, 7):
-        shift = build_shift(n)
+        shift = TruncatedKShift(n)
         for t in range(1, 2 * n + 1):
             suites = [stochasticity_of(wt_build(shift, f, t)) for f in
                       (SpectralFunction.logistic(n), SpectralFunction.constant(n))]
@@ -753,7 +755,7 @@ def test_exact_positivity_defect_is_zero_on_every_valid_case():
 def test_stochasticity_rejects_a_negative_shift():
     # a negative shift would move masks above the block into it; neither the
     # shift model nor a hand-built operator can make one
-    shift = build_shift(2)
+    shift = TruncatedKShift(2)
     with pytest.raises(ValueError):
         stochasticity_of(shift.shift_operator(-1))
     with pytest.raises(ValueError):
@@ -762,7 +764,7 @@ def test_stochasticity_rejects_a_negative_shift():
 
 def test_stochasticity_sample_allocates_at_block_size():
     n, t = 5, 2
-    shift = build_shift(n)
+    shift = TruncatedKShift(n)
     op = wt_build(shift, SpectralFunction.logistic(n), t)
     block = 1 << (2 * n + 1 - t)
     assert shift.dim == 4 * block
@@ -778,7 +780,7 @@ def test_stochasticity_sample_allocates_at_block_size():
 
 
 def test_implementability_logistic_negative_with_oracle_bound():
-    shift = build_shift(3)
+    shift = TruncatedKShift(3)
     f = SpectralFunction.logistic(3)
     verdict = mpc.mpc_implementability(shift, f, 1)
     bound = mpc.multiplicativity_lower_bound(verdict.step)
@@ -789,14 +791,14 @@ def test_implementability_logistic_negative_with_oracle_bound():
 
 
 def test_implementability_constant_f_positive():
-    shift = build_shift(3)
+    shift = TruncatedKShift(3)
     verdict = mpc.mpc_implementability(shift, SpectralFunction.constant(3), 1)
     assert verdict.implementable
     assert verdict.defect == 0.0
 
 
 def test_implementability_negative_for_every_strictly_decreasing_f():
-    shift = build_shift(2)
+    shift = TruncatedKShift(2)
     geometric = SpectralFunction.from_table(2, [2.0**-s for s in range(-3, 4)])
     steep = SpectralFunction.from_table(2, [10.0**-s for s in range(-3, 4)])
     for f, t in ((geometric, 1), (geometric, 2), (steep, 1), (SpectralFunction.logistic(2), 1)):
@@ -811,7 +813,7 @@ def test_restricted_adjoint_grid_matches_direct_construction():
     # orthonormal), restrict to the masks where the adjoint is defined,
     # translate the window, and conjugate by the sub-transform
     n, t = 2, 1
-    shift = build_shift(n)
+    shift = TruncatedKShift(n)
     f = SpectralFunction.logistic(n)
     adj = dense(wt_build(shift, f, t)).T
     d_sub = 1 << (2 * n + 1 - t)
@@ -827,7 +829,7 @@ def test_restricted_adjoint_grid_matches_direct_construction():
 
 def test_age_tables_match_mask_loops():
     for n in range(1, 7):
-        shift = build_shift(n)
+        shift = TruncatedKShift(n)
         assert np.array_equal(shift.slot_ages[mpc._slot_index(shift.sites)], loop_ages(n))
         # tabulated beyond the window, so every lookup must subtract s_min
         wide = SpectralFunction(-n - 3, n + 2, 1.0 / (1.0 + np.exp(np.arange(-n - 3, n + 3))))
@@ -849,7 +851,7 @@ def test_age_tables_match_mask_loops():
 def slot_forms_and_mask_references(n):
     """(operator, per-mask weights, per-mask domain) for every builder at
     half-width n and every t, the references from per-mask loops."""
-    shift = build_shift(n)
+    shift = TruncatedKShift(n)
     d, ages = shift.dim, loop_ages(n)
     masks = np.arange(d)
     everywhere = np.ones(d, dtype=bool)
@@ -893,7 +895,7 @@ def test_slot_forms_match_mask_loops():
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda shift, x: build_shift(x),
+        lambda shift, x: TruncatedKShift(x),
         lambda shift, x: shift.shift_operator(x),
         lambda shift, x: commutation_check(shift.shift_operator(x)),
         lambda shift, x: conditional_expectation(shift, x),
@@ -903,7 +905,7 @@ def test_slot_forms_match_mask_loops():
     ids=["TruncatedKShift", "shift_operator", "commutation_check", "conditional_expectation", "_check_step", "s0"],
 )
 def test_integer_arguments_are_integers(entry):
-    shift = build_shift(2)
+    shift = TruncatedKShift(2)
     # an integer of any type is taken as it is
     assert repr(entry(shift, np.int64(1))) == repr(entry(shift, 1.0)) == repr(entry(shift, 1))
     # bools, fractions and strings are refused, never truncated or cast
@@ -932,21 +934,21 @@ def test_walsh_operator_domain_is_boolean_and_products_share_a_window():
             WalshOperator(0, np.ones(4), domain)
     # a 6-slot product was built from a 4-slot operator, and the other order
     # raised a bare IndexError
-    wide, narrow = build_shift(2).shift_operator(1), build_shift(1).shift_operator(1)
+    wide, narrow = TruncatedKShift(2).shift_operator(1), TruncatedKShift(1).shift_operator(1)
     for a, b in ((wide, narrow), (narrow, wide)):
         with pytest.raises(ValueError, match="6-slot .* 4-slot|4-slot .* 6-slot"):
             a.compose(b)
     f = SpectralFunction.logistic(2)
     with pytest.raises(ValueError, match="slot"):
-        mpc.intertwining_defect(wt_build(build_shift(2), f, 1), lambda_build(build_shift(2), f), narrow)
+        mpc.intertwining_defect(wt_build(TruncatedKShift(2), f, 1), lambda_build(TruncatedKShift(2), f), narrow)
 
 
 def test_semigroup_defect_refuses_operators_of_another_window():
     # W_{s+t} from a 1-site-narrower window raised numpy's broadcast error
     f = SpectralFunction.logistic(2)
-    ws = wt = wt_build(build_shift(2), f, 1)
+    ws = wt = wt_build(TruncatedKShift(2), f, 1)
     with pytest.raises(ValueError, match="6-slot .* 4-slot"):
-        mpc.semigroup_defect(ws, wt, wt_build(build_shift(1), f, 2))
+        mpc.semigroup_defect(ws, wt, wt_build(TruncatedKShift(1), f, 2))
 
 
 def test_walsh_operator_weights_are_a_float_array():
@@ -961,7 +963,7 @@ def test_walsh_operator_weights_are_a_float_array():
 def test_shared_tables_are_read_only():
     # the tables are cached by window size and handed to every caller, so a
     # write through one caller must fail instead of reaching the next
-    shift, again = build_shift(2), build_shift(2)
+    shift, again = TruncatedKShift(2), TruncatedKShift(2)
     f = SpectralFunction.logistic(2)
     assert time_operator(shift) is time_operator(again)
     assert shift.slot_ages is again.slot_ages and mpc._filtration(shift.sites) is mpc._filtration(again.sites)
@@ -978,7 +980,7 @@ def test_shared_tables_are_read_only():
 def built_operators(n):
     """Every operator a builder returns at half-width n: the age operator,
     each E_s, Lambda, and U_t, W_t and the coarse step of every t and s0."""
-    shift = build_shift(n)
+    shift = TruncatedKShift(n)
     tail = [math.exp(-((s + n + 2) ** 2) / (4 * n)) for s in range(-n - 1, n + 2)]
     spectral = (SpectralFunction.logistic(n), SpectralFunction.constant(n), SpectralFunction.from_table(n, tail))
     yield time_operator(shift)
@@ -1026,13 +1028,13 @@ def test_walsh_operator_shifts_are_integers():
 
 def test_window_facts_are_read_only_tables_equal_to_a_fresh_computation():
     for n in range(1, 5):
-        shift = build_shift(n)
-        assert mpc.filtration_defect(shift) is mpc.filtration_defect(build_shift(n))
+        shift = TruncatedKShift(n)
+        assert mpc.filtration_defect(shift) is mpc.filtration_defect(TruncatedKShift(n))
         assert mpc.filtration_defect(shift) == _filtration_defect_loop(shift) == 0.0
         assert mpc.time_consistency_defect(shift) == _time_consistency_defect_loop(shift) == 0.0
         for t in range(0, 2 * n + 3):
             u = shift.shift_operator(t)
-            assert u is build_shift(n).shift_operator(t)
+            assert u is TruncatedKShift(n).shift_operator(t)
             fits = np.array([m << t < shift.dim for m in range(shift.dim)])
             assert np.array_equal(u.weights, fits.astype(float)) and np.array_equal(u.domain, fits)
             for table in (u.slot_weights, u.slot_domain):
@@ -1120,7 +1122,7 @@ def test_spectral_function_limits_are_integers():
     # later N = 1 experiment in the process raised IndexError too
     f = SpectralFunction(-2.0, 2.0, [1.0] * 5)
     assert (f.s_min, f.s_max) == (-2, 2) and type(f.s_min) is type(f.s_max) is int
-    assert wt_build(build_shift(1), f, 1).shift == 1
+    assert wt_build(TruncatedKShift(1), f, 1).shift == 1
     assert mpc.run_experiment({"N": 1, "t": 1, "f": {"kind": "logistic"}}).implementable is False
     # bools, fractions and strings are refused, never cast
     for s_min, s_max in ((True, 5), (-1.5, 2), (-2, 2.5), (-2, "2")):
@@ -1146,7 +1148,7 @@ def test_restricted_adjoint_grid_is_the_dense_walsh_product():
     # 0/1 and constant multipliers keep every sum an integer, so the gather
     # is exact there; logistic ratios are rounded in a different order
     for n in range(1, 5):
-        shift = build_shift(n)
+        shift = TruncatedKShift(n)
         for t in (1, 2):
             spectral = ((SpectralFunction.constant(n), True), (SpectralFunction.logistic(n), False))
             for f, exact in spectral:
@@ -1174,7 +1176,7 @@ def test_restricted_adjoint_grid_is_the_dense_walsh_product():
 def test_restricted_adjoint_grid_is_the_xor_gather():
     eps = np.finfo(float).eps
     for n in range(1, 6):
-        shift = build_shift(n)
+        shift = TruncatedKShift(n)
         for t in (1, 2):
             steps = [wt_build(shift, f, t) for f in (SpectralFunction.logistic(n), SpectralFunction.constant(n))]
             steps += [mpc.coarse_grained_wt(shift, s0, t) for s0 in range(-n - 1, n + 1)]
@@ -1194,7 +1196,7 @@ def test_restricted_adjoint_grid_is_the_xor_gather():
 
 
 def test_implementability_never_holds_the_grid():
-    shift = build_shift(6)
+    shift = TruncatedKShift(6)
     f = SpectralFunction.logistic(6)
     tracemalloc.start()
     try:
@@ -1241,7 +1243,7 @@ def random_log_concave_table(rng, n):
 def test_lower_bound_by_slot_pairs_equals_the_rep_scan():
     rng = rng_from(3)
     for n in range(1, 10):
-        shift = build_shift(n)
+        shift = TruncatedKShift(n)
         for f in (SpectralFunction.logistic(n), SpectralFunction.constant(n), random_log_concave_table(rng, n)):
             for t in range(1, 2 * n + 1):
                 assert mpc.multiplicativity_lower_bound(wt_build(shift, f, t)) == _lower_bound_rep_scan(shift, f, t)
@@ -1249,7 +1251,7 @@ def test_lower_bound_by_slot_pairs_equals_the_rep_scan():
 
 def test_lower_bound_matches_the_scan_over_every_subset():
     for n in range(1, 6):
-        shift = build_shift(n)
+        shift = TruncatedKShift(n)
         geometric = SpectralFunction.from_table(n, [2.0**-s for s in range(-n - 1, n + 2)])
         for f in (SpectralFunction.logistic(n), SpectralFunction.constant(n), geometric):
             for t in (1, 2):
@@ -1259,7 +1261,7 @@ def test_lower_bound_matches_the_scan_over_every_subset():
 def test_steps_past_the_window_are_refused():
     # shifts by 3, 4 and 5 in a 3-site window raised numpy's zero-size error
     # or an IndexError, or read a negative slice as a number
-    shift = build_shift(1)
+    shift = TruncatedKShift(1)
     for t in (3, 4, 5):
         op = shift.shift_operator(t)
         with pytest.raises(DomainEmptyError):
@@ -1277,7 +1279,7 @@ def test_steps_past_the_window_are_refused():
 def test_lower_bound_rejects_a_spectral_function_short_of_the_window():
     # the bound reads a built step, and no step is built from a spectral
     # function short of the window
-    shift, short = build_shift(3), SpectralFunction.logistic(2)
+    shift, short = TruncatedKShift(3), SpectralFunction.logistic(2)
     with pytest.raises(InvalidSpectralFunctionError):
         mpc.multiplicativity_lower_bound(wt_build(shift, short, 1))
     with pytest.raises(InvalidSpectralFunctionError):
@@ -1287,7 +1289,7 @@ def test_lower_bound_rejects_a_spectral_function_short_of_the_window():
 def test_pair_scan_bound_close_form_spot_check():
     # for R = Q = {0} the product multiplier is g({0})^2 while the empty set
     # carries multiplier 1, so the scan sees at least 1 - g^2
-    shift = build_shift(2)
+    shift = TruncatedKShift(2)
     f = SpectralFunction.logistic(2)
     t = 1
     g = f.value(1) / f.value(0)
@@ -1297,11 +1299,11 @@ def test_pair_scan_bound_close_form_spot_check():
 
 
 def test_coarse_grained_semigroup_reports():
-    shift = build_shift(2)
+    shift = TruncatedKShift(2)
     coarse = mpc.coarse_grained_wt(shift, 0, 1)
     suite = stochasticity_of(coarse)
     assert suite.positivity_defect <= 1e-12
-    assert suite.mass_defect == 0.0 and suite.unitality_defect == 0.0
+    assert suite.mass_defect == 0.0
     verdict = mpc.coarse_grained_implementability(shift, 0, 1)
     print(f"coarse-grained multiplicativity defect: {verdict.defect:.3e}")
     assert verdict.defect >= 0.0
